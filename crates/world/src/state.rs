@@ -20,6 +20,7 @@ use crate::objset::ObjectSet;
 use crate::value::Value;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// The set of attribute writes produced by evaluating one action.
 ///
@@ -209,11 +210,22 @@ impl fmt::Debug for Snapshot {
 
 /// The world state ζ: a map from object id to object.
 ///
-/// Backed by a `BTreeMap` so iteration order — and therefore digests and
-/// consistency comparisons — is deterministic. World populations in the
-/// paper's evaluation are at most a few thousand objects, where a B-tree's
-/// cache behaviour is perfectly adequate and determinism is worth far more
-/// than the last nanosecond of lookup time.
+/// Representation: `BTreeMap<ObjectId, Arc<WorldObject>>`. The B-tree keeps
+/// iteration order — and therefore digests and consistency comparisons —
+/// deterministic. The `Arc` makes objects *shared, immutable until written*:
+/// [`Clone`], [`WorldState::copy_objects_from`] and a world's
+/// `initial_state()` copy pointers, not attribute vectors, so the N replicas
+/// of a run (each holding ζ_CO, ζ_CS and the replay log's base) all point at
+/// one set of untouched objects.
+///
+/// **Copy on first write.** Every mutator goes through [`Arc::make_mut`] or
+/// replaces the pointer: the first write to an object that another state
+/// still references clones that one object and leaves the other state's
+/// value as it was; later writes to the now-unshared object are in place.
+/// No write through one `WorldState` is ever visible through another.
+/// Equality, digests and iteration look through the pointer, so sharing is
+/// unobservable apart from memory and time. `Arc` rather than `Rc` because
+/// replicas run on their own threads in the `inproc` and `rt` backends.
 ///
 /// ```
 /// use seve_world::{WorldState, ObjectId};
@@ -229,7 +241,7 @@ impl fmt::Debug for Snapshot {
 /// ```
 #[derive(Clone, PartialEq, Eq, Default)]
 pub struct WorldState {
-    objects: BTreeMap<ObjectId, WorldObject>,
+    objects: BTreeMap<ObjectId, Arc<WorldObject>>,
 }
 
 impl WorldState {
@@ -263,7 +275,7 @@ impl WorldState {
     /// Read an object.
     #[inline]
     pub fn get(&self, id: ObjectId) -> Option<&WorldObject> {
-        self.objects.get(&id)
+        self.objects.get(&id).map(|o| &**o)
     }
 
     /// Read one attribute of one object.
@@ -275,18 +287,19 @@ impl WorldState {
     /// Insert or replace an object wholesale.
     #[inline]
     pub fn put(&mut self, id: ObjectId, object: WorldObject) {
-        self.objects.insert(id, object);
+        self.objects.insert(id, Arc::new(object));
     }
 
     /// Remove an object. Returns the object if it was present.
     #[inline]
     pub fn remove(&mut self, id: ObjectId) -> Option<WorldObject> {
-        self.objects.remove(&id)
+        self.objects.remove(&id).map(Arc::unwrap_or_clone)
     }
 
-    /// Write one attribute, creating the object if needed.
+    /// Write one attribute, creating the object if needed. Un-shares the
+    /// object first if another state still points at it.
     pub fn set_attr(&mut self, id: ObjectId, attr: AttrId, value: Value) {
-        self.objects.entry(id).or_default().set(attr, value);
+        Arc::make_mut(self.objects.entry(id).or_default()).set(attr, value);
     }
 
     /// Apply every write in a [`WriteLog`], creating objects as needed.
@@ -313,7 +326,7 @@ impl WorldState {
     /// Apply a blind-write snapshot: replace each captured object wholesale.
     pub fn apply_snapshot(&mut self, snap: &Snapshot) {
         for (id, o) in snap.iter() {
-            self.objects.insert(id, o.clone());
+            self.put(id, o.clone());
         }
     }
 
@@ -322,7 +335,7 @@ impl WorldState {
     pub fn apply_snapshot_except(&mut self, snap: &Snapshot, skip: &ObjectSet) {
         for (id, o) in snap.iter() {
             if !skip.contains(id) {
-                self.objects.insert(id, o.clone());
+                self.put(id, o.clone());
             }
         }
     }
@@ -333,7 +346,7 @@ impl WorldState {
     pub fn snapshot_of(&self, set: &ObjectSet) -> Snapshot {
         let mut snap = Snapshot::new();
         for id in set.iter() {
-            if let Some(o) = self.objects.get(&id) {
+            if let Some(o) = self.get(id) {
                 snap.push(id, o.clone());
             }
         }
@@ -348,7 +361,7 @@ impl WorldState {
         for id in set.iter() {
             match source.objects.get(&id) {
                 Some(o) => {
-                    self.objects.insert(id, o.clone());
+                    self.objects.insert(id, Arc::clone(o));
                 }
                 None => {
                     self.objects.remove(&id);
@@ -360,7 +373,7 @@ impl WorldState {
     /// Iterate over `(id, object)` in ascending id order.
     #[inline]
     pub fn iter(&self) -> impl Iterator<Item = (ObjectId, &WorldObject)> {
-        self.objects.iter().map(|(id, o)| (*id, o))
+        self.objects.iter().map(|(id, o)| (*id, &**o))
     }
 
     /// The set of materialized object ids.
@@ -402,6 +415,15 @@ impl WorldState {
             }
         }
         diverged
+    }
+
+    /// Do `self` and `other` point at the same allocation for `id`?
+    #[cfg(test)]
+    fn shares_object_with(&self, other: &WorldState, id: ObjectId) -> bool {
+        match (self.objects.get(&id), other.objects.get(&id)) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
     }
 }
 
@@ -492,6 +514,119 @@ mod tests {
         dst.copy_objects_from(&src, &set);
         assert_eq!(dst.attr(ObjectId(1), HP), Some(Value::I64(11)));
         assert!(!dst.contains(ObjectId(2)));
+    }
+
+    /// Replicas run on their own threads in the `rt` and `inproc` backends.
+    #[test]
+    fn world_state_is_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<WorldState>();
+    }
+
+    /// Three objects; every aliasing case below writes object 2 only.
+    fn three() -> WorldState {
+        let mut w = WorldState::new();
+        for i in 1..=3 {
+            w.put(ObjectId(i), obj(i64::from(i)));
+        }
+        w
+    }
+
+    #[test]
+    fn clone_shares_every_object() {
+        let a = three();
+        let b = a.clone();
+        for i in 1..=3 {
+            assert!(a.shares_object_with(&b, ObjectId(i)), "object {i}");
+        }
+    }
+
+    /// For each mutator: clone a state, mutate one side, and the other side
+    /// must keep its digest and value; the clone must still share the
+    /// untouched objects and have un-shared exactly the written one.
+    #[test]
+    fn mutating_a_clone_never_shows_through_the_original() {
+        let target = ObjectId(2);
+        let only_target = ObjectSet::singleton(target);
+        let skip_others: ObjectSet = [ObjectId(1), ObjectId(3)].into_iter().collect();
+        let mut log = WriteLog::new();
+        for i in 1..=3 {
+            log.push(ObjectId(i), HP, Value::I64(77));
+        }
+        let mut target_log = WriteLog::new();
+        target_log.push(target, HP, Value::I64(77));
+        let mut snap = Snapshot::new();
+        for i in 1..=3 {
+            snap.push(ObjectId(i), obj(88));
+        }
+        let mut target_snap = Snapshot::new();
+        target_snap.push(target, obj(88));
+        let mut donor = WorldState::new();
+        donor.put(target, obj(99));
+
+        type Mutator<'a> = &'a dyn Fn(&mut WorldState);
+        let mutators: [(&str, Mutator<'_>); 8] = [
+            ("set_attr", &|w| w.set_attr(target, HP, Value::I64(77))),
+            ("apply_writes", &|w| w.apply_writes(&target_log)),
+            ("apply_writes_except", &|w| {
+                w.apply_writes_except(&log, &skip_others)
+            }),
+            ("apply_snapshot", &|w| w.apply_snapshot(&target_snap)),
+            ("apply_snapshot_except", &|w| {
+                w.apply_snapshot_except(&snap, &skip_others)
+            }),
+            ("put", &|w| w.put(target, obj(55))),
+            ("remove", &|w| drop(w.remove(target))),
+            ("copy_objects_from", &|w| {
+                w.copy_objects_from(&donor, &only_target)
+            }),
+        ];
+
+        for (name, mutate) in mutators {
+            // Mutate the clone; then, separately, mutate the original.
+            for mutate_clone in [true, false] {
+                let mut a = three();
+                let mut b = a.clone();
+                let reference = three();
+                let (written, kept) = if mutate_clone {
+                    (&mut b, &a)
+                } else {
+                    (&mut a, &b)
+                };
+                mutate(written);
+                assert_eq!(kept.digest(), reference.digest(), "{name}: digest");
+                assert_eq!(*kept, reference, "{name}: ==");
+                assert_ne!(*written, reference, "{name}: the write took effect");
+                for i in [1, 3] {
+                    assert!(
+                        written.shares_object_with(kept, ObjectId(i)),
+                        "{name}: untouched object {i} stays shared"
+                    );
+                    assert_eq!(written.get(ObjectId(i)), reference.get(ObjectId(i)));
+                }
+                assert!(
+                    !written.shares_object_with(kept, target),
+                    "{name}: the written object is un-shared"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn copy_objects_from_shares_the_source_object() {
+        let src = three();
+        let mut dst = WorldState::new();
+        dst.put(ObjectId(2), obj(99));
+        dst.copy_objects_from(&src, &ObjectSet::singleton(ObjectId(2)));
+        assert!(dst.shares_object_with(&src, ObjectId(2)));
+    }
+
+    #[test]
+    fn remove_returns_the_value_without_disturbing_sharers() {
+        let a = three();
+        let mut b = a.clone();
+        assert_eq!(b.remove(ObjectId(2)), Some(obj(2)));
+        assert_eq!(a.get(ObjectId(2)), Some(&obj(2)));
     }
 
     #[test]

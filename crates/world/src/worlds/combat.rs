@@ -513,15 +513,20 @@ impl CombatWorkload {
         let my_pos = view.attr(me, POS)?.as_vec2()?;
         let my_team = view.attr(me, TEAM)?.as_i64()?;
         let mut best: Option<(f64, ObjectId)> = None;
-        for i in 0..self.env.config.clients {
-            let o = ObjectId(i as u32);
+        // Avatars are objects `0..clients` and the view iterates in ascending
+        // id: one pass over its prefix, each candidate read once. The strict
+        // `<` keeps the lowest id among equally near enemies.
+        for (o, object) in view.iter() {
+            if o.0 as usize >= self.env.config.clients {
+                break;
+            }
             if o == me {
                 continue;
             }
             let (Some(p), Some(t), Some(hp)) = (
-                view.attr(o, POS).and_then(|v| v.as_vec2()),
-                view.attr(o, TEAM).and_then(|v| v.as_i64()),
-                view.attr(o, HP).and_then(|v| v.as_i64()),
+                object.get(POS).and_then(|v| v.as_vec2()),
+                object.get(TEAM).and_then(|v| v.as_i64()),
+                object.get(HP).and_then(|v| v.as_i64()),
             ) else {
                 continue;
             };

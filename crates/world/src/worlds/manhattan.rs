@@ -416,9 +416,12 @@ impl GameWorld for ManhattanWorld {
 /// avatar moves every round, so "unchanged" reliably means "stale").
 pub struct ManhattanWorkload {
     env: Arc<ManhattanEnv>,
-    /// Per (observer, observed): last seen position and how many
-    /// consecutive observations it has been frozen.
-    freshness: std::collections::HashMap<(u16, u32), (Vec2, u32)>,
+    /// `freshness[observer][observed]`: the position `observer` last saw
+    /// `observed` at and how many consecutive observations it has been
+    /// frozen there; `None` until the first sighting. A row is allocated
+    /// (one slot per avatar) the first time its observer moves, so a
+    /// workload driving one client holds one row, not N.
+    freshness: Vec<Vec<Option<(Vec2, u32)>>>,
 }
 
 /// Consecutive frozen re-observations after which a remote avatar counts
@@ -430,7 +433,7 @@ impl ManhattanWorkload {
     pub fn new(world: &ManhattanWorld) -> Self {
         Self {
             env: Arc::clone(world.env()),
-            freshness: std::collections::HashMap::new(),
+            freshness: Vec::new(),
         }
     }
 
@@ -447,36 +450,45 @@ impl ManhattanWorkload {
         let pos = view.attr(me, POS)?.as_vec2()?;
         let dir = view.attr(me, DIR)?.as_vec2()?;
 
+        let observer = usize::from(client.0);
+        if self.freshness.len() <= observer {
+            self.freshness.resize_with(observer + 1, Vec::new);
+        }
+        let row = &mut self.freshness[observer];
+        if row.is_empty() {
+            row.resize(c.clients, None);
+        }
+
         // Read set: me + every *live* avatar currently within the move
         // effect range of my believed position. The declared read set is
         // what the server's closure analysis (Algorithm 6) operates on.
+        // Avatars are objects `0..clients`, and the view iterates in
+        // ascending id, so one pass over its prefix visits them in id order.
         let mut rs = ObjectSet::singleton(me);
         let r2 = c.move_effect_range * c.move_effect_range;
-        for i in 0..c.clients {
-            let other = ObjectId(i as u32);
+        for (other, object) in view.iter() {
+            let Some(seen) = row.get_mut(other.0 as usize) else {
+                break; // past the avatars
+            };
             if other == me {
                 continue;
             }
-            if let Some(p) = view.attr(other, POS).and_then(|v| v.as_vec2()) {
-                let frozen_rounds = match self.freshness.entry((client.0, other.0)) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        let v = e.get_mut();
-                        if v.0 == p {
-                            v.1 += 1;
-                        } else {
-                            *v = (p, 0);
-                        }
-                        v.1
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert((p, 0));
-                        0
-                    }
-                };
-                let stale = frozen_rounds >= STALE_ROUNDS;
-                if !stale && p.dist2(pos) <= r2 {
-                    rs.insert(other);
+            let Some(p) = object.get(POS).and_then(|v| v.as_vec2()) else {
+                continue;
+            };
+            let frozen_rounds = match seen {
+                Some((last, frozen)) if *last == p => {
+                    *frozen += 1;
+                    *frozen
                 }
+                _ => {
+                    *seen = Some((p, 0));
+                    0
+                }
+            };
+            let stale = frozen_rounds >= STALE_ROUNDS;
+            if !stale && p.dist2(pos) <= r2 {
+                rs.insert(other);
             }
         }
 
@@ -509,6 +521,7 @@ impl Workload<ManhattanWorld> for ManhattanWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::object::WorldObject;
 
     fn small_world() -> ManhattanWorld {
         ManhattanWorld::new(ManhattanConfig {
@@ -786,6 +799,165 @@ mod tests {
         view.set_attr(ObjectId(1), POS, Vec2::new(104.0, 100.0).into());
         let a = wl.make_move(ClientId(0), 3, &view).unwrap();
         assert!(a.read_set().contains(ObjectId(1)), "fresh data revives it");
+    }
+
+    /// Reference generator, written the obvious way: one map keyed by
+    /// (observer, observed) and one `view.attr` lookup per avatar id. The
+    /// shipping `make_move` must match it action for action.
+    struct KeyedMapReference {
+        env: Arc<ManhattanEnv>,
+        freshness: std::collections::HashMap<(u16, u32), (Vec2, u32)>,
+    }
+
+    impl KeyedMapReference {
+        fn make_move(
+            &mut self,
+            client: ClientId,
+            seq: u32,
+            view: &WorldState,
+        ) -> Option<MoveAction> {
+            let c = &self.env.config;
+            let me = ObjectId(u32::from(client.0));
+            let pos = view.attr(me, POS)?.as_vec2()?;
+            let dir = view.attr(me, DIR)?.as_vec2()?;
+
+            let mut rs = ObjectSet::singleton(me);
+            let r2 = c.move_effect_range * c.move_effect_range;
+            for i in 0..c.clients {
+                let other = ObjectId(i as u32);
+                if other == me {
+                    continue;
+                }
+                if let Some(p) = view.attr(other, POS).and_then(|v| v.as_vec2()) {
+                    let frozen_rounds = match self.freshness.entry((client.0, other.0)) {
+                        std::collections::hash_map::Entry::Occupied(mut e) => {
+                            let v = e.get_mut();
+                            if v.0 == p {
+                                v.1 += 1;
+                            } else {
+                                *v = (p, 0);
+                            }
+                            v.1
+                        }
+                        std::collections::hash_map::Entry::Vacant(e) => {
+                            e.insert((p, 0));
+                            0
+                        }
+                    };
+                    let stale = frozen_rounds >= STALE_ROUNDS;
+                    if !stale && p.dist2(pos) <= r2 {
+                        rs.insert(other);
+                    }
+                }
+            }
+
+            Some(MoveAction {
+                id: ActionId::new(client, seq),
+                claimed_pos: pos,
+                claimed_dir: dir,
+                rs,
+                ws: ObjectSet::singleton(me),
+                radius: c.move_effect_range,
+                speed: c.speed,
+                dt_ms: c.move_ms,
+                collision_sep: c.collision_sep,
+            })
+        }
+    }
+
+    #[test]
+    fn make_move_matches_the_keyed_map_reference() {
+        const CLIENTS: u32 = 12;
+        const ROUNDS: u32 = 300;
+        let w = ManhattanWorld::new(ManhattanConfig {
+            width: 40.0,
+            height: 40.0,
+            walls: 0,
+            clients: CLIENTS as usize,
+            spawn: SpawnPattern::Uniform,
+            seed: 41,
+            ..ManhattanConfig::default()
+        });
+        let mut shipping = ManhattanWorkload::new(&w);
+        let mut reference = KeyedMapReference {
+            env: Arc::clone(w.env()),
+            freshness: std::collections::HashMap::new(),
+        };
+        let mut rng = StdRng::seed_from_u64(0xFACE);
+        let spot = |rng: &mut StdRng| Vec2::new(rng.gen_range(0.0..40.0), rng.gen_range(0.0..40.0));
+
+        // Each observer has its own view, with props that are not avatars:
+        // their ids are past the avatars', so they never enter a read set
+        // however close they stand.
+        let observers = [ClientId(0), ClientId(5), ClientId(11), ClientId(6)];
+        let mut views: Vec<WorldState> = observers.iter().map(|_| w.initial_state()).collect();
+        for view in &mut views {
+            view.set_attr(ObjectId(CLIENTS), POS, Vec2::new(20.0, 20.0).into());
+            view.set_attr(ObjectId(CLIENTS + 7), POS, Vec2::new(21.0, 20.0).into());
+        }
+        // Rounds each (observer, avatar) still holds its current condition.
+        let mut hold = vec![[0u32; CLIENTS as usize]; observers.len()];
+
+        let (mut neighbours, mut frozen_drops, mut absences) = (0usize, 0usize, 0usize);
+        for round in 0..ROUNDS {
+            // Interleave the observers in a different order every round.
+            let mut order: Vec<usize> = (0..observers.len()).collect();
+            order.rotate_left(round as usize % observers.len());
+            if rng.gen_bool(0.5) {
+                order.swap(0, 2);
+            }
+            for o in order {
+                let (client, view) = (observers[o], &mut views[o]);
+                for j in 0..CLIENTS {
+                    let avatar = ObjectId(j);
+                    if j == u32::from(client.0) {
+                        view.set_attr(avatar, POS, spot(&mut rng).into());
+                        continue;
+                    }
+                    if hold[o][j as usize] > 0 {
+                        hold[o][j as usize] -= 1;
+                        continue;
+                    }
+                    match rng.gen_range(0u32..10) {
+                        // Moves (or reappears, perhaps where it was).
+                        0..=4 => view.set_attr(avatar, POS, spot(&mut rng).into()),
+                        // Freezes where it is for 1–4 rounds.
+                        5..=6 => hold[o][j as usize] = rng.gen_range(1u32..5),
+                        // Leaves the view for 1–4 rounds.
+                        7..=8 => {
+                            view.remove(avatar);
+                            hold[o][j as usize] = rng.gen_range(1u32..5);
+                            absences += 1;
+                        }
+                        // Present but without a position.
+                        _ => view.put(avatar, WorldObject::from_attrs([(BUMPS, 3i64.into())])),
+                    }
+                }
+
+                let got = shipping.make_move(client, round, view).unwrap();
+                let want = reference.make_move(client, round, view).unwrap();
+                assert_eq!(
+                    got.rs.as_slice(),
+                    want.rs.as_slice(),
+                    "round {round} {client:?}"
+                );
+                assert_eq!(got.claimed_pos, want.claimed_pos);
+                assert_eq!(got.claimed_dir, want.claimed_dir);
+                assert!(got.rs.iter().all(|id| id.0 < CLIENTS), "props stay out");
+
+                neighbours += got.rs.len() - 1;
+                let in_range = (0..CLIENTS)
+                    .filter(|&j| j != u32::from(client.0))
+                    .filter_map(|j| view.attr(ObjectId(j), POS)?.as_vec2())
+                    .filter(|p| p.dist2(got.claimed_pos) <= got.radius * got.radius)
+                    .count();
+                frozen_drops += in_range - (got.rs.len() - 1);
+            }
+        }
+        // The loop reached every case it is meant to compare.
+        assert!(neighbours > 500, "neighbours in range: {neighbours}");
+        assert!(frozen_drops > 20, "stale avatars dropped: {frozen_drops}");
+        assert!(absences > 100, "absences: {absences}");
     }
 
     #[test]

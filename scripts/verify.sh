@@ -42,4 +42,21 @@ echo "== bench smoke =="
 cargo bench --workspace --no-run
 scripts/bench.sh --smoke
 
+echo "== e2e bench builds =="
+# bench/ is a package of its own that the root workspace never compiles, so
+# a library change can break it unseen. Build it, run its unit tests and one
+# short workload, all in a throwaway directory: the step must leave every
+# file under bench/ as it found it.
+e2e_tmp=$(mktemp -d)
+trap 'rm -rf "$e2e_tmp"' EXIT
+bench_before=$(git status --porcelain -- bench)
+(
+  export CARGO_TARGET_DIR=$e2e_tmp/target
+  cargo build --release --offline --manifest-path bench/Cargo.toml
+  (cd bench && cargo test --offline -q)
+  "$CARGO_TARGET_DIR/release/seve-e2e" --workload sprawl --reps 1 --seconds 2 \
+    --out "$e2e_tmp/out" | tail -n 1 | grep -q '"correct": true'
+)
+[ "$(git status --porcelain -- bench)" == "$bench_before" ]
+
 echo "verify.sh: all checks passed"
