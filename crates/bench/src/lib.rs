@@ -31,7 +31,7 @@ pub mod replay_fixture {
     //! checkpointed log and the full-rebuild oracle (`interval = 0`), so
     //! the two can be timed and differentially checked back-to-back.
 
-    use seve_core::replay::{Inserted, ReplayLog};
+    use seve_core::replay::ReplayLog;
     use seve_world::action::{Action, Influence, Outcome};
     use seve_world::geometry::Vec2;
     use seve_world::ids::{ActionId, AttrId, ClientId, ObjectId, QueuePos};
@@ -153,6 +153,16 @@ pub mod replay_fixture {
         s
     }
 
+    /// One insert's result, owned: the stable outcome and whether the
+    /// insert was out of order.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct InsertResult {
+        /// The stable outcome of the inserted action.
+        pub outcome: Option<Outcome>,
+        /// Did the insert reconcile (out-of-order arrival)?
+        pub rebuilt: bool,
+    }
+
     /// Play the whole storm into a fresh log with the given checkpoint
     /// interval (`0` = full-rebuild oracle), returning the log and the
     /// per-insert results for differential comparison.
@@ -160,12 +170,16 @@ pub mod replay_fixture {
         initial: &WorldState,
         arrivals: &[(QueuePos, StormAction)],
         interval: usize,
-    ) -> (ReplayLog<StormAction>, Vec<Inserted>) {
+    ) -> (ReplayLog<StormAction>, Vec<InsertResult>) {
         let mut log = ReplayLog::new(initial.clone());
         log.set_checkpoint_interval(interval);
         let mut results = Vec::with_capacity(arrivals.len());
         for (pos, a) in arrivals {
-            results.push(log.insert_action(*pos, a.clone(), |_, a, s, _| a.evaluate(&(), s)));
+            let r = log.insert_action(*pos, a.clone(), |_, a, s, _| a.evaluate(&(), s));
+            results.push(InsertResult {
+                outcome: r.outcome.cloned(),
+                rebuilt: r.rebuilt,
+            });
         }
         (log, results)
     }

@@ -25,7 +25,7 @@ use crate::pending::PendingQueue;
 use crate::replay::ReplayLog;
 use seve_net::time::SimTime;
 use seve_world::action::{Action, Outcome};
-use seve_world::ids::{ActionId, ClientId, QueuePos};
+use seve_world::ids::{ClientId, QueuePos};
 use seve_world::objset::ObjectSet;
 use seve_world::state::WorldState;
 use seve_world::GameWorld;
@@ -105,33 +105,20 @@ impl<W: GameWorld> SeveClient<W> {
         state: &WorldState,
         first_time: bool,
     ) -> Outcome {
-        let mut missing = 0u32;
-        let mut input_digest = 0xcbf2_9ce4_8422_2325u64;
-        for o in action.read_set().iter() {
-            match state.get(o) {
-                Some(obj) => input_digest = obj.fold_digest(input_digest),
-                None => missing += 1,
-            }
-        }
-        if let Ok(target) = std::env::var("SEVE_DEBUG_POS") {
-            if target.parse::<u64>() == Ok(pos) {
-                let vals: Vec<String> = action
-                    .read_set()
-                    .iter()
-                    .map(|o| format!("{o:?}={:?}", state.get(o)))
-                    .collect();
-                eprintln!(
-                    "EVALDUMP replica c{} pos {pos} first {first_time} action {:?} rs {}",
-                    metrics.owner,
-                    action.id(),
-                    vals.join(" | ")
-                );
-            }
-        }
         let outcome = action.evaluate(world.env(), state);
         metrics.evaluations += 1;
         *cost_us += world.eval_cost_micros(action);
         if first_time {
+            // The oracle's view of the inputs: only a first evaluation is
+            // recorded, so only it pays the read-set fold.
+            let mut missing = 0u32;
+            let mut input_digest = 0xcbf2_9ce4_8422_2325u64;
+            for o in action.read_set().iter() {
+                match state.get(o) {
+                    Some(obj) => input_digest = obj.fold_digest(input_digest),
+                    None => missing += 1,
+                }
+            }
             metrics.eval_records.push(EvalRecord {
                 pos,
                 id: action.id(),
@@ -143,6 +130,22 @@ impl<W: GameWorld> SeveClient<W> {
         outcome
     }
 
+    /// Re-evaluate Q, oldest first, on top of ζ_CO as it stands, replacing
+    /// the stored optimistic outcomes. Returns the compute cost.
+    fn reapply_pending(&mut self) -> u64 {
+        let mut cost = 0u64;
+        let world = &self.world;
+        let zeta_co = &mut self.zeta_co;
+        self.pending.reapply(|a| {
+            let o = a.evaluate(world.env(), zeta_co);
+            zeta_co.apply_writes(&o.writes);
+            cost += world.eval_cost_micros(a);
+            o
+        });
+        self.metrics.evaluations += self.pending.len() as u64;
+        cost
+    }
+
     /// Algorithm 3: reset ζ_CO from ζ_CS on `extra ∪ WS(Q)` and re-apply
     /// the pending queue. Returns the compute cost of the re-evaluations.
     fn reconcile(&mut self, extra: &ObjectSet) -> u64 {
@@ -152,17 +155,7 @@ impl<W: GameWorld> SeveClient<W> {
         self.zeta_co
             .copy_objects_from(self.replay.state(), self.pending.ws_set());
         self.zeta_co.copy_objects_from(self.replay.state(), extra);
-        let mut cost = 0u64;
-        let world = &self.world;
-        let zeta_co = &mut self.zeta_co;
-        self.pending.reapply(|a| {
-            let o = a.evaluate(world.env(), zeta_co);
-            zeta_co.apply_writes(&o.writes);
-            cost += world.eval_cost_micros(a);
-            o
-        });
-        self.metrics.evaluations += self.pending.len() as u64;
-        cost
+        self.reapply_pending()
     }
 
     /// Full optimistic resync after an out-of-order replay rebuild: ζ_CO
@@ -170,41 +163,8 @@ impl<W: GameWorld> SeveClient<W> {
     /// propagation rule is only sound for in-order application.)
     fn resync_optimistic(&mut self) -> u64 {
         self.metrics.replay_rebuilds += 1;
-        self.zeta_co = self.replay.state().clone();
-        let mut cost = 0u64;
-        let world = &self.world;
-        let zeta_co = &mut self.zeta_co;
-        self.pending.reapply(|a| {
-            let o = a.evaluate(world.env(), zeta_co);
-            zeta_co.apply_writes(&o.writes);
-            cost += world.eval_cost_micros(a);
-            o
-        });
-        self.metrics.evaluations += self.pending.len() as u64;
-        cost
-    }
-
-    /// Handle the return of one of our own actions with its stable outcome.
-    fn own_action_returned(&mut self, now: SimTime, id: ActionId, stable: &Outcome) -> u64 {
-        let mut cost = 0;
-        // In-order servers return our actions in submission order, so this
-        // is almost always the head; remove_by_id also covers the head.
-        let Some(entry) = self.pending.remove_by_id(id) else {
-            debug_assert!(false, "own action {id:?} returned but not pending");
-            return 0;
-        };
-        debug_assert_eq!(entry.action.id(), id);
-        if let Some(t) = self.submit_times.remove(&id.seq) {
-            self.metrics.response_ms.record((now - t).as_ms_f64());
-        }
-        if entry.optimistic != *stable {
-            // "Otherwise, ζ_CO is reconciled with ζ_CS using Algorithm 3."
-            // The returned action's writes polluted ζ_CO too; include them
-            // in the reset set. `entry` is owned (already removed from Q),
-            // so its write set borrows freely across the call.
-            cost += self.reconcile(entry.action.write_set());
-        }
-        cost
+        self.zeta_co.clone_from(self.replay.state());
+        self.reapply_pending()
     }
 }
 
@@ -265,20 +225,9 @@ impl<W: GameWorld> ClientNode<W> for SeveClient<W> {
                 for item in items.iter() {
                     match &item.payload {
                         Payload::Blind(snap) => {
-                            if std::env::var("SEVE_DEBUG_C38").is_ok()
-                                && self.id.0 == 38
-                                && snap.iter().any(|(o, _)| o.0 == 36)
-                            {
-                                let v = snap
-                                    .iter()
-                                    .find(|(o, _)| o.0 == 36)
-                                    .map(|(_, obj)| format!("{obj:?}"))
-                                    .unwrap_or_default();
-                                eprintln!("C38 blind as_of {} o36 {}", item.pos, v);
-                            }
                             let world = &self.world;
                             let metrics = &mut self.metrics;
-                            let ins = self.replay.insert_blind(item.pos, snap.clone(), {
+                            let ins = self.replay.insert_blind(item.pos, snap, {
                                 let cost = &mut cost;
                                 move |p, a, s, f| {
                                     Self::eval_for_replay(world, metrics, cost, p, a, s, f)
@@ -288,36 +237,30 @@ impl<W: GameWorld> ClientNode<W> for SeveClient<W> {
                                 cost += self.resync_optimistic();
                             } else if !ins.ignored {
                                 // Propagate to ζ_CO except items awaiting
-                                // permanent values (Algorithm 4 step 4).
-                                // Blinds the replay discarded as stale must
-                                // not regress ζ_CO either.
-                                self.zeta_co
-                                    .apply_snapshot_except(snap, self.pending.ws_set());
+                                // permanent values (Algorithm 4 step 4);
+                                // blinds the replay discarded as stale must
+                                // not regress ζ_CO either. Applied in order,
+                                // ζ_CS now holds exactly the snapshot's
+                                // values, so ζ_CO shares its objects.
+                                let awaiting = self.pending.ws_set();
+                                self.zeta_co.copy_objects_from(
+                                    self.replay.state(),
+                                    snap.iter()
+                                        .map(|(id, _)| id)
+                                        .filter(|&id| !awaiting.contains(id)),
+                                );
                             }
                         }
                         Payload::Action(action) => {
-                            if std::env::var("SEVE_DEBUG_C38").is_ok()
-                                && self.id.0 == 38
-                                && action.issuer().0 == 36
-                            {
-                                eprintln!("C38 recv action {:?} pos {}", action.id(), item.pos);
-                            }
                             if self.replay.has_action(item.pos) {
-                                if std::env::var("SEVE_DEBUG_DUP").is_ok() {
-                                    eprintln!(
-                                        "DUP client {:?} pos {} issuer {:?} base_pos {}",
-                                        self.id,
-                                        item.pos,
-                                        action.issuer(),
-                                        self.replay.base_pos()
-                                    );
-                                }
                                 // Duplicate delivery (e.g. redundant push):
                                 // already applied, ignore.
                                 continue;
                             }
                             let own = action.issuer() == self.id;
                             let id = action.id();
+                            let completes =
+                                self.sends_completions() && (own || self.redundant_completions);
                             let world = &self.world;
                             let metrics = &mut self.metrics;
                             let ins = self.replay.insert_action(item.pos, action.clone(), {
@@ -326,20 +269,30 @@ impl<W: GameWorld> ClientNode<W> for SeveClient<W> {
                                     Self::eval_for_replay(world, metrics, cost, p, a, s, f)
                                 }
                             });
+                            let rebuilt = ins.rebuilt;
+                            // Lent by the log: until its last use below,
+                            // only fields other than `replay` are touched.
                             let stable = ins.outcome.expect("actions produce outcomes");
-                            if own && std::env::var("SEVE_DEBUG_OWN").is_ok() {
-                                eprintln!("OWNRET client {:?} pos {}", self.id, item.pos);
+                            // Our own action came back: it leaves Q. In-order
+                            // servers return them in submission order, so this
+                            // is almost always the head.
+                            let returned = if own {
+                                self.pending.remove_by_id(id)
+                            } else {
+                                None
+                            };
+                            debug_assert_eq!(own, returned.is_some(), "own {id:?} not pending");
+                            if returned.is_some() {
+                                if let Some(t) = self.submit_times.remove(&id.seq) {
+                                    self.metrics.response_ms.record((now - t).as_ms_f64());
+                                }
                             }
-                            if own {
-                                cost += self.own_action_returned(now, id, &stable);
-                            }
-                            if ins.rebuilt {
-                                cost += self.resync_optimistic();
-                            } else if !own {
+                            let mispredicted = returned.filter(|e| e.optimistic != *stable);
+                            if !own && !rebuilt {
                                 self.zeta_co
                                     .apply_writes_except(&stable.writes, self.pending.ws_set());
                             }
-                            if self.sends_completions() && (own || self.redundant_completions) {
+                            if completes {
                                 self.metrics.completions_sent += 1;
                                 out.push(ToServer::Completion {
                                     pos: item.pos,
@@ -347,6 +300,16 @@ impl<W: GameWorld> ClientNode<W> for SeveClient<W> {
                                     writes: stable.writes.clone(),
                                     aborted: stable.aborted,
                                 });
+                            }
+                            if let Some(entry) = mispredicted {
+                                // "Otherwise, ζ_CO is reconciled with ζ_CS
+                                // using Algorithm 3." The returned action's
+                                // writes polluted ζ_CO too; include them in
+                                // the reset set.
+                                cost += self.reconcile(entry.action.write_set());
+                            }
+                            if rebuilt {
+                                cost += self.resync_optimistic();
                             }
                         }
                     }

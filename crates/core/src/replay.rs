@@ -27,9 +27,10 @@
 //! reconciliation quadratic in window size. Three layers shrink that:
 //!
 //! * **Periodic checkpoints.** Every `checkpoint_interval` applied items
-//!   the log records `⟨upto, delta⟩` where `delta` is a [`Snapshot`] of
-//!   every object touched since the previous checkpoint, captured from the
-//!   true replay state at the boundary. By induction
+//!   the log records `⟨upto, delta⟩` where `delta` is the partial state
+//!   holding every object touched since the previous checkpoint, cut from
+//!   the true replay state at the boundary as shared handles (no object is
+//!   copied; the cache un-shares one on its next write). By induction
 //!   `state(upto_i) = base ⊕ delta_1 ⊕ … ⊕ delta_i`, so reconciliation at
 //!   position `p` resumes from the nearest checkpoint `< p` instead of
 //!   `base`.
@@ -88,7 +89,10 @@ enum LogItem<A> {
         outcome: Option<Outcome>,
     },
     Blind {
-        snap: Shared<Snapshot>,
+        /// The snapshot as a partial state: its objects are copied out of
+        /// the message once, and the cache, the base and any replay then
+        /// share them.
+        values: WorldState,
         /// The snapshot's object set, precomputed for the commute gate.
         objs: ObjectSet,
     },
@@ -99,14 +103,15 @@ enum LogItem<A> {
 struct Checkpoint {
     upto: Key,
     /// Objects touched since the previous checkpoint, valued as of `upto`.
-    delta: Snapshot,
+    delta: WorldState,
 }
 
 /// What happened when an item was inserted.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Inserted {
-    /// The stable outcome of the inserted action (None for blind writes).
-    pub outcome: Option<Outcome>,
+pub struct Inserted<'a> {
+    /// The stable outcome of the inserted action (None for blind writes),
+    /// lent from the log entry that stores it.
+    pub outcome: Option<&'a Outcome>,
     /// Did insertion require reconciliation (out-of-order arrival)? True
     /// even when the commute fast path skipped the replay: the optimistic
     /// side must still resync, and the protocol-visible rebuild count must
@@ -263,7 +268,11 @@ impl<A: Action> ReplayLog<A> {
 
     /// Has an action at `pos` already been inserted?
     pub fn has_action(&self, pos: QueuePos) -> bool {
-        self.items.range((pos, 0, 0)..(pos, 1, 0)).next().is_some() || pos <= self.base_pos
+        // Every held key is at or below `applied_hi`, so the in-order case
+        // answers without searching the log.
+        pos <= self.base_pos
+            || (self.applied_hi.is_some_and(|hi| pos <= hi.0)
+                && self.items.range((pos, 0, 0)..(pos, 1, 0)).next().is_some())
     }
 
     /// Insert the serialized action at `pos`, evaluating it (and any
@@ -275,7 +284,7 @@ impl<A: Action> ReplayLog<A> {
         pos: QueuePos,
         action: impl Into<Shared<A>>,
         mut eval: impl FnMut(QueuePos, &A, &WorldState, bool) -> Outcome,
-    ) -> Inserted {
+    ) -> Inserted<'_> {
         let action = action.into();
         debug_assert!(pos > self.base_pos, "action at or before the checkpoint");
         debug_assert!(!self.has_action(pos), "duplicate action position");
@@ -289,16 +298,9 @@ impl<A: Action> ReplayLog<A> {
                 o.writes.add_touched_to(&mut self.dirty);
                 self.maybe_checkpoint(key);
             }
-            self.items.insert(
-                key,
-                LogItem::Action {
-                    action,
-                    outcome: Some(o.clone()),
-                },
-            );
             self.applied_hi = Some(key);
             return Inserted {
-                outcome: Some(o),
+                outcome: Some(self.store_evaluated(key, action, o)),
                 rebuilt: false,
                 ignored: false,
             };
@@ -319,15 +321,8 @@ impl<A: Action> ReplayLog<A> {
             } else {
                 self.reconcile_sparse(key, &action, &mut eval)
             };
-            self.items.insert(
-                key,
-                LogItem::Action {
-                    action,
-                    outcome: Some(o.clone()),
-                },
-            );
             return Inserted {
-                outcome: Some(o),
+                outcome: Some(self.store_evaluated(key, action, o)),
                 rebuilt: true,
                 ignored: false,
             };
@@ -339,11 +334,30 @@ impl<A: Action> ReplayLog<A> {
                 outcome: None,
             },
         );
-        let out = self.rebuild(key, &mut eval);
+        self.rebuild(key, &mut eval);
+        let outcome = match self.items.get(&key) {
+            Some(LogItem::Action { outcome, .. }) => outcome.as_ref(),
+            _ => None,
+        };
         Inserted {
-            outcome: out,
+            outcome,
             rebuilt: true,
             ignored: false,
+        }
+    }
+
+    /// File an evaluated action under `key` and lend its outcome back: the
+    /// entry holds the one copy, for `gc` and later reconciliations.
+    fn store_evaluated(&mut self, key: Key, action: Shared<A>, outcome: Outcome) -> &Outcome {
+        let entry = self.items.entry(key).or_insert(LogItem::Action {
+            action,
+            outcome: Some(outcome),
+        });
+        match entry {
+            LogItem::Action {
+                outcome: Some(o), ..
+            } => o,
+            _ => unreachable!("arrival numbers make every key unique"),
         }
     }
 
@@ -351,10 +365,9 @@ impl<A: Action> ReplayLog<A> {
     pub fn insert_blind(
         &mut self,
         as_of: QueuePos,
-        snap: impl Into<Shared<Snapshot>>,
+        snap: &Snapshot,
         mut eval: impl FnMut(QueuePos, &A, &WorldState, bool) -> Outcome,
-    ) -> Inserted {
-        let snap = snap.into();
+    ) -> Inserted<'static> {
         if as_of < self.base_pos {
             // Strictly older than our checkpoint: it cannot add anything we
             // would apply (our base already reflects a later prefix for
@@ -369,13 +382,15 @@ impl<A: Action> ReplayLog<A> {
         let key: Key = (as_of, 1, self.next_arrival());
         let in_order = self.applied_hi.is_none_or(|hi| key > hi);
         let objs = snap.object_set();
+        let mut values = WorldState::new();
+        values.apply_snapshot(snap);
         if in_order {
-            self.cache.apply_snapshot(&snap);
+            self.cache.overlay(&values);
             if self.indexing() {
                 self.dirty.union_with(&objs);
                 self.maybe_checkpoint(key);
             }
-            self.items.insert(key, LogItem::Blind { snap, objs });
+            self.items.insert(key, LogItem::Blind { values, objs });
             self.applied_hi = Some(key);
             return Inserted {
                 outcome: None,
@@ -388,16 +403,16 @@ impl<A: Action> ReplayLog<A> {
             // the blind's values survive to the tail untouched — apply it
             // to the cache directly.
             self.commute_hits += 1;
-            self.cache.apply_snapshot(&snap);
+            self.cache.overlay(&values);
             self.patch_chain(key, &objs);
-            self.items.insert(key, LogItem::Blind { snap, objs });
+            self.items.insert(key, LogItem::Blind { values, objs });
             return Inserted {
                 outcome: None,
                 rebuilt: true,
                 ignored: false,
             };
         }
-        self.items.insert(key, LogItem::Blind { snap, objs });
+        self.items.insert(key, LogItem::Blind { values, objs });
         self.rebuild(key, &mut eval);
         Inserted {
             outcome: None,
@@ -478,23 +493,14 @@ impl<A: Action> ReplayLog<A> {
         // Newest-first walk of the kept deltas: the first delta holding an
         // object has its newest at-or-before-boundary value; whatever the
         // chain never touched keeps its base value.
-        let mut found = ObjectSet::new();
-        'deltas: for c in self.checkpoints[..kept].iter().rev() {
-            for (id, obj) in c.delta.iter() {
-                if need.contains(id) && found.insert(id) {
-                    scratch.put(id, obj.clone());
-                    if found.len() == need.len() {
-                        break 'deltas;
-                    }
-                }
-            }
-        }
         for id in need.iter() {
-            if !found.contains(id) {
-                if let Some(obj) = self.base.get(id) {
-                    scratch.put(id, obj.clone());
-                }
-            }
+            let holder = self.checkpoints[..kept]
+                .iter()
+                .rev()
+                .map(|c| &c.delta)
+                .find(|delta| delta.contains(id))
+                .unwrap_or(&self.base);
+            scratch.copy_objects_from(holder, [id]);
         }
         // Roll the few entries between the boundary and `key` forward —
         // stored outcomes only, filtered to the objects the action can see.
@@ -516,16 +522,12 @@ impl<A: Action> ReplayLog<A> {
                         }
                     }
                 }
-                LogItem::Blind { snap, objs } => {
+                LogItem::Blind { values, objs } => {
                     if !need.intersects(objs) {
                         continue;
                     }
                     self.entries_replayed += 1;
-                    for (id, obj) in snap.iter() {
-                        if need.contains(id) {
-                            scratch.put(id, obj.clone());
-                        }
-                    }
+                    scratch.copy_objects_from(values, objs.iter().filter(|&id| need.contains(id)));
                 }
             }
         }
@@ -601,18 +603,16 @@ impl<A: Action> ReplayLog<A> {
                         continue; // re-asserted at this boundary by its overwriter
                     }
                     any_live = true;
-                    match c.delta.get_mut(*wo) {
+                    if c.delta.contains(*wo) {
                         // The delta holds the object (another attribute was
                         // written in its window, or an earlier patch put it
                         // there); only this attribute takes the inserted
                         // value.
-                        Some(obj) => obj.set(*wa, *v),
-                        None if ci == 0 => c
-                            .delta
-                            .put(*wo, scratch.get(*wo).cloned().expect("written object")),
-                        // Inherited from the patched earlier delta.
-                        None => {}
+                        c.delta.set_attr(*wo, *wa, *v);
+                    } else if ci == 0 {
+                        c.delta.copy_objects_from(&scratch, [*wo]);
                     }
+                    // Otherwise inherited from the patched earlier delta.
                 }
                 if !any_live {
                     break; // dead here ⇒ dead at every later boundary
@@ -642,10 +642,9 @@ impl<A: Action> ReplayLog<A> {
         }
         let idx = self.checkpoints.partition_point(|c| c.upto < key);
         if idx < self.checkpoints.len() {
-            let patch = self.cache.snapshot_of(touched);
-            for (id, obj) in patch.iter() {
-                self.checkpoints[idx].delta.put(id, obj.clone());
-            }
+            self.checkpoints[idx]
+                .delta
+                .copy_objects_from(&self.cache, touched);
             if self.materialized.as_ref().is_some_and(|(n, _)| idx < *n) {
                 self.materialized = None;
             }
@@ -664,10 +663,9 @@ impl<A: Action> ReplayLog<A> {
     fn maybe_checkpoint(&mut self, key: Key) {
         self.since_ckpt += 1;
         if self.since_ckpt >= self.checkpoint_interval {
-            self.checkpoints.push(Checkpoint {
-                upto: key,
-                delta: self.cache.snapshot_of(&self.dirty),
-            });
+            let mut delta = WorldState::new();
+            delta.copy_objects_from(&self.cache, &self.dirty);
+            self.checkpoints.push(Checkpoint { upto: key, delta });
             self.dirty.clear();
             self.since_ckpt = 0;
         }
@@ -696,7 +694,7 @@ impl<A: Action> ReplayLog<A> {
                     });
                     self.base.apply_writes(&o.writes);
                 }
-                LogItem::Blind { snap, .. } => self.base.apply_snapshot(&snap),
+                LogItem::Blind { values, .. } => self.base.overlay(&values),
             }
         }
         self.base_pos = pos;
@@ -720,10 +718,9 @@ impl<A: Action> ReplayLog<A> {
         self.arrivals
     }
 
-    /// Replay the log suffix affected by an out-of-order insert at
-    /// `inserted`, starting from the nearest checkpoint before it (or from
-    /// base in oracle/verification mode). Returns the outcome of the
-    /// inserted action, if it was one.
+    /// Replay the log suffix affected by the out-of-order insert just filed
+    /// at `inserted`, starting from the nearest checkpoint before it (or
+    /// from base in oracle/verification mode).
     ///
     /// Only items without a stored outcome (normally exactly the one just
     /// inserted) are *evaluated*; everything else re-applies its stored
@@ -737,7 +734,7 @@ impl<A: Action> ReplayLog<A> {
         &mut self,
         inserted: Key,
         eval: &mut impl FnMut(QueuePos, &A, &WorldState, bool) -> Outcome,
-    ) -> Option<Outcome> {
+    ) {
         let indexing = self.indexing();
         // Checkpoints past the insertion point no longer describe the log;
         // drop them (they are recreated below as the replay runs).
@@ -764,7 +761,7 @@ impl<A: Action> ReplayLog<A> {
             }
         };
         for c in &self.checkpoints[done..] {
-            state.apply_snapshot(&c.delta);
+            state.overlay(&c.delta);
         }
         if kept > 0 {
             self.materialized = Some((kept, state.clone()));
@@ -776,7 +773,6 @@ impl<A: Action> ReplayLog<A> {
             Some(k) => (Bound::Excluded(k), Bound::Unbounded),
             None => (Bound::Unbounded, Bound::Unbounded),
         };
-        let mut wanted = None;
         let mut hi = from;
         for (key, item) in self.items.range_mut(range) {
             self.entries_replayed += 1;
@@ -802,14 +798,11 @@ impl<A: Action> ReplayLog<A> {
                         if indexing {
                             o.writes.add_touched_to(&mut self.dirty);
                         }
-                        if *key == inserted {
-                            wanted = Some(o.clone());
-                        }
                         *outcome = Some(o);
                     }
                 }
-                LogItem::Blind { snap, objs } => {
-                    state.apply_snapshot(snap);
+                LogItem::Blind { values, objs } => {
+                    state.overlay(values);
                     if indexing {
                         self.dirty.union_with(objs);
                     }
@@ -818,10 +811,9 @@ impl<A: Action> ReplayLog<A> {
             if indexing {
                 self.since_ckpt += 1;
                 if self.since_ckpt >= self.checkpoint_interval {
-                    self.checkpoints.push(Checkpoint {
-                        upto: *key,
-                        delta: state.snapshot_of(&self.dirty),
-                    });
+                    let mut delta = WorldState::new();
+                    delta.copy_objects_from(&state, &self.dirty);
+                    self.checkpoints.push(Checkpoint { upto: *key, delta });
                     self.dirty.clear();
                     self.since_ckpt = 0;
                 }
@@ -830,7 +822,6 @@ impl<A: Action> ReplayLog<A> {
         }
         self.cache = state;
         self.applied_hi = hi;
-        wanted
     }
 }
 
@@ -942,8 +933,8 @@ mod tests {
         // (1 then 3), not arrival order.
         let r = log.insert_action(1, AddAction::new(0, 1), ev);
         assert!(r.rebuilt);
-        assert_eq!(x_of(log.state()), 11);
         assert_eq!(r.outcome.unwrap().writes.len(), 1);
+        assert_eq!(x_of(log.state()), 11);
     }
 
     #[test]
@@ -957,7 +948,7 @@ mod tests {
         let mut obj = seve_world::WorldObject::new();
         obj.set(V, Value::I64(100));
         snap.push(X, obj);
-        let r = log.insert_blind(1, snap, ev);
+        let r = log.insert_blind(1, &snap, ev);
         assert!(r.rebuilt);
         assert_eq!(x_of(log.state()), 107);
     }
@@ -971,7 +962,7 @@ mod tests {
         let mut obj = seve_world::WorldObject::new();
         obj.set(V, Value::I64(999));
         snap.push(X, obj);
-        let r = log.insert_blind(0, snap, ev);
+        let r = log.insert_blind(0, &snap, ev);
         assert!(!r.rebuilt);
         assert_eq!(x_of(log.state()), 5, "stale blind discarded");
     }

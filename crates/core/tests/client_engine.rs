@@ -321,3 +321,217 @@ fn gc_notices_keep_replay_logs_bounded() {
         c.replay_log_len()
     );
 }
+
+/// SplitMix64: the storm below must replay identically on every commit.
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+}
+
+/// What a storm run leaves behind: the counters the protocol can see, the
+/// replay log's work counters, and digests of both states and of the drained
+/// `EvalRecord` stream.
+#[derive(Debug, PartialEq, Eq)]
+struct StormTotals {
+    evaluations: u64,
+    reconciliations: u64,
+    replay_rebuilds: u64,
+    commute_hits: u64,
+    entries_replayed: u64,
+    checkpoint_hits: u64,
+    eval_records: usize,
+    eval_stream_digest: u64,
+    stable_digest: u64,
+    optimistic_digest: u64,
+}
+
+/// A seeded out-of-order storm over a 24-seat ring, driven into client 1 one
+/// item a message: every fourth position arrives up to twelve positions late
+/// (far seats commute and splice, neighbouring seats reconcile sparsely),
+/// blind writes of already-passed positions interleave (every one resyncs),
+/// own grabs race the neighbours' (their optimistic outcome is then wrong and
+/// Algorithm 3 runs), some own actions are dropped, and GC notices trim the
+/// log. After every `deliver` that resyncs, ζ_CO must equal the reference
+/// construction — a clone of ζ_CS with Q re-applied on top.
+fn run_storm(checkpoint_interval: usize) -> StormTotals {
+    const SEATS: usize = 24;
+    const POSITIONS: u64 = 600;
+    let me = ClientId(1);
+    let world = Arc::new(DiningWorld::new(DiningConfig {
+        philosophers: SEATS,
+        ..DiningConfig::default()
+    }));
+    let mut cfg = ProtocolConfig::with_mode(ServerMode::Incomplete);
+    cfg.replay_checkpoint_interval = checkpoint_interval;
+    let mut c: Client = SeveClient::new(me, Arc::clone(&world), &cfg);
+    let mut rng = Mix(0x5E4E_2009 ^ checkpoint_interval as u64);
+    let mut out = Vec::new();
+
+    // The serialized stream: each seat alternates grab / release. Our own
+    // actions are submitted when their turn in the stream is decided, which
+    // is before any of the stream is delivered — Q stays deep.
+    let mut seqs = [0u32; SEATS];
+    let mut truth = world.initial_state();
+    let mut truth_at = vec![truth.clone()];
+    let mut queue: Vec<<DiningWorld as GameWorld>::Action> = Vec::new();
+    let mut stream = Vec::new();
+    let mut dropped = Vec::new();
+    for pos in 1..=POSITIONS {
+        // A third of the traffic is ours or a neighbour's, so our grabs race.
+        let seat = match rng.below(3) {
+            0 => rng.below(3),
+            _ => rng.below(SEATS as u64),
+        } as u16;
+        let seq = seqs[seat as usize];
+        seqs[seat as usize] += 1;
+        let action = if seq % 2 == 0 {
+            world.grab(ClientId(seat), seq)
+        } else {
+            world.release(ClientId(seat), seq)
+        };
+        if ClientId(seat) == me {
+            c.submit(SimTime::from_ms(pos), action.clone(), &mut out);
+            queue.push(action.clone());
+            if rng.below(8) == 0 {
+                // Algorithm 7 drops it: it never gets a position.
+                dropped.push((pos, action.id()));
+                continue;
+            }
+        }
+        truth.apply_writes(&action.evaluate(world.env(), &truth).writes);
+        truth_at.push(truth.clone());
+        stream.push(action);
+    }
+
+    // Arrival schedule: position order, every fourth up to twelve late.
+    let mut arrivals: Vec<(u64, u64)> = (1..=stream.len() as u64)
+        .map(|pos| {
+            let late = if pos % 4 == 0 { 1 + rng.below(12) } else { 0 };
+            (2 * (pos + late) + u64::from(late > 0), pos)
+        })
+        .collect();
+    arrivals.sort_unstable();
+
+    let mut delivered = std::collections::BTreeSet::new();
+    let mut resyncs_checked = 0u64;
+    let mut drops = dropped.into_iter().peekable();
+    for (step, &(_, pos)) in arrivals.iter().enumerate() {
+        let now = SimTime::from_ms(1_000 + step as u64);
+        let action = stream[pos as usize - 1].clone();
+        let mut msgs = vec![batch(vec![Item::action(pos, action.clone())])];
+        if drops.peek().is_some_and(|&(at, _)| at <= pos) {
+            let (_, id) = drops.next().expect("peeked");
+            msgs.push(ToClient::Dropped { id, pos: 0 });
+            queue.retain(|a| a.id() != id);
+        }
+        if rng.below(5) == 0 && pos > 3 {
+            // Committed values of two neighbouring forks as of a position the
+            // replica is already past (or, rarely, one it has GC'd).
+            let as_of = pos - 1 - rng.below(pos.min(40) - 1);
+            let f = rng.below(SEATS as u64) as usize;
+            let set = [fork(f, SEATS), fork(f + 1, SEATS)].into_iter().collect();
+            let snap = truth_at[as_of as usize].snapshot_of(&set);
+            msgs.push(batch(vec![Item::blind(as_of, snap)]));
+        }
+        delivered.insert(pos);
+        if step % 16 == 15 {
+            let prefix = (1..).take_while(|p| delivered.contains(p)).last();
+            msgs.extend(prefix.map(|pos| ToClient::GcUpTo { pos }));
+        }
+        for msg in msgs {
+            if action.issuer() == me && matches!(msg, ToClient::Batch { .. }) {
+                queue.retain(|a| a.id() != action.id());
+            }
+            let before = c.metrics().replay_rebuilds;
+            c.deliver(now, msg, &mut out);
+            if c.metrics().replay_rebuilds > before {
+                let mut reference = c.stable().clone();
+                for a in &queue {
+                    let o = a.evaluate(world.env(), &reference);
+                    reference.apply_writes(&o.writes);
+                }
+                assert_eq!(*c.optimistic(), reference, "step {step} pos {pos}");
+                assert_eq!(c.optimistic().digest(), reference.digest());
+                resyncs_checked += 1;
+            }
+        }
+    }
+    assert_eq!(c.pending_len(), queue.len(), "the test tracks Q exactly");
+    assert_eq!(resyncs_checked, c.metrics().replay_rebuilds);
+
+    let records = c.metrics_mut().take_eval_records();
+    let eval_stream_digest = records.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, r| {
+        [
+            r.pos,
+            u64::from(r.id.client.0) << 32 | u64::from(r.id.seq),
+            r.digest,
+            r.input_digest,
+            u64::from(r.missing_reads),
+        ]
+        .iter()
+        .fold(h, |h, x| (h ^ x).wrapping_mul(0x0000_0100_0000_01B3))
+    });
+    let m = c.metrics();
+    StormTotals {
+        evaluations: m.evaluations,
+        reconciliations: m.reconciliations,
+        replay_rebuilds: m.replay_rebuilds,
+        commute_hits: m.replay_commute_hits,
+        entries_replayed: m.replay_entries_replayed,
+        checkpoint_hits: m.replay_checkpoint_hits,
+        eval_records: records.len(),
+        eval_stream_digest,
+        stable_digest: c.stable().digest(),
+        optimistic_digest: c.optimistic().digest(),
+    }
+}
+
+#[test]
+fn out_of_order_storm_resyncs_to_the_reference_and_keeps_its_counts() {
+    // Pinned from commit 9800c05 (before ζ_CO became a pointer-diff and the
+    // log lent its outcomes), which this very test reproduced bit for bit:
+    // any drift in what the replica evaluates, reconciles or feeds the
+    // oracle shows up here. Re-pin only for a deliberate protocol change.
+    let k32 = StormTotals {
+        evaluations: 9199,
+        reconciliations: 20,
+        replay_rebuilds: 185,
+        commute_hits: 88,
+        entries_replayed: 473,
+        checkpoint_hits: 7,
+        eval_records: 588,
+        eval_stream_digest: 12080562890167148842,
+        stable_digest: 14050226144950690964,
+        optimistic_digest: 14050226144950690964,
+    };
+    let k4 = StormTotals {
+        evaluations: 11816,
+        reconciliations: 25,
+        replay_rebuilds: 204,
+        commute_hits: 97,
+        entries_replayed: 504,
+        checkpoint_hits: 63,
+        eval_records: 590,
+        eval_stream_digest: 1400968636321402873,
+        stable_digest: 2020181619350585204,
+        optimistic_digest: 11270079849708062158,
+    };
+    assert_eq!(run_storm(32), k32);
+    assert_eq!(run_storm(4), k4);
+    // Every path fired: splices, sparse reconciles, Algorithm 3.
+    for t in [&k32, &k4] {
+        assert!(t.commute_hits > 20 && t.entries_replayed > 0 && t.reconciliations > 5);
+        assert!(t.replay_rebuilds > t.commute_hits);
+    }
+}

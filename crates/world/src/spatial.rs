@@ -1,14 +1,16 @@
 //! Uniform-grid spatial index.
 //!
 //! Every bound-model decision is a neighbourhood query — "which clients'
-//! spheres does this action's sphere touch?" (Eq. 1), "which walls are
-//! within this avatar's visibility?" (the Manhattan People cost model).
-//! A uniform grid over the world bounds answers those in O(occupants of
-//! nearby cells), which is O(1) for the paper's densities, and — unlike
-//! hash-based indexes — iterates deterministically.
+//! spheres does this action's sphere touch?" (Eq. 1). A uniform grid over
+//! the world bounds answers those in O(cells covered + occupants of those
+//! cells) and — unlike hash-based indexes — iterates deterministically.
+//! That is cheap only when cells are sized to the query radius *and* the
+//! occupancy: a map far smaller than 64 cells a side spends its queries on
+//! empty cells (the static wall set has its own density-sized index in
+//! [`crate::terrain`] for that reason).
 //!
 //! The grid stores `(key, position)` pairs for any small `key` type
-//! (object ids, wall indices). Items are re-inserted when they move; the
+//! (object ids, client ids). Items are re-inserted when they move; the
 //! structure is optimized for frequent small updates.
 
 use crate::geometry::{Aabb, Vec2};

@@ -146,25 +146,6 @@ impl Snapshot {
         self.objects.push((id, object));
     }
 
-    /// Insert or replace `id`'s captured value. Unlike [`Snapshot::push`]
-    /// this keeps at most one entry per object — the upsert the replay log
-    /// uses when folding a spliced item's writes into a checkpoint delta.
-    pub fn put(&mut self, id: ObjectId, object: WorldObject) {
-        match self.objects.iter_mut().find(|(i, _)| *i == id) {
-            Some(slot) => slot.1 = object,
-            None => self.objects.push((id, object)),
-        }
-    }
-
-    /// Mutable access to `id`'s captured value, if present — used by the
-    /// replay log to overwrite single attributes of a checkpoint delta.
-    pub fn get_mut(&mut self, id: ObjectId) -> Option<&mut WorldObject> {
-        self.objects
-            .iter_mut()
-            .find(|(i, _)| *i == id)
-            .map(|(_, o)| o)
-    }
-
     /// Number of objects captured.
     #[inline]
     pub fn len(&self) -> usize {
@@ -213,10 +194,14 @@ impl fmt::Debug for Snapshot {
 /// Representation: `BTreeMap<ObjectId, Arc<WorldObject>>`. The B-tree keeps
 /// iteration order — and therefore digests and consistency comparisons —
 /// deterministic. The `Arc` makes objects *shared, immutable until written*:
-/// [`Clone`], [`WorldState::copy_objects_from`] and a world's
-/// `initial_state()` copy pointers, not attribute vectors, so the N replicas
-/// of a run (each holding ζ_CO, ζ_CS and the replay log's base) all point at
-/// one set of untouched objects.
+/// [`Clone`], [`WorldState::copy_objects_from`], [`WorldState::overlay`] and
+/// a world's `initial_state()` copy pointers, not attribute vectors, so the
+/// N replicas of a run (each holding ζ_CO, ζ_CS and the replay log's base)
+/// all point at one set of untouched objects. A *partial* state — a few
+/// objects only — is the same type: the replay log keeps blind writes and
+/// checkpoint deltas as partial states whose objects the full states share.
+/// `clone_from` re-points only the slots that differ (see its doc), which is
+/// what bringing ζ_CO back to ζ_CS costs.
 ///
 /// **Copy on first write.** Every mutator goes through [`Arc::make_mut`] or
 /// replaces the pointer: the first write to an object that another state
@@ -239,9 +224,38 @@ impl fmt::Debug for Snapshot {
 /// let copy = zeta.clone();
 /// assert_eq!(zeta.digest(), copy.digest());
 /// ```
-#[derive(Clone, PartialEq, Eq, Default)]
+#[derive(PartialEq, Eq, Default)]
 pub struct WorldState {
     objects: BTreeMap<ObjectId, Arc<WorldObject>>,
+}
+
+impl Clone for WorldState {
+    fn clone(&self) -> Self {
+        Self {
+            objects: self.objects.clone(),
+        }
+    }
+
+    /// Make `self` equal to `source` by pointer-diff: when both hold the
+    /// same ids, walk the two maps in lockstep and replace only the
+    /// pointers that differ — no tree is rebuilt and objects already shared
+    /// cost one comparison. This is how a replica re-derives ζ_CO from ζ_CS
+    /// after an out-of-order insert, when the two differ in a handful of
+    /// objects. Different id sets fall back to cloning the tree.
+    fn clone_from(&mut self, source: &Self) {
+        let same_ids = self.objects.len() == source.objects.len()
+            && self.objects.iter_mut().zip(&source.objects).all(
+                |((id, mine), (src_id, theirs))| {
+                    if id == src_id && !Arc::ptr_eq(mine, theirs) {
+                        *mine = Arc::clone(theirs);
+                    }
+                    id == src_id
+                },
+            );
+        if !same_ids {
+            self.objects = source.objects.clone();
+        }
+    }
 }
 
 impl WorldState {
@@ -302,11 +316,24 @@ impl WorldState {
         Arc::make_mut(self.objects.entry(id).or_default()).set(attr, value);
     }
 
+    /// Apply the writes of `log` whose object passes `keep`. Actions write
+    /// their attributes object by object, so each run of writes to one
+    /// object costs one map lookup and one un-share.
+    fn apply_writes_where(&mut self, log: &WriteLog, keep: impl Fn(ObjectId) -> bool) {
+        for run in log.writes.chunk_by(|a, b| a.0 == b.0) {
+            let id = run[0].0;
+            if keep(id) {
+                let object = Arc::make_mut(self.objects.entry(id).or_default());
+                for &(_, attr, value) in run {
+                    object.set(attr, value);
+                }
+            }
+        }
+    }
+
     /// Apply every write in a [`WriteLog`], creating objects as needed.
     pub fn apply_writes(&mut self, log: &WriteLog) {
-        for (o, a, v) in log.iter() {
-            self.set_attr(o, a, v);
-        }
+        self.apply_writes_where(log, |_| true);
     }
 
     /// Apply a write log, but only writes to objects **not** in `skip`.
@@ -316,11 +343,7 @@ impl WorldState {
     /// state ζ_CO only for items *not awaiting permanent values* — i.e. not
     /// in `WS(Q)`, the write set of the client's own pending actions.
     pub fn apply_writes_except(&mut self, log: &WriteLog, skip: &ObjectSet) {
-        for (o, a, v) in log.iter() {
-            if !skip.contains(o) {
-                self.set_attr(o, a, v);
-            }
-        }
+        self.apply_writes_where(log, |id| !skip.contains(id));
     }
 
     /// Apply a blind-write snapshot: replace each captured object wholesale.
@@ -353,12 +376,17 @@ impl WorldState {
         snap
     }
 
-    /// Copy current values of `set` from `source` into this state — the
+    /// Copy current values of `ids` from `source` into this state — the
     /// state-reset step `ζ_CO(WS(Q)) ← ζ_CS(WS(Q))` of Algorithm 3. Objects
     /// missing from `source` are removed here too, so the two states agree
-    /// on `set` exactly afterwards.
-    pub fn copy_objects_from(&mut self, source: &WorldState, set: &ObjectSet) {
-        for id in set.iter() {
+    /// on `ids` exactly afterwards. Copies pointers: the objects stay shared
+    /// until either side writes them.
+    pub fn copy_objects_from(
+        &mut self,
+        source: &WorldState,
+        ids: impl IntoIterator<Item = ObjectId>,
+    ) {
+        for id in ids {
             match source.objects.get(&id) {
                 Some(o) => {
                     self.objects.insert(id, Arc::clone(o));
@@ -367,6 +395,16 @@ impl WorldState {
                     self.objects.remove(&id);
                 }
             }
+        }
+    }
+
+    /// Lay every object of the partial state `patch` over this one, sharing
+    /// the objects: `apply_snapshot` for values already held as a state (a
+    /// blind write or a checkpoint delta in the replay log), at the cost of
+    /// a pointer per object.
+    pub fn overlay(&mut self, patch: &WorldState) {
+        for (id, o) in &patch.objects {
+            self.objects.insert(*id, Arc::clone(o));
         }
     }
 
@@ -565,7 +603,7 @@ mod tests {
         donor.put(target, obj(99));
 
         type Mutator<'a> = &'a dyn Fn(&mut WorldState);
-        let mutators: [(&str, Mutator<'_>); 8] = [
+        let mutators: [(&str, Mutator<'_>); 9] = [
             ("set_attr", &|w| w.set_attr(target, HP, Value::I64(77))),
             ("apply_writes", &|w| w.apply_writes(&target_log)),
             ("apply_writes_except", &|w| {
@@ -580,6 +618,7 @@ mod tests {
             ("copy_objects_from", &|w| {
                 w.copy_objects_from(&donor, &only_target)
             }),
+            ("overlay", &|w| w.overlay(&donor)),
         ];
 
         for (name, mutate) in mutators {
@@ -610,6 +649,100 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `clone_from` against `clone()` over every relation between the two
+    /// id sets: same result, objects the two sides already shared are kept
+    /// (not re-pointed), and afterwards the two are independent.
+    #[test]
+    fn clone_from_equals_clone_and_keeps_shared_pointers() {
+        let source = three(); // ids 1, 2, 3
+        let with = |ids: &[u32]| {
+            let mut w = WorldState::new();
+            for &i in ids {
+                if (1..=3).contains(&i) && i != 2 {
+                    // Share what the source has, except a diverged object 2.
+                    w.copy_objects_from(&source, [ObjectId(i)]);
+                } else {
+                    w.put(ObjectId(i), obj(i64::from(i) * 100));
+                }
+            }
+            w
+        };
+        let cases: [(&str, &[u32]); 5] = [
+            ("equal ids", &[1, 2, 3]),
+            ("superset", &[0, 1, 2, 3, 9]),
+            ("subset", &[1, 2]),
+            ("disjoint", &[7, 8, 9]),
+            ("empty", &[]),
+        ];
+        for (name, ids) in cases {
+            let mut target = with(ids);
+            let was_shared: Vec<u32> = (1..=3)
+                .filter(|&i| target.shares_object_with(&source, ObjectId(i)))
+                .collect();
+            target.clone_from(&source);
+            assert_eq!(target, source.clone(), "{name}: ==");
+            assert_eq!(target.digest(), source.digest(), "{name}: digest");
+            assert_eq!(target.len(), 3, "{name}: no stray ids");
+            for i in 1..=3 {
+                assert!(
+                    target.shares_object_with(&source, ObjectId(i)),
+                    "{name}: object {i} is the source's"
+                );
+            }
+            if name == "equal ids" {
+                assert_eq!(was_shared, [1, 3], "the pointer-diff had work to skip");
+            }
+            // Independent afterwards, both ways.
+            let reference = three();
+            target.set_attr(ObjectId(2), HP, Value::I64(77));
+            assert_eq!(source, reference, "{name}: writing the copy");
+            let mut source = source.clone();
+            let kept = target.clone();
+            source.set_attr(ObjectId(3), HP, Value::I64(78));
+            assert_eq!(target, kept, "{name}: writing the source");
+            assert!(target.shares_object_with(&source, ObjectId(1)), "{name}");
+        }
+    }
+
+    #[test]
+    fn overlay_shares_the_patch_and_leaves_the_rest() {
+        let mut patch = WorldState::new();
+        patch.put(ObjectId(2), obj(20));
+        patch.put(ObjectId(5), obj(50));
+        let base = three();
+        let mut w = base.clone();
+        w.overlay(&patch);
+        assert_eq!(w.attr(ObjectId(2), HP), Some(Value::I64(20)));
+        assert_eq!(w.attr(ObjectId(5), HP), Some(Value::I64(50)));
+        assert!(w.shares_object_with(&patch, ObjectId(2)));
+        assert!(w.shares_object_with(&patch, ObjectId(5)));
+        assert!(w.shares_object_with(&base, ObjectId(1)));
+        assert!(w.shares_object_with(&base, ObjectId(3)));
+        // Writing through the overlaid state leaves the patch alone.
+        w.set_attr(ObjectId(5), HP, Value::I64(51));
+        assert_eq!(patch.attr(ObjectId(5), HP), Some(Value::I64(50)));
+    }
+
+    #[test]
+    fn runs_of_writes_to_one_object_apply_in_order() {
+        // Interleaved runs: 1, 1 | 2 | 1 — the last write to (1, HP) wins,
+        // and a skipped object skips its whole run.
+        let mut log = WriteLog::new();
+        log.push(ObjectId(1), HP, Value::I64(5));
+        log.push(ObjectId(1), POS, Value::I64(6));
+        log.push(ObjectId(2), HP, Value::I64(7));
+        log.push(ObjectId(1), HP, Value::I64(8));
+        let mut w = WorldState::new();
+        w.apply_writes(&log);
+        assert_eq!(w.attr(ObjectId(1), HP), Some(Value::I64(8)));
+        assert_eq!(w.attr(ObjectId(1), POS), Some(Value::I64(6)));
+        assert_eq!(w.attr(ObjectId(2), HP), Some(Value::I64(7)));
+        let mut guarded = WorldState::new();
+        guarded.apply_writes_except(&log, &ObjectSet::singleton(ObjectId(1)));
+        assert!(!guarded.contains(ObjectId(1)));
+        assert_eq!(guarded.attr(ObjectId(2), HP), Some(Value::I64(7)));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! reference models on arbitrary inputs.
 
 use proptest::prelude::*;
-use seve_world::geometry::{Aabb, Vec2};
+use seve_world::geometry::{Aabb, Segment, Vec2};
 use seve_world::ids::{AttrId, ObjectId};
 use seve_world::objset::ObjectSet;
 use seve_world::spatial::UniformGrid;
@@ -11,6 +11,48 @@ use seve_world::state::{WorldState, WriteLog};
 use seve_world::terrain::Terrain;
 use seve_world::value::Value;
 use std::collections::BTreeSet;
+use std::sync::OnceLock;
+
+/// The maps of the end-to-end benchmark's `crowd`, `loopback` and `sprawl`
+/// workloads and the paper's own (Table I), built once.
+fn benchmark_maps() -> &'static [Terrain] {
+    static MAPS: OnceLock<Vec<Terrain>> = OnceLock::new();
+    MAPS.get_or_init(|| {
+        [(140.0, 160), (90.0, 45), (4000.0, 1000), (1000.0, 100_000)]
+            .into_iter()
+            .map(|(side, walls)| {
+                Terrain::manhattan(Aabb::from_size(side, side), walls, 10.0, 0x5E4E_2009)
+            })
+            .collect()
+    })
+}
+
+/// 160 walls on 140² handed to `from_walls`: midpoints exactly on the cell
+/// edges the density rule produces, on the bounds, up to 60 units outside
+/// them, and anywhere; any orientation, length 0 to 18.
+fn edge_case_map(seed: u64) -> Terrain {
+    let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut unit = move || {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (x >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let cell = (2.0 * 140.0 * 140.0 / 160.0_f64).sqrt();
+    let walls = (0..160)
+        .map(|i| {
+            let mid = match i % 4 {
+                0 => Vec2::new(cell * (i / 4 % 9) as f64, cell * (i / 36 % 9) as f64),
+                1 => Vec2::new(unit() * 260.0 - 60.0, unit() * 260.0 - 60.0),
+                2 => Vec2::new([0.0, 140.0][i / 4 % 2], unit() * 140.0),
+                _ => Vec2::new(unit() * 140.0, unit() * 140.0),
+            };
+            let half = Vec2::from_angle(unit() * 6.3) * (unit() * 9.0);
+            Segment::new(mid - half, mid + half)
+        })
+        .collect();
+    Terrain::from_walls(Aabb::from_size(140.0, 140.0), walls)
+}
 
 fn ids() -> impl Strategy<Value = Vec<u32>> {
     prop::collection::vec(0u32..64, 0..24)
@@ -157,18 +199,42 @@ proptest! {
 
     #[test]
     fn terrain_wall_counts_match_brute_force(
+        map in 0usize..6,
         seed in 0u64..1000,
-        count in 0usize..200,
-        qx in 0.0f64..300.0,
-        qy in 0.0f64..300.0,
-        r in 1.0f64..60.0
+        fx in -0.5f64..1.5,
+        fy in -0.5f64..1.5,
+        fr in 0.0f64..2.0,
+        heading in 0.0f64..6.3,
+        stride in 0.0f64..12.0
     ) {
-        let bounds = Aabb::from_size(300.0, 300.0);
-        let t = Terrain::manhattan(bounds, count, 10.0, seed);
-        let p = Vec2::new(qx, qy);
-        let fast = t.walls_within(p, r);
-        let slow = t.walls().iter().filter(|w| w.within(p, r)).count();
-        prop_assert_eq!(fast, slow);
+        // Maps 0..4 are fixed; 4 and 5 are rebuilt from `seed` every case.
+        let built;
+        let t = match map {
+            4 => { built = edge_case_map(seed); &built }
+            5 => {
+                built = Terrain::manhattan(Aabb::from_size(300.0, 300.0), (seed % 200) as usize, 10.0, seed);
+                &built
+            }
+            i => &benchmark_maps()[i],
+        };
+        let extent = t.bounds().width();
+        // Inside and outside the bounds; radii from 0 to twice the extent,
+        // the small ones (where boundary cells dominate) as often as the
+        // large ones.
+        let p = Vec2::new(fx * extent, fy * extent);
+        let r = if seed % 2 == 0 { fr * extent } else { fr * 40.0 };
+        let longest = t.walls().iter().map(|w| w.len()).fold(0.0, f64::max);
+        let reach = r + longest * 0.5;
+        let slow = t
+            .walls()
+            .iter()
+            .filter(|w| p.dist2(w.midpoint()) <= reach * reach && w.within(p, r))
+            .count();
+        prop_assert_eq!(t.walls_within(p, r), slow, "p {:?} r {}", p, r);
+
+        let path = Segment::new(p, p + Vec2::from_angle(heading) * stride);
+        let crossed = t.walls().iter().any(|w| path.intersects(w));
+        prop_assert_eq!(t.path_blocked(path.a, path.b), crossed, "path {:?}", path);
     }
 
     #[test]

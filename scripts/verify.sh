@@ -32,6 +32,9 @@ echo "== parallel-analyze equivalence smoke =="
 # byte counts) to the sequential path, and the timer wheel to the heap.
 cargo test -q -p seve --release --test parallel_analyze
 
+echo "== no env probes on the replica hot path =="
+if grep -n 'env::var' crates/core/src/{client,replay,pending}.rs; then exit 1; fi
+
 echo "== cargo fmt --check =="
 cargo fmt --check
 
@@ -44,9 +47,11 @@ scripts/bench.sh --smoke
 
 echo "== e2e bench builds =="
 # bench/ is a package of its own that the root workspace never compiles, so
-# a library change can break it unseen. Build it, run its unit tests and one
-# short workload, all in a throwaway directory: the step must leave every
-# file under bench/ as it found it.
+# a library change can break it unseen. Build it, run its unit tests and two
+# short workloads — `sprawl` (ingress/route/egress; bypasses client replay)
+# and `crowd` (out-of-order inserts, resyncs, blinds, GC) — all in a
+# throwaway directory: the step must leave every file under bench/ as it
+# found it.
 e2e_tmp=$(mktemp -d)
 trap 'rm -rf "$e2e_tmp"' EXIT
 bench_before=$(git status --porcelain -- bench)
@@ -54,8 +59,10 @@ bench_before=$(git status --porcelain -- bench)
   export CARGO_TARGET_DIR=$e2e_tmp/target
   cargo build --release --offline --manifest-path bench/Cargo.toml
   (cd bench && cargo test --offline -q)
-  "$CARGO_TARGET_DIR/release/seve-e2e" --workload sprawl --reps 1 --seconds 2 \
-    --out "$e2e_tmp/out" | tail -n 1 | grep -q '"correct": true'
+  for workload in sprawl crowd; do
+    "$CARGO_TARGET_DIR/release/seve-e2e" --workload "$workload" --reps 1 --seconds 2 \
+      --out "$e2e_tmp/out" | tail -n 1 | grep -q '"correct": true'
+  done
 )
 [ "$(git status --porcelain -- bench)" == "$bench_before" ]
 
