@@ -282,10 +282,19 @@ fn batch_action_positions(msg: &ToClient<A>) -> Vec<QueuePos> {
 
 #[test]
 fn submissions_get_no_immediate_reply() {
-    let (world, mut s) = setup(4, ServerMode::FirstBound);
-    let mut out = Vec::new();
-    submit(&mut s, &world, 0, 0, &mut out);
-    assert!(out.is_empty(), "bounded mode replies only on push cycles");
+    // What lets a driver wake once per cycle instead of once per message
+    // (`NodeDriver::run_server`): a server with a push period queues
+    // submissions and speaks on `tick` / `push_tick` only.
+    for mode in [ServerMode::FirstBound, ServerMode::InfoBound] {
+        let (world, mut s) = setup(4, mode);
+        assert!(s.push_period().is_some());
+        let mut out = Vec::new();
+        for c in 0..4u16 {
+            submit(&mut s, &world, c, 0, &mut out);
+        }
+        assert!(out.is_empty(), "{mode:?} replies only on push cycles");
+        assert_eq!(s.state().queue.len(), 4, "yet all four were admitted");
+    }
 }
 
 #[test]

@@ -32,6 +32,19 @@ fn to_sim(d: Duration) -> SimDuration {
     SimDuration::from_micros(d.as_micros() as u64)
 }
 
+/// Hand one engine step's output to the transport — unless there is none:
+/// an empty batch would still cost the transport a lock and a lane scan.
+fn send_nonempty<U, D, T: ServerTransport<U, D>>(
+    transport: &mut T,
+    out: &[(seve_world::ids::ClientId, D)],
+) -> Result<u64, T::Error> {
+    if out.is_empty() {
+        Ok(0)
+    } else {
+        transport.send_batch(out)
+    }
+}
+
 /// Cadence parameters for driving one node (server or client side).
 #[derive(Clone, Debug)]
 pub struct NodeDriver {
@@ -95,10 +108,22 @@ impl NodeDriver {
 
     /// Run `engine` over `transport` until all `n` clients have finished.
     ///
-    /// The loop interleaves the wall-clock tick and push cycles with
-    /// inbound message dispatch, exactly once per substrate-independent
-    /// step: fire due timers, compute the earliest next deadline, block on
-    /// the transport until then.
+    /// One loop body, three steps: **wait** for the next tick/push
+    /// deadline, **drain** everything the transport holds without blocking
+    /// (`recv(Duration::ZERO)` until `Timeout`), **fire** the timers that
+    /// are due. An engine step that produced nothing sends nothing.
+    ///
+    /// The wait is the one conditional. An engine that speaks only on its
+    /// cycles (`push_period().is_some()`: submissions are queued silently
+    /// and serialized at `tick`, whatever instant they were admitted)
+    /// sleeps to the deadline, so the loop wakes once per cycle instead of
+    /// once per message. An engine that answers submissions (the
+    /// broadcast/closure baselines) blocks on the transport instead, so a
+    /// reply still leaves in the iteration its submission arrived.
+    ///
+    /// Consequence for cycle-driven engines: an action's admission stamp,
+    /// and a GC notice triggered by a completion, can trail the socket
+    /// arrival by up to one cycle.
     pub fn run_server<W, S, T>(
         &self,
         mut engine: S,
@@ -118,12 +143,53 @@ impl NodeDriver {
         let mut bytes_out = 0u64;
         let mut out: Vec<(seve_world::ids::ClientId, S::Down)> = Vec::new();
 
-        while done < n {
+        'session: while done < n {
+            // Wait.
+            let tick_next = tick_t.next_deadline().expect("clamped timers never end");
+            let deadline = if pushes {
+                tick_next.min(push_t.next_deadline().expect("clamped timers never end"))
+            } else {
+                tick_next
+            };
+            let mut event = if pushes {
+                std::thread::sleep(clock.wait_until(deadline));
+                transport.recv(Duration::ZERO)?
+            } else {
+                transport.recv(clock.wait_until(deadline))?
+            };
+
+            // Drain, for at most one tick: a peer that never lets the
+            // inbound queue run dry must not starve the cycles.
+            let drain_end = clock.now() + to_sim(self.tick);
+            loop {
+                match event {
+                    ServerEvent::Msg(from, msg) => {
+                        let now = clock.now();
+                        out.clear();
+                        engine.deliver(now, from, msg, &mut out);
+                        bytes_out += send_nonempty(transport, &out)?;
+                        if now >= drain_end {
+                            break;
+                        }
+                    }
+                    // An unsupervised transport surfaces abrupt loss
+                    // (`Gone`) directly; the driver retires the seat either
+                    // way, exactly the pre-supervision semantics. A
+                    // supervised transport absorbs `Gone` internally (resume
+                    // window, then reap) and emits `Done` once per seat.
+                    ServerEvent::Done(_) | ServerEvent::Gone(_) => done += 1,
+                    ServerEvent::Timeout => break,
+                    ServerEvent::Closed => break 'session,
+                }
+                event = transport.recv(Duration::ZERO)?;
+            }
+
+            // Fire.
             let now = clock.now();
             if tick_t.due(now) {
                 out.clear();
                 engine.tick(now, &mut out);
-                bytes_out += transport.send_batch(&out)?;
+                bytes_out += send_nonempty(transport, &out)?;
                 tick_t.advance(clock.now());
             }
             if pushes && push_t.due(now) {
@@ -134,30 +200,9 @@ impl NodeDriver {
                 if !transport.overloaded() {
                     out.clear();
                     engine.push_tick(now, &mut out);
-                    bytes_out += transport.send_batch(&out)?;
+                    bytes_out += send_nonempty(transport, &out)?;
                 }
                 push_t.advance(clock.now());
-            }
-            let tick_next = tick_t.next_deadline().expect("clamped timers never end");
-            let deadline = if pushes {
-                tick_next.min(push_t.next_deadline().expect("clamped timers never end"))
-            } else {
-                tick_next
-            };
-            match transport.recv(clock.wait_until(deadline))? {
-                ServerEvent::Msg(from, msg) => {
-                    out.clear();
-                    engine.deliver(clock.now(), from, msg, &mut out);
-                    bytes_out += transport.send_batch(&out)?;
-                }
-                // An unsupervised transport surfaces abrupt loss (`Gone`)
-                // directly; the driver retires the seat either way, exactly
-                // the pre-supervision semantics. A supervised transport
-                // absorbs `Gone` internally (resume window, then reap) and
-                // emits `Done` once per seat.
-                ServerEvent::Done(_) | ServerEvent::Gone(_) => done += 1,
-                ServerEvent::Timeout => {}
-                ServerEvent::Closed => break,
             }
         }
 
@@ -169,11 +214,11 @@ impl NodeDriver {
         let now = clock.now();
         out.clear();
         engine.tick(now, &mut out);
-        bytes_out += transport.send_batch(&out)?;
+        bytes_out += send_nonempty(transport, &out)?;
         if pushes {
             out.clear();
             engine.push_tick(now, &mut out);
-            bytes_out += transport.send_batch(&out)?;
+            bytes_out += send_nonempty(transport, &out)?;
         }
 
         transport.stop_all()?;
@@ -313,5 +358,274 @@ impl NodeDriver {
             crashed,
             session: transport.session_stats(),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use seve_core::engine::WireSize;
+    use seve_core::metrics::ServerMetrics;
+    use seve_net::time::{SimDuration, SimTime};
+    use seve_world::ids::ClientId;
+    use seve_world::state::WorldState;
+    use seve_world::worlds::dining::DiningWorld;
+    use std::collections::VecDeque;
+    use std::convert::Infallible;
+    use std::sync::{Arc, Mutex};
+
+    /// A message that is just its number.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    struct M(u32);
+
+    impl WireSize for M {
+        fn wire_bytes(&self) -> u32 {
+            4
+        }
+    }
+
+    /// What the engine and the transport saw, in the one order it happened.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    enum Seen {
+        Deliver(u32),
+        Tick,
+        Push,
+        Sent(Vec<u32>),
+    }
+
+    type Log = Arc<Mutex<Vec<Seen>>>;
+
+    const TICK_NEWS: u32 = 1000;
+
+    /// Cycle-driven: silent on `deliver`, speaks on `tick`. Otherwise:
+    /// echoes every delivery to its sender and has nothing to say on
+    /// cycles — the two shapes `run_server` picks its wait from.
+    struct ScriptedEngine {
+        log: Log,
+        cycle_driven: bool,
+        metrics: ServerMetrics,
+    }
+
+    impl ServerNode<DiningWorld> for ScriptedEngine {
+        type Up = M;
+        type Down = M;
+
+        fn deliver(
+            &mut self,
+            _now: SimTime,
+            from: ClientId,
+            msg: M,
+            out: &mut Vec<(ClientId, M)>,
+        ) -> u64 {
+            self.log.lock().unwrap().push(Seen::Deliver(msg.0));
+            if !self.cycle_driven {
+                out.push((from, msg));
+            }
+            0
+        }
+
+        fn tick(&mut self, _now: SimTime, out: &mut Vec<(ClientId, M)>) -> u64 {
+            self.log.lock().unwrap().push(Seen::Tick);
+            if self.cycle_driven {
+                out.push((ClientId(0), M(TICK_NEWS)));
+            }
+            0
+        }
+
+        fn push_tick(&mut self, _now: SimTime, _out: &mut Vec<(ClientId, M)>) -> u64 {
+            self.log.lock().unwrap().push(Seen::Push);
+            0
+        }
+
+        fn push_period(&self) -> Option<SimDuration> {
+            self.cycle_driven.then(|| SimDuration::from_ms(2))
+        }
+
+        fn metrics_mut(&mut self) -> &mut ServerMetrics {
+            &mut self.metrics
+        }
+
+        fn metrics(&self) -> &ServerMetrics {
+            &self.metrics
+        }
+
+        fn committed(&self) -> Option<&WorldState> {
+            None
+        }
+    }
+
+    /// Inbound traffic in bursts: one burst is what one drain finds. A
+    /// `recv` past the burst's end answers `Timeout` and arms the next
+    /// burst; past the last burst the transport is `Closed`.
+    struct ScriptedTransport {
+        bursts: VecDeque<VecDeque<ServerEvent<M>>>,
+        log: Log,
+        /// The timeout of every `recv`, in call order.
+        waits: Vec<Duration>,
+        empty_batches: usize,
+        /// Never run dry until the engine has ticked this often, then say
+        /// goodbye: a peer that floods the server.
+        flood_until_ticks: Option<usize>,
+        /// (ticks counted, log entries scanned for them) so far.
+        ticks_seen: (usize, usize),
+    }
+
+    impl ScriptedTransport {
+        fn new(log: &Log, bursts: Vec<Vec<ServerEvent<M>>>) -> Self {
+            Self {
+                bursts: bursts.into_iter().map(VecDeque::from).collect(),
+                log: Arc::clone(log),
+                waits: Vec::new(),
+                empty_batches: 0,
+                flood_until_ticks: None,
+                ticks_seen: (0, 0),
+            }
+        }
+    }
+
+    impl ServerTransport<M, M> for ScriptedTransport {
+        type Error = Infallible;
+
+        fn recv(&mut self, timeout: Duration) -> Result<ServerEvent<M>, Infallible> {
+            self.waits.push(timeout);
+            if let Some(ticks) = self.flood_until_ticks {
+                assert!(
+                    self.waits.len() < 20_000_000,
+                    "the drain never yielded to the timers"
+                );
+                let seen = self.log.lock().unwrap();
+                let (ticked, scanned) = &mut self.ticks_seen;
+                *ticked += seen[*scanned..]
+                    .iter()
+                    .filter(|s| **s == Seen::Tick)
+                    .count();
+                *scanned = seen.len();
+                if *ticked < ticks {
+                    return Ok(ServerEvent::Msg(ClientId(0), M(0)));
+                }
+                // Fall through to the script: the goodbye.
+                self.flood_until_ticks = None;
+            }
+            let Some(burst) = self.bursts.front_mut() else {
+                return Ok(ServerEvent::Closed);
+            };
+            Ok(burst.pop_front().unwrap_or_else(|| {
+                self.bursts.pop_front();
+                ServerEvent::Timeout
+            }))
+        }
+
+        fn send_batch(&mut self, out: &[(ClientId, M)]) -> Result<u64, Infallible> {
+            if out.is_empty() {
+                self.empty_batches += 1;
+            }
+            let sent = out.iter().map(|(_, m)| m.0).collect();
+            self.log.lock().unwrap().push(Seen::Sent(sent));
+            Ok(0)
+        }
+
+        fn stop_all(&mut self) -> Result<(), Infallible> {
+            Ok(())
+        }
+    }
+
+    fn engine(log: &Log, cycle_driven: bool) -> ScriptedEngine {
+        ScriptedEngine {
+            log: Arc::clone(log),
+            cycle_driven,
+            metrics: ServerMetrics::default(),
+        }
+    }
+
+    fn msgs(range: std::ops::RangeInclusive<u32>) -> Vec<ServerEvent<M>> {
+        range.map(|i| ServerEvent::Msg(ClientId(0), M(i))).collect()
+    }
+
+    #[test]
+    fn cycle_driven_engine_wakes_once_per_cycle_and_drains_in_order() {
+        let log = Log::default();
+        // Nothing by the first deadline, six messages by the second, the
+        // goodbye by the third.
+        let mut transport = ScriptedTransport::new(
+            &log,
+            vec![vec![], msgs(1..=6), vec![ServerEvent::Done(ClientId(0))]],
+        );
+        let period = Duration::from_millis(2);
+        NodeDriver::server(period, period)
+            .run_server(engine(&log, true), &mut transport, 1)
+            .unwrap();
+
+        assert!(
+            transport.waits.iter().all(Duration::is_zero),
+            "a cycle-driven server never blocks on its transport"
+        );
+        assert_eq!(transport.empty_batches, 0, "nothing to say, nothing sent");
+        let log = log.lock().unwrap();
+        let first = log
+            .iter()
+            .position(|s| matches!(s, Seen::Deliver(_)))
+            .expect("messages were delivered");
+        assert!(
+            log[..first].contains(&Seen::Tick),
+            "the first wake found nothing and ticked: {log:?}"
+        );
+        let expect: Vec<Seen> = (1..=6).map(Seen::Deliver).collect();
+        assert_eq!(
+            log[first..first + 6],
+            expect[..],
+            "one drain, arrival order, no cycle in between"
+        );
+        assert!(
+            log[first + 6..].contains(&Seen::Tick),
+            "and the tick that serializes them follows"
+        );
+        assert!(log.contains(&Seen::Sent(vec![TICK_NEWS])));
+    }
+
+    #[test]
+    fn answering_engine_replies_in_the_iteration_the_submission_arrived() {
+        let log = Log::default();
+        let mut bursts = vec![msgs(7..=7), msgs(8..=8)];
+        bursts[1].push(ServerEvent::Done(ClientId(0)));
+        let mut transport = ScriptedTransport::new(&log, bursts);
+        // A tick far beyond the test: a loop that slept to its deadline
+        // would never see the first message in time.
+        let period = Duration::from_secs(60);
+        let t0 = std::time::Instant::now();
+        NodeDriver::server(period, period)
+            .run_server(engine(&log, false), &mut transport, 1)
+            .unwrap();
+        assert!(t0.elapsed() < period / 2);
+
+        assert!(
+            !transport.waits[0].is_zero(),
+            "the wait is the blocking recv"
+        );
+        assert_eq!(transport.empty_batches, 0);
+        assert_eq!(
+            *log.lock().unwrap(),
+            vec![
+                Seen::Deliver(7),
+                Seen::Sent(vec![7]),
+                Seen::Deliver(8),
+                Seen::Sent(vec![8]),
+                // The end-of-run cycle; this engine has nothing to flush.
+                Seen::Tick,
+            ]
+        );
+    }
+
+    #[test]
+    fn a_flooding_peer_cannot_starve_the_cycles() {
+        let log = Log::default();
+        let mut transport =
+            ScriptedTransport::new(&log, vec![vec![ServerEvent::Done(ClientId(0))]]);
+        transport.flood_until_ticks = Some(3);
+        let period = Duration::from_millis(1);
+        NodeDriver::server(period, period)
+            .run_server(engine(&log, true), &mut transport, 1)
+            .unwrap();
+        let log = log.lock().unwrap();
+        assert!(log.iter().filter(|s| **s == Seen::Tick).count() >= 3);
     }
 }

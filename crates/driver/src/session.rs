@@ -13,9 +13,11 @@
 //!   vanished (liveness deadlines), and sheds load when a ring crosses its
 //!   high-water mark ([`ShedPolicy`]).
 //! * [`SupervisedClientTransport`] — resequences the down lane (in-order
-//!   delivery, duplicate suppression), acknowledges cumulatively, sends
-//!   heartbeats while idle, and — after a link partition — reconnects under
-//!   seeded exponential [`Backoff`] and resumes with a
+//!   delivery, duplicate suppression), acknowledges cumulatively and late
+//!   (one [`SessionUp::Ack`] per `rto / 4` or per `ring / 8` frames,
+//!   whichever comes first; again when the server resends what was
+//!   acked), sends heartbeats while idle, and — after a link partition —
+//!   reconnects under seeded exponential [`Backoff`] and resumes with a
 //!   [`SessionUp::Resume`] handshake carrying the session token and the
 //!   last acked sequence number, so the server retransmits exactly the
 //!   frames the client missed and nothing it already delivered.
@@ -25,9 +27,14 @@
 //! comparable with a fault-free run) and surface in [`SessionStats`]
 //! instead, which flows through the stage profile into every report.
 //!
-//! Fault-free sessions are pass-through: the envelopes cost zero extra
-//! wire bytes (control frames are modelled as piggybacked), no retransmit
-//! timers fire, and every counter except `acks` stays zero.
+//! Fault-free sessions are pass-through for the engines: no retransmit
+//! timers fire and every counter except `acks` stays zero. The *byte
+//! accounting* ([`WireSize`]) prices control frames at zero so that totals
+//! stay comparable across {sim, inproc, tcp} — that is the simulator's
+//! model, not the socket's truth. On TCP an ack is a frame of its own: an
+//! encode, a `write` syscall on the client, a reader-thread wake, a decode
+//! and a channel send on the server. That is why acks are cumulative *and
+//! delayed*: the cost is per ack frame, not per acknowledged frame.
 
 use crate::transport::{ClientEvent, ClientTransport, EgressStats, ServerEvent, ServerTransport};
 use serde::{Deserialize, Serialize};
@@ -196,7 +203,8 @@ pub struct SessionParams {
     /// Resend-ring high-water mark per client (unacked frames).
     pub ring: usize,
     /// Retransmit timeout: the oldest unacked frame older than this
-    /// triggers a go-back-N retransmission of the window.
+    /// triggers a go-back-N retransmission of the window — provided the
+    /// supervisor was running to watch the second half of it go by.
     pub rto: Duration,
     /// Retransmission attempts per window before the lane is declared
     /// unreachable and reaped.
@@ -294,6 +302,22 @@ impl SessionParams {
         }
     }
 
+    /// How long a client may sit on an unsent cumulative ack: a quarter of
+    /// the RTO, which leaves a client that stalls right at the deadline
+    /// three quarters of an RTO (less two link latencies) before the server
+    /// retransmits. (Linux TCP: 40 ms delayed ack against a 200 ms minimum
+    /// RTO, a fifth.)
+    pub fn ack_delay(&self) -> Duration {
+        self.rto / 4
+    }
+
+    /// Unacked deliveries that force an ack before [`Self::ack_delay`] runs
+    /// out: an eighth of the ring, so no burst can walk the lane of a
+    /// client that keeps reading into [`ShedPolicy`].
+    pub fn ack_every(&self) -> u64 {
+        (self.ring as u64 / 8).max(1)
+    }
+
     /// Parameters scaled for fast tests: short RTO, short liveness.
     pub fn fast() -> Self {
         Self {
@@ -316,7 +340,12 @@ impl SessionParams {
 pub struct SessionStats {
     /// Frames retransmitted (RTO expiry or resume catch-up).
     pub retransmits: u64,
-    /// Cumulative acknowledgements processed.
+    /// Cumulative acknowledgements the server processed — not frames
+    /// delivered. On the threaded backends that is [`SessionUp::Ack`]
+    /// frames, each covering every delivery since the last (see
+    /// [`SessionParams::ack_delay`]); under the simulator's instant-ack
+    /// model it is one per in-order delivery. Clients do not count the
+    /// acks they send.
     pub acks: u64,
     /// Resume handshakes completed (client: heals; server: resumes
     /// accepted).
@@ -557,6 +586,8 @@ impl<M> SendWindow<M> {
 #[derive(Debug)]
 struct SrvLane<D> {
     win: SendWindow<D>,
+    /// The supervision pass that first found the window half an RTO old.
+    overdue_since: Option<Instant>,
     last_activity: Instant,
     detached_at: Option<Instant>,
     finished: bool,
@@ -567,6 +598,7 @@ impl<D> SrvLane<D> {
     fn new(now: Instant) -> Self {
         Self {
             win: SendWindow::new(),
+            overdue_since: None,
             last_activity: now,
             detached_at: None,
             finished: false,
@@ -594,7 +626,6 @@ pub struct SupervisedServerTransport<T, U, D> {
     stats: SessionStats,
     ready: VecDeque<ServerEvent<U>>,
     scratch: Vec<(ClientId, SessionDown<D>)>,
-    overloaded_now: bool,
 }
 
 impl<T, U, D> SupervisedServerTransport<T, U, D>
@@ -612,7 +643,6 @@ where
             stats: SessionStats::default(),
             ready: VecDeque::new(),
             scratch: Vec::new(),
-            overloaded_now: false,
         }
     }
 
@@ -624,6 +654,11 @@ where
     /// The wrapped transport.
     pub fn inner(&self) -> &T {
         &self.inner
+    }
+
+    /// Is live lane `c`'s resend ring past its high-water mark?
+    fn over_ring(&self, c: usize) -> bool {
+        self.lanes[c].live() && self.lanes[c].win.len() > self.params.ring
     }
 
     /// Retransmit every unacked frame on `c`'s lane (go-back-N).
@@ -665,11 +700,23 @@ where
     }
 
     /// One supervision pass: RTO retransmissions, give-up and liveness
-    /// reaping. Runs at least once per driver recv (i.e. at tick
-    /// resolution).
+    /// reaping. Runs whenever the inbound queue has just been found empty
+    /// (at least once per driver cycle) — never ahead of an ack that has
+    /// already arrived.
+    ///
+    /// The second half of the RTO has to elapse *under watch*: a window is
+    /// resent once a pass has found it `rto / 2` old and a later pass,
+    /// `rto / 2` on, finds it no further. Running normally that is the
+    /// plain RTO. But time during which this process was not running (a
+    /// descheduled thread, a frozen VM) ages every frame without any client
+    /// being late; the first pass afterwards only takes note, and the
+    /// clients get two ack intervals — one to read what was delivered while
+    /// everyone stood still, one for [`SessionParams::ack_delay`] — to say
+    /// so before anything is resent.
     fn supervise(&mut self, now: Instant) -> Result<(), T::Error> {
+        let half = self.params.rto / 2;
         for c in 0..self.lanes.len() {
-            let lane = &self.lanes[c];
+            let lane = &mut self.lanes[c];
             if lane.reaped {
                 continue;
             }
@@ -685,8 +732,11 @@ where
                     continue;
                 }
             }
-            if self.lanes[c].win.due(now, self.params.rto) {
-                if self.lanes[c].win.attempts >= self.params.give_up {
+            if !lane.win.due(now, half) {
+                lane.overdue_since = None;
+            } else if now.duration_since(*lane.overdue_since.get_or_insert(now)) >= half {
+                lane.overdue_since = None;
+                if lane.win.attempts >= self.params.give_up {
                     // The peer is unreachable past the whole retry budget:
                     // stop resending into the void.
                     self.reap(c)?;
@@ -696,6 +746,15 @@ where
             }
         }
         Ok(())
+    }
+
+    /// Abrupt loss of `c`'s connection: hold the lane open for a resume;
+    /// the liveness deadline decides when it becomes a reap.
+    fn detach(&mut self, c: ClientId) {
+        let lane = &mut self.lanes[c.index()];
+        if lane.live() && lane.detached_at.is_none() {
+            lane.detached_at = Some(Instant::now());
+        }
     }
 
     fn handle_control(
@@ -744,12 +803,7 @@ where
             if let Some(e) = self.ready.pop_front() {
                 return Ok(e);
             }
-            let now = Instant::now();
-            self.supervise(now)?;
-            if let Some(e) = self.ready.pop_front() {
-                return Ok(e);
-            }
-            let wait = deadline.saturating_duration_since(now);
+            let wait = deadline.saturating_duration_since(Instant::now());
             match self.inner.recv(wait)? {
                 ServerEvent::Msg(c, up) => {
                     if let Some(u) = self.handle_control(c, up, Instant::now())? {
@@ -764,16 +818,12 @@ where
                     lane.finished = true;
                     return Ok(ServerEvent::Done(c));
                 }
-                ServerEvent::Gone(c) => {
-                    // Abrupt loss: hold the lane open for a resume; the
-                    // liveness deadline decides when it becomes a reap.
-                    let lane = &mut self.lanes[c.index()];
-                    if lane.live() && lane.detached_at.is_none() {
-                        lane.detached_at = Some(Instant::now());
-                    }
-                }
+                ServerEvent::Gone(c) => self.detach(c),
                 ServerEvent::Timeout => {
-                    if Instant::now() >= deadline {
+                    // Every ack that has arrived is applied: now judge.
+                    let now = Instant::now();
+                    self.supervise(now)?;
+                    if self.ready.is_empty() && now >= deadline {
                         return Ok(ServerEvent::Timeout);
                     }
                 }
@@ -798,30 +848,15 @@ where
         sent.clear();
         self.scratch = sent;
         // Overload response: a ring past its high-water mark means the
-        // client is not draining what we send.
-        for c in 0..self.lanes.len() {
-            if self.lanes[c].live() && self.lanes[c].win.len() > self.params.ring {
-                match self.params.shed {
-                    ShedPolicy::Evict => {
-                        self.stats.sheds += 1;
-                        self.reap(c)?;
-                    }
-                    ShedPolicy::ThinPush => {
-                        if !self.overloaded_now {
-                            self.overloaded_now = true;
-                            self.stats.sheds += 1;
-                        }
-                    }
+        // client is not draining what we send. (`ThinPush` answers in
+        // `overloaded`, from ring depth alone.)
+        if self.params.shed == ShedPolicy::Evict {
+            for c in 0..self.lanes.len() {
+                if self.over_ring(c) {
+                    self.stats.sheds += 1;
+                    self.reap(c)?;
                 }
             }
-        }
-        if self.params.shed == ShedPolicy::ThinPush
-            && self
-                .lanes
-                .iter()
-                .all(|l| !l.live() || l.win.len() <= self.params.ring)
-        {
-            self.overloaded_now = false;
         }
         Ok(bytes)
     }
@@ -832,11 +867,9 @@ where
         let grace = self.params.rto * 2 + Duration::from_millis(500);
         let deadline = Instant::now() + grace;
         while self.lanes.iter().any(|l| !l.reaped && !l.win.is_empty()) {
-            let now = Instant::now();
-            if now >= deadline {
+            if Instant::now() >= deadline {
                 break;
             }
-            self.supervise(now)?;
             match self.inner.recv(Duration::from_millis(10))? {
                 ServerEvent::Msg(c, up) => {
                     // Engine traffic past the session end is dropped; acks
@@ -844,13 +877,8 @@ where
                     self.handle_control(c, up, Instant::now())?;
                 }
                 ServerEvent::Done(c) => self.lanes[c.index()].finished = true,
-                ServerEvent::Gone(c) => {
-                    let lane = &mut self.lanes[c.index()];
-                    if lane.live() && lane.detached_at.is_none() {
-                        lane.detached_at = Some(Instant::now());
-                    }
-                }
-                ServerEvent::Timeout => {}
+                ServerEvent::Gone(c) => self.detach(c),
+                ServerEvent::Timeout => self.supervise(Instant::now())?,
                 ServerEvent::Closed => break,
             }
         }
@@ -862,12 +890,14 @@ where
     }
 
     fn overloaded(&mut self) -> bool {
-        if self.overloaded_now {
+        // Recomputed from ring depth on every call, so the all-clear needs
+        // only acks to arrive, not another batch to be sent.
+        let over = self.params.shed == ShedPolicy::ThinPush
+            && (0..self.lanes.len()).any(|c| self.over_ring(c));
+        if over {
             self.stats.sheds += 1;
-            true
-        } else {
-            false
         }
+        over
     }
 
     fn egress_stats(&self) -> EgressStats {
@@ -887,6 +917,12 @@ pub struct SupervisedClientTransport<T, U, D> {
     ready: VecDeque<D>,
     stats: SessionStats,
     last_send: Instant,
+    /// Highest cumulative ack the server has been told (by `Ack` or
+    /// `Resume`).
+    acked: u64,
+    /// When the pending ack must leave: armed by the first delivery past
+    /// `acked`, cleared when an ack or a resume goes out.
+    ack_due: Option<Instant>,
     partition_until: Option<Instant>,
     buffered_up: Vec<SessionUp<U>>,
     dead: bool,
@@ -907,6 +943,8 @@ where
             ready: VecDeque::new(),
             stats: SessionStats::default(),
             last_send: Instant::now(),
+            acked: 0,
+            ack_due: None,
             partition_until: None,
             buffered_up: Vec::new(),
             dead: false,
@@ -934,9 +972,12 @@ where
             }
         }
         self.stats.reconnects += 1;
+        // `Resume` is itself a cumulative ack: nothing is owed after it.
+        self.acked = self.reseq.cum_ack();
+        self.ack_due = None;
         self.inner.send(SessionUp::Resume {
             token: self.token,
-            last_acked: self.reseq.cum_ack(),
+            last_acked: self.acked,
         })?;
         for m in std::mem::take(&mut self.buffered_up) {
             self.inner.send(m)?;
@@ -953,6 +994,19 @@ where
     fn heal_if_due(&mut self, now: Instant) -> Result<(), T::Error> {
         if self.partition_until.is_some_and(|until| now >= until) {
             self.heal()?;
+        }
+        Ok(())
+    }
+
+    /// Tell the server everything delivered so far, if it does not know
+    /// already. Callers check the link is up.
+    fn send_ack(&mut self, now: Instant) -> Result<(), T::Error> {
+        self.ack_due = None;
+        let cum = self.reseq.cum_ack();
+        if cum > self.acked {
+            self.acked = cum;
+            self.inner.send(SessionUp::Ack(cum))?;
+            self.last_send = now;
         }
         Ok(())
     }
@@ -980,26 +1034,48 @@ where
             }
             let mut wait = deadline.saturating_duration_since(now);
             if let Some(until) = self.partition_until {
+                // Nothing is acked while the link is dark; the resume
+                // after the heal carries the cumulative ack instead.
                 wait = wait.min(until.saturating_duration_since(now));
-            } else if now.duration_since(self.last_send) >= self.params.heartbeat {
-                self.inner.send(SessionUp::Heartbeat)?;
-                self.last_send = now;
+            } else {
+                if self.ack_due.is_some_and(|due| now >= due) {
+                    self.send_ack(now)?;
+                } else if now.duration_since(self.last_send) >= self.params.heartbeat {
+                    self.inner.send(SessionUp::Heartbeat)?;
+                    self.last_send = now;
+                }
+                // A silent link must still hand control back in time to
+                // send the pending ack.
+                if let Some(due) = self.ack_due {
+                    wait = wait.min(due.saturating_duration_since(now));
+                }
             }
             match self.inner.recv(wait)? {
                 ClientEvent::Msg(SessionDown::Seq(seq, d)) => {
-                    if self.partitioned(Instant::now()) {
+                    let now = Instant::now();
+                    if self.partitioned(now) {
                         // The link is down: down-lane traffic is lost. The
                         // server's resend ring recovers it after resume.
                         continue;
+                    }
+                    if seq <= self.acked {
+                        // The server resent a frame it had been told
+                        // about: that ack was lost. Owe it again (by the
+                        // deadline: a resent window is no burst to count).
+                        self.acked = seq.saturating_sub(1);
                     }
                     let before = self.reseq.cum_ack();
                     self.scratch.clear();
                     self.reseq.accept(seq, d, &mut self.scratch);
                     self.ready.extend(self.scratch.drain(..));
+                    // Delayed cumulative ack: one frame answers every
+                    // delivery of the next `ack_delay`, or `ack_every`
+                    // deliveries, whichever comes first.
                     let cum = self.reseq.cum_ack();
-                    if cum > before {
-                        self.inner.send(SessionUp::Ack(cum))?;
-                        self.last_send = Instant::now();
+                    if cum > before && cum - self.acked >= self.params.ack_every() {
+                        self.send_ack(now)?;
+                    } else if cum > self.acked && self.ack_due.is_none() {
+                        self.ack_due = Some(now + self.params.ack_delay());
                     }
                 }
                 ClientEvent::Stop => return Ok(ClientEvent::Stop),
@@ -1041,9 +1117,14 @@ where
     }
 
     fn finish(&mut self) -> Result<u64, T::Error> {
-        self.heal_if_due(Instant::now())?;
+        let now = Instant::now();
+        self.heal_if_due(now)?;
         if self.dead {
             return Ok(0);
+        }
+        if !self.partitioned(now) {
+            // The goodbye must not overtake the ack for what it follows.
+            self.send_ack(now)?;
         }
         self.inner.finish()
     }
@@ -1059,6 +1140,8 @@ where
         self.inner.partition(d)
     }
 
+    /// This side's counters: heals plus the resequencer's bookkeeping.
+    /// `acks` stays zero here — the server counts the acks it processes.
     fn session_stats(&self) -> SessionStats {
         let mut s = self.stats;
         s.dups_dropped += self.reseq.dups_dropped;
@@ -1199,6 +1282,446 @@ mod tests {
         assert_eq!(SessionDown::Seq(9, Fixed).wire_bytes(), 17);
         use seve_core::engine::ShareKey;
         assert_eq!(SessionDown::Seq(9, Fixed).share_key(), None);
+    }
+
+    // ---- Ack cadence and shedding, over a scripted link ----
+
+    /// What a client put on the wire, in order.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    enum Sent {
+        Msg,
+        Ack(u64),
+        Resume(u64),
+        Heartbeat,
+        Bye,
+    }
+
+    /// One in-memory link shared by [`ScriptedClient`] and
+    /// [`ScriptedServer`]: tests script it by pushing onto `down`, and read
+    /// back what either side did.
+    #[derive(Default)]
+    struct Link {
+        down: VecDeque<ClientEvent<SessionDown<u32>>>,
+        up: VecDeque<SessionUp<u32>>,
+        sent: Vec<Sent>,
+        /// Every timeout the client wrapper asked its substrate for.
+        waits: Vec<Duration>,
+        /// Hand the client `Stop` once it has acked and `down` is empty.
+        stop_once_acked: bool,
+        batches: usize,
+    }
+
+    type SharedLink = std::rc::Rc<std::cell::RefCell<Link>>;
+
+    struct ScriptedClient(SharedLink);
+
+    impl ClientTransport<SessionUp<u32>, SessionDown<u32>> for ScriptedClient {
+        type Error = std::convert::Infallible;
+
+        fn recv(
+            &mut self,
+            timeout: Duration,
+        ) -> Result<ClientEvent<SessionDown<u32>>, Self::Error> {
+            let mut link = self.0.borrow_mut();
+            link.waits.push(timeout);
+            if let Some(e) = link.down.pop_front() {
+                return Ok(e);
+            }
+            if link.stop_once_acked && link.sent.iter().any(|s| matches!(s, Sent::Ack(_))) {
+                return Ok(ClientEvent::Stop);
+            }
+            drop(link);
+            // A silent link really takes the time, so the wrapper's clock
+            // moves.
+            std::thread::sleep(timeout);
+            Ok(ClientEvent::Timeout)
+        }
+
+        fn send(&mut self, msg: SessionUp<u32>) -> Result<u64, Self::Error> {
+            let mut link = self.0.borrow_mut();
+            link.sent.push(match &msg {
+                SessionUp::Msg(_) => Sent::Msg,
+                SessionUp::Ack(a) => Sent::Ack(*a),
+                SessionUp::Resume { last_acked, .. } => Sent::Resume(*last_acked),
+                SessionUp::Heartbeat => Sent::Heartbeat,
+            });
+            link.up.push_back(msg);
+            Ok(0)
+        }
+
+        fn finish(&mut self) -> Result<u64, Self::Error> {
+            self.0.borrow_mut().sent.push(Sent::Bye);
+            Ok(0)
+        }
+    }
+
+    struct ScriptedServer(SharedLink);
+
+    impl ServerTransport<SessionUp<u32>, SessionDown<u32>> for ScriptedServer {
+        type Error = std::convert::Infallible;
+
+        fn recv(&mut self, _timeout: Duration) -> Result<ServerEvent<SessionUp<u32>>, Self::Error> {
+            Ok(match self.0.borrow_mut().up.pop_front() {
+                Some(m) => ServerEvent::Msg(ClientId(0), m),
+                None => ServerEvent::Timeout,
+            })
+        }
+
+        fn send_batch(&mut self, out: &[(ClientId, SessionDown<u32>)]) -> Result<u64, Self::Error> {
+            let mut link = self.0.borrow_mut();
+            link.batches += 1;
+            for (_, d) in out {
+                link.down.push_back(ClientEvent::Msg(d.clone()));
+            }
+            Ok(0)
+        }
+
+        fn stop_all(&mut self) -> Result<(), Self::Error> {
+            Ok(())
+        }
+    }
+
+    type Client = SupervisedClientTransport<ScriptedClient, u32, u32>;
+    type Server = SupervisedServerTransport<ScriptedServer, u32, u32>;
+
+    fn scripted_client(params: SessionParams) -> (SharedLink, Client) {
+        let link = SharedLink::default();
+        let t = SupervisedClientTransport::new(ScriptedClient(link.clone()), ClientId(0), params);
+        (link, t)
+    }
+
+    /// Queue down-lane frames `seqs` for the client.
+    fn script_down(link: &SharedLink, seqs: std::ops::RangeInclusive<u64>) {
+        let mut link = link.borrow_mut();
+        for seq in seqs {
+            link.down
+                .push_back(ClientEvent::Msg(SessionDown::Seq(seq, seq as u32)));
+        }
+    }
+
+    /// Poll until the substrate runs dry; returns how many frames came up.
+    fn read_all(t: &mut Client) -> usize {
+        let mut n = 0;
+        while let ClientEvent::Msg(_) = t.recv(Duration::ZERO).unwrap() {
+            n += 1;
+        }
+        n
+    }
+
+    /// `fast()` with a deadline that never comes, so only the count
+    /// threshold (and `finish`) can produce an ack: exact, whatever the
+    /// scheduler does to the test thread.
+    fn count_only(ring: usize) -> SessionParams {
+        SessionParams {
+            ring,
+            rto: Duration::from_secs(3600),
+            heartbeat: Duration::from_secs(3600),
+            ..SessionParams::fast()
+        }
+    }
+
+    #[test]
+    fn ack_cadence_derives_from_rto_and_ring() {
+        let p = SessionParams::fast();
+        assert_eq!(p.ack_delay(), Duration::from_millis(10));
+        assert_eq!(p.ack_every(), 128);
+        assert_eq!(
+            SessionParams::default().ack_delay(),
+            Duration::from_millis(50)
+        );
+        assert_eq!(count_only(4).ack_every(), 1, "never zero");
+    }
+
+    #[test]
+    fn frames_inside_one_delay_share_one_ack() {
+        let p = SessionParams::fast();
+        let (link, mut t) = scripted_client(p);
+        let t0 = Instant::now();
+        script_down(&link, 1..=5);
+        assert_eq!(read_all(&mut t), 5);
+        if t0.elapsed() >= p.ack_delay() {
+            // The thread was stalled past the deadline: the frames were
+            // not inside one delay, so an early ack was correct.
+            return;
+        }
+        assert_eq!(
+            link.borrow().sent,
+            vec![],
+            "nothing acked before the deadline"
+        );
+        std::thread::sleep(p.ack_delay());
+        assert_eq!(read_all(&mut t), 0);
+        assert_eq!(
+            link.borrow().sent,
+            vec![Sent::Ack(5)],
+            "one ack, carrying the highest cum"
+        );
+        std::thread::sleep(p.ack_delay());
+        assert_eq!(read_all(&mut t), 0);
+        assert_eq!(link.borrow().sent.len(), 1, "nothing new to ack");
+    }
+
+    #[test]
+    fn enough_unacked_frames_force_an_ack_before_the_deadline() {
+        let p = count_only(64);
+        let (link, mut t) = scripted_client(p);
+        script_down(&link, 1..=7);
+        assert_eq!(read_all(&mut t), 7);
+        assert_eq!(link.borrow().sent, vec![]);
+        script_down(&link, 8..=20);
+        assert_eq!(read_all(&mut t), 13);
+        assert_eq!(
+            link.borrow().sent,
+            vec![Sent::Ack(8), Sent::Ack(16)],
+            "one ack per ring / 8 deliveries"
+        );
+    }
+
+    #[test]
+    fn a_resent_frame_that_was_acked_is_acked_again() {
+        let p = SessionParams::fast();
+        let (link, mut t) = scripted_client(p);
+        let after_the_deadline = p.ack_delay() + Duration::from_millis(2);
+        script_down(&link, 1..=3);
+        assert_eq!(read_all(&mut t), 3);
+        std::thread::sleep(after_the_deadline);
+        assert_eq!(read_all(&mut t), 0);
+        // The ack is lost on the way; the server's RTO resends the window.
+        assert!(link.borrow_mut().up.pop_back().is_some());
+        script_down(&link, 1..=3);
+        assert_eq!(read_all(&mut t), 0, "duplicates are not delivered twice");
+        std::thread::sleep(after_the_deadline);
+        assert_eq!(read_all(&mut t), 0);
+        let sent = link.borrow().sent.clone();
+        assert_eq!(*sent.last().unwrap(), Sent::Ack(3));
+        assert!(sent.len() >= 2, "the lost ack was never repeated: {sent:?}");
+        assert_eq!(t.session_stats().dups_dropped, 3);
+    }
+
+    #[test]
+    fn a_resent_window_is_not_a_burst_to_count() {
+        // ring 64: every 8th delivery forces an ack. 32 frames, all acked,
+        // all resent: the duplicates must not force one ack each.
+        let (link, mut t) = scripted_client(count_only(64));
+        script_down(&link, 1..=32);
+        assert_eq!(read_all(&mut t), 32);
+        assert_eq!(link.borrow().sent.len(), 4);
+        script_down(&link, 1..=32);
+        assert_eq!(read_all(&mut t), 0);
+        assert_eq!(link.borrow().sent.len(), 4, "acks forced by duplicates");
+        // The repeat is owed all the same, and leaves with the goodbye.
+        t.finish().unwrap();
+        assert_eq!(link.borrow().sent[4..], [Sent::Ack(32), Sent::Bye]);
+    }
+
+    #[test]
+    fn finish_flushes_the_pending_ack_before_the_goodbye() {
+        let (link, mut t) = scripted_client(count_only(64));
+        script_down(&link, 1..=3);
+        assert_eq!(read_all(&mut t), 3);
+        t.finish().unwrap();
+        assert_eq!(link.borrow().sent, vec![Sent::Ack(3), Sent::Bye]);
+        // Nothing owed: a second goodbye carries no ack.
+        t.finish().unwrap();
+        assert_eq!(link.borrow().sent[2..], [Sent::Bye]);
+    }
+
+    #[test]
+    fn nothing_is_acked_while_partitioned_and_resume_is_the_ack() {
+        let p = SessionParams::fast();
+        let (link, mut t) = scripted_client(p);
+        script_down(&link, 1..=3);
+        assert_eq!(read_all(&mut t), 3);
+        let dark = p.ack_delay() * 3;
+        let heal_at = Instant::now() + dark;
+        t.partition(dark).unwrap();
+        // The ack deadline passes in the dark; frames sent meanwhile are lost.
+        std::thread::sleep(p.ack_delay() + Duration::from_millis(2));
+        script_down(&link, 4..=5);
+        assert_eq!(read_all(&mut t), 0);
+        if Instant::now() < heal_at {
+            assert!(
+                !link.borrow().sent.iter().any(|s| matches!(s, Sent::Ack(_))),
+                "acked across a dead link: {:?}",
+                link.borrow().sent
+            );
+        }
+        std::thread::sleep(heal_at.saturating_duration_since(Instant::now()));
+        assert_eq!(read_all(&mut t), 0);
+        std::thread::sleep(p.ack_delay() + Duration::from_millis(2));
+        assert_eq!(read_all(&mut t), 0);
+        let sent = link.borrow().sent.clone();
+        let acks: Vec<_> = sent.iter().filter(|s| **s != Sent::Heartbeat).collect();
+        assert_eq!(
+            acks,
+            vec![&Sent::Resume(3)],
+            "exactly one resume, and no ack beside it"
+        );
+        assert_eq!(t.session_stats().reconnects, 1);
+    }
+
+    #[test]
+    fn a_silent_link_returns_control_by_the_ack_deadline() {
+        let p = SessionParams::fast();
+        let (link, mut t) = scripted_client(p);
+        script_down(&link, 1..=1);
+        assert!(matches!(t.recv(Duration::ZERO), Ok(ClientEvent::Msg(1))));
+        link.borrow_mut().stop_once_acked = true;
+        link.borrow_mut().waits.clear();
+        let t0 = Instant::now();
+        assert!(matches!(
+            t.recv(Duration::from_secs(1)),
+            Ok(ClientEvent::Stop)
+        ));
+        assert!(
+            t0.elapsed() < Duration::from_millis(500),
+            "the ack waited for the caller's timeout"
+        );
+        let link = link.borrow();
+        assert_eq!(link.sent, vec![Sent::Ack(1)]);
+        assert!(
+            link.waits[0] <= p.ack_delay(),
+            "blocking wait {:?} outlasts the ack deadline",
+            link.waits[0]
+        );
+    }
+
+    #[test]
+    fn slowest_permitted_ack_cadence_never_trips_the_rto() {
+        // Virtual milliseconds: one frame a millisecond, 2 ms each way, a
+        // client that acks exactly `ack_delay` after its first unacked
+        // delivery and never sooner. The window never gets even half way
+        // to its RTO (where the supervisor starts watching it).
+        let p = SessionParams::fast();
+        let (delay, lat) = (p.ack_delay().as_millis() as u64, 2u64);
+        let t0 = Instant::now();
+        let at = |ms: u64| t0 + Duration::from_millis(ms);
+        let mut w: SendWindow<u64> = SendWindow::new();
+        let mut ack_leaves: Option<u64> = None;
+        let mut in_flight: VecDeque<(u64, u64)> = VecDeque::new();
+        for ms in 0..500u64 {
+            while in_flight.front().is_some_and(|(arrives, _)| *arrives <= ms) {
+                let (_, cum) = in_flight.pop_front().unwrap();
+                w.ack(cum, at(ms));
+            }
+            assert!(!w.due(at(ms), p.rto / 2), "half an RTO old at {ms} ms");
+            let seq = w.push(ms, at(ms));
+            // Frame `seq` reaches the client at `ms + lat`.
+            let delivered = seq.saturating_sub(lat);
+            if delivered > 0 && ack_leaves.is_none() {
+                ack_leaves = Some(ms + delay);
+            }
+            if ack_leaves == Some(ms) {
+                in_flight.push_back((ms + lat, delivered));
+                ack_leaves = None;
+            }
+        }
+        assert!(w.len() as u64 <= delay + 2 * lat + 1, "window {}", w.len());
+    }
+
+    #[test]
+    fn a_burst_to_a_reading_client_never_sheds() {
+        let p = count_only(64);
+        let link = SharedLink::default();
+        let mut server: Server = SupervisedServerTransport::new(ScriptedServer(link.clone()), 1, p);
+        let mut client: Client =
+            SupervisedClientTransport::new(ScriptedClient(link.clone()), ClientId(0), p);
+        let mut delivered = 0;
+        for chunk in 0..8u32 {
+            let batch: Vec<_> = (0..32).map(|i| (ClientId(0), chunk * 32 + i)).collect();
+            server.send_batch(&batch).unwrap();
+            delivered += read_all(&mut client);
+            assert!(matches!(
+                server.recv(Duration::ZERO),
+                Ok(ServerEvent::Timeout)
+            ));
+        }
+        assert_eq!(delivered, 4 * p.ring);
+        assert_eq!(server.stats().sheds, 0);
+        assert_eq!(server.stats().reaps, 0);
+        assert_eq!(
+            server.stats().acks,
+            delivered as u64 / p.ack_every(),
+            "one ack frame per ring / 8 deliveries"
+        );
+    }
+
+    #[test]
+    fn rto_is_judged_after_queued_acks_and_only_on_watched_time() {
+        let p = SessionParams::fast();
+        let link = SharedLink::default();
+        let mut server: Server = SupervisedServerTransport::new(ScriptedServer(link.clone()), 1, p);
+        let idle = |server: &mut Server| {
+            assert!(matches!(
+                server.recv(Duration::ZERO),
+                Ok(ServerEvent::Timeout)
+            ));
+        };
+        let stall = p.rto + Duration::from_millis(5);
+
+        // The server stalls past the RTO with the ack already in its queue:
+        // the ack is applied before the lane is judged.
+        server.send_batch(&[(ClientId(0), 1)]).unwrap();
+        std::thread::sleep(stall);
+        link.borrow_mut().up.push_back(SessionUp::Ack(1));
+        idle(&mut server);
+        assert_eq!(server.stats().retransmits, 0);
+
+        // It stalls again, and this time the client (frozen with it) has
+        // yet to ack: the first pass back only takes note...
+        server.send_batch(&[(ClientId(0), 2)]).unwrap();
+        std::thread::sleep(stall);
+        idle(&mut server);
+        assert_eq!(
+            server.stats().retransmits,
+            0,
+            "a frozen server blamed its client"
+        );
+        // ...and the ack that lands next clears the lane for good.
+        link.borrow_mut().up.push_back(SessionUp::Ack(2));
+        idle(&mut server);
+        std::thread::sleep(p.rto / 2 + Duration::from_millis(2));
+        idle(&mut server);
+        assert_eq!(server.stats().retransmits, 0);
+        assert_eq!(link.borrow().batches, 2, "nothing was resent");
+
+        // A frame that really is lost is resent half an RTO after it was
+        // first seen overdue.
+        server.send_batch(&[(ClientId(0), 3)]).unwrap();
+        std::thread::sleep(stall);
+        idle(&mut server);
+        assert_eq!(server.stats().retransmits, 0);
+        std::thread::sleep(p.rto / 2 + Duration::from_millis(2));
+        idle(&mut server);
+        assert_eq!(server.stats().retransmits, 1);
+        assert_eq!(link.borrow().batches, 4);
+    }
+
+    #[test]
+    fn thin_push_all_clear_needs_only_acks() {
+        let p = SessionParams {
+            shed: ShedPolicy::ThinPush,
+            ..count_only(64)
+        };
+        let link = SharedLink::default();
+        let mut server: Server = SupervisedServerTransport::new(ScriptedServer(link.clone()), 1, p);
+        assert!(!server.overloaded());
+        let batch: Vec<_> = (0..=p.ring as u32).map(|i| (ClientId(0), i)).collect();
+        server.send_batch(&batch).unwrap();
+        assert!(server.overloaded(), "ring crossed its high-water mark");
+        assert_eq!(server.stats().sheds, 1, "one thinned cycle, counted once");
+        // The client catches up; the server sends nothing in between.
+        link.borrow_mut()
+            .up
+            .push_back(SessionUp::Ack(p.ring as u64 + 1));
+        assert!(matches!(
+            server.recv(Duration::ZERO),
+            Ok(ServerEvent::Timeout)
+        ));
+        assert_eq!(link.borrow().batches, 1);
+        assert!(!server.overloaded(), "all-clear from ring depth alone");
+        assert_eq!(server.stats().sheds, 1);
+        assert_eq!(server.stats().reaps, 0, "thinning never evicts");
     }
 
     #[test]
