@@ -10,17 +10,22 @@
 //! * [`closure_for`] — given candidate actions to deliver to a client,
 //!   collect the transitively conflicting *unsent* actions that must
 //!   accompany them, and the residual read-set `S` to be satisfied by a
-//!   blind write `W(S, ζ_S(S))`.
+//!   blind write `W(S, ζ_S(S))`. One client per call: the Incomplete World
+//!   Model's reply to a submission, and the oracle of the pass below.
+//! * [`SlicedClosure`] — the same computation for every client of a push
+//!   cycle in one descending pass, the support sets kept as per-object
+//!   client bitmasks (see the `sliced` module docs).
 //! * [`analyze_new_actions`] — Algorithm 7's `onNextTick`: walk each newly
 //!   submitted action's conflict chain; if the chain reaches an action
 //!   farther than `threshold`, drop the new action.
 //!
-//! Both scans are **index-driven**: the queue maintains an inverted write
+//! All scans are **index-driven**: the queue maintains an inverted write
 //! index (object → ascending postings of live positions whose write set
-//! contains it), and the scans jump from conflict to conflict through a
-//! descending [`Frontier`] of per-object cursors instead of examining every
-//! entry — O(conflicts · log) per call rather than O(queue). The pre-index
-//! linear scans survive as [`closure_for_linear`] and
+//! contains it), and the scans jump from conflict to conflict through
+//! descending per-object cursors (a [`Frontier`] per walk; one cursor per
+//! live object, shared by all clients, in the sliced pass) instead of
+//! examining every entry — O(conflicts · log) rather than O(queue). The
+//! pre-index linear scans survive as [`closure_for_linear`] and
 //! [`analyze_new_actions_linear`]; the indexed paths are bit-identical to
 //! them (proptested in `tests/prop_core.rs`), including the `sent`-bit and
 //! `dropped`-mark side effects, and still report the linear-equivalent
@@ -32,6 +37,9 @@ use seve_world::action::{Action, Influence, Outcome};
 use seve_world::ids::{ClientId, ObjectId, QueuePos};
 use seve_world::objset::ObjectSet;
 use std::collections::{hash_map, BTreeMap, HashMap, VecDeque};
+
+mod sliced;
+pub use sliced::SlicedClosure;
 
 /// A growable bitmap over client indices — the `sent(a)` set.
 #[derive(Clone, Debug, Default)]
@@ -64,6 +72,20 @@ impl ClientSet {
         let newly = self.words[i / 64] & bit == 0;
         self.words[i / 64] |= bit;
         newly
+    }
+
+    /// The `i`-th 64-client word of the set: bit `b` is client `64·i + b`.
+    #[inline]
+    pub fn word(&self, i: usize) -> u64 {
+        self.words.get(i).copied().unwrap_or(0)
+    }
+
+    /// Insert every client whose bit is set in `bits` into word `i`.
+    pub fn or_word(&mut self, i: usize, bits: u64) {
+        if self.words.len() <= i {
+            self.words.resize(i + 1, 0);
+        }
+        self.words[i] |= bits;
     }
 
     /// Number of clients in the set.
@@ -141,7 +163,7 @@ pub struct ActionQueue<A> {
 /// cursor seed of the closure hot path — the default collision-resistant
 /// hasher costs more there than the attack it guards against.
 #[derive(Clone, Copy, Default)]
-struct ObjectIdHasher(u64);
+pub(crate) struct ObjectIdHasher(u64);
 
 impl std::hash::Hasher for ObjectIdHasher {
     #[inline]
@@ -160,8 +182,14 @@ impl std::hash::Hasher for ObjectIdHasher {
     }
 }
 
+/// A map keyed by [`ObjectId`] under [`ObjectIdHasher`] — the queue's
+/// inverted write index, the sliced closure's mask rows and the egress
+/// version tables all probe one per object on the push path.
+pub(crate) type ObjectIdMap<V> =
+    HashMap<ObjectId, V, std::hash::BuildHasherDefault<ObjectIdHasher>>;
+
 /// The inverted write index's map type.
-type PostingsMap = HashMap<ObjectId, Vec<QueuePos>, std::hash::BuildHasherDefault<ObjectIdHasher>>;
+type PostingsMap = ObjectIdMap<Vec<QueuePos>>;
 
 impl<A: Action> Default for ActionQueue<A> {
     fn default() -> Self {
@@ -434,7 +462,7 @@ impl<'i> Frontier<'i> {
 }
 
 /// The result of a closure computation for one client.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ClosureResult {
     /// Positions of actions to send, ascending — candidates plus their
     /// unsent transitive support. `sent` bits have been updated.
@@ -669,7 +697,7 @@ pub struct AnalyzeScratch {
     parent: Vec<u32>,
     /// Object → provisional component currently owning it (same fast
     /// hasher as the inverted write index).
-    owner: HashMap<ObjectId, u32, std::hash::BuildHasherDefault<ObjectIdHasher>>,
+    owner: ObjectIdMap<u32>,
     /// `(position, provisional component)` per analyzed action, in
     /// position order.
     action_comp: Vec<(QueuePos, u32)>,

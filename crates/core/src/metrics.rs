@@ -5,7 +5,7 @@
 //! percentages (Table II), closure-scan work (the 0.04 ms claim), and
 //! evaluation records for the consistency oracle.
 
-use seve_net::stats::Summary;
+use seve_net::stats::{RunningSummary, Summary};
 use seve_world::ids::{ActionId, QueuePos};
 
 /// A record of one stable evaluation performed by a replica, used by the
@@ -222,12 +222,16 @@ pub struct ServerMetrics {
     /// Actions installed into ζ_S (completions applied in order).
     pub installed: u64,
     /// Queue entries touched per closure computation (the transitive
-    /// closure cost the paper reports as 0.04 ms per move).
-    pub closure_scan_entries: Summary,
-    /// Number of items per push/reply batch.
-    pub batch_items: Summary,
-    /// Conflict-chain length observed per Algorithm 7 analysis.
-    pub chain_len: Summary,
+    /// closure cost the paper reports as 0.04 ms per move). Recorded per
+    /// client per push cycle for as long as the server runs, so only the
+    /// count, sum, minimum and maximum are kept, not the samples.
+    pub closure_scan_entries: RunningSummary,
+    /// Number of items per push/reply batch; count, sum, minimum and
+    /// maximum kept (one sample per emitted batch).
+    pub batch_items: RunningSummary,
+    /// Conflict-chain length observed per Algorithm 7 analysis; count, sum,
+    /// minimum and maximum kept (one sample per analyzed action).
+    pub chain_len: RunningSummary,
     /// Total simulated compute charged, microseconds.
     pub compute_us: u64,
     /// High-water mark of the uncommitted action queue.

@@ -1,22 +1,25 @@
 //! Analyze stage: transitive-closure scans (Algorithm 6) and drop
 //! verdicts (Algorithm 7), behind the [`DropPolicy`] trait.
 //!
-//! The closure scan serves two consumers — the Incomplete World Model's
-//! per-submission replies and the bounded models' push fan-out — so it
-//! lives here as a shared, stage-timed helper. The drop verdict is a
+//! The closure scan serves two consumers, each through a stage-timed helper
+//! here: [`closure_support`] walks one client's chain for the Incomplete
+//! World Model's per-submission replies, and [`closure_support_all`] runs
+//! the bounded models' push fan-out as one pass for every client
+//! ([`SlicedClosure`]), booking the whole pass to the analyze stage once
+//! per push cycle. The drop verdict is a
 //! policy: [`NoDrop`] for the Basic / Incomplete / First Bound modes, and
 //! [`ChainBreak`] for the Information Bound Model, which walks each newly
 //! submitted action's conflict chain and drops actions whose chain reaches
 //! farther than the threshold.
 //!
-//! Both walks run over the queue's inverted write index (see
+//! All of them run over the queue's inverted write index (see
 //! [`crate::closure`]), visiting O(conflicts) entries; the stage records
 //! indexed-vs-linear entry counters into
 //! [`StageMetrics`](crate::metrics::StageMetrics) while the *simulated*
 //! cost keeps charging the linear-equivalent scan length, so event timing
 //! is identical to the pre-index pipeline.
 
-use crate::closure::{analyze_new_actions_batched, closure_for, ClosureResult};
+use crate::closure::{analyze_new_actions_batched, closure_for, ClosureResult, SlicedClosure};
 use crate::msg::ToClient;
 use crate::pipeline::{serialize, state::PipelineState};
 use seve_net::time::SimTime;
@@ -44,16 +47,47 @@ pub fn closure_support<W: GameWorld>(
 ) -> ClosureResult {
     let t = Instant::now();
     let result = closure_for(&mut st.queue, client, candidates);
-    st.metrics
-        .closure_scan_entries
-        .record(result.scanned as f64);
-    st.metrics.stage.closure_entries_visited += result.visited as u64;
-    st.metrics.stage.closure_entries_linear += result.scanned as u64;
+    record_closure(st, &result);
     st.metrics
         .stage
         .analyze
         .record(t.elapsed().as_nanos() as u64);
     result
+}
+
+/// [`closure_support`] for every client of a push cycle at once:
+/// `candidates[c]` are client `c`'s, and the returned slice holds one result
+/// per client, equal to what the per-client walk returns for it. One stage
+/// record covers the whole pass; the workload metrics are recorded per
+/// client with candidates, as the per-client loop recorded them.
+pub fn closure_support_all<'s, W: GameWorld>(
+    st: &mut PipelineState<W>,
+    sliced: &'s mut SlicedClosure,
+    candidates: &[Vec<QueuePos>],
+) -> &'s [ClosureResult] {
+    let t = Instant::now();
+    let results = sliced.run(&mut st.queue, candidates);
+    for (result, _) in results
+        .iter()
+        .zip(candidates)
+        .filter(|(_, cands)| !cands.is_empty())
+    {
+        record_closure(st, result);
+    }
+    st.metrics
+        .stage
+        .analyze
+        .record(t.elapsed().as_nanos() as u64);
+    results
+}
+
+/// The closure-scan workload metrics of one client's result.
+fn record_closure<W: GameWorld>(st: &mut PipelineState<W>, result: &ClosureResult) {
+    st.metrics
+        .closure_scan_entries
+        .record(result.scanned as f64);
+    st.metrics.stage.closure_entries_visited += result.visited as u64;
+    st.metrics.stage.closure_entries_linear += result.scanned as u64;
 }
 
 /// When (and whether) queued actions are dropped, and consequently how far

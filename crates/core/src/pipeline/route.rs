@@ -12,15 +12,19 @@
 //!   (with interest classes, velocity culling, and the dense-crowd
 //!   interest-radius override), then ship their closure support.
 //!
-//! Two indexes carry the push cycle: the [`UniformGrid`] over client
-//! positions inverts candidate selection (O(actions × nearby clients)),
-//! and the queue's inverted write index (see [`crate::closure`]) drives
-//! the Algorithm 6 support computation in O(conflicts) — both behind
-//! linear reference implementations that differential tests compare
-//! against.
+//! A push cycle is three phases — select, closure, assembly — over two
+//! indexes: the [`UniformGrid`] over client positions inverts candidate
+//! selection (O(actions × nearby clients), hits written straight into
+//! per-client buffers that outlive the cycle), and the queue's inverted
+//! write index (see [`crate::closure`]) drives Algorithm 6, which runs
+//! *once for all clients* as a client-sliced pass
+//! ([`SlicedClosure`](crate::closure::SlicedClosure)) before egress
+//! assembles each client's batch. Both indexed phases have reference
+//! implementations that differential tests compare against: the linear
+//! selection scan, and one `closure_for` walk per client.
 
 use crate::bounds::BoundParams;
-use crate::closure::QueueEntry;
+use crate::closure::{QueueEntry, SlicedClosure};
 use crate::config::ProtocolConfig;
 use crate::msg::ToClient;
 use crate::pipeline::{analyze, egress, state::PipelineState};
@@ -244,6 +248,12 @@ pub struct SphereRouting {
     grid: UniformGrid<ClientId>,
     /// Reusable per-client candidate buffers for the push cycle.
     scratch: Vec<Vec<QueuePos>>,
+    /// Reusable state of the push cycle's Algorithm 6 pass.
+    sliced: SlicedClosure,
+    /// Run the closure phase as one walk per client instead (the oracle the
+    /// pipeline tests compare the sliced pass against).
+    #[cfg(test)]
+    pub(crate) per_client_oracle: bool,
     /// Self-tuning "parallelize above N probes" gate, seeded with the
     /// historical [`PAR_MIN_PROBES`]. Atomic internals: selection takes
     /// `&self`, so the gate records its measurements through shared
@@ -336,6 +346,9 @@ impl SphereRouting {
             params,
             grid,
             scratch: Vec::new(),
+            sliced: SlicedClosure::new(),
+            #[cfg(test)]
+            per_client_oracle: false,
             gate: seve_exec::AdaptiveGate::new(PAR_MIN_PROBES, "SEVE_PAR_MIN_PROBES"),
         }
     }
@@ -466,8 +479,10 @@ impl SphereRouting {
         } else {
             1
         };
-        let select_chunk = |chunk: &[Probe<'_, W::Action>]| -> Vec<(ClientId, QueuePos)> {
-            let mut hits = Vec::new();
+        // `hit` receives a chunk's `(client, position)` pairs in probe
+        // order, i.e. ascending position per client.
+        let select_chunk = |chunk: &[Probe<'_, W::Action>],
+                            hit: &mut dyn FnMut(ClientId, QueuePos)| {
             for p in chunk {
                 let e = p.entry;
                 let pos = e.pos;
@@ -478,7 +493,7 @@ impl SphereRouting {
                     && self.last_push_pos[issuer.index()] < pos
                     && !e.sent.contains(issuer)
                 {
-                    hits.push((issuer, pos));
+                    hit(issuer, pos);
                 }
                 self.grid
                     .for_each_candidate(p.center, p.radius, |c, c_pos| {
@@ -491,17 +506,17 @@ impl SphereRouting {
                             return;
                         }
                         if self.near(override_r, e, p.age_secs, c_pos) {
-                            hits.push((c, pos));
+                            hit(c, pos);
                         }
                     });
             }
-            hits
         };
         let t0 = std::time::Instant::now();
         if threads <= 1 {
-            for (c, pos) in select_chunk(&probes) {
-                cands[c.index()].push(pos);
-            }
+            // Straight into the per-client buffers, which keep their
+            // capacity across cycles: a sequential selection allocates
+            // nothing per push for its hits.
+            select_chunk(&probes, &mut |c, pos| cands[c.index()].push(pos));
             if !probes.is_empty() {
                 self.gate
                     .record_seq(probes.len(), t0.elapsed().as_nanos() as u64);
@@ -514,7 +529,8 @@ impl SphereRouting {
                 .map(|chunk| {
                     let task: SelectTask<'_> = Box::new(move || {
                         let t = std::time::Instant::now();
-                        let hits = select_chunk(chunk);
+                        let mut hits = Vec::new();
+                        select_chunk(chunk, &mut |c, pos| hits.push((c, pos)));
                         (hits, t.elapsed().as_nanos() as u64)
                     });
                     task
@@ -535,6 +551,33 @@ impl SphereRouting {
                 width.min(threads),
             );
         }
+    }
+}
+
+#[cfg(test)]
+impl SphereRouting {
+    /// The push cycle's closure phase as it ran before the sliced pass: one
+    /// [`closure_for`](crate::closure::closure_for) walk per client. The
+    /// differential oracle of `on_push`.
+    fn push_per_client<W: GameWorld>(
+        &mut self,
+        st: &mut PipelineState<W>,
+        horizon: QueuePos,
+        cands: &[Vec<QueuePos>],
+        out: &mut Vec<(ClientId, ToClient<W::Action>)>,
+    ) -> u64 {
+        let mut cost = 0u64;
+        for (i, candidates) in cands.iter().enumerate() {
+            self.last_push_pos[i] = horizon.max(self.last_push_pos[i]);
+            if candidates.is_empty() {
+                continue;
+            }
+            let client = ClientId(i as u16);
+            let result = analyze::closure_support(st, client, candidates);
+            cost += st.cfg.msg_cost_us + st.scan_cost(result.scanned);
+            egress::emit_closure_batch(st, client, &result, out);
+        }
+        cost
     }
 }
 
@@ -571,21 +614,27 @@ impl<W: GameWorld> RoutingPolicy<W> for SphereRouting {
         let mut cost = 0u64;
         // Selection is a pure read of queue + routing state, so it runs
         // once for all clients (grid-inverted, possibly parallel) before
-        // the sequential, `sent`-bit-mutating closure phase below. A
-        // client's selection depends only on its *own* `sent` bits, which
-        // the closures of other clients never touch, so splitting the
-        // phases is observationally identical to the interleaved scan.
+        // the `sent`-bit-mutating closure phase. A client's selection
+        // depends only on its *own* `sent` bits, which the closures of
+        // other clients never touch, and its batch only on its own closure,
+        // so select → closure for all → assembly per client is
+        // observationally identical to the interleaved scan.
         let mut cands = std::mem::take(&mut self.scratch);
         self.select_candidates_indexed(st, now, horizon, &mut cands);
-        for (i, candidates) in cands.iter().enumerate() {
+        #[cfg(test)]
+        if self.per_client_oracle {
+            cost = self.push_per_client(st, horizon, &cands, out);
+            self.scratch = cands;
+            return cost;
+        }
+        let results = analyze::closure_support_all(st, &mut self.sliced, &cands);
+        for (i, result) in results.iter().enumerate() {
             self.last_push_pos[i] = horizon.max(self.last_push_pos[i]);
-            if candidates.is_empty() {
+            if cands[i].is_empty() {
                 continue;
             }
-            let client = ClientId(i as u16);
-            let result = analyze::closure_support(st, client, candidates);
             cost += st.cfg.msg_cost_us + st.scan_cost(result.scanned);
-            egress::emit_closure_batch(st, client, &result, out);
+            egress::emit_closure_batch(st, ClientId(i as u16), result, out);
         }
         self.scratch = cands;
         cost

@@ -8,13 +8,13 @@
 //! by every stage (ingress appends, serialize pops, analyze marks drops,
 //! route reads spheres, egress clones actions and flips `sent` bits).
 
-use crate::closure::{ActionQueue, AnalyzeScratch};
+use crate::closure::{ActionQueue, AnalyzeScratch, ObjectIdMap};
 use crate::config::ProtocolConfig;
 use crate::metrics::ServerMetrics;
-use seve_world::ids::{ActionId, ObjectId, QueuePos};
+use seve_world::ids::{ActionId, QueuePos};
 use seve_world::state::WorldState;
 use seve_world::GameWorld;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Shared state of the staged server pipeline.
@@ -34,12 +34,15 @@ pub struct PipelineState<W: GameWorld> {
     /// The last position for which a GC notice was broadcast.
     pub(crate) last_gc_sent: QueuePos,
     /// Position of the last *installed* writer of each object — the
-    /// committed version used to suppress redundant blind writes.
-    pub(crate) committed_version: HashMap<ObjectId, QueuePos>,
+    /// committed version used to suppress redundant blind writes. Probed
+    /// per blind-set object of every pushed batch, hence the one-multiply
+    /// hasher of the write index.
+    pub(crate) committed_version: ObjectIdMap<QueuePos>,
     /// Per client: the newest writer position (action sent or blind write)
     /// whose value for an object the client is known to hold. Lets egress
-    /// skip blind writes for values the client already has.
-    pub(crate) client_known: Vec<HashMap<ObjectId, QueuePos>>,
+    /// skip blind writes for values the client already has. Probed per
+    /// written object of every pushed item (same hasher).
+    pub(crate) client_known: Vec<ObjectIdMap<QueuePos>>,
     /// Every action id ever admitted. Serialization assigns one queue
     /// position per action, so a submission redelivered by an
     /// at-least-once transport must be ignored, not enqueued again.
@@ -94,8 +97,8 @@ impl<W: GameWorld> PipelineState<W> {
             queue: ActionQueue::new(),
             metrics,
             last_gc_sent: 0,
-            committed_version: HashMap::new(),
-            client_known: vec![HashMap::new(); n],
+            committed_version: ObjectIdMap::default(),
+            client_known: vec![ObjectIdMap::default(); n],
             admitted: HashSet::new(),
             analyze_threads,
             analyze_scratch: AnalyzeScratch::new(),

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use seve_core::closure::{
     analyze_new_actions, analyze_new_actions_batched, analyze_new_actions_linear, closure_for,
-    closure_for_linear, ActionQueue, AnalyzeScratch,
+    closure_for_linear, ActionQueue, AnalyzeScratch, SlicedClosure,
 };
 use seve_core::replay::ReplayLog;
 use seve_net::time::SimTime;
@@ -17,6 +17,7 @@ use seve_world::objset::ObjectSet;
 use seve_world::state::{Snapshot, WorldState, WriteLog};
 use seve_world::value::Value;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Shared executors for the pool-size sweep: proptest runs hundreds of
 /// cases, and the whole point of the pool is that it persists — spawn
@@ -138,16 +139,19 @@ fn naive_closure(
         bool, /* dropped */
     )],
     candidates: &[QueuePos],
-) -> BTreeSet<QueuePos> {
+) -> (BTreeSet<QueuePos>, usize) {
     let newest = match candidates.last() {
         Some(&p) => p,
-        None => return BTreeSet::new(),
+        None => return (BTreeSet::new(), 0),
     };
     // Support accumulates exactly as the backwards scan does: walk from
     // newest to oldest, a single pass (the fixed point of a backwards scan
     // is the scan itself because writers only affect older support).
     let mut s = ObjectSet::new();
     let mut take = BTreeSet::new();
+    // How often an entry the client already holds satisfied part of the
+    // support (the `S \ WS` step).
+    let mut subtracts = 0;
     for &(pos, a, sent, dropped) in entries.iter().rev() {
         if pos > newest {
             continue;
@@ -163,13 +167,14 @@ fn naive_closure(
         if sent {
             if conflicts {
                 s.subtract(&a.ws);
+                subtracts += 1;
             }
         } else {
             take.insert(pos);
             s.union_with(&a.rs);
         }
     }
-    take
+    (take, subtracts)
 }
 
 proptest! {
@@ -202,7 +207,7 @@ proptest! {
             .map(|&(pos, _, _, _)| pos)
             .collect();
 
-        let expected = naive_closure(&meta, &candidates);
+        let (expected, _) = naive_closure(&meta, &candidates);
         let result = closure_for(&mut queue, client, &candidates);
         let got: BTreeSet<QueuePos> = result.send.iter().copied().collect();
         prop_assert_eq!(got, expected);
@@ -576,5 +581,181 @@ proptest! {
         prop_assert!(ro.rebuilt);
         prop_assert_eq!(outcome.as_ref(), ro.outcome);
         prop_assert_eq!(log.state().digest(), oracle.state().digest());
+    }
+}
+
+/// One queued action of the sliced-closure differential: read/write sets
+/// over a small object space (reads ⊇ writes; both may be empty), an
+/// Algorithm 7 drop mark, and which of the scenario's clients already hold
+/// it / have it as a candidate.
+#[derive(Clone, Debug)]
+struct SlicedEntry {
+    reads: BTreeSet<u32>,
+    writes: BTreeSet<u32>,
+    dropped: bool,
+    sent: Vec<usize>,
+    cands: Vec<usize>,
+}
+
+/// How many distinct clients a sliced-closure scenario touches.
+const SLICED_ACTIVE: usize = 6;
+
+fn sliced_entry() -> impl Strategy<Value = SlicedEntry> {
+    (
+        prop::collection::btree_set(0u32..10, 0..4),
+        prop::collection::vec(any::<bool>(), 4),
+        // A quarter of the entries are dropped, so shared cursors
+        // regularly park on one.
+        0u8..4,
+        prop::collection::vec(0..SLICED_ACTIVE, 0..4),
+        prop::collection::vec(0..SLICED_ACTIVE, 0..3),
+    )
+        .prop_map(|(reads, write_mask, dropped, sent, cands)| SlicedEntry {
+            writes: reads
+                .iter()
+                .zip(&write_mask)
+                .filter_map(|(&o, &w)| w.then_some(o))
+                .collect(),
+            reads,
+            dropped: dropped == 0,
+            sent,
+            cands,
+        })
+}
+
+/// What the sliced-closure cases exercised, summed over all of them:
+/// `S \ WS` steps, non-empty residues, and results holding support beyond
+/// the candidates.
+static SLICED_SUBTRACTS: AtomicUsize = AtomicUsize::new(0);
+static SLICED_RESIDUES: AtomicUsize = AtomicUsize::new(0);
+static SLICED_SUPPORTS: AtomicUsize = AtomicUsize::new(0);
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    // Not a test by itself: `sliced_closure_matches_per_client_walks` runs
+    // the cases and then checks they were not vacuous.
+    fn sliced_closure_cases(
+        clients in (0usize..4).prop_map(|i| [1usize, 65, 130, 1024][i]),
+        picks in prop::collection::vec(0usize..1024, SLICED_ACTIVE),
+        entries in prop::collection::vec(sliced_entry(), 1..24),
+        pops in 0usize..4,
+    ) {
+        // The scenario's clients, spread across the words of the mask; the
+        // last client is always one of them, so the top word's tail is used.
+        let mut active: Vec<usize> = picks.iter().map(|&p| p % clients).collect();
+        active[0] = clients - 1;
+        let build = || {
+            let mut q: ActionQueue<GenAction> = ActionQueue::new();
+            for (i, e) in entries.iter().enumerate() {
+                let pos = q.push(
+                    GenAction {
+                        id: ActionId::new(ClientId(0), i as u32),
+                        rs: e.reads.iter().map(|&o| ObjectId(o)).collect(),
+                        ws: e.writes.iter().map(|&o| ObjectId(o)).collect(),
+                        attr: AttrId(0),
+                        center: Vec2::new(0.0, 0.0),
+                    },
+                    SimTime::ZERO,
+                );
+                let qe = q.get_mut(pos).unwrap();
+                qe.dropped = e.dropped;
+                for &a in &e.sent {
+                    qe.sent.insert(ClientId(active[a] as u16));
+                }
+            }
+            for _ in 0..pops.min(entries.len() - 1) {
+                q.pop_front();
+            }
+            q
+        };
+        let mut q_sliced = build();
+        let mut q_walks = build();
+        // Candidates as the route stage selects them: live, undropped, not
+        // yet sent to the client.
+        let mut cands: Vec<Vec<QueuePos>> = vec![Vec::new(); clients];
+        for e in q_sliced.iter() {
+            for &a in &entries[(e.pos - 1) as usize].cands {
+                let c = active[a];
+                if !e.dropped
+                    && !e.sent.contains(ClientId(c as u16))
+                    && cands[c].last() != Some(&e.pos)
+                {
+                    cands[c].push(e.pos);
+                }
+            }
+        }
+        // One scratch serves both cycles, so anything a cycle leaves behind
+        // in it would show in the second.
+        let mut sliced = SlicedClosure::new();
+        for cycle in 0..2 {
+            let got = sliced.run(&mut q_sliced, &cands).to_vec();
+            prop_assert_eq!(got.len(), clients);
+            for (c, got) in got.iter().enumerate() {
+                let client = ClientId(c as u16);
+                let (naive, subtracts) = naive_closure(
+                    &q_walks
+                        .iter()
+                        .map(|e| (e.pos, &*e.action, e.sent.contains(client), e.dropped))
+                        .collect::<Vec<_>>(),
+                    &cands[c],
+                );
+                let want = closure_for(&mut q_walks, client, &cands[c]);
+                prop_assert_eq!(&got.send, &want.send, "cycle {} client {}", cycle, c);
+                prop_assert_eq!(&got.blind_set, &want.blind_set, "cycle {} client {}", cycle, c);
+                prop_assert_eq!(got.scanned, want.scanned, "cycle {} client {}", cycle, c);
+                prop_assert!(got.visited <= want.visited);
+                prop_assert_eq!(got.send.iter().copied().collect::<BTreeSet<_>>(), naive);
+                SLICED_SUBTRACTS.fetch_add(subtracts, Ordering::Relaxed);
+                SLICED_RESIDUES.fetch_add(usize::from(!want.blind_set.is_empty()), Ordering::Relaxed);
+                SLICED_SUPPORTS
+                    .fetch_add(usize::from(want.send.len() > cands[c].len()), Ordering::Relaxed);
+            }
+            for (a, b) in q_sliced.iter().zip(q_walks.iter()) {
+                for c in 0..clients {
+                    let c = ClientId(c as u16);
+                    prop_assert_eq!(a.sent.contains(c), b.sent.contains(c), "pos {}", a.pos);
+                }
+            }
+            // Second cycle: every scenario client asks for the newest live
+            // action it does not hold yet, over the `sent` bits the first
+            // cycle left — chains that are now partly sent.
+            for list in cands.iter_mut() {
+                list.clear();
+            }
+            for &c in &active {
+                let newest_unheld = q_walks
+                    .iter()
+                    .filter(|e| !e.dropped && !e.sent.contains(ClientId(c as u16)))
+                    .last();
+                if let Some(e) = newest_unheld {
+                    cands[c] = vec![e.pos];
+                }
+            }
+        }
+    }
+}
+
+/// The sliced pass — Algorithm 6 for all clients in one descending pass over
+/// the write index — against its oracle, one [`closure_for`] walk per client
+/// on a cloned queue: same `send`, `blind_set` and `scanned` for every
+/// client, and the same `sent` set on every entry afterwards. Queues carry
+/// dropped entries, partly-sent chains, clients with no candidates and
+/// actions that read nothing; 1 / 65 / 130 / 1024 clients put the
+/// scenario's clients in one mask word, two, three, and spread over sixteen
+/// with most of them empty.
+#[test]
+fn sliced_closure_matches_per_client_walks() {
+    sliced_closure_cases();
+    for (what, counter) in [
+        ("subtract", &SLICED_SUBTRACTS),
+        ("residue", &SLICED_RESIDUES),
+        ("support beyond the candidates", &SLICED_SUPPORTS),
+    ] {
+        let n = counter.load(Ordering::Relaxed);
+        assert!(
+            n > 100,
+            "only {n} cases of {what}: the differential is vacuous"
+        );
     }
 }

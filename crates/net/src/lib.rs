@@ -26,5 +26,5 @@ pub mod time;
 
 pub use event::EventQueue;
 pub use link::Link;
-pub use stats::{Histogram, Summary};
+pub use stats::{Histogram, RunningSummary, Summary};
 pub use time::{SimDuration, SimTime};

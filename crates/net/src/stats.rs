@@ -148,6 +148,70 @@ impl fmt::Display for Summary {
     }
 }
 
+/// A running summary of `f64` samples in constant space: how many there
+/// were, their sum, and the smallest and largest. For metrics that a
+/// long-running node records on every cycle — a [`Summary`] there would grow
+/// without bound — and of which only the mean and the range are ever read.
+///
+/// ```
+/// use seve_net::RunningSummary;
+///
+/// let mut s = RunningSummary::default();
+/// for v in [250.0, 300.0, 350.0] {
+///     s.record(v);
+/// }
+/// assert_eq!((s.count(), s.mean(), s.min(), s.max()), (3, 300.0, 250.0, 350.0));
+/// ```
+#[derive(Clone, Copy, Debug, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+pub struct RunningSummary {
+    count: u64,
+    sum: f64,
+    min: f64,
+    max: f64,
+}
+
+impl RunningSummary {
+    /// Record one sample.
+    pub fn record(&mut self, v: f64) {
+        debug_assert!(v.is_finite());
+        if self.count == 0 {
+            (self.min, self.max) = (v, v);
+        } else {
+            self.min = self.min.min(v);
+            self.max = self.max.max(v);
+        }
+        self.count += 1;
+        self.sum += v;
+    }
+
+    /// Number of samples recorded.
+    #[inline]
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Arithmetic mean, or 0 before the first sample.
+    pub fn mean(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum / self.count as f64
+        }
+    }
+
+    /// Smallest sample, or 0 before the first.
+    #[inline]
+    pub fn min(&self) -> f64 {
+        self.min
+    }
+
+    /// Largest sample, or 0 before the first.
+    #[inline]
+    pub fn max(&self) -> f64 {
+        self.max
+    }
+}
+
 /// A fixed-width linear histogram over `[0, width × buckets)`, with an
 /// overflow bucket.
 #[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
@@ -257,6 +321,39 @@ mod tests {
         assert_eq!(s.quantile(1.0), 5.0);
         assert_eq!(s.quantile(0.0), 1.0);
         assert!((s.stddev() - 2.0f64.sqrt()).abs() < 1e-3);
+    }
+
+    #[test]
+    fn running_summary_agrees_with_the_sample_keeping_one() {
+        let (mut kept, mut running) = (Summary::new(), RunningSummary::default());
+        for v in [3.0, -1.5, 8.25, 0.0, 8.25, 2.0] {
+            kept.record(v);
+            running.record(v);
+        }
+        assert_eq!(running.count(), kept.count() as u64);
+        assert_eq!(running.mean(), kept.mean());
+        assert_eq!(running.min(), kept.min());
+        assert_eq!(running.max(), kept.max());
+    }
+
+    #[test]
+    fn running_summary_is_fixed_size_and_zero_when_empty() {
+        let empty = RunningSummary::default();
+        assert_eq!(
+            (empty.count(), empty.mean(), empty.min(), empty.max()),
+            (0, 0.0, 0.0, 0.0)
+        );
+        // The first sample sets both ends of the range, whatever its sign.
+        let mut s = RunningSummary::default();
+        s.record(-4.0);
+        assert_eq!((s.min(), s.max()), (-4.0, -4.0));
+        // A million samples later it is the same four words.
+        for i in 0..1_000_000 {
+            s.record(f64::from(i % 7));
+        }
+        assert_eq!(s.count(), 1_000_001);
+        assert_eq!((s.min(), s.max()), (-4.0, 6.0));
+        assert_eq!(std::mem::size_of_val(&s), 32);
     }
 
     #[test]

@@ -44,12 +44,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== e2e bench builds =="
 # bench/ is a package of its own that the root workspace never compiles, so
 # a library change can break it unseen. Build it, run its unit tests and
-# three short workloads — `sprawl` (ingress/route/egress; bypasses client
-# replay), `crowd` (out-of-order inserts, resyncs, blinds, GC) and
+# all four workloads, short — `sprawl` (ingress/route/egress; bypasses
+# client replay), `crowd` (out-of-order inserts, resyncs, blinds, GC),
+# `melee` (the only one with interest filters, area culling and Algorithm 7
+# drop marks, so the only one whose push cycle meets dropped entries) and
 # `loopback` (the only one through `run_server_with`, `driver::node` and
 # `driver::session`) — all in a throwaway directory: the step must leave
-# every file under bench/ as it found it. It runs ahead of the bench smoke,
-# whose 2-core `analyze_parallel` assertion can stop the script.
+# every file under bench/ as it found it.
 e2e_tmp=$(mktemp -d)
 trap 'rm -rf "$e2e_tmp"' EXIT
 bench_before=$(git status --porcelain -- bench)
@@ -65,6 +66,7 @@ bench_before=$(git status --porcelain -- bench)
   }
   e2e sprawl 1
   e2e crowd 1
+  e2e melee 1
   # `loopback` paces real sockets against the wall clock, and the harness
   # disowns a rep whose generator ran late on a busy host. Retry once if —
   # and only if — that verdict (and the missing metrics that follow from
