@@ -4,7 +4,10 @@
 //! Measures, on representative Manhattan People payloads:
 //!
 //! * per-message encode wall-clock: the allocating `wire::to_bytes` oracle
-//!   vs pooled `wire::to_bytes_into` over recycled buffers;
+//!   vs pooled `wire::to_bytes_into` over recycled buffers, both on
+//!   never-serialized payloads, and the pooled encode of a new batch over
+//!   actions already encoded twice (each action's bytes spliced from its
+//!   `Shared` slot);
 //! * push-cycle egress wall-clock over real loopback TCP: the oracle
 //!   per-message `write_msg` fan-out (encode N times, two syscalls per
 //!   frame) vs the pooled shared-payload `fan_out` (encode once, vectored
@@ -13,14 +16,15 @@
 //!   logical `frames_encoded`/`frames_reused` counters).
 //!
 //! Asserts in-process that the pooled encoding is byte-identical to the
-//! oracle (including after pool recycling) and that the pool reaches a
-//! zero-allocation steady state. Writes `BENCH_wire.json` (or the `--out`
-//! path). `--smoke` runs a seconds-scale subset for CI. Invoked by
+//! oracle (including after pool recycling and with spliced action bytes)
+//! and that the pool reaches a zero-allocation steady state. Writes
+//! `BENCH_wire.json` (or the `--out` path), stamped with the commit it
+//! measured. `--smoke` runs a seconds-scale subset for CI. Invoked by
 //! `scripts/bench.sh`.
 
 use seve_core::config::ServerMode;
 use seve_core::engine::ShareKey;
-use seve_core::msg::{Item, ToClient};
+use seve_core::msg::{Item, Payload, ToClient};
 use seve_rt::server::{fan_out, RtDown};
 use seve_rt::wire::{self, BufferPool};
 use seve_sim::experiment::{paper_protocol, paper_sim, paper_world, run_seve, Scale};
@@ -41,8 +45,8 @@ fn median_ns(mut samples: Vec<u64>) -> u64 {
     samples[samples.len() / 2]
 }
 
-/// A broadcast-shaped batch: `len` real Manhattan moves in one frame.
-fn sample_batch(len: usize) -> Down {
+/// `len` real Manhattan moves, as the items of one broadcast-shaped frame.
+fn sample_items(len: usize) -> Vec<Item<MoveAction>> {
     let world = paper_world(16, Scale::Quick);
     let mut wl = ManhattanWorkload::new(&world);
     let mut state = world.initial_state();
@@ -56,9 +60,41 @@ fn sample_batch(len: usize) -> Down {
         state.apply_writes(&out.writes);
         items.push(Item::action((i + 1) as u64, a));
     }
+    items
+}
+
+/// A batch of never-serialized copies of `items`.
+fn fresh_batch(items: &[Item<MoveAction>]) -> Down {
+    let copies: Vec<Item<MoveAction>> = items
+        .iter()
+        .map(|it| match &it.payload {
+            Payload::Action(a) => Item::action(it.pos, (**a).clone()),
+            Payload::Blind(s) => Item::blind(it.pos, (**s).clone()),
+        })
+        .collect();
     ToClient::Batch {
-        items: items.into(),
+        items: copies.into(),
     }
+}
+
+/// A new batch vector sharing `items`' payloads (and their slots), as each
+/// recipient of a push cycle gets.
+fn batch_over(items: &[Item<MoveAction>]) -> Down {
+    ToClient::Batch {
+        items: items.to_vec().into(),
+    }
+}
+
+/// The commit the tables were taken at, so a checked-in BENCH file names
+/// the code it measured (`-dirty`: that commit plus uncommitted changes).
+fn source_commit() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string())
 }
 
 struct EncodeRow {
@@ -66,6 +102,7 @@ struct EncodeRow {
     frame_bytes: usize,
     oracle_ns: u64,
     pooled_ns: u64,
+    spliced_ns: u64,
 }
 
 struct CycleRow {
@@ -192,13 +229,14 @@ fn main() {
         let mut pool = BufferPool::new();
         let mut ok = true;
         for len in [1usize, 4, 16, 64] {
-            let msg = sample_batch(len);
-            let oracle = wire::to_bytes(&msg).expect("oracle");
-            // Two rounds through the pool so the second encode runs over a
-            // recycled (previously dirtied) buffer.
-            for _ in 0..2 {
+            let items = sample_items(len);
+            let oracle = wire::to_bytes(&fresh_batch(&items)).expect("oracle");
+            // Three rounds through the pool: the second runs over a
+            // recycled (previously dirtied) buffer and fills the actions'
+            // slots, the third splices them.
+            for _ in 0..3 {
                 let mut buf = pool.take();
-                wire::to_bytes_into(&msg, &mut buf).expect("pooled");
+                wire::to_bytes_into(&batch_over(&items), &mut buf).expect("pooled");
                 ok &= buf == oracle;
                 pool.put(buf);
             }
@@ -207,7 +245,9 @@ fn main() {
         ok
     };
 
-    // --- Encode throughput: to_bytes (alloc/call) vs pooled buffer. ------
+    // --- Encode throughput: to_bytes (alloc/call) vs pooled buffer, on ---
+    // fresh payloads (built outside the stopwatch), then pooled over warm
+    // action slots.
     let (encode_lens, encode_iters): (&[usize], usize) = if smoke {
         (&[16], 400)
     } else {
@@ -215,11 +255,12 @@ fn main() {
     };
     let mut encode_rows = Vec::new();
     for &len in encode_lens {
-        let msg = sample_batch(len);
-        let frame_bytes = wire::to_bytes(&msg).expect("oracle").len();
+        let items = sample_items(len);
+        let frame_bytes = wire::to_bytes(&fresh_batch(&items)).expect("oracle").len();
         let oracle_ns = median_ns(
             (0..encode_iters)
                 .map(|_| {
+                    let msg = fresh_batch(&items);
                     let t = Instant::now();
                     std::hint::black_box(wire::to_bytes(&msg).expect("oracle"));
                     t.elapsed().as_nanos() as u64
@@ -227,21 +268,30 @@ fn main() {
                 .collect(),
         );
         let mut pool = BufferPool::new();
+        let mut pooled = |msg: Down| {
+            let t = Instant::now();
+            let mut buf = pool.take();
+            wire::to_bytes_into(&msg, &mut buf).expect("pooled");
+            std::hint::black_box(&buf);
+            pool.put(buf);
+            t.elapsed().as_nanos() as u64
+        };
         let pooled_ns = median_ns(
             (0..encode_iters)
-                .map(|_| {
-                    let t = Instant::now();
-                    let mut buf = pool.take();
-                    wire::to_bytes_into(&msg, &mut buf).expect("pooled");
-                    std::hint::black_box(&buf);
-                    pool.put(buf);
-                    t.elapsed().as_nanos() as u64
-                })
+                .map(|_| pooled(fresh_batch(&items)))
+                .collect(),
+        );
+        // Two encodes warm every action's slot; each later batch splices.
+        pooled(batch_over(&items));
+        pooled(batch_over(&items));
+        let spliced_ns = median_ns(
+            (0..encode_iters)
+                .map(|_| pooled(batch_over(&items)))
                 .collect(),
         );
         eprintln!(
             "encode items={len} ({frame_bytes} B): oracle {oracle_ns} ns, \
-             pooled {pooled_ns} ns ({:.2}x)",
+             pooled {pooled_ns} ns ({:.2}x), spliced {spliced_ns} ns",
             oracle_ns as f64 / pooled_ns.max(1) as f64
         );
         encode_rows.push(EncodeRow {
@@ -249,6 +299,7 @@ fn main() {
             frame_bytes,
             oracle_ns,
             pooled_ns,
+            spliced_ns,
         });
     }
 
@@ -265,7 +316,7 @@ fn main() {
     let warmup = 5usize;
     // Distinct batch instances: each is its own shared payload (its own
     // ShareId) within a cycle, like consecutive spans of the queue.
-    let batches: Vec<Down> = (0..8).map(|_| sample_batch(8)).collect();
+    let batches: Vec<Down> = (0..8).map(|_| fresh_batch(&sample_items(8))).collect();
     let frames_per_client = batches.len() + 1;
     let mut cycle_rows = Vec::new();
     let mut pool_steady_state_zero_alloc = true;
@@ -368,22 +419,24 @@ fn main() {
     );
 
     // --- Emit JSON (no serializer dependency: the shape is flat). --------
+    let commit = source_commit();
     let mut j = String::new();
     j.push_str("{\n");
     let _ = writeln!(
         j,
-        "  \"meta\": {{\"bench\": \"wire\", \"smoke\": {smoke}, \"world\": \"manhattan_people\", \"pooled_matches_oracle\": {pooled_matches_oracle}, \"pool_steady_state_zero_alloc\": {pool_steady_state_zero_alloc}}},"
+        "  \"meta\": {{\"bench\": \"wire\", \"commit\": \"{commit}\", \"smoke\": {smoke}, \"world\": \"manhattan_people\", \"pooled_matches_oracle\": {pooled_matches_oracle}, \"pool_steady_state_zero_alloc\": {pool_steady_state_zero_alloc}}},"
     );
     j.push_str("  \"encode\": [\n");
     for (i, r) in encode_rows.iter().enumerate() {
         let sep = if i + 1 < encode_rows.len() { "," } else { "" };
         let _ = writeln!(
             j,
-            "    {{\"items\": {}, \"frame_bytes\": {}, \"oracle_median_ns\": {}, \"pooled_median_ns\": {}, \"speedup\": {:.3}}}{sep}",
+            "    {{\"items\": {}, \"frame_bytes\": {}, \"oracle_median_ns\": {}, \"pooled_median_ns\": {}, \"spliced_median_ns\": {}, \"speedup\": {:.3}}}{sep}",
             r.items,
             r.frame_bytes,
             r.oracle_ns,
             r.pooled_ns,
+            r.spliced_ns,
             r.oracle_ns as f64 / r.pooled_ns.max(1) as f64,
         );
     }

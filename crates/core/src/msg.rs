@@ -15,27 +15,44 @@
 //! can account bandwidth (Figure 9) without actually serializing.
 
 use crate::engine::{ShareId, ShareKey, WireSize};
+use seve_net::wire;
 use seve_world::ids::{ActionId, QueuePos};
 use seve_world::state::{Snapshot, WriteLog};
 use seve_world::Action;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// A reference-counted payload that encodes transparently: `Shared<T>` has
-/// the exact wire bytes of a bare `T`.
+/// the exact wire bytes of a bare `T`, and encodes them at most twice.
 ///
-/// This is what makes encode-once fan-out free at the protocol layer: a
-/// push cycle builds one `Shared` snapshot / item vector and every
-/// per-client message clone is an `Arc` bump, while the wire format — and
-/// therefore golden digests, bandwidth accounting, and interoperability
-/// with the [`to_bytes` oracle](crate::engine::WireSize) — is unchanged.
-/// [`Shared::ptr_id`] gives transports a frame-cache key
-/// ([`ShareId::Ptr`]).
-pub struct Shared<T>(Arc<T>);
+/// A push cycle builds one `Shared` per queued action, snapshot or item
+/// vector, and every per-client message clone is an `Arc` bump. The value's
+/// first serialization runs the codec as usual. The second encodes it once
+/// more into a slot the clones share, and that and every later
+/// serialization copy the slot's bytes into the output through the codec's
+/// [`wire::Raw`] splice. So an action sent to one client is encoded once,
+/// and an action sent to 45 is encoded twice and copied 44 times. The
+/// simulator never serializes, so its slots stay empty. [`Shared::ptr_id`]
+/// gives transports a frame-cache key ([`ShareId::Ptr`]).
+pub struct Shared<T>(Arc<Slot<T>>);
+
+struct Slot<T> {
+    value: T,
+    /// Set by the first serialization. Publishes nothing: a lost race
+    /// only means one more inline encode.
+    serialized: AtomicBool,
+    /// `value`'s wire bytes, filled by the second.
+    encoded: OnceLock<Vec<u8>>,
+}
 
 impl<T> Shared<T> {
     /// Wrap a value.
     pub fn new(value: T) -> Self {
-        Shared(Arc::new(value))
+        Shared(Arc::new(Slot {
+            value,
+            serialized: AtomicBool::new(false),
+            encoded: OnceLock::new(),
+        }))
     }
 
     /// The allocation's address, as a sharing identity. Only meaningful
@@ -54,19 +71,19 @@ impl<T> Clone for Shared<T> {
 impl<T> std::ops::Deref for Shared<T> {
     type Target = T;
     fn deref(&self) -> &T {
-        &self.0
+        &self.0.value
     }
 }
 
 impl<T: std::fmt::Debug> std::fmt::Debug for Shared<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.0.fmt(f)
+        self.0.value.fmt(f)
     }
 }
 
 impl<T: PartialEq> PartialEq for Shared<T> {
     fn eq(&self, other: &Self) -> bool {
-        *self.0 == *other.0
+        self.0.value == other.0.value
     }
 }
 
@@ -76,17 +93,20 @@ impl<T> From<T> for Shared<T> {
     }
 }
 
-impl<T> From<Arc<T>> for Shared<T> {
-    fn from(value: Arc<T>) -> Self {
-        Shared(value)
-    }
-}
-
 // The vendored serde has no `rc` feature, and we want byte-transparency
 // (no Arc framing on the wire) anyway — forward both impls by hand.
 impl<T: serde::Serialize> serde::Serialize for Shared<T> {
     fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        self.0.serialize(serializer)
+        let slot = &*self.0;
+        if let Some(bytes) = slot.encoded.get() {
+            return wire::Raw(bytes).serialize(serializer);
+        }
+        if !slot.serialized.load(Ordering::Relaxed) {
+            slot.serialized.store(true, Ordering::Relaxed);
+            return slot.value.serialize(serializer);
+        }
+        let bytes = wire::to_bytes(&slot.value).map_err(serde::ser::Error::custom)?;
+        wire::Raw(slot.encoded.get_or_init(|| bytes)).serialize(serializer)
     }
 }
 

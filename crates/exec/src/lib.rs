@@ -100,13 +100,15 @@ struct Shared {
 }
 
 impl Shared {
-    /// Execute one job, charging the busy/task counters.
+    /// Execute one job, charging the busy/task counters. The task is
+    /// counted before it runs: running it releases its batch's latch, so a
+    /// count taken after would race the `run` that returns on that latch.
     fn exec_job(&self, job: Job) {
+        self.tasks.fetch_add(1, Ordering::Relaxed);
         let t0 = Instant::now();
         job();
         self.busy_nanos
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        self.tasks.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Take the next job for worker `w`: own deque first, then the

@@ -15,6 +15,11 @@
 //!   "total data transfer" instrumentation).
 //! * [`stats`] — online summary statistics and response-time collectors
 //!   backing every reported series.
+//! * [`wire`] — the binary serde codec every real transport frames: varint
+//!   integers, exact float bits, validated decoding, and the [`wire::Raw`]
+//!   splice that lets a value encoded once be copied into later messages.
+//!   It sits below `seve-core` so protocol messages can cache their own
+//!   encodings; the simulator never calls it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,6 +28,7 @@ pub mod event;
 pub mod link;
 pub mod stats;
 pub mod time;
+pub mod wire;
 
 pub use event::EventQueue;
 pub use link::Link;

@@ -6,11 +6,13 @@
 //! driven over actual TCP sockets with a binary wire format, OS threads,
 //! and wall-clock tick/push timers.
 //!
-//! * [`wire`] — a compact, non-self-describing binary serde format
-//!   (fixed-width little-endian integers, length-prefixed sequences). No
-//!   wire-format crate is among the project's allowed dependencies, so the
-//!   format is implemented here; anything with a serde derive encodes.
-//! * [`frame`] — length-prefixed framing over `TcpStream`.
+//! * [`wire`] — the binary serde codec, re-exported from `seve-net` (it
+//!   sits below `seve-core` so protocol messages can cache their own
+//!   encodings). No wire-format crate is among the project's allowed
+//!   dependencies, so the format is implemented in-repo; anything with a
+//!   serde derive encodes.
+//! * [`frame`] — length-prefixed framing over `TcpStream` (a fixed `u32`
+//!   prefix, so a reader can size a frame from four bytes).
 //! * [`server`] — a threaded server hosting any [`seve_core::ServerNode`].
 //! * [`client`] — a threaded client driving a [`seve_core::SeveClient`]
 //!   with a workload at a fixed move cadence.
@@ -34,7 +36,7 @@ pub mod cli;
 pub mod client;
 pub mod frame;
 pub mod server;
-pub mod wire;
+pub use seve_net::wire;
 
 pub use client::{run_client, run_client_with, ClientReport, TcpClientTransport};
 pub use server::{fan_out, run_server, run_server_with, ServerReport, TcpServerTransport};

@@ -1,10 +1,12 @@
-//! Property-based round-trip tests for the binary wire format over
-//! arbitrary protocol payloads.
+//! Property-based tests for the binary wire format: round trips over
+//! arbitrary protocol payloads, the varint rules at every length, total
+//! safety on damaged input, and the identity of spliced encodings.
 
 use proptest::prelude::*;
+use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 use seve_core::msg::{Item, Payload, Shared, ToClient, ToServer};
-use seve_rt::wire::{from_bytes, to_bytes, to_bytes_into, BufferPool};
+use seve_rt::wire::{from_bytes, to_bytes, to_bytes_into, BufferPool, WireError};
 use seve_world::geometry::Vec2;
 use seve_world::ids::{ActionId, AttrId, ClientId, ObjectId};
 use seve_world::objset::ObjectSet;
@@ -91,6 +93,175 @@ fn to_client() -> impl Strategy<Value = ToClient<Nested>> {
         }),
         (1u64..1000).prop_map(|pos| ToClient::GcUpTo { pos }),
     ]
+}
+
+/// Integers spread over every varint length; `any::<u64>()` alone almost
+/// always draws a ten-byte form.
+fn spread_u64() -> impl Strategy<Value = u64> {
+    (0u32..64, any::<u64>()).prop_map(|(shift, v)| v >> shift)
+}
+
+fn spread_i64() -> impl Strategy<Value = i64> {
+    (0u32..64, any::<i64>()).prop_map(|(shift, v)| v >> shift)
+}
+
+/// Bytes of the shortest LEB128 form of `v`.
+fn varint_len(v: u64) -> usize {
+    (64 - v.leading_zeros() as usize).div_ceil(7).max(1)
+}
+
+fn roundtrip_len<T: Serialize + DeserializeOwned + PartialEq + std::fmt::Debug>(v: T) -> usize {
+    let bytes = to_bytes(&v).unwrap();
+    assert_eq!(from_bytes::<T>(&bytes).unwrap(), v);
+    bytes.len()
+}
+
+/// A batch over `handles` picked by `picks`, optionally after a blind.
+fn batch_of(
+    handles: &[Shared<Nested>],
+    picks: &[usize],
+    blind: Option<&Shared<Snapshot>>,
+) -> ToClient<Nested> {
+    let mut items: Vec<Item<Nested>> = blind
+        .map(|s| Item {
+            pos: 1,
+            payload: Payload::Blind(s.clone()),
+        })
+        .into_iter()
+        .collect();
+    for (k, &i) in picks.iter().enumerate() {
+        items.push(Item {
+            pos: 20_000 + k as u64,
+            payload: Payload::Action(handles[i].clone()),
+        });
+    }
+    ToClient::Batch {
+        items: items.into(),
+    }
+}
+
+/// The same batch built from never-serialized copies of every payload.
+fn fresh_batch(
+    handles: &[Shared<Nested>],
+    picks: &[usize],
+    blind: Option<&Shared<Snapshot>>,
+) -> ToClient<Nested> {
+    let handles: Vec<Shared<Nested>> = handles.iter().map(|h| Shared::new((**h).clone())).collect();
+    let blind = blind.map(|s| Shared::new((**s).clone()));
+    batch_of(&handles, picks, blind.as_ref())
+}
+
+#[test]
+fn integer_boundaries_roundtrip_at_every_width() {
+    for (v, len) in [
+        (0u16, 1),
+        (127, 1),
+        (128, 2),
+        (16383, 2),
+        (16384, 3),
+        (u16::MAX, 3),
+    ] {
+        assert_eq!(roundtrip_len(v), len, "u16 {v}");
+    }
+    for (v, len) in [
+        (0u32, 1),
+        (127, 1),
+        (128, 2),
+        (16383, 2),
+        (16384, 3),
+        (u32::MAX, 5),
+    ] {
+        assert_eq!(roundtrip_len(v), len, "u32 {v}");
+    }
+    for (v, len) in [
+        (0u64, 1),
+        (127, 1),
+        (128, 2),
+        (16383, 2),
+        (16384, 3),
+        (u64::MAX, 10),
+    ] {
+        assert_eq!(roundtrip_len(v), len, "u64 {v}");
+    }
+    // Zigzag: n ≥ 0 encodes as 2n, n < 0 as −2n − 1.
+    for (v, len) in [
+        (0i16, 1),
+        (-64, 1),
+        (127, 2),
+        (128, 2),
+        (16383, 3),
+        (16384, 3),
+        (i16::MAX, 3),
+        (i16::MIN, 3),
+    ] {
+        assert_eq!(roundtrip_len(v), len, "i16 {v}");
+    }
+    for (v, len) in [
+        (0i32, 1),
+        (127, 2),
+        (128, 2),
+        (16383, 3),
+        (i32::MAX, 5),
+        (i32::MIN, 5),
+    ] {
+        assert_eq!(roundtrip_len(v), len, "i32 {v}");
+    }
+    for (v, len) in [
+        (0i64, 1),
+        (127, 2),
+        (16384, 3),
+        (i64::MAX, 10),
+        (i64::MIN, 10),
+    ] {
+        assert_eq!(roundtrip_len(v), len, "i64 {v}");
+    }
+    for (v, len) in [(0u8, 1), (u8::MAX, 1)] {
+        assert_eq!(roundtrip_len(v), len);
+    }
+    for (v, len) in [(i8::MIN, 1), (i8::MAX, 1)] {
+        assert_eq!(roundtrip_len(v), len);
+    }
+    for c in ['a', 'é', '\u{10FFFF}'] {
+        roundtrip_len(c);
+    }
+}
+
+#[test]
+fn malformed_varints_are_rejected_in_every_position() {
+    // Overlong zero, as a scalar, a length and an enum variant index.
+    assert_eq!(
+        from_bytes::<u16>(&[0x80, 0x00]),
+        Err(WireError::NonCanonical)
+    );
+    assert_eq!(
+        from_bytes::<Vec<u8>>(&[0x80, 0x00]),
+        Err(WireError::NonCanonical)
+    );
+    assert_eq!(
+        from_bytes::<ToClient<Nested>>(&[0x82, 0x00, 0x05]).unwrap_err(),
+        WireError::NonCanonical
+    );
+    // Eleven bytes.
+    let mut eleven = vec![0x80u8; 10];
+    eleven.push(0x00);
+    assert_eq!(from_bytes::<u64>(&eleven), Err(WireError::VarintTooLong));
+    // A u16 field given 70000, alone and inside a struct.
+    let seventy_k = to_bytes(&70_000u32).unwrap();
+    assert_eq!(
+        from_bytes::<u16>(&seventy_k),
+        Err(WireError::OutOfRange { max: 65535 })
+    );
+    let mut id = seventy_k.clone();
+    id.push(0);
+    assert_eq!(
+        from_bytes::<ActionId>(&id),
+        Err(WireError::OutOfRange { max: 65535 })
+    );
+    // Input that ends mid-varint.
+    assert!(matches!(
+        from_bytes::<u64>(&seventy_k[..2]),
+        Err(WireError::Truncated { .. })
+    ));
 }
 
 /// Arbitrary protocol messages upstream (client → server).
@@ -244,5 +415,116 @@ proptest! {
             };
             prop_assert!(r.is_err(), "{} decoded with trailing bytes", what);
         }
+    }
+
+    #[test]
+    fn varints_roundtrip_at_every_length(v in spread_u64(), n in spread_i64()) {
+        let bytes = to_bytes(&v).unwrap();
+        prop_assert_eq!(bytes.len(), varint_len(v));
+        prop_assert_eq!(from_bytes::<u64>(&bytes).unwrap(), v);
+        // The same bytes into narrower fields: in range decodes, beyond
+        // range is a typed error.
+        match u32::try_from(v) {
+            Ok(v32) => prop_assert_eq!(from_bytes::<u32>(&bytes).unwrap(), v32),
+            Err(_) => prop_assert_eq!(
+                from_bytes::<u32>(&bytes),
+                Err(WireError::OutOfRange { max: u32::MAX.into() })
+            ),
+        }
+        match u16::try_from(v) {
+            Ok(v16) => prop_assert_eq!(from_bytes::<u16>(&bytes).unwrap(), v16),
+            Err(_) => prop_assert_eq!(
+                from_bytes::<u16>(&bytes),
+                Err(WireError::OutOfRange { max: u16::MAX.into() })
+            ),
+        }
+        let bytes = to_bytes(&n).unwrap();
+        prop_assert_eq!(from_bytes::<i64>(&bytes).unwrap(), n);
+    }
+
+    #[test]
+    fn overlong_and_cut_varints_are_rejected(v in spread_u64(), pad in 1usize..4) {
+        let bytes = to_bytes(&v).unwrap();
+        // Re-encode with `pad` redundant zero groups.
+        let mut long = bytes.clone();
+        *long.last_mut().unwrap() |= 0x80;
+        long.extend(std::iter::repeat_n(0x80, pad - 1));
+        long.push(0x00);
+        let want = if long.len() > 10 {
+            WireError::VarintTooLong
+        } else {
+            WireError::NonCanonical
+        };
+        prop_assert_eq!(from_bytes::<u64>(&long), Err(want));
+        // Every strict prefix of a multi-byte form is truncated.
+        for cut in 1..bytes.len() {
+            let truncated = matches!(
+                from_bytes::<u64>(&bytes[..cut]),
+                Err(WireError::Truncated { .. })
+            );
+            prop_assert!(truncated);
+        }
+    }
+
+    /// Whatever decodes as an `ObjectSet` is strictly ascending and carries
+    /// the signature its ids fold to; nothing else decodes.
+    #[test]
+    fn decoded_sets_carry_their_own_signature(
+        ids in prop::collection::vec(0u32..40, 0..20),
+        sort in any::<bool>(),
+        noise in prop::collection::vec(any::<u8>(), 0..24),
+    ) {
+        // Sorted half the time (duplicates kept), so ascending and
+        // merely non-descending lists are both common.
+        let mut ids = ids;
+        if sort {
+            ids.sort_unstable();
+        }
+        let bytes = to_bytes(&ids).unwrap();
+        let ascending = ids.windows(2).all(|w| w[0] < w[1]);
+        for candidate in [&bytes, &noise] {
+            let Ok(set) = from_bytes::<ObjectSet>(candidate) else { continue };
+            let decoded = set.as_slice();
+            prop_assert!(decoded.windows(2).all(|w| w[0] < w[1]));
+            let fold = set
+                .iter()
+                .fold(0u64, |s, id| s | ObjectSet::singleton(id).signature());
+            prop_assert_eq!(set.signature(), fold);
+        }
+        prop_assert_eq!(from_bytes::<ObjectSet>(&bytes).is_ok(), ascending);
+    }
+
+    /// The splice is invisible on the wire: batches encoded with cold
+    /// slots, warm slots, and slots shared with other batches are byte-equal
+    /// to the same items built fresh.
+    #[test]
+    fn spliced_batches_match_fresh_encodings(
+        actions in prop::collection::vec(nested(), 1..6),
+        picks in prop::collection::vec(any::<u16>(), 1..10),
+        blind in snapshot(),
+    ) {
+        let handles: Vec<Shared<Nested>> = actions.into_iter().map(Shared::new).collect();
+        let picks: Vec<usize> = picks.iter().map(|&p| p as usize % handles.len()).collect();
+        let all: Vec<usize> = (0..handles.len()).collect();
+        let blind = Shared::new(blind);
+        let a = batch_of(&handles, &all, None);
+        let b = batch_of(&handles, &picks, Some(&blind));
+        let fresh_a = to_bytes(&fresh_batch(&handles, &all, None)).unwrap();
+        let fresh_b = to_bytes(&fresh_batch(&handles, &picks, Some(&blind))).unwrap();
+        let mut pool = BufferPool::new();
+        // Cold, then warm, then spliced — and `b` shares `a`'s slots (and
+        // may hold one handle several times).
+        for round in 0..3 {
+            for (msg, fresh) in [(&a, &fresh_a), (&b, &fresh_b)] {
+                let mut buf = pool.take();
+                to_bytes_into(msg, &mut buf).unwrap();
+                prop_assert_eq!(&buf, fresh, "round {}", round);
+                pool.put(buf);
+                // A clone shares the item vector's slot too.
+                prop_assert_eq!(&to_bytes(&msg.clone()).unwrap(), fresh);
+            }
+        }
+        let back: ToClient<Nested> = from_bytes(&fresh_b).unwrap();
+        prop_assert_eq!(format!("{back:?}"), format!("{b:?}"));
     }
 }

@@ -1,0 +1,219 @@
+//! What the wire promises beyond round trips: decoding refuses bytes that
+//! would break an invariant the engines rely on, a server keeps serving
+//! around such frames, and the encoded size of representative messages is
+//! pinned so a codec change that grows the wire fails here first.
+
+use seve_core::config::{ProtocolConfig, ServerMode};
+use seve_core::engine::{ServerNode, WireSize};
+use seve_core::msg::{Item, Payload, ToClient, ToServer};
+use seve_core::pipeline::PipelineServer;
+use seve_net::time::SimTime;
+use seve_rt::wire::{from_bytes, to_bytes, WireError};
+use seve_world::ids::{AttrId, ClientId, ObjectId};
+use seve_world::state::Snapshot;
+use seve_world::value::Value;
+use seve_world::worlds::manhattan::{
+    ManhattanConfig, ManhattanWorkload, ManhattanWorld, MoveAction, SpawnPattern,
+};
+use seve_world::{Action, GameWorld};
+use std::collections::BTreeSet;
+use std::sync::Arc;
+
+/// Fifteen avatars a unit apart: every move reads all fifteen, the read-set
+/// size of a `crowd` move.
+fn crowd_world() -> Arc<ManhattanWorld> {
+    Arc::new(ManhattanWorld::new(ManhattanConfig {
+        width: 200.0,
+        height: 200.0,
+        walls: 100,
+        clients: 15,
+        spawn: SpawnPattern::Grid { spacing: 1.0 },
+        seed: 77,
+        ..ManhattanConfig::default()
+    }))
+}
+
+fn moves(world: &ManhattanWorld, n: u16, seq: u32) -> Vec<MoveAction> {
+    let mut wl = ManhattanWorkload::new(world);
+    let state = world.initial_state();
+    (0..n)
+        .map(|c| wl.make_move(ClientId(c), seq, &state).expect("move"))
+        .collect()
+}
+
+/// `haystack` with its one occurrence of `needle` replaced by the
+/// same-length `with`.
+fn substitute(haystack: &[u8], needle: &[u8], with: &[u8]) -> Vec<u8> {
+    assert_eq!(needle.len(), with.len());
+    let at: Vec<usize> = haystack
+        .windows(needle.len())
+        .enumerate()
+        .filter(|(_, w)| *w == needle)
+        .map(|(i, _)| i)
+        .collect();
+    assert_eq!(at.len(), 1, "the needle occurs exactly once");
+    let mut out = haystack.to_vec();
+    out[at[0]..at[0] + with.len()].copy_from_slice(with);
+    out
+}
+
+fn is_unsorted_error(e: &WireError) -> bool {
+    matches!(e, WireError::Custom(m) if m.contains("not strictly ascending"))
+}
+
+/// A `Submit` whose read set a peer reordered or duplicated, byte for byte.
+fn forged_submits(action: &MoveAction) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
+    let valid = to_bytes(&ToServer::Submit {
+        action: action.clone(),
+    })
+    .unwrap();
+    let ids: Vec<ObjectId> = action.read_set().iter().collect();
+    assert_eq!(ids.len(), 15);
+    let needle = to_bytes(&ids).unwrap();
+    let mut swapped = ids.clone();
+    swapped.swap(3, 4);
+    let mut duplicated = ids.clone();
+    duplicated[4] = duplicated[3];
+    let unsorted = substitute(&valid, &needle, &to_bytes(&swapped).unwrap());
+    let dup = substitute(&valid, &needle, &to_bytes(&duplicated).unwrap());
+    (valid, unsorted, dup)
+}
+
+#[test]
+fn an_unsorted_or_duplicated_read_set_fails_to_decode() {
+    let world = crowd_world();
+    let action = &moves(&world, 1, 0)[0];
+    let (valid, unsorted, dup) = forged_submits(action);
+    let back: ToServer<MoveAction> = from_bytes(&valid).unwrap();
+    let ToServer::Submit { action: back } = back else {
+        panic!("a submit")
+    };
+    assert_eq!(back.read_set(), action.read_set());
+    for forged in [unsorted, dup] {
+        let err = from_bytes::<ToServer<MoveAction>>(&forged).unwrap_err();
+        assert!(is_unsorted_error(&err), "{err}");
+    }
+}
+
+#[test]
+fn an_unsorted_object_in_a_blind_fails_to_decode() {
+    let world = crowd_world();
+    let obj = world.initial_state().get(ObjectId(3)).unwrap().clone();
+    let attrs: Vec<(AttrId, Value)> = obj.iter().collect();
+    assert!(attrs.len() >= 2);
+    let mut snap = Snapshot::new();
+    snap.push(ObjectId(3), obj);
+    let batch: ToClient<MoveAction> = ToClient::Batch {
+        items: vec![Item::blind(7, snap)].into(),
+    };
+    let valid = to_bytes(&batch).unwrap();
+    assert!(from_bytes::<ToClient<MoveAction>>(&valid).is_ok());
+    let mut reordered = attrs.clone();
+    reordered.swap(0, 1);
+    let forged = substitute(
+        &valid,
+        &to_bytes(&attrs).unwrap(),
+        &to_bytes(&reordered).unwrap(),
+    );
+    let err = from_bytes::<ToClient<MoveAction>>(&forged).unwrap_err();
+    assert!(is_unsorted_error(&err), "{err}");
+}
+
+/// Frames that fail to decode are dropped at the codec; the engine never
+/// sees them and keeps serving the valid ones on either side.
+#[test]
+fn a_server_keeps_serving_around_forged_frames() {
+    let world = crowd_world();
+    let actions = moves(&world, 4, 0);
+    let frames: Vec<(ClientId, Vec<u8>)> = vec![
+        (ClientId(0), forged_submits(&actions[0]).0),
+        (ClientId(1), forged_submits(&actions[1]).1),
+        (ClientId(2), forged_submits(&actions[2]).2),
+        (ClientId(3), forged_submits(&actions[3]).0),
+    ];
+    for mode in [ServerMode::Incomplete, ServerMode::InfoBound] {
+        let mut server = PipelineServer::new(Arc::clone(&world), ProtocolConfig::with_mode(mode));
+        let mut out = Vec::new();
+        let mut rejected = 0;
+        for (from, frame) in &frames {
+            match from_bytes::<ToServer<MoveAction>>(frame) {
+                Ok(msg) => {
+                    server.deliver(SimTime::ZERO, *from, msg, &mut out);
+                }
+                Err(e) => {
+                    assert!(is_unsorted_error(&e), "{e}");
+                    rejected += 1;
+                }
+            }
+        }
+        let later = SimTime(1_000_000);
+        server.tick(later, &mut out);
+        server.push_tick(later, &mut out);
+        assert_eq!(rejected, 2);
+        assert_eq!(server.metrics().submissions, 2, "{mode:?}");
+        let mut sent = BTreeSet::new();
+        for (_, msg) in &out {
+            // What the server sends still crosses the wire.
+            let back: ToClient<MoveAction> = from_bytes(&to_bytes(msg).unwrap()).unwrap();
+            if let ToClient::Batch { items } = back {
+                for item in items.iter() {
+                    if let Payload::Action(a) = &item.payload {
+                        sent.insert(a.id());
+                    }
+                }
+            }
+        }
+        let want: BTreeSet<_> = [actions[0].id(), actions[3].id()].into();
+        assert_eq!(sent, want, "{mode:?}");
+    }
+}
+
+/// Encoded bytes of representative messages, against the simulator's
+/// modeled `WireSize` (which this codec does not change). A codec change
+/// that grows any of these fails here, not only in the benchmark.
+#[test]
+fn golden_encoded_sizes() {
+    let world = crowd_world();
+    let state = world.initial_state();
+    // Six moves with 15-id read sets behind a one-object blind, at queue
+    // positions and sequence numbers of a mid-run `crowd` batch.
+    let six = moves(&world, 6, 200);
+    let mut snap = Snapshot::new();
+    snap.push(ObjectId(3), state.get(ObjectId(3)).unwrap().clone());
+    let mut items = vec![Item::blind(20_000, snap)];
+    for (k, a) in six.iter().enumerate() {
+        assert_eq!(a.read_set().len(), 15);
+        items.push(Item::action(20_001 + k as u64, a.clone()));
+    }
+    let batch: ToClient<MoveAction> = ToClient::Batch {
+        items: items.into(),
+    };
+    let submit: ToServer<MoveAction> = ToServer::Submit {
+        action: six[0].clone(),
+    };
+    let completion: ToServer<MoveAction> = ToServer::Completion {
+        pos: 20_001,
+        id: six[0].id(),
+        writes: six[0].evaluate(world.env(), &state).writes,
+        aborted: false,
+    };
+    let gc: ToClient<MoveAction> = ToClient::GcUpTo { pos: 20_000 };
+    let real = [
+        to_bytes(&batch).unwrap().len(),
+        to_bytes(&submit).unwrap().len(),
+        to_bytes(&completion).unwrap().len(),
+        to_bytes(&gc).unwrap().len(),
+    ];
+    let modeled = [
+        batch.wire_bytes(),
+        submit.wire_bytes(),
+        completion.wire_bytes(),
+        gc.wire_bytes(),
+    ];
+    assert_eq!(
+        real,
+        [546, 80, 51, 4],
+        "real bytes: batch, submit, completion, gc"
+    );
+    assert_eq!(modeled, [859, 124, 79, 9], "modeled bytes");
+}

@@ -11,7 +11,7 @@ use crate::value::Value;
 use std::fmt;
 
 /// One object in the world-state database: a sorted attribute tuple.
-#[derive(Clone, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq, Eq, Default)]
 pub struct WorldObject {
     attrs: Vec<(AttrId, Value)>,
 }
@@ -93,6 +93,26 @@ impl WorldObject {
             .iter()
             .map(|&(_, v)| 2 + v.wire_bytes())
             .sum::<u32>()
+    }
+}
+
+impl serde::Serialize for WorldObject {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        serde::Serialize::serialize(&self.attrs, serializer)
+    }
+}
+
+/// Validating: [`WorldObject::get`] and [`WorldObject::set`] binary-search
+/// the attributes, so ids that are not strictly ascending are refused.
+impl<'de> serde::Deserialize<'de> for WorldObject {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let attrs: Vec<(AttrId, Value)> = serde::Deserialize::deserialize(deserializer)?;
+        if !attrs.windows(2).all(|w| w[0].0 < w[1].0) {
+            return Err(serde::de::Error::custom(
+                "object attribute ids are not strictly ascending",
+            ));
+        }
+        Ok(Self { attrs })
     }
 }
 

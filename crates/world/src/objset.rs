@@ -15,7 +15,10 @@
 //! without touching the element vectors, so [`ObjectSet::intersects`] falls
 //! through to the merge only when the signatures collide. The signature is
 //! an exact function of the membership (recomputed on removal), so derived
-//! equality and serialization stay consistent.
+//! equality stays consistent. It never travels: the serde form is the ids
+//! alone, and decoding rejects ids that are not strictly ascending and
+//! recomputes the signature, so no peer can hand the conflict scans a set
+//! whose signature or order lies about its members.
 
 use crate::ids::ObjectId;
 use std::fmt;
@@ -42,12 +45,12 @@ fn sig_of(ids: &[ObjectId]) -> u64 {
 /// let ws = ObjectSet::singleton(ObjectId(3));
 /// assert!(rs.intersects(&ws)); // the WS(a) ∩ S test of Algorithm 6
 /// ```
-#[derive(Clone, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq, Eq, Default)]
 pub struct ObjectSet {
     ids: Vec<ObjectId>,
     /// Occupancy signature: the OR of [`sig_bit`] over every member.
     /// Maintained exactly (a pure function of `ids`), so the derived
-    /// `PartialEq`/serde impls remain faithful to the membership.
+    /// `PartialEq` remains faithful to the membership.
     sig: u64,
 }
 
@@ -267,10 +270,35 @@ impl ObjectSet {
         self.sig = 0;
     }
 
-    /// Approximate wire size in bytes (length prefix + 4 bytes per id).
+    /// The simulated network's price for the set: a length prefix and 4
+    /// bytes per id. (The real codec sends one varint per id.)
     #[inline]
     pub fn wire_bytes(&self) -> u32 {
         2 + 4 * self.ids.len() as u32
+    }
+}
+
+/// The ids only; the signature is derived, not data.
+impl serde::Serialize for ObjectSet {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        serde::Serialize::serialize(&self.ids, serializer)
+    }
+}
+
+/// Validating: `contains`, `intersects` and the merges all assume sorted,
+/// duplicate-free ids, so anything else is refused rather than repaired.
+impl<'de> serde::Deserialize<'de> for ObjectSet {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let ids: Vec<ObjectId> = serde::Deserialize::deserialize(deserializer)?;
+        if !ids.windows(2).all(|w| w[0] < w[1]) {
+            return Err(serde::de::Error::custom(
+                "object set ids are not strictly ascending",
+            ));
+        }
+        Ok(Self {
+            sig: sig_of(&ids),
+            ids,
+        })
     }
 }
 

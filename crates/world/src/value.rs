@@ -70,8 +70,9 @@ impl Value {
 
     /// Approximate wire size of the value in bytes (tag + payload).
     ///
-    /// Used by the simulated network to account bandwidth, and by the real
-    /// runtime's codec as its actual encoded size.
+    /// The simulated network's price for the value (Figure 9). The real
+    /// codec's encoding is its own and often smaller: an `I64` is a tag and
+    /// a zigzag varint.
     #[inline]
     pub fn wire_bytes(self) -> u32 {
         match self {
