@@ -36,6 +36,58 @@ fn bench_state(c: &mut Criterion) {
         let set: ObjectSet = (0..16u32).map(ObjectId).collect();
         b.iter(|| std::hint::black_box(state.snapshot_of(&set).len()))
     });
+
+    // Crowd-sized: 128 avatars of three attributes, the state every
+    // `crowd` replica holds three times.
+    let mut crowd = WorldState::new();
+    for o in 0..128u32 {
+        for a in 0..3u16 {
+            crowd.set_attr(ObjectId(o), AttrId(a), (o as i64 * 3 + a as i64).into());
+        }
+    }
+    // ζ_CO drifts from ζ_CS by k written objects (each a copy on first
+    // write), then `clone_from` brings it back by re-pointing those k.
+    for k in [1u32, 8, 32] {
+        g.bench_with_input(
+            BenchmarkId::new("clone_from_128_after_writes", k),
+            &k,
+            |b, &k| {
+                let mut optimistic = crowd.clone();
+                b.iter(|| {
+                    for o in 0..k {
+                        optimistic.set_attr(ObjectId(o * 3 % 128), AttrId(0), 1i64.into());
+                    }
+                    optimistic.clone_from(&crowd);
+                    std::hint::black_box(optimistic.len())
+                })
+            },
+        );
+    }
+    // The reads of one `crowd` move: fifteen avatars.
+    let read_set: Vec<ObjectId> = (0..15u32).map(|i| ObjectId(i * 8)).collect();
+    g.bench_function("get_15_id_read_set", |b| {
+        b.iter(|| {
+            read_set
+                .iter()
+                .filter_map(|&id| crowd.get(id))
+                .map(|o| o.len())
+                .sum::<usize>()
+        })
+    });
+    // One move's writes to an object another state shares: the copy on
+    // first write, then the pointer put back.
+    let mut move_log = WriteLog::new();
+    for a in 0..3u16 {
+        move_log.push(ObjectId(5), AttrId(a), 7i64.into());
+    }
+    g.bench_function("apply_writes_shared_object", |b| {
+        let mut s = crowd.clone();
+        b.iter(|| {
+            s.apply_writes(&move_log);
+            s.copy_objects_from(&crowd, [ObjectId(5)]);
+            std::hint::black_box(s.len())
+        })
+    });
     g.finish();
 }
 

@@ -221,6 +221,10 @@ pub struct ServerMetrics {
     pub drops: u64,
     /// Actions installed into ζ_S (completions applied in order).
     pub installed: u64,
+    /// Client messages refused without effect: a submission naming an
+    /// object id outside the world, or a completion writing an object its
+    /// action did not declare in `WS`.
+    pub refused: u64,
     /// Queue entries touched per closure computation (the transitive
     /// closure cost the paper reports as 0.04 ms per move). Recorded per
     /// client per push cycle for as long as the server runs, so only the
@@ -268,6 +272,7 @@ mod tests {
         assert!(m.response_ms.is_empty());
         let s = ServerMetrics::default();
         assert_eq!(s.installed, 0);
+        assert_eq!(s.refused, 0);
         assert_eq!(s.max_queue_len, 0);
         assert_eq!(s.stage.ingress.events, 0);
         assert_eq!(s.stage.egress_bytes, 0);

@@ -156,6 +156,12 @@ impl<W: GameWorld> ServerNode<W> for PipelineServer<W> {
     ) -> u64 {
         match msg {
             ToServer::Submit { action } => {
+                if !self.state.in_world(action.read_set())
+                    || !self.state.in_world(action.write_set())
+                {
+                    self.state.metrics.refused += 1;
+                    return 0;
+                }
                 // At-least-once transports can redeliver a submission; the
                 // first copy already holds its queue position, so a second
                 // admit would serialize the same action twice.
@@ -193,6 +199,10 @@ impl<W: GameWorld> ServerNode<W> for PipelineServer<W> {
             } => {
                 if !self.routing.handles_completions() {
                     debug_assert!(false, "this mode's clients do not send completions");
+                    return 0;
+                }
+                if !serialize::writes_declared(&self.state, pos, &writes) {
+                    self.state.metrics.refused += 1;
                     return 0;
                 }
                 let t = Instant::now();

@@ -44,6 +44,20 @@ pub fn on_completion<W: GameWorld>(
     install_ready(st)
 }
 
+/// Does a completion for `pos` write only objects in its queued action's
+/// write set? Under the [`Action`](seve_world::Action) contract `WS` bounds
+/// what evaluation may write, so anything else is forged. A position no
+/// longer queued passes: [`on_completion`] ignores it.
+pub(crate) fn writes_declared<W: GameWorld>(
+    st: &PipelineState<W>,
+    pos: QueuePos,
+    writes: &WriteLog,
+) -> bool {
+    st.queue
+        .get(pos)
+        .is_none_or(|e| writes.iter().all(|(o, _, _)| e.ws().contains(o)))
+}
+
 /// Re-run the install loop (e.g. after a front entry was dropped by
 /// Algorithm 7 and now commits as a no-op).
 pub fn try_install<W: GameWorld>(st: &mut PipelineState<W>) -> bool {

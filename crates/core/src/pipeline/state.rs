@@ -12,6 +12,7 @@ use crate::closure::{ActionQueue, AnalyzeScratch, ObjectIdMap};
 use crate::config::ProtocolConfig;
 use crate::metrics::ServerMetrics;
 use seve_world::ids::{ActionId, QueuePos};
+use seve_world::objset::ObjectSet;
 use seve_world::state::WorldState;
 use seve_world::GameWorld;
 use std::collections::HashSet;
@@ -27,6 +28,11 @@ pub struct PipelineState<W: GameWorld> {
     pub zeta_s: WorldState,
     /// The last position installed into ζ_S.
     pub last_committed: QueuePos,
+    /// One past the largest object id of the world's initial state. Every
+    /// object id a client names must lie below it: ζ_S is a table as long
+    /// as the largest id written into it, so a peer must not choose that
+    /// length.
+    pub(crate) object_bound: usize,
     /// The queue of uncommitted actions.
     pub queue: ActionQueue<W::Action>,
     /// Metrics sink.
@@ -91,9 +97,12 @@ impl<W: GameWorld> PipelineState<W> {
         let mut metrics = ServerMetrics::default();
         metrics.stage.analyze_threads = analyze_threads as u64;
         metrics.stage.exec_width = exec.width() as u64;
+        let zeta_s = world.initial_state();
+        let object_bound = zeta_s.iter().last().map_or(0, |(id, _)| id.index() + 1);
         Self {
-            zeta_s: world.initial_state(),
+            zeta_s,
             last_committed: 0,
+            object_bound,
             queue: ActionQueue::new(),
             metrics,
             last_gc_sent: 0,
@@ -122,6 +131,14 @@ impl<W: GameWorld> PipelineState<W> {
     /// Number of participating clients.
     pub fn num_clients(&self) -> usize {
         self.world.num_clients()
+    }
+
+    /// Does every id of `set` name an object of the world?
+    pub(crate) fn in_world(&self, set: &ObjectSet) -> bool {
+        // Ids ascend, so the last is the largest.
+        set.as_slice()
+            .last()
+            .is_none_or(|o| o.index() < self.object_bound)
     }
 
     /// Charge the scan-cost model for `entries` queue entries examined.

@@ -10,7 +10,8 @@ use seve_core::pipeline::PipelineServer;
 use seve_net::time::SimTime;
 use seve_rt::wire::{from_bytes, to_bytes, WireError};
 use seve_world::ids::{AttrId, ClientId, ObjectId};
-use seve_world::state::Snapshot;
+use seve_world::objset::ObjectSet;
+use seve_world::state::{Snapshot, WriteLog};
 use seve_world::value::Value;
 use seve_world::worlds::manhattan::{
     ManhattanConfig, ManhattanWorkload, ManhattanWorld, MoveAction, SpawnPattern,
@@ -41,10 +42,8 @@ fn moves(world: &ManhattanWorld, n: u16, seq: u32) -> Vec<MoveAction> {
         .collect()
 }
 
-/// `haystack` with its one occurrence of `needle` replaced by the
-/// same-length `with`.
+/// `haystack` with its one occurrence of `needle` replaced by `with`.
 fn substitute(haystack: &[u8], needle: &[u8], with: &[u8]) -> Vec<u8> {
-    assert_eq!(needle.len(), with.len());
     let at: Vec<usize> = haystack
         .windows(needle.len())
         .enumerate()
@@ -53,7 +52,7 @@ fn substitute(haystack: &[u8], needle: &[u8], with: &[u8]) -> Vec<u8> {
         .collect();
     assert_eq!(at.len(), 1, "the needle occurs exactly once");
     let mut out = haystack.to_vec();
-    out[at[0]..at[0] + with.len()].copy_from_slice(with);
+    out.splice(at[0]..at[0] + needle.len(), with.iter().copied());
     out
 }
 
@@ -165,6 +164,115 @@ fn a_server_keeps_serving_around_forged_frames() {
         }
         let want: BTreeSet<_> = [actions[0].id(), actions[3].id()].into();
         assert_eq!(sent, want, "{mode:?}");
+    }
+}
+
+/// `action`'s `Submit` frame with its read or write set replaced, byte
+/// for byte. A move's read set is encoded right before its write set, so
+/// the two together occur once.
+fn forged_sets(action: &MoveAction, rs: &ObjectSet, ws: &ObjectSet) -> Vec<u8> {
+    let valid = to_bytes(&ToServer::Submit {
+        action: action.clone(),
+    })
+    .unwrap();
+    let sets = |rs: &ObjectSet, ws: &ObjectSet| {
+        let mut b = to_bytes(rs).unwrap();
+        b.extend(to_bytes(ws).unwrap());
+        b
+    };
+    substitute(
+        &valid,
+        &sets(action.read_set(), action.write_set()),
+        &sets(rs, ws),
+    )
+}
+
+/// Frames that decode but name objects outside the world, or write objects
+/// the action never declared, are refused by the server and change nothing:
+/// ζ_S is a dense table, so an id a peer picks must never reach it.
+#[test]
+fn a_server_refuses_ids_outside_the_world_and_undeclared_writes() {
+    let world = crowd_world();
+    let initial = world.initial_state();
+    let actions = moves(&world, 4, 0);
+    let beyond = ObjectId(u32::MAX);
+    let submit = |a: &MoveAction| to_bytes(&ToServer::Submit { action: a.clone() }).unwrap();
+    let completion = |writes: WriteLog| {
+        to_bytes(&ToServer::<MoveAction>::Completion {
+            pos: 1,
+            id: actions[0].id(),
+            writes,
+            aborted: false,
+        })
+        .unwrap()
+    };
+    let real = actions[0].evaluate(world.env(), &initial).writes;
+    assert!(!real.is_empty());
+    assert_eq!(actions[0].write_set().as_slice(), &[ObjectId(0)]);
+    let mut onto_beyond = real.clone();
+    onto_beyond.push(beyond, AttrId(0), Value::I64(1));
+    let mut undeclared = WriteLog::new();
+    undeclared.push(ObjectId(9), AttrId(0), Value::I64(1));
+    let mut rs_beyond = actions[1].read_set().clone();
+    rs_beyond.insert(beyond);
+    let frames: Vec<(ClientId, Vec<u8>)> = vec![
+        (ClientId(0), submit(&actions[0])),
+        (
+            ClientId(1),
+            forged_sets(
+                &actions[1],
+                actions[1].read_set(),
+                &ObjectSet::singleton(beyond),
+            ),
+        ),
+        (ClientId(2), submit(&actions[2])),
+        (
+            ClientId(1),
+            forged_sets(&actions[1], &rs_beyond, actions[1].write_set()),
+        ),
+        (ClientId(0), completion(onto_beyond)),
+        (ClientId(0), completion(undeclared)),
+        (ClientId(0), completion(real.clone())),
+        (ClientId(3), submit(&actions[3])),
+    ];
+    let mut want = initial.clone();
+    want.apply_writes(&real);
+    for mode in [ServerMode::Incomplete, ServerMode::InfoBound] {
+        let mut server = PipelineServer::new(Arc::clone(&world), ProtocolConfig::with_mode(mode));
+        let mut out = Vec::new();
+        for (k, (from, frame)) in frames.iter().enumerate() {
+            let msg = from_bytes::<ToServer<MoveAction>>(frame).expect("every frame decodes");
+            let now = SimTime(1_000 * k as u64);
+            server.deliver(now, *from, msg, &mut out);
+            assert_eq!(server.zeta_s().len(), initial.len(), "{mode:?}");
+            // One push cycle ahead of the completions, so the bounded mode
+            // ships position 1 before it is installed.
+            server.tick(now, &mut out);
+            server.push_tick(now, &mut out);
+        }
+        let m = server.metrics();
+        assert_eq!(m.refused, 4, "{mode:?}");
+        assert_eq!(m.submissions, 3, "{mode:?}");
+        assert_eq!(m.installed, 1, "{mode:?}");
+        assert_eq!(server.last_committed(), 1, "{mode:?}");
+        assert_eq!(
+            *server.zeta_s(),
+            want,
+            "{mode:?}: only the valid completion"
+        );
+        let mut sent = BTreeSet::new();
+        for (_, msg) in &out {
+            let back: ToClient<MoveAction> = from_bytes(&to_bytes(msg).unwrap()).unwrap();
+            if let ToClient::Batch { items } = back {
+                for item in items.iter() {
+                    if let Payload::Action(a) = &item.payload {
+                        sent.insert(a.id());
+                    }
+                }
+            }
+        }
+        let served: BTreeSet<_> = [actions[0].id(), actions[2].id(), actions[3].id()].into();
+        assert_eq!(sent, served, "{mode:?}");
     }
 }
 

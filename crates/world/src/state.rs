@@ -18,7 +18,6 @@ use crate::ids::{AttrId, ObjectId};
 use crate::object::WorldObject;
 use crate::objset::ObjectSet;
 use crate::value::Value;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -191,26 +190,37 @@ impl fmt::Debug for Snapshot {
 
 /// The world state ζ: a map from object id to object.
 ///
-/// Representation: `BTreeMap<ObjectId, Arc<WorldObject>>`. The B-tree keeps
-/// iteration order — and therefore digests and consistency comparisons —
-/// deterministic. The `Arc` makes objects *shared, immutable until written*:
-/// [`Clone`], [`WorldState::copy_objects_from`], [`WorldState::overlay`] and
-/// a world's `initial_state()` copy pointers, not attribute vectors, so the
-/// N replicas of a run (each holding ζ_CO, ζ_CS and the replay log's base)
-/// all point at one set of untouched objects. A *partial* state — a few
-/// objects only — is the same type: the replay log keeps blind writes and
-/// checkpoint deltas as partial states whose objects the full states share.
-/// `clone_from` re-points only the slots that differ (see its doc), which is
-/// what bringing ζ_CO back to ζ_CS costs.
+/// Representation: a dense table `Vec<Option<Arc<WorldObject>>>` indexed
+/// by [`ObjectId::index`], plus a count of the occupied slots. Object ids
+/// are the dense small integers a world constructor hands out, so a read is
+/// one bounds-checked index; iteration walks the slots in ascending id
+/// order, which keeps digests and consistency comparisons deterministic.
+/// The `Arc` makes objects *shared, immutable until written*: [`Clone`],
+/// [`WorldState::copy_objects_from`], [`WorldState::overlay`] and a world's
+/// `initial_state()` copy pointers, not attribute tuples, so the N replicas
+/// of a run (each holding ζ_CO, ζ_CS and the replay log's base) all point at
+/// one set of untouched objects. A *partial* state — a few objects only —
+/// is the same type, and its table is as long as its largest id: the
+/// replay log keeps blind writes and checkpoint deltas as partial states
+/// whose objects the full states share. `clone_from` re-points only the
+/// slots that differ (see its doc), which is what bringing ζ_CO back to
+/// ζ_CS costs.
 ///
 /// **Copy on first write.** Every mutator goes through [`Arc::make_mut`] or
 /// replaces the pointer: the first write to an object that another state
-/// still references clones that one object and leaves the other state's
-/// value as it was; later writes to the now-unshared object are in place.
-/// No write through one `WorldState` is ever visible through another.
-/// Equality, digests and iteration look through the pointer, so sharing is
-/// unobservable apart from memory and time. `Arc` rather than `Rc` because
-/// replicas run on their own threads in the `inproc` and `rt` backends.
+/// still references clones that one object — one allocation, since a
+/// [`WorldObject`] holds its attributes inline — and leaves the other
+/// state's value as it was; later writes to the now-unshared object are in
+/// place. No write through one `WorldState` is ever visible through
+/// another. Equality, digests and iteration look through the pointer and
+/// ignore empty slots (trailing ones included), so neither sharing nor the
+/// table's length is observable apart from memory and time. `Arc` rather
+/// than `Rc` because replicas run on their own threads in the `inproc` and
+/// `rt` backends.
+///
+/// A table grows to the largest id written into it, so a state must never
+/// be handed an id chosen by an untrusted peer: the serializer refuses
+/// messages naming ids outside the world before they reach ζ_S.
 ///
 /// ```
 /// use seve_world::{WorldState, ObjectId};
@@ -224,37 +234,55 @@ impl fmt::Debug for Snapshot {
 /// let copy = zeta.clone();
 /// assert_eq!(zeta.digest(), copy.digest());
 /// ```
-#[derive(PartialEq, Eq, Default)]
+#[derive(Default)]
 pub struct WorldState {
-    objects: BTreeMap<ObjectId, Arc<WorldObject>>,
+    /// Slot `i` holds object `ObjectId(i)`, if materialized.
+    slots: Vec<Option<Arc<WorldObject>>>,
+    /// Number of occupied slots.
+    live: usize,
 }
+
+impl PartialEq for WorldState {
+    /// Same objects under the same ids; how many empty slots either table
+    /// ends in does not matter.
+    fn eq(&self, other: &Self) -> bool {
+        // With equal counts, agreeing on the common prefix leaves no
+        // occupied slot in the longer table's tail.
+        self.live == other.live && self.slots.iter().zip(&other.slots).all(|(a, b)| a == b)
+    }
+}
+
+impl Eq for WorldState {}
 
 impl Clone for WorldState {
     fn clone(&self) -> Self {
         Self {
-            objects: self.objects.clone(),
+            slots: self.slots.clone(),
+            live: self.live,
         }
     }
 
-    /// Make `self` equal to `source` by pointer-diff: when both hold the
-    /// same ids, walk the two maps in lockstep and replace only the
-    /// pointers that differ — no tree is rebuilt and objects already shared
-    /// cost one comparison. This is how a replica re-derives ζ_CO from ζ_CS
-    /// after an out-of-order insert, when the two differ in a handful of
-    /// objects. Different id sets fall back to cloning the tree.
+    /// Make `self` equal to `source` by pointer-diff: one walk over the two
+    /// tables that re-points only the slots whose handles differ, whatever
+    /// ids either side holds. Objects already shared cost one comparison,
+    /// and nothing is allocated unless `source`'s table is the longer. This
+    /// is how a replica re-derives ζ_CO from ζ_CS after an out-of-order
+    /// insert, when the two differ in a handful of objects.
     fn clone_from(&mut self, source: &Self) {
-        let same_ids = self.objects.len() == source.objects.len()
-            && self.objects.iter_mut().zip(&source.objects).all(
-                |((id, mine), (src_id, theirs))| {
-                    if id == src_id && !Arc::ptr_eq(mine, theirs) {
-                        *mine = Arc::clone(theirs);
-                    }
-                    id == src_id
-                },
-            );
-        if !same_ids {
-            self.objects = source.objects.clone();
+        self.slots.truncate(source.slots.len());
+        let common = self.slots.len();
+        for (mine, theirs) in self.slots.iter_mut().zip(&source.slots) {
+            let shared = match (&*mine, theirs) {
+                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                (None, None) => true,
+                _ => false,
+            };
+            if !shared {
+                *mine = theirs.clone();
+            }
         }
+        self.slots.extend_from_slice(&source.slots[common..]);
+        self.live = source.live;
     }
 }
 
@@ -268,13 +296,13 @@ impl WorldState {
     /// Number of materialized objects.
     #[inline]
     pub fn len(&self) -> usize {
-        self.objects.len()
+        self.live
     }
 
     /// Is the world empty?
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.objects.is_empty()
+        self.live == 0
     }
 
     /// Is `id` materialized in this state?
@@ -283,47 +311,88 @@ impl WorldState {
     /// objects the server has sent them.
     #[inline]
     pub fn contains(&self, id: ObjectId) -> bool {
-        self.objects.contains_key(&id)
+        self.get(id).is_some()
+    }
+
+    /// The shared handle in `id`'s slot.
+    #[inline]
+    fn slot(&self, id: ObjectId) -> Option<&Arc<WorldObject>> {
+        self.slots.get(id.index()).and_then(Option::as_ref)
     }
 
     /// Read an object.
     #[inline]
     pub fn get(&self, id: ObjectId) -> Option<&WorldObject> {
-        self.objects.get(&id).map(|o| &**o)
+        self.slot(id).map(|o| &**o)
     }
 
     /// Read one attribute of one object.
     #[inline]
     pub fn attr(&self, id: ObjectId, attr: AttrId) -> Option<Value> {
-        self.objects.get(&id).and_then(|o| o.get(attr))
+        self.get(id).and_then(|o| o.get(attr))
+    }
+
+    /// `id`'s slot in `slots`, growing the table to reach it. (A function
+    /// of the table alone, so callers can still update the count.)
+    fn slot_mut(
+        slots: &mut Vec<Option<Arc<WorldObject>>>,
+        id: ObjectId,
+    ) -> &mut Option<Arc<WorldObject>> {
+        let i = id.index();
+        if i >= slots.len() {
+            slots.resize(i + 1, None);
+        }
+        &mut slots[i]
+    }
+
+    /// Store `object` in `id`'s slot.
+    fn put_shared(&mut self, id: ObjectId, object: Arc<WorldObject>) {
+        if Self::slot_mut(&mut self.slots, id)
+            .replace(object)
+            .is_none()
+        {
+            self.live += 1;
+        }
+    }
+
+    /// The object in `id`'s slot for writing, created empty if absent and
+    /// un-shared if another state still points at it.
+    fn object_mut(&mut self, id: ObjectId) -> &mut WorldObject {
+        let slot = Self::slot_mut(&mut self.slots, id);
+        if slot.is_none() {
+            self.live += 1;
+        }
+        Arc::make_mut(slot.get_or_insert_with(Arc::default))
     }
 
     /// Insert or replace an object wholesale.
     #[inline]
     pub fn put(&mut self, id: ObjectId, object: WorldObject) {
-        self.objects.insert(id, Arc::new(object));
+        self.put_shared(id, Arc::new(object));
     }
 
     /// Remove an object. Returns the object if it was present.
     #[inline]
     pub fn remove(&mut self, id: ObjectId) -> Option<WorldObject> {
-        self.objects.remove(&id).map(Arc::unwrap_or_clone)
+        let o = self.slots.get_mut(id.index())?.take()?;
+        self.live -= 1;
+        Some(Arc::unwrap_or_clone(o))
     }
 
     /// Write one attribute, creating the object if needed. Un-shares the
     /// object first if another state still points at it.
     pub fn set_attr(&mut self, id: ObjectId, attr: AttrId, value: Value) {
-        Arc::make_mut(self.objects.entry(id).or_default()).set(attr, value);
+        self.object_mut(id).set(attr, value);
     }
 
     /// Apply the writes of `log` whose object passes `keep`. Actions write
     /// their attributes object by object, so each run of writes to one
-    /// object costs one map lookup and one un-share.
+    /// object costs one slot lookup and one un-share.
     fn apply_writes_where(&mut self, log: &WriteLog, keep: impl Fn(ObjectId) -> bool) {
         for run in log.writes.chunk_by(|a, b| a.0 == b.0) {
             let id = run[0].0;
             if keep(id) {
-                let object = Arc::make_mut(self.objects.entry(id).or_default());
+                let object = self.object_mut(id);
                 for &(_, attr, value) in run {
                     object.set(attr, value);
                 }
@@ -387,12 +456,10 @@ impl WorldState {
         ids: impl IntoIterator<Item = ObjectId>,
     ) {
         for id in ids {
-            match source.objects.get(&id) {
-                Some(o) => {
-                    self.objects.insert(id, Arc::clone(o));
-                }
+            match source.slot(id) {
+                Some(o) => self.put_shared(id, Arc::clone(o)),
                 None => {
-                    self.objects.remove(&id);
+                    self.remove(id);
                 }
             }
         }
@@ -403,20 +470,25 @@ impl WorldState {
     /// blind write or a checkpoint delta in the replay log), at the cost of
     /// a pointer per object.
     pub fn overlay(&mut self, patch: &WorldState) {
-        for (id, o) in &patch.objects {
-            self.objects.insert(*id, Arc::clone(o));
+        for (i, o) in patch.slots.iter().enumerate() {
+            if let Some(o) = o {
+                self.put_shared(ObjectId(i as u32), Arc::clone(o));
+            }
         }
     }
 
     /// Iterate over `(id, object)` in ascending id order.
     #[inline]
     pub fn iter(&self) -> impl Iterator<Item = (ObjectId, &WorldObject)> {
-        self.objects.iter().map(|(id, o)| (*id, &**o))
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, o)| Some((ObjectId(i as u32), &**o.as_ref()?)))
     }
 
     /// The set of materialized object ids.
     pub fn object_set(&self) -> ObjectSet {
-        self.objects.keys().copied().collect()
+        self.iter().map(|(id, _)| id).collect()
     }
 
     /// A 64-bit digest of the entire state. Equal digests ⇔ equal states
@@ -435,30 +507,22 @@ impl WorldState {
     /// for incomplete replicas: a distributed snapshot is consistent when
     /// every pair of states agrees on their common objects.
     pub fn divergence_on_common(&self, other: &WorldState) -> Vec<ObjectId> {
-        let mut diverged = Vec::new();
-        // Both maps iterate in ascending id order: linear merge.
-        let mut it_b = other.objects.iter().peekable();
-        for (id, obj) in &self.objects {
-            while let Some((bid, _)) = it_b.peek() {
-                if *bid < id {
-                    it_b.next();
-                } else {
-                    break;
-                }
-            }
-            if let Some((bid, bobj)) = it_b.peek() {
-                if *bid == id && *bobj != obj {
-                    diverged.push(*id);
-                }
-            }
-        }
-        diverged
+        // Common objects can only sit in the common prefix of the tables.
+        self.slots
+            .iter()
+            .zip(&other.slots)
+            .enumerate()
+            .filter_map(|(i, pair)| match pair {
+                (Some(a), Some(b)) if a != b => Some(ObjectId(i as u32)),
+                _ => None,
+            })
+            .collect()
     }
 
     /// Do `self` and `other` point at the same allocation for `id`?
     #[cfg(test)]
     fn shares_object_with(&self, other: &WorldState, id: ObjectId) -> bool {
-        match (self.objects.get(&id), other.objects.get(&id)) {
+        match (self.slot(id), other.slot(id)) {
             (Some(a), Some(b)) => Arc::ptr_eq(a, b),
             _ => false,
         }
@@ -648,6 +712,84 @@ mod tests {
                     "{name}: the written object is un-shared"
                 );
             }
+        }
+    }
+
+    /// The same table for writes that land past the end of the clone's
+    /// table (object 9 of a table holding 1..=3): the written side grows,
+    /// the kept side keeps its length, content and digest, and the two
+    /// still share objects 1..=3. Removing an id past the end, or copying
+    /// an id neither side holds, changes nothing.
+    #[test]
+    fn growing_a_clone_never_shows_through_the_original() {
+        let far = ObjectId(9);
+        let mut log = WriteLog::new();
+        log.push(far, HP, Value::I64(77));
+        let mut snap = Snapshot::new();
+        snap.push(far, obj(88));
+        let mut donor = WorldState::new();
+        donor.put(far, obj(99));
+
+        type Mutator<'a> = &'a dyn Fn(&mut WorldState);
+        let growing: [(&str, Mutator<'_>); 7] = [
+            ("set_attr", &|w| w.set_attr(far, HP, Value::I64(77))),
+            ("apply_writes", &|w| w.apply_writes(&log)),
+            ("apply_writes_except", &|w| {
+                w.apply_writes_except(&log, &ObjectSet::singleton(ObjectId(2)))
+            }),
+            ("apply_snapshot", &|w| w.apply_snapshot(&snap)),
+            ("put", &|w| w.put(far, obj(55))),
+            ("copy_objects_from", &|w| w.copy_objects_from(&donor, [far])),
+            ("overlay", &|w| w.overlay(&donor)),
+        ];
+        for (name, mutate) in growing {
+            for mutate_clone in [true, false] {
+                let mut a = three();
+                let mut b = a.clone();
+                let (written, kept) = if mutate_clone {
+                    (&mut b, &a)
+                } else {
+                    (&mut a, &b)
+                };
+                mutate(written);
+                assert_eq!(*kept, three(), "{name}: ==");
+                assert_eq!(kept.digest(), three().digest(), "{name}: digest");
+                assert_eq!(
+                    kept.slots.len(),
+                    4,
+                    "{name}: the kept table keeps its length"
+                );
+                assert!(written.contains(far) && written.len() == 4, "{name}");
+                for i in 1..=3 {
+                    assert!(written.shares_object_with(kept, ObjectId(i)), "{name}: {i}");
+                }
+                // Taking the far object out again leaves a longer table
+                // that is equal to the original all the same.
+                written.remove(far);
+                assert_eq!(
+                    *written, *kept,
+                    "{name}: trailing empty slots are invisible"
+                );
+                assert_eq!(written.digest(), kept.digest(), "{name}");
+                assert!(written.divergence_on_common(kept).is_empty(), "{name}");
+            }
+        }
+
+        let absent = ObjectId(20);
+        let neither = WorldState::new();
+        let untouched: [(&str, Mutator<'_>); 3] = [
+            ("remove", &|w| assert!(w.remove(absent).is_none())),
+            ("copy_objects_from", &|w| {
+                w.copy_objects_from(&neither, [absent])
+            }),
+            ("overlay", &|w| w.overlay(&neither)),
+        ];
+        for (name, mutate) in untouched {
+            let a = three();
+            let mut b = a.clone();
+            mutate(&mut b);
+            assert_eq!(b.slots.len(), 4, "{name}: no growth for an absent id");
+            assert_eq!(b, a, "{name}");
         }
     }
 

@@ -3,14 +3,16 @@
 //! reference models on arbitrary inputs.
 
 use proptest::prelude::*;
+use seve_net::wire::{from_bytes, to_bytes};
 use seve_world::geometry::{Aabb, Segment, Vec2};
 use seve_world::ids::{AttrId, ObjectId};
+use seve_world::object::{WorldObject, INLINE};
 use seve_world::objset::ObjectSet;
 use seve_world::spatial::UniformGrid;
-use seve_world::state::{WorldState, WriteLog};
+use seve_world::state::{Snapshot, WorldState, WriteLog};
 use seve_world::terrain::Terrain;
 use seve_world::value::Value;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
 
 /// The maps of the end-to-end benchmark's `crowd`, `loopback` and `sprawl`
@@ -58,7 +60,284 @@ fn ids() -> impl Strategy<Value = Vec<u32>> {
     prop::collection::vec(0u32..64, 0..24)
 }
 
+/// The store as it was before the dense table: a `BTreeMap` from id to a
+/// sorted `Vec` attribute tuple, held by value.
+type Model = BTreeMap<ObjectId, Vec<(AttrId, Value)>>;
+
+fn model_set(o: &mut Vec<(AttrId, Value)>, a: AttrId, v: Value) {
+    match o.binary_search_by_key(&a, |&(x, _)| x) {
+        Ok(i) => o[i].1 = v,
+        Err(i) => o.insert(i, (a, v)),
+    }
+}
+
+fn model_object(attrs: &[(AttrId, Value)]) -> Vec<(AttrId, Value)> {
+    let mut o = Vec::new();
+    for &(a, v) in attrs {
+        model_set(&mut o, a, v);
+    }
+    o
+}
+
+/// `WorldState::digest` written out over the model.
+fn model_digest(m: &Model) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for (id, o) in m {
+        h ^= u64::from(id.0).wrapping_mul(0x2545_F491_4F6C_DD1D);
+        for &(a, v) in o {
+            h ^= u64::from(a.0).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            h = v.fold_digest(h);
+        }
+    }
+    h
+}
+
+/// Ids up to 24, so tables of different lengths meet and a few objects sit
+/// past the end of another state's table.
+const IDS: u32 = 24;
+/// Attribute ids up to 6: twice the inline capacity, so objects spill.
+const ATTRS: u16 = 6;
+/// States the op sequences move objects between.
+const STATES: usize = 3;
+
+fn value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        (-9i64..9).prop_map(Value::I64),
+        any::<bool>().prop_map(Value::Bool),
+        (-9.0f64..9.0, -9.0f64..9.0).prop_map(|(x, y)| Value::Vec2(Vec2::new(x, y))),
+    ]
+}
+
+fn attrs() -> impl Strategy<Value = Vec<(AttrId, Value)>> {
+    prop::collection::vec((0..ATTRS, value()), 0..8)
+        .prop_map(|v| v.into_iter().map(|(a, x)| (AttrId(a), x)).collect())
+}
+
+fn object_ids() -> impl Strategy<Value = Vec<ObjectId>> {
+    prop::collection::vec(0..IDS, 0..8).prop_map(|v| v.into_iter().map(ObjectId).collect())
+}
+
+fn skip() -> impl Strategy<Value = Option<ObjectSet>> {
+    prop::option::of(object_ids().prop_map(|v| v.into_iter().collect()))
+}
+
+/// One mutation of state `.0` (and, for the two-state ops, `.1` is the
+/// source).
+#[derive(Clone, Debug)]
+enum Op {
+    SetAttr(usize, ObjectId, AttrId, Value),
+    Put(usize, ObjectId, Vec<(AttrId, Value)>),
+    Remove(usize, ObjectId),
+    Writes(usize, Vec<(ObjectId, AttrId, Value)>, Option<ObjectSet>),
+    Snapshot(
+        usize,
+        Vec<(ObjectId, Vec<(AttrId, Value)>)>,
+        Option<ObjectSet>,
+    ),
+    CopyObjectsFrom(usize, usize, Vec<ObjectId>),
+    Overlay(usize, usize),
+    Clone(usize, usize),
+    CloneFrom(usize, usize),
+    Reset(usize),
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    let s = || 0..STATES;
+    let id = || (0..IDS).prop_map(ObjectId);
+    prop_oneof![
+        (s(), id(), 0..ATTRS, value()).prop_map(|(s, o, a, v)| Op::SetAttr(s, o, AttrId(a), v)),
+        (s(), id(), attrs()).prop_map(|(s, o, a)| Op::Put(s, o, a)),
+        (s(), id()).prop_map(|(s, o)| Op::Remove(s, o)),
+        (
+            s(),
+            prop::collection::vec((id(), 0..ATTRS, value()), 0..10),
+            skip()
+        )
+            .prop_map(|(s, w, k)| Op::Writes(
+                s,
+                w.into_iter().map(|(o, a, v)| (o, AttrId(a), v)).collect(),
+                k
+            )),
+        (s(), prop::collection::vec((id(), attrs()), 0..4), skip())
+            .prop_map(|(s, objs, k)| Op::Snapshot(s, objs, k)),
+        (s(), s(), object_ids()).prop_map(|(d, s, ids)| Op::CopyObjectsFrom(d, s, ids)),
+        (s(), s()).prop_map(|(d, s)| Op::Overlay(d, s)),
+        (s(), s()).prop_map(|(d, s)| Op::Clone(d, s)),
+        (s(), s()).prop_map(|(d, s)| Op::CloneFrom(d, s)),
+        s().prop_map(Op::Reset),
+    ]
+}
+
+/// Apply `op` to the states and to their models.
+fn apply(op: &Op, states: &mut [WorldState], models: &mut [Model]) {
+    match op {
+        Op::SetAttr(s, o, a, v) => {
+            states[*s].set_attr(*o, *a, *v);
+            model_set(models[*s].entry(*o).or_default(), *a, *v);
+        }
+        Op::Put(s, o, attrs) => {
+            states[*s].put(*o, WorldObject::from_attrs(attrs.iter().copied()));
+            models[*s].insert(*o, model_object(attrs));
+        }
+        Op::Remove(s, o) => {
+            let got = states[*s].remove(*o);
+            let want = models[*s].remove(o);
+            assert_eq!(got.map(|g| g.iter().collect::<Vec<_>>()), want);
+        }
+        Op::Writes(s, writes, skip) => {
+            let mut log = WriteLog::new();
+            for &(o, a, v) in writes {
+                log.push(o, a, v);
+            }
+            match skip {
+                Some(k) => states[*s].apply_writes_except(&log, k),
+                None => states[*s].apply_writes(&log),
+            }
+            for &(o, a, v) in writes {
+                if !skip.as_ref().is_some_and(|k| k.contains(o)) {
+                    model_set(models[*s].entry(o).or_default(), a, v);
+                }
+            }
+        }
+        Op::Snapshot(s, objects, skip) => {
+            let mut snap = Snapshot::new();
+            for (o, attrs) in objects {
+                snap.push(*o, WorldObject::from_attrs(attrs.iter().copied()));
+            }
+            match skip {
+                Some(k) => states[*s].apply_snapshot_except(&snap, k),
+                None => states[*s].apply_snapshot(&snap),
+            }
+            for (o, attrs) in objects {
+                if !skip.as_ref().is_some_and(|k| k.contains(*o)) {
+                    models[*s].insert(*o, model_object(attrs));
+                }
+            }
+        }
+        Op::CopyObjectsFrom(d, s, ids) => {
+            let source = states[*s].clone();
+            states[*d].copy_objects_from(&source, ids.iter().copied());
+            let source = models[*s].clone();
+            for id in ids {
+                match source.get(id) {
+                    Some(o) => models[*d].insert(*id, o.clone()),
+                    None => models[*d].remove(id),
+                };
+            }
+        }
+        Op::Overlay(d, s) => {
+            let patch = states[*s].clone();
+            states[*d].overlay(&patch);
+            let patch = models[*s].clone();
+            models[*d].extend(patch);
+        }
+        Op::Clone(d, s) => {
+            states[*d] = states[*s].clone();
+            models[*d] = models[*s].clone();
+        }
+        Op::CloneFrom(d, s) => {
+            let source = states[*s].clone();
+            states[*d].clone_from(&source);
+            models[*d] = models[*s].clone();
+        }
+        Op::Reset(s) => {
+            states[*s] = WorldState::new();
+            models[*s] = Model::new();
+        }
+    }
+}
+
+/// Everything observable about a state against its model.
+fn check(states: &[WorldState], models: &[Model]) -> Result<(), TestCaseError> {
+    for (k, (state, model)) in states.iter().zip(models).enumerate() {
+        prop_assert_eq!(state.len(), model.len(), "state {} len", k);
+        prop_assert_eq!(state.is_empty(), model.is_empty());
+        let listed: Vec<(ObjectId, Vec<(AttrId, Value)>)> = state
+            .iter()
+            .map(|(id, o)| (id, o.iter().collect()))
+            .collect();
+        let want: Vec<(ObjectId, Vec<(AttrId, Value)>)> =
+            model.iter().map(|(id, o)| (*id, o.clone())).collect();
+        prop_assert_eq!(&listed, &want, "state {} iter", k);
+        for id in (0..IDS + 2).map(ObjectId) {
+            let got = state.get(id).map(|o| o.iter().collect::<Vec<_>>());
+            prop_assert_eq!(&got, &model.get(&id).cloned(), "state {} get {:?}", k, id);
+            prop_assert_eq!(state.contains(id), model.contains_key(&id));
+        }
+        prop_assert_eq!(state.digest(), model_digest(model), "state {} digest", k);
+        let ids: Vec<ObjectId> = model.keys().copied().collect();
+        prop_assert_eq!(
+            state.object_set(),
+            ids.iter().copied().collect::<ObjectSet>()
+        );
+        // A table built from the model has no empty slots past its last
+        // object: `==` must not see the difference.
+        let mut rebuilt = WorldState::new();
+        for (id, o) in model {
+            rebuilt.put(*id, WorldObject::from_attrs(o.iter().copied()));
+        }
+        prop_assert!(*state == rebuilt, "state {} == its model", k);
+        for (j, (other, other_model)) in states.iter().zip(models).enumerate() {
+            prop_assert_eq!(*state == *other, model == other_model, "{} == {}", k, j);
+            let diverged: Vec<ObjectId> = model
+                .iter()
+                .filter(|(id, o)| other_model.get(id).is_some_and(|p| p != *o))
+                .map(|(id, _)| *id)
+                .collect();
+            prop_assert_eq!(
+                state.divergence_on_common(other),
+                diverged,
+                "{} vs {}",
+                k,
+                j
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
+    /// The dense table against the `BTreeMap` store after every operation
+    /// of a random sequence over three states.
+    #[test]
+    fn world_state_matches_the_btreemap_store(ops in prop::collection::vec(op(), 0..40)) {
+        let mut states: Vec<WorldState> = (0..STATES).map(|_| WorldState::new()).collect();
+        let mut models: Vec<Model> = vec![Model::new(); STATES];
+        for op in &ops {
+            apply(op, &mut states, &mut models);
+            check(&states, &models).map_err(|e| TestCaseError::fail(format!("after {op:?}: {e}")))?;
+        }
+    }
+
+    /// Objects of up to 8 attributes, past the inline capacity and back
+    /// through the codec: the attributes are the sorted tuple, and the
+    /// bytes are those of the `Vec<(AttrId, Value)>` the object used to be.
+    #[test]
+    fn world_objects_spill_and_encode_as_a_vec(pairs in attrs(), extra in attrs()) {
+        let mut all = pairs.clone();
+        all.extend(extra);
+        let object = WorldObject::from_attrs(all.iter().copied());
+        let tuple = model_object(&all);
+        prop_assert_eq!(object.iter().collect::<Vec<_>>(), tuple.clone());
+        prop_assert_eq!(object.len(), tuple.len());
+        for a in (0..ATTRS + 1).map(AttrId) {
+            let want = tuple.iter().find(|&&(x, _)| x == a).map(|&(_, v)| v);
+            prop_assert_eq!(object.get(a), want);
+        }
+        let bytes = to_bytes(&object).unwrap();
+        prop_assert_eq!(&bytes, &to_bytes(&tuple).unwrap(), "{} attributes", tuple.len());
+        let back: WorldObject = from_bytes(&bytes).unwrap();
+        prop_assert_eq!(&back, &object);
+        prop_assert_eq!(back.fold_digest(1), object.fold_digest(1));
+        // The first `INLINE` attributes alone stay inline; equal content is
+        // equal whichever form holds it.
+        let prefix = WorldObject::from_attrs(tuple.iter().copied().take(INLINE));
+        let head: Vec<(AttrId, Value)> = tuple.iter().copied().take(INLINE).collect();
+        let decoded: WorldObject = from_bytes(&to_bytes(&head).unwrap()).unwrap();
+        prop_assert_eq!(&decoded, &prefix);
+        prop_assert_eq!(object == prefix, tuple.len() <= INLINE);
+    }
+
     #[test]
     fn objectset_matches_btreeset_model(a in ids(), b in ids()) {
         let sa: ObjectSet = a.iter().map(|&i| ObjectId(i)).collect();

@@ -33,7 +33,8 @@ echo "== parallel-analyze equivalence smoke =="
 cargo test -q -p seve --release --test parallel_analyze
 
 echo "== no env probes on the replica hot path =="
-if grep -n 'env::var' crates/core/src/{client,replay,pending}.rs; then exit 1; fi
+if grep -n 'env::var' crates/core/src/{client,replay,pending}.rs \
+  crates/world/src/{state,object}.rs; then exit 1; fi
 
 echo "== cargo fmt --check =="
 cargo fmt --check
