@@ -10,6 +10,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use seve_core::closure::{
     analyze_new_actions, analyze_new_actions_linear, closure_for, closure_for_linear, ActionQueue,
+    AnalyzeScratch,
 };
 use seve_net::time::SimTime;
 use seve_world::ids::ClientId;
@@ -83,9 +84,10 @@ fn bench_closure(c: &mut Criterion) {
         );
         g.bench_with_input(BenchmarkId::new("algorithm7_tick", len), &len, |b, &len| {
             let (_world, queue) = queue_of(len);
+            let mut scratch = AnalyzeScratch::new();
             b.iter_batched(
                 || clone_queue(&queue),
-                |mut q| std::hint::black_box(analyze_new_actions(&mut q, 1, 45.0)),
+                |mut q| std::hint::black_box(analyze_new_actions(&mut q, 1, 45.0, &mut scratch)),
                 criterion::BatchSize::SmallInput,
             )
         });

@@ -99,14 +99,6 @@ impl ConsistencyOracle {
                 self.inputs.insert(rec.pos, rec.input_digest);
             }
             Some(&expected) if expected != rec.input_digest => {
-                if std::env::var("SEVE_DEBUG_VIOL").is_ok()
-                    && self.input_mismatch_positions.len() < 6
-                {
-                    eprintln!(
-                        "INPUT-MISMATCH pos {} action {:?} missing {}",
-                        rec.pos, rec.id, rec.missing_reads
-                    );
-                }
                 self.input_mismatch_positions.push(rec.pos);
             }
             Some(_) => {}
@@ -116,12 +108,6 @@ impl ConsistencyOracle {
                 self.outcomes.insert(rec.pos, rec.digest);
             }
             Some(&expected) if expected != rec.digest => {
-                if std::env::var("SEVE_DEBUG_VIOL").is_ok() && self.violations.len() < 8 {
-                    eprintln!(
-                        "VIOL pos {} action {:?} expected {:x} got {:x}",
-                        rec.pos, rec.id, expected, rec.digest
-                    );
-                }
                 self.violations.push(Violation::OutcomeMismatch {
                     pos: rec.pos,
                     expected,

@@ -167,31 +167,21 @@ pub struct StageMetrics {
     pub analyze_entries_visited: u64,
     /// Linear-equivalent Algorithm 7 scan length.
     pub analyze_entries_linear: u64,
-    /// Resolved analyze-stage worker-thread budget (configuration echoed
-    /// into the profile so reports can print it).
-    pub analyze_threads: u64,
-    /// Footprint-disjoint components summed over parallel analyze ticks.
-    pub analyze_components: u64,
-    /// Ticks whose Algorithm 7 analysis ran on >1 worker.
+    /// Always 0: Algorithm 7 runs sequentially on the server thread. Kept
+    /// only because the end-to-end benchmark (`bench/src`) reads it.
     pub analyze_parallel_ticks: u64,
-    /// Largest single component (batch) seen by the analyze stage.
-    pub analyze_max_batch: u64,
-    /// Summed wall-clock busy nanoseconds across analyze workers
-    /// (utilization = busy / (parallel-tick wall time × workers)).
-    pub analyze_worker_busy_nanos: u64,
-    /// Resolved lane count of the persistent compute executor
-    /// (configuration echoed into the profile; 1 = fully inline).
+    /// Always 0: there is no compute executor. Kept only because the
+    /// end-to-end benchmark reads it.
     pub exec_width: u64,
-    /// Tasks the executor ran (compute pool + the transport's drain pool
-    /// where one exists; transport counters merge in at report time).
+    /// Tasks the TCP transport's drain pool ran (zero on other backends;
+    /// merged in at report time).
     pub exec_tasks: u64,
-    /// Tasks a lane took from a queue it does not own — work the
-    /// stealing mechanism actually rebalanced.
+    /// Always 0: the drain pool has one shared queue and steals nothing.
+    /// Kept only because the end-to-end benchmark reads it.
     pub exec_steals: u64,
-    /// Summed wall-clock nanoseconds executor lanes spent inside tasks.
+    /// Summed wall-clock nanoseconds drain-pool lanes spent inside tasks.
     pub exec_busy_nanos: u64,
-    /// High-water mark of tasks queued on the executor and not yet
-    /// picked up.
+    /// High-water mark of drain tasks queued and not yet picked up.
     pub exec_queue_hwm: u64,
     /// Pooled encode buffers still checked out at report time. Non-zero
     /// after a drained shutdown means the transport leaked buffers.
@@ -282,10 +272,7 @@ mod tests {
         assert_eq!(s.stage.writev_batches, 0);
         assert_eq!(s.stage.closure_entries_visited, 0);
         assert_eq!(s.stage.analyze_entries_linear, 0);
-        assert_eq!(s.stage.analyze_components, 0);
         assert_eq!(s.stage.analyze_parallel_ticks, 0);
-        assert_eq!(s.stage.analyze_max_batch, 0);
-        assert_eq!(s.stage.analyze_worker_busy_nanos, 0);
         assert_eq!(s.stage.exec_width, 0);
         assert_eq!(s.stage.exec_tasks, 0);
         assert_eq!(s.stage.exec_steals, 0);

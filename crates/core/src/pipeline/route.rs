@@ -254,38 +254,7 @@ pub struct SphereRouting {
     /// pipeline tests compare the sliced pass against).
     #[cfg(test)]
     pub(crate) per_client_oracle: bool,
-    /// Self-tuning "parallelize above N probes" gate, seeded with the
-    /// historical [`PAR_MIN_PROBES`]. Atomic internals: selection takes
-    /// `&self`, so the gate records its measurements through shared
-    /// references. Strategy choice only — selections are bit-identical
-    /// either way.
-    gate: seve_exec::AdaptiveGate,
 }
-
-/// Per-entry probe prepared once per push cycle: the entry itself plus the
-/// precomputed grid-query sphere that over-approximates its Eq. 1 reach.
-struct Probe<'q, A> {
-    entry: &'q QueueEntry<A>,
-    /// Age of the entry at this push cycle, for area culling.
-    age_secs: f64,
-    /// Center of the grid query (the predicted center under culling).
-    center: Vec2,
-    /// Radius of the grid query — an upper bound on the exact predicate.
-    radius: f64,
-}
-
-/// Seed for the route stage's adaptive parallel gate: the historical
-/// static "fan out above this many probes" constant. The gate self-tunes
-/// around it from measured sequential vs. parallel cost (see
-/// [`seve_exec::AdaptiveGate`]); pin with `SEVE_PAR_MIN_PROBES` or
-/// disable adaptation via `ProtocolConfig::adaptive_gates` to hold it
-/// static.
-const PAR_MIN_PROBES: usize = 192;
-
-/// One selection worker's unit of work on the persistent executor: filters
-/// a contiguous probe chunk and returns its `(client, position)` hits plus
-/// the worker's busy time in nanoseconds.
-type SelectTask<'a> = Box<dyn FnOnce() -> (Vec<(ClientId, QueuePos)>, u64) + Send + 'a>;
 
 impl SphereRouting {
     /// Routing over `world` under `cfg`.
@@ -349,7 +318,6 @@ impl SphereRouting {
             sliced: SlicedClosure::new(),
             #[cfg(test)]
             per_client_oracle: false,
-            gate: seve_exec::AdaptiveGate::new(PAR_MIN_PROBES, "SEVE_PAR_MIN_PROBES"),
         }
     }
 
@@ -417,9 +385,10 @@ impl SphereRouting {
     /// Candidate selection by the inverted, grid-indexed scan: visit each
     /// window entry once, grid-query the clients its sphere can touch, and
     /// filter each hit with the exact linear-scan predicates.
-    /// O(window × nearby clients). Large windows fan the probe phase across
-    /// scoped worker threads; the merge is deterministic (probe order, then
-    /// client index), so the result is identical to
+    /// O(window × nearby clients). Hits go straight into the per-client
+    /// buffers, which keep their capacity across cycles. Entries are
+    /// visited in ascending position order, so every client's candidates
+    /// ascend and the result is identical to
     /// [`SphereRouting::select_candidates_linear`] bit for bit.
     pub fn select_candidates_indexed<W: GameWorld>(
         &self,
@@ -439,13 +408,7 @@ impl SphereRouting {
             return;
         }
         let override_r = st.cfg.interest_radius_override;
-        // Probe phase: one pass over the window, precomputing each entry's
-        // grid-query sphere. The query radius over-approximates every exact
-        // predicate below: the override radius, the culled predicted-point
-        // slack, or the static sphere (slack + r_A).
         let slack = self.params.motion_slack() + self.params.client_radius + self.params.extra;
-        let mut probes: Vec<Probe<'_, W::Action>> =
-            Vec::with_capacity((horizon + 1).saturating_sub(lo) as usize);
         for pos in lo..=horizon {
             let Some(e) = st.queue.get(pos) else {
                 continue; // already committed: values flow via blinds
@@ -454,6 +417,9 @@ impl SphereRouting {
                 continue;
             }
             let age_secs = (now - e.submit_time).as_secs_f64();
+            // The grid query's sphere over-approximates every exact
+            // predicate below: the override radius, the culled
+            // predicted-point slack, or the static sphere (slack + r_A).
             let (center, radius) = match override_r {
                 Some(r) => (e.influence.center, r),
                 None => match (self.params.velocity_culling, e.influence.velocity) {
@@ -461,95 +427,28 @@ impl SphereRouting {
                     _ => (e.influence.center, slack + e.influence.radius),
                 },
             };
-            probes.push(Probe {
-                entry: e,
-                age_secs,
-                center,
-                radius,
-            });
-        }
-        // Selection phase: grid query + exact filters per probe, fanned
-        // across the server's persistent executor when the window is
-        // large. Each task owns a contiguous probe chunk and results come
-        // back in submission order, so concatenating chunk outputs keeps
-        // hits in ascending position order per client.
-        let width = st.exec.width();
-        let threads = if probes.len() >= self.gate.threshold(width, st.cfg.adaptive_gates) {
-            width.min(8).min(probes.len())
-        } else {
-            1
-        };
-        // `hit` receives a chunk's `(client, position)` pairs in probe
-        // order, i.e. ascending position per client.
-        let select_chunk = |chunk: &[Probe<'_, W::Action>],
-                            hit: &mut dyn FnMut(ClientId, QueuePos)| {
-            for p in chunk {
-                let e = p.entry;
-                let pos = e.pos;
-                // The issuer always receives its own action — no interest
-                // or distance filter applies.
-                let issuer = e.action.issuer();
-                if issuer.index() < n
-                    && self.last_push_pos[issuer.index()] < pos
-                    && !e.sent.contains(issuer)
+            // The issuer always receives its own action — no interest or
+            // distance filter applies.
+            let issuer = e.action.issuer();
+            if issuer.index() < n
+                && self.last_push_pos[issuer.index()] < pos
+                && !e.sent.contains(issuer)
+            {
+                cands[issuer.index()].push(pos);
+            }
+            self.grid.for_each_candidate(center, radius, |c, c_pos| {
+                debug_assert_eq!(c_pos, self.client_pos[c.index()], "grid out of sync");
+                if c == issuer
+                    || self.last_push_pos[c.index()] >= pos
+                    || e.sent.contains(c)
+                    || !self.interests[c.index()].contains(e.influence.class)
                 {
-                    hit(issuer, pos);
+                    return;
                 }
-                self.grid
-                    .for_each_candidate(p.center, p.radius, |c, c_pos| {
-                        debug_assert_eq!(c_pos, self.client_pos[c.index()], "grid out of sync");
-                        if c == issuer
-                            || self.last_push_pos[c.index()] >= pos
-                            || e.sent.contains(c)
-                            || !self.interests[c.index()].contains(e.influence.class)
-                        {
-                            return;
-                        }
-                        if self.near(override_r, e, p.age_secs, c_pos) {
-                            hit(c, pos);
-                        }
-                    });
-            }
-        };
-        let t0 = std::time::Instant::now();
-        if threads <= 1 {
-            // Straight into the per-client buffers, which keep their
-            // capacity across cycles: a sequential selection allocates
-            // nothing per push for its hits.
-            select_chunk(&probes, &mut |c, pos| cands[c.index()].push(pos));
-            if !probes.is_empty() {
-                self.gate
-                    .record_seq(probes.len(), t0.elapsed().as_nanos() as u64);
-            }
-        } else {
-            let chunk_len = probes.len().div_ceil(threads);
-            let select_chunk = &select_chunk;
-            let tasks: Vec<SelectTask<'_>> = probes
-                .chunks(chunk_len)
-                .map(|chunk| {
-                    let task: SelectTask<'_> = Box::new(move || {
-                        let t = std::time::Instant::now();
-                        let mut hits = Vec::new();
-                        select_chunk(chunk, &mut |c, pos| hits.push((c, pos)));
-                        (hits, t.elapsed().as_nanos() as u64)
-                    });
-                    task
-                })
-                .collect();
-            let results = st.exec.run(tasks).expect("selection worker panicked");
-            let mut busy = 0u64;
-            for (hits, task_busy) in results {
-                busy += task_busy;
-                for (c, pos) in hits {
+                if self.near(override_r, e, age_secs, c_pos) {
                     cands[c.index()].push(pos);
                 }
-            }
-            self.gate.record_par(
-                probes.len(),
-                t0.elapsed().as_nanos() as u64,
-                busy,
-                width.min(threads),
-            );
+            });
         }
     }
 }
@@ -613,8 +512,8 @@ impl<W: GameWorld> RoutingPolicy<W> for SphereRouting {
     ) -> u64 {
         let mut cost = 0u64;
         // Selection is a pure read of queue + routing state, so it runs
-        // once for all clients (grid-inverted, possibly parallel) before
-        // the `sent`-bit-mutating closure phase. A client's selection
+        // once for all clients (grid-inverted) before the
+        // `sent`-bit-mutating closure phase. A client's selection
         // depends only on its *own* `sent` bits, which the closures of
         // other clients never touch, and its batch only on its own closure,
         // so select → closure for all → assembly per client is

@@ -53,50 +53,14 @@ pub struct PipelineState<W: GameWorld> {
     /// position per action, so a submission redelivered by an
     /// at-least-once transport must be ignored, not enqueued again.
     pub(crate) admitted: HashSet<ActionId>,
-    /// Worker-thread budget for the per-tick Algorithm 7 analysis,
-    /// resolved once at construction (config → `SEVE_ANALYZE_THREADS` →
-    /// available parallelism). Protocol outcomes are independent of it.
-    pub analyze_threads: usize,
     /// Reusable analyze-stage buffers, cleared (not freed) between ticks.
     pub(crate) analyze_scratch: AnalyzeScratch,
-    /// The server's persistent compute executor: every per-tick parallel
-    /// stage (batch analysis, push candidate selection) submits its tasks
-    /// here instead of spawning threads. Width resolves once at
-    /// construction (config → `SEVE_EXEC_THREADS` → available
-    /// parallelism); width 1 spawns no threads and runs submissions
-    /// inline. Protocol outcomes are independent of the width.
-    pub exec: Arc<seve_exec::Executor>,
-}
-
-/// Resolve the analyze-thread budget: an explicit config value wins, then
-/// the `SEVE_ANALYZE_THREADS` environment variable, then the machine's
-/// available parallelism (capped at 8, like the route stage's fan-out).
-fn resolve_analyze_threads(cfg: Option<usize>) -> usize {
-    cfg.or_else(|| {
-        std::env::var("SEVE_ANALYZE_THREADS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-    })
-    .unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|t| t.get())
-            .unwrap_or(1)
-            .min(8)
-    })
-    .max(1)
 }
 
 impl<W: GameWorld> PipelineState<W> {
     /// Fresh state over `world`.
     pub fn new(world: Arc<W>, cfg: ProtocolConfig) -> Self {
         let n = world.num_clients();
-        let analyze_threads = resolve_analyze_threads(cfg.analyze_threads);
-        let exec = Arc::new(seve_exec::Executor::new(seve_exec::resolve_width(
-            cfg.exec_threads,
-        )));
-        let mut metrics = ServerMetrics::default();
-        metrics.stage.analyze_threads = analyze_threads as u64;
-        metrics.stage.exec_width = exec.width() as u64;
         let zeta_s = world.initial_state();
         let object_bound = zeta_s.iter().last().map_or(0, |(id, _)| id.index() + 1);
         Self {
@@ -104,28 +68,15 @@ impl<W: GameWorld> PipelineState<W> {
             last_committed: 0,
             object_bound,
             queue: ActionQueue::new(),
-            metrics,
+            metrics: ServerMetrics::default(),
             last_gc_sent: 0,
             committed_version: ObjectIdMap::default(),
             client_known: vec![ObjectIdMap::default(); n],
             admitted: HashSet::new(),
-            analyze_threads,
             analyze_scratch: AnalyzeScratch::new(),
-            exec,
             world,
             cfg,
         }
-    }
-
-    /// Fold the executor's lifetime counters into the stage metrics.
-    /// Counters are monotonic, so overwriting with the latest snapshot is
-    /// exact; called whenever the metrics are about to be observed.
-    pub fn sync_exec_stats(&mut self) {
-        let s = self.exec.stats();
-        self.metrics.stage.exec_tasks = s.tasks;
-        self.metrics.stage.exec_steals = s.steals;
-        self.metrics.stage.exec_busy_nanos = s.busy_nanos;
-        self.metrics.stage.exec_queue_hwm = s.queue_hwm;
     }
 
     /// Number of participating clients.

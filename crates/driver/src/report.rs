@@ -133,11 +133,7 @@ impl SessionReport {
 /// keep figure output byte-stable.
 pub fn render_stage_profile(label: &str, stage: &StageMetrics) -> String {
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "== pipeline stage profile — {label} (analyze threads: {}) ==",
-        stage.analyze_threads.max(1)
-    );
+    let _ = writeln!(out, "== pipeline stage profile — {label} ==");
     let _ = writeln!(
         out,
         "  {:<9} {:>10} {:>12} {:>10}",
@@ -180,27 +176,13 @@ pub fn render_stage_profile(label: &str, stage: &StageMetrics) -> String {
         "  analyze index: {} entries visited ({} linear-equivalent)",
         stage.analyze_entries_visited, stage.analyze_entries_linear
     );
-    if stage.analyze_parallel_ticks > 0 {
-        let _ = writeln!(
-            out,
-            "  analyze batching: {} parallel ticks, {:.1} components/tick, \
-             max batch {}, workers busy {:.3} ms",
-            stage.analyze_parallel_ticks,
-            stage.analyze_components as f64 / stage.analyze_parallel_ticks as f64,
-            stage.analyze_max_batch,
-            stage.analyze_worker_busy_nanos as f64 / 1e6,
-        );
-    }
-    // Executor counters appear once the persistent pool has actually run
-    // tasks; idle runs (and pre-pool fixtures) keep the profile unchanged.
+    // The TCP transport's drain pool reports once it has run tasks; other
+    // backends have none, and their profile has no such line.
     if stage.exec_tasks > 0 {
         let _ = writeln!(
             out,
-            "  executor: width {}, {} tasks, {} steals, busy {:.3} ms, \
-             queue high-water {}",
-            stage.exec_width.max(1),
+            "  drain pool: {} tasks, busy {:.3} ms, queue high-water {}",
             stage.exec_tasks,
-            stage.exec_steals,
             stage.exec_busy_nanos as f64 / 1e6,
             stage.exec_queue_hwm,
         );
@@ -278,7 +260,6 @@ mod tests {
             assert!(text.contains(name), "missing stage {name}");
         }
         assert!(text.contains("SEVE @ 8 clients"));
-        assert!(text.contains("analyze threads: 1"), "default budget shown");
         assert!(text.contains("3 messages, 120 wire bytes"));
         assert!(
             text.contains(
@@ -289,36 +270,17 @@ mod tests {
         assert!(text.contains("closure index"));
         assert!(text.contains("analyze index"));
         assert!(
-            !text.contains("analyze batching"),
-            "batching line only when parallel ticks ran"
-        );
-        assert!(
-            !text.contains("executor:"),
-            "executor line only when the pool ran tasks"
+            !text.contains("drain pool:"),
+            "drain-pool line only when the pool ran tasks"
         );
 
-        stage.analyze_threads = 4;
-        stage.analyze_parallel_ticks = 2;
-        stage.analyze_components = 10;
-        stage.analyze_max_batch = 17;
-        stage.analyze_worker_busy_nanos = 4_000_000;
-        let text = render_stage_profile("SEVE @ 8 clients", &stage);
-        assert!(text.contains("analyze threads: 4"));
-        assert!(text.contains("2 parallel ticks, 5.0 components/tick"));
-        assert!(text.contains("max batch 17"));
-        assert!(text.contains("workers busy 4.000 ms"));
-
-        stage.exec_width = 2;
         stage.exec_tasks = 12;
-        stage.exec_steals = 3;
         stage.exec_busy_nanos = 2_500_000;
         stage.exec_queue_hwm = 5;
         let text = render_stage_profile("SEVE @ 8 clients", &stage);
         assert!(
-            text.contains(
-                "executor: width 2, 12 tasks, 3 steals, busy 2.500 ms, queue high-water 5"
-            ),
-            "executor line missing or malformed"
+            text.contains("drain pool: 12 tasks, busy 2.500 ms, queue high-water 5"),
+            "drain-pool line missing or malformed"
         );
         assert!(
             !text.contains("session:"),

@@ -769,11 +769,6 @@ impl<'a, W: GameWorld, P: ProtocolSuite<W>> Simulation<'a, W, P> {
                 oracle.observe(&rec);
             }
         }
-        if std::env::var("SEVE_DEBUG_VIOL").is_ok() {
-            if let Some(root) = oracle.first_input_mismatch() {
-                eprintln!("ROOT first input mismatch at pos {root}");
-            }
-        }
         let total_bytes: u64 = up_links
             .iter()
             .chain(down_links.iter())

@@ -59,8 +59,6 @@ pub struct EgressStats {
     /// Tasks the transport's drain pool executed (zero for transports
     /// without one).
     pub exec_tasks: u64,
-    /// Drain-pool tasks taken from a queue the taker does not own.
-    pub exec_steals: u64,
     /// Summed wall-clock nanoseconds drain-pool lanes spent in tasks.
     pub exec_busy_nanos: u64,
     /// High-water mark of tasks queued on the drain pool.

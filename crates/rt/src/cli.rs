@@ -20,11 +20,6 @@ pub struct CommonOpts {
     pub mode: ServerMode,
     /// Assumed round-trip time, milliseconds (drives ω·RTT cycles).
     pub rtt_ms: u64,
-    /// Analyze-stage worker threads (`None` = env/auto, `1` = sequential).
-    pub analyze_threads: Option<usize>,
-    /// Executor pool width (`None` = `SEVE_EXEC_THREADS`/auto, `1` = a
-    /// fully inline pool with no worker threads).
-    pub exec_threads: Option<usize>,
     /// Remaining positional arguments.
     pub rest: Vec<String>,
 }
@@ -37,16 +32,13 @@ impl Default for CommonOpts {
             seed: 7,
             mode: ServerMode::InfoBound,
             rtt_ms: 40,
-            analyze_threads: None,
-            exec_threads: None,
             rest: Vec::new(),
         }
     }
 }
 
 /// Parse `--clients N --walls N --seed N --mode basic|incomplete|
-/// first-bound|info-bound --rtt MS --analyze-threads N --exec-threads N`
-/// plus positionals from `args`.
+/// first-bound|info-bound --rtt MS` plus positionals from `args`.
 pub fn parse_common(args: impl Iterator<Item = String>) -> Result<CommonOpts, String> {
     let mut opts = CommonOpts::default();
     let mut it = args.peekable();
@@ -71,20 +63,6 @@ pub fn parse_common(args: impl Iterator<Item = String>) -> Result<CommonOpts, St
                     .map_err(|e| format!("--seed: {e}"))?
             }
             "--rtt" => opts.rtt_ms = grab("--rtt")?.parse().map_err(|e| format!("--rtt: {e}"))?,
-            "--analyze-threads" => {
-                opts.analyze_threads = Some(
-                    grab("--analyze-threads")?
-                        .parse()
-                        .map_err(|e| format!("--analyze-threads: {e}"))?,
-                )
-            }
-            "--exec-threads" => {
-                opts.exec_threads = Some(
-                    grab("--exec-threads")?
-                        .parse()
-                        .map_err(|e| format!("--exec-threads: {e}"))?,
-                )
-            }
             "--mode" => {
                 opts.mode = match grab("--mode")?.as_str() {
                     "basic" => ServerMode::Basic,
@@ -121,8 +99,6 @@ pub fn build_protocol(opts: &CommonOpts) -> ProtocolConfig {
     let mut cfg = ProtocolConfig::with_mode(opts.mode);
     cfg.rtt = SimDuration::from_ms(opts.rtt_ms);
     cfg.tick = SimDuration::from_ms((opts.rtt_ms / 4).max(2));
-    cfg.analyze_threads = opts.analyze_threads;
-    cfg.exec_threads = opts.exec_threads;
     cfg
 }
 
@@ -145,22 +121,16 @@ mod tests {
             "incomplete",
             "--rtt",
             "100",
-            "--analyze-threads",
-            "4",
-            "--exec-threads",
-            "2",
             "extra",
         ])
         .unwrap();
         assert_eq!(o.clients, 12);
         assert_eq!(o.mode, ServerMode::Incomplete);
         assert_eq!(o.rtt_ms, 100);
-        assert_eq!(o.analyze_threads, Some(4));
-        assert_eq!(o.exec_threads, Some(2));
         assert_eq!(o.rest, vec!["extra".to_string()]);
         let cfg = build_protocol(&o);
-        assert_eq!(cfg.analyze_threads, Some(4));
-        assert_eq!(cfg.exec_threads, Some(2));
+        assert_eq!(cfg.rtt.as_ms_f64(), 100.0);
+        assert_eq!(cfg.tick.as_ms_f64(), 25.0);
     }
 
     #[test]
@@ -168,8 +138,7 @@ mod tests {
         assert!(parse(&["--clients"]).is_err());
         assert!(parse(&["--clients", "x"]).is_err());
         assert!(parse(&["--mode", "zoned"]).is_err());
-        assert!(parse(&["--analyze-threads", "many"]).is_err());
-        assert!(parse(&["--exec-threads", "many"]).is_err());
+        assert!(parse(&["--rtt", "soon"]).is_err());
     }
 
     #[test]

@@ -99,11 +99,10 @@ pub struct TcpServerTransport<U, D> {
     /// Recycled encode buffers: after warm-up, every frame encodes into a
     /// buffer from a previous batch instead of a fresh allocation.
     pool: BufferPool,
-    /// Persistent pool draining egress lanes. Separate from the engine's
-    /// compute executor by design: drain tasks block in socket `write`,
-    /// and lanes stalled on a slow client must never occupy the lanes the
-    /// analyze/route stages compute on. Sized by [`drain_workers`] (at
-    /// least 4 even on one core — these lanes wait on I/O, not CPU).
+    /// Persistent pool draining egress lanes: drain tasks block in socket
+    /// `write`, so a lane stalled on a slow client occupies one pool lane
+    /// and never the engine thread. Sized by [`drain_workers`] (at least 4
+    /// even on one core — these lanes wait on I/O, not CPU).
     drain_pool: seve_exec::Executor,
     writev_batches: u64,
     _down: PhantomData<D>,
@@ -164,7 +163,6 @@ impl<U, D: Serialize + ShareKey + Sync> ServerTransport<U, D> for TcpServerTrans
             writev_batches: self.writev_batches,
             pool_outstanding: self.pool.outstanding(),
             exec_tasks: exec.tasks,
-            exec_steals: exec.steals,
             exec_busy_nanos: exec.busy_nanos,
             exec_queue_hwm: exec.queue_hwm,
             ..EgressStats::default()

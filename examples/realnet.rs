@@ -1,7 +1,7 @@
 //! SEVE over real transports — the "real experiments" half of Section V.
 //!
 //! ```text
-//! cargo run --release -p seve --example realnet -- [clients] [moves] [backend] [analyze-threads]
+//! cargo run --release -p seve --example realnet -- [clients] [moves] [backend]
 //! ```
 //!
 //! `backend` selects the threaded substrate under the shared node driver:
@@ -28,7 +28,6 @@ fn main() {
     let n: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(6);
     let moves: u32 = args.next().and_then(|a| a.parse().ok()).unwrap_or(30);
     let backend = args.next().unwrap_or_else(|| "tcp".to_string());
-    let analyze_threads: Option<usize> = args.next().and_then(|a| a.parse().ok());
 
     let world = Arc::new(ManhattanWorld::new(ManhattanConfig {
         clients: n,
@@ -43,8 +42,6 @@ fn main() {
     let mut cfg = ProtocolConfig::with_mode(ServerMode::InfoBound);
     cfg.rtt = SimDuration::from_ms(20);
     cfg.tick = SimDuration::from_ms(5);
-    // 4th positional: analyze-stage worker threads (None = env/auto).
-    cfg.analyze_threads = analyze_threads;
 
     match backend.as_str() {
         "tcp" => run_tcp(world, cfg, n, moves),

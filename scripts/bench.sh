@@ -33,36 +33,18 @@ for r in rows:
         f"index visited {r['entries_visited']} of {r['queue_len']} entries"
 print("closure_indexed ok:", rows)
 EOF
-    echo "== parallel-analyze + event-queue smoke check =="
-    # bench_push asserts in-process that the batched analysis matches the
-    # sequential oracle bit for bit, and that the timer wheel pops the
-    # identical event sequence as the heap over a full run. Here we require
-    # the tables exist, the partition actually fanned out, and the
-    # equivalence flag was set. Wall-clock speedup is host-dependent —
-    # recorded in the JSON and printed here, never asserted in CI (a 2-core
-    # host reads 0.35–0.70× on its non-oversubscribed row).
+    echo "== event-queue smoke check =="
+    # bench_push asserts in-process that the timer wheel pops the identical
+    # event sequence as the heap over a full run; here we require the flag
+    # was set and the thousand-client sweep ran.
     python3 - <<'EOF'
 import json
 j = json.load(open("target/BENCH_push.smoke.json"))
 assert j["meta"]["event_queue_equiv"] is True, "wheel/heap equivalence not verified"
-cores = j["meta"]["host_parallelism"]
-rows = j["analyze_parallel"]
-assert rows, "analyze_parallel table is empty"
-for r in rows:
-    assert r["components"] > 1, f"tick did not partition: {r}"
-    assert r["threads"] > 1, f"parallel run used {r['threads']} threads"
-    assert r["oversubscribed"] == (r["threads"] > cores), \
-        f"oversubscription flag inconsistent with host_parallelism={cores}: {r}"
-    if cores >= 2 and not r["oversubscribed"] and r["speedup"] < 1.0:
-        print(f"note: parallel analyze {r['speedup']:.2f}x of sequential "
-              f"at {r['threads']} threads on a {cores}-core host")
 sims = j["sim_scale"]
 assert sims, "sim_scale table is empty"
 for r in sims:
     assert r["clients"] >= 1024, f"sim_scale row below 1024 clients: {r}"
-    assert r["analyze_parallel_ticks"] > 0, \
-        f"{r['clients']}-client run never cleared the parallel gate"
-print("analyze_parallel ok:", rows)
 print("sim_scale ok:", sims)
 EOF
     echo "== bench_wire --smoke =="
