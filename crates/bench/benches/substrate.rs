@@ -1,8 +1,13 @@
 //! Substrate microbenchmarks: the world-state database, the read/write-set
-//! algebra, the spatial index (vs brute force), and terrain queries —
-//! the inner loops every protocol variant leans on.
+//! algebra, the replica's replay-log bookkeeping, the spatial index (vs
+//! brute force), and terrain queries — the inner loops every protocol
+//! variant leans on.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use seve_bench::replay_fixture::{initial_state, storm};
+use seve_core::replay::ReplayLog;
+use seve_net::wire::{from_bytes, to_bytes};
+use seve_world::action::Action;
 use seve_world::geometry::{Aabb, Vec2};
 use seve_world::ids::{AttrId, ObjectId};
 use seve_world::objset::ObjectSet;
@@ -93,6 +98,8 @@ fn bench_state(c: &mut Criterion) {
 
 fn bench_objset(c: &mut Criterion) {
     let mut g = c.benchmark_group("objset");
+    // Tens of nanoseconds a call: enough calls that the clock reads vanish.
+    g.sample_size(1_000_000);
     let a: ObjectSet = (0..16u32).map(|i| ObjectId(i * 3)).collect();
     let b_set: ObjectSet = (0..16u32).map(|i| ObjectId(i * 5)).collect();
     g.bench_function("intersects_16x16", |bench| {
@@ -110,6 +117,70 @@ fn bench_objset(c: &mut Criterion) {
             let mut d = a.clone();
             d.subtract(&b_set);
             std::hint::black_box(d.len())
+        })
+    });
+    // A `melee` move's read or write set: one avatar.
+    let single = ObjectSet::singleton(ObjectId(7));
+    g.bench_function("singleton_clone", |bench| {
+        bench.iter(|| std::hint::black_box(single.clone()))
+    });
+    // A shot's read set, off the wire: shooter and target.
+    let pair = to_bytes(
+        &[ObjectId(3), ObjectId(250)]
+            .into_iter()
+            .collect::<ObjectSet>(),
+    )
+    .unwrap();
+    g.bench_function("decode_2_ids", |bench| {
+        bench.iter(|| std::hint::black_box(from_bytes::<ObjectSet>(&pair).unwrap().len()))
+    });
+    // The replay log's commute gate: a two-id set against a `crowd`-sized
+    // fifteen-id one whose signature collides with it, so the merge runs.
+    let fifteen: ObjectSet = (0..15u32).map(|i| ObjectId(i * 8)).collect();
+    let miss = (1..)
+        .map(ObjectId)
+        .find(|&id| {
+            !fifteen.contains(id) && ObjectSet::singleton(id).signature() & fifteen.signature() != 0
+        })
+        .expect("some id shares a signature bit");
+    let two: ObjectSet = [ObjectId(1), miss].into_iter().collect();
+    assert!(!two.intersects(&fifteen));
+    g.bench_function("intersects_inline_vs_spilled", |bench| {
+        bench.iter(|| std::hint::black_box(two.intersects(&fifteen)))
+    });
+    // Algorithm 6's `S ← S ∪ RS(a)` from one object to a `crowd` read set.
+    g.bench_function("union_with_15", |bench| {
+        bench.iter(|| {
+            let mut u = single.clone();
+            u.union_with(&fifteen);
+            std::hint::black_box(u.len())
+        })
+    });
+    g.finish();
+}
+
+/// A replica's bookkeeping for in-order items: file forty actions as they
+/// arrive, then fold them into the base two at a time, as the server's
+/// install notices do. One log serves every iteration, at rising positions.
+fn bench_replay(c: &mut Criterion) {
+    let mut g = c.benchmark_group("replay");
+    g.sample_size(2_000);
+    let mut arrivals = storm(64);
+    arrivals.sort_by_key(|&(pos, _)| pos);
+    let actions: Vec<_> = arrivals.into_iter().map(|(_, a)| a).collect();
+    let mut log = ReplayLog::new(initial_state(64));
+    let mut next = 1u64;
+    g.bench_function("fill_40_gc_by_2", |bench| {
+        bench.iter(|| {
+            for _ in 0..40 {
+                let a = actions[(next % 64) as usize].clone();
+                log.insert_action(next, a, |_, a, s, _| a.evaluate(&(), s));
+                next += 1;
+            }
+            while log.log_len() > 0 {
+                log.gc(log.base_pos() + 2);
+            }
+            std::hint::black_box(log.base_pos())
         })
     });
     g.finish();
@@ -161,6 +232,7 @@ criterion_group!(
     benches,
     bench_state,
     bench_objset,
+    bench_replay,
     bench_spatial,
     bench_terrain
 );

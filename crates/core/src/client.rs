@@ -29,7 +29,6 @@ use seve_world::ids::{ClientId, QueuePos};
 use seve_world::objset::ObjectSet;
 use seve_world::state::WorldState;
 use seve_world::GameWorld;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The client engine shared by all action-based protocol variants.
@@ -45,7 +44,6 @@ pub struct SeveClient<W: GameWorld> {
     /// Q — pending own actions with their optimistic outcomes.
     pending: PendingQueue<W::Action>,
     next_seq: u32,
-    submit_times: BTreeMap<u32, SimTime>,
     metrics: ClientMetrics,
 }
 
@@ -68,7 +66,6 @@ impl<W: GameWorld> SeveClient<W> {
             replay,
             pending: PendingQueue::new(),
             next_seq: 0,
-            submit_times: BTreeMap::new(),
             metrics,
             world,
         }
@@ -210,8 +207,7 @@ impl<W: GameWorld> ClientNode<W> for SeveClient<W> {
         let cost = self.world.eval_cost_micros(&action);
         self.metrics.evaluations += 1;
         self.metrics.submitted += 1;
-        self.submit_times.insert(action.id().seq, now);
-        self.pending.push(action.clone(), optimistic);
+        self.pending.push(action.clone(), optimistic, now);
         out.push(ToServer::Submit { action });
         self.metrics.compute_us += cost;
         cost
@@ -282,10 +278,9 @@ impl<W: GameWorld> ClientNode<W> for SeveClient<W> {
                                 None
                             };
                             debug_assert_eq!(own, returned.is_some(), "own {id:?} not pending");
-                            if returned.is_some() {
-                                if let Some(t) = self.submit_times.remove(&id.seq) {
-                                    self.metrics.response_ms.record((now - t).as_ms_f64());
-                                }
+                            if let Some(entry) = &returned {
+                                let waited = now - entry.submitted;
+                                self.metrics.response_ms.record(waited.as_ms_f64());
                             }
                             let mispredicted = returned.filter(|e| e.optimistic != *stable);
                             if !own && !rebuilt {
@@ -320,9 +315,8 @@ impl<W: GameWorld> ClientNode<W> for SeveClient<W> {
                 // no-op everywhere. Roll its optimistic effects back.
                 if let Some(entry) = self.pending.remove_by_id(id) {
                     self.metrics.dropped += 1;
-                    if let Some(t) = self.submit_times.remove(&id.seq) {
-                        self.metrics.drop_notice_ms.record((now - t).as_ms_f64());
-                    }
+                    let waited = now - entry.submitted;
+                    self.metrics.drop_notice_ms.record(waited.as_ms_f64());
                     cost += self.reconcile(entry.action.write_set());
                 } else {
                     debug_assert!(false, "drop notice for unknown action {id:?}");

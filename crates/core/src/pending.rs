@@ -11,6 +11,7 @@
 //! server"). [`PendingQueue`] maintains that union incrementally as a
 //! multiset, so membership tests are O(log n) and never require a rescan.
 
+use seve_net::time::SimTime;
 use seve_world::action::{Action, Outcome};
 use seve_world::ids::ObjectId;
 use seve_world::objset::ObjectSet;
@@ -24,6 +25,9 @@ pub struct PendingEntry<A> {
     pub action: A,
     /// Its optimistic outcome vᵢ.
     pub optimistic: Outcome,
+    /// When it was submitted: the start of its response time, or of its
+    /// drop notice's delay.
+    pub submitted: SimTime,
 }
 
 /// The queue Q with an incrementally maintained `WS(Q)` multiset.
@@ -64,8 +68,8 @@ impl<A: Action> PendingQueue<A> {
         self.entries.is_empty()
     }
 
-    /// Append ⟨a, v⟩ (Algorithm 1 step 2).
-    pub fn push(&mut self, action: A, optimistic: Outcome) {
+    /// Append ⟨a, v⟩, submitted at `submitted` (Algorithm 1 step 2).
+    pub fn push(&mut self, action: A, optimistic: Outcome, submitted: SimTime) {
         for o in action.write_set().iter() {
             let c = self.ws_counts.entry(o).or_insert(0);
             *c += 1;
@@ -73,7 +77,11 @@ impl<A: Action> PendingQueue<A> {
                 self.ws_cache.insert(o);
             }
         }
-        self.entries.push_back(PendingEntry { action, optimistic });
+        self.entries.push_back(PendingEntry {
+            action,
+            optimistic,
+            submitted,
+        });
     }
 
     /// The head entry ⟨a₁, v₁⟩, if any.
@@ -188,8 +196,8 @@ mod tests {
     #[test]
     fn push_pop_fifo() {
         let mut q = PendingQueue::new();
-        q.push(FakeAction::new(0, &[1]), Outcome::abort());
-        q.push(FakeAction::new(1, &[2]), Outcome::abort());
+        q.push(FakeAction::new(0, &[1]), Outcome::abort(), SimTime::ZERO);
+        q.push(FakeAction::new(1, &[2]), Outcome::abort(), SimTime::ZERO);
         assert_eq!(q.len(), 2);
         assert_eq!(q.head().unwrap().action.id.seq, 0);
         assert_eq!(q.pop_head().unwrap().action.id.seq, 0);
@@ -200,8 +208,8 @@ mod tests {
     #[test]
     fn ws_multiset_tracks_overlapping_write_sets() {
         let mut q = PendingQueue::new();
-        q.push(FakeAction::new(0, &[1, 2]), Outcome::abort());
-        q.push(FakeAction::new(1, &[2, 3]), Outcome::abort());
+        q.push(FakeAction::new(0, &[1, 2]), Outcome::abort(), SimTime::ZERO);
+        q.push(FakeAction::new(1, &[2, 3]), Outcome::abort(), SimTime::ZERO);
         assert!(q.ws_contains(ObjectId(1)));
         assert!(q.ws_contains(ObjectId(2)));
         assert!(q.ws_contains(ObjectId(3)));
@@ -216,17 +224,17 @@ mod tests {
     #[test]
     fn ws_set_cache_refreshes() {
         let mut q = PendingQueue::new();
-        q.push(FakeAction::new(0, &[5]), Outcome::abort());
+        q.push(FakeAction::new(0, &[5]), Outcome::abort(), SimTime::ZERO);
         assert_eq!(q.ws_set().as_slice(), &[ObjectId(5)]);
-        q.push(FakeAction::new(1, &[7]), Outcome::abort());
+        q.push(FakeAction::new(1, &[7]), Outcome::abort(), SimTime::ZERO);
         assert_eq!(q.ws_set().as_slice(), &[ObjectId(5), ObjectId(7)]);
     }
 
     #[test]
     fn reapply_rewrites_outcomes_in_order() {
         let mut q = PendingQueue::new();
-        q.push(FakeAction::new(0, &[1]), Outcome::abort());
-        q.push(FakeAction::new(1, &[2]), Outcome::abort());
+        q.push(FakeAction::new(0, &[1]), Outcome::abort(), SimTime::ZERO);
+        q.push(FakeAction::new(1, &[2]), Outcome::abort(), SimTime::ZERO);
         let mut seen = Vec::new();
         q.reapply(|a| {
             seen.push(a.id.seq);

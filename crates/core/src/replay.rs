@@ -13,6 +13,14 @@
 //!   before the action at `p + 1`;
 //! * a materialized `cache` = base ⊕ replay(items).
 //!
+//! The items are one `VecDeque` sorted by key. An in-order arrival — every
+//! item whose key tops the log — is appended; a late one is inserted at its
+//! binary-searched index, which lies near the tail, so the move is short.
+//! [`ReplayLog::has_action`] is one binary search, the commute and suffix
+//! scans walk index ranges, and [`ReplayLog::gc`] drains a prefix. The
+//! buffer is reused, so filing an item and folding it on a GC notice
+//! allocate nothing once the log has reached its working length.
+//!
 //! In-order arrivals (the overwhelmingly common case) extend the cache
 //! incrementally. An out-of-order arrival rebuilds the cache by replaying
 //! a suffix — and, by the closure property of Algorithm 6, every
@@ -67,8 +75,7 @@ use seve_world::action::{Action, Outcome};
 use seve_world::ids::QueuePos;
 use seve_world::objset::ObjectSet;
 use seve_world::state::{Snapshot, WorldState, WriteLog};
-use std::collections::BTreeMap;
-use std::ops::Bound;
+use std::collections::VecDeque;
 
 /// Sort key: `(position, phase, arrival)` where phase 0 = the action at
 /// this position, phase 1 = a blind write capturing committed state *after*
@@ -126,7 +133,8 @@ pub struct Inserted<'a> {
 pub struct ReplayLog<A> {
     base: WorldState,
     base_pos: QueuePos,
-    items: BTreeMap<Key, LogItem<A>>,
+    /// The received items after `base_pos`, ascending by key.
+    items: VecDeque<(Key, LogItem<A>)>,
     arrivals: u64,
     cache: WorldState,
     /// Highest key applied to `cache`; `None` when nothing beyond base.
@@ -171,7 +179,7 @@ impl<A: Action> ReplayLog<A> {
             cache: initial.clone(),
             base: initial,
             base_pos: 0,
-            items: BTreeMap::new(),
+            items: VecDeque::new(),
             arrivals: 0,
             applied_hi: None,
             divergences: 0,
@@ -272,7 +280,34 @@ impl<A: Action> ReplayLog<A> {
         // answers without searching the log.
         pos <= self.base_pos
             || (self.applied_hi.is_some_and(|hi| pos <= hi.0)
-                && self.items.range((pos, 0, 0)..(pos, 1, 0)).next().is_some())
+                && self
+                    .items
+                    .get(self.index_of((pos, 0, 0)))
+                    .is_some_and(|((p, phase, _), _)| *p == pos && *phase == 0))
+    }
+
+    /// The index of the first item whose key is not below `key`: where an
+    /// item filed under `key` belongs.
+    #[inline]
+    fn index_of(&self, key: Key) -> usize {
+        self.items.partition_point(|(k, _)| *k < key)
+    }
+
+    /// The index of the first item past `key`.
+    #[inline]
+    fn index_after(&self, key: Key) -> usize {
+        self.items.partition_point(|(k, _)| *k <= key)
+    }
+
+    /// File `item` under `key` in key order and return its index. In-order
+    /// items (every one whose key tops the log) append.
+    fn file(&mut self, key: Key, item: LogItem<A>) -> usize {
+        let at = match self.items.back() {
+            Some((last, _)) if *last > key => self.index_of(key),
+            _ => self.items.len(),
+        };
+        self.items.insert(at, (key, item));
+        at
     }
 
     /// Insert the serialized action at `pos`, evaluating it (and any
@@ -327,7 +362,7 @@ impl<A: Action> ReplayLog<A> {
                 ignored: false,
             };
         }
-        self.items.insert(
+        let at = self.file(
             key,
             LogItem::Action {
                 action,
@@ -335,8 +370,9 @@ impl<A: Action> ReplayLog<A> {
             },
         );
         self.rebuild(key, &mut eval);
-        let outcome = match self.items.get(&key) {
-            Some(LogItem::Action { outcome, .. }) => outcome.as_ref(),
+        // A rebuild re-applies items in place; it files and drops none.
+        let outcome = match &self.items[at] {
+            (_, LogItem::Action { outcome, .. }) => outcome.as_ref(),
             _ => None,
         };
         Inserted {
@@ -349,15 +385,18 @@ impl<A: Action> ReplayLog<A> {
     /// File an evaluated action under `key` and lend its outcome back: the
     /// entry holds the one copy, for `gc` and later reconciliations.
     fn store_evaluated(&mut self, key: Key, action: Shared<A>, outcome: Outcome) -> &Outcome {
-        let entry = self.items.entry(key).or_insert(LogItem::Action {
-            action,
-            outcome: Some(outcome),
-        });
-        match entry {
+        let at = self.file(
+            key,
+            LogItem::Action {
+                action,
+                outcome: Some(outcome),
+            },
+        );
+        match &self.items[at].1 {
             LogItem::Action {
                 outcome: Some(o), ..
             } => o,
-            _ => unreachable!("arrival numbers make every key unique"),
+            _ => unreachable!("filed with an outcome just above"),
         }
     }
 
@@ -390,7 +429,7 @@ impl<A: Action> ReplayLog<A> {
                 self.dirty.union_with(&objs);
                 self.maybe_checkpoint(key);
             }
-            self.items.insert(key, LogItem::Blind { values, objs });
+            self.items.push_back((key, LogItem::Blind { values, objs }));
             self.applied_hi = Some(key);
             return Inserted {
                 outcome: None,
@@ -405,14 +444,14 @@ impl<A: Action> ReplayLog<A> {
             self.commute_hits += 1;
             self.cache.overlay(&values);
             self.patch_chain(key, &objs);
-            self.items.insert(key, LogItem::Blind { values, objs });
+            self.file(key, LogItem::Blind { values, objs });
             return Inserted {
                 outcome: None,
                 rebuilt: true,
                 ignored: false,
             };
         }
-        self.items.insert(key, LogItem::Blind { values, objs });
+        self.file(key, LogItem::Blind { values, objs });
         self.rebuild(key, &mut eval);
         Inserted {
             outcome: None,
@@ -431,7 +470,7 @@ impl<A: Action> ReplayLog<A> {
         let rs = action.read_set();
         let ws = action.write_set();
         self.items
-            .range((Bound::Excluded(key), Bound::Unbounded))
+            .range(self.index_after(key)..)
             .all(|(_, item)| match item {
                 LogItem::Action { action: e, .. } => {
                     !ws.intersects(e.read_set()) && !rs.intersects(e.write_set())
@@ -445,7 +484,7 @@ impl<A: Action> ReplayLog<A> {
     /// Does a blind write of `objs` commute with every entry after `key`?
     fn blind_commutes(&self, key: Key, objs: &ObjectSet) -> bool {
         self.items
-            .range((Bound::Excluded(key), Bound::Unbounded))
+            .range(self.index_after(key)..)
             .all(|(_, item)| match item {
                 LogItem::Action { action: e, .. } => !objs.intersects(e.read_set()),
                 LogItem::Blind { objs: other, .. } => !objs.intersects(other),
@@ -505,10 +544,13 @@ impl<A: Action> ReplayLog<A> {
         // Roll the few entries between the boundary and `key` forward —
         // stored outcomes only, filtered to the objects the action can see.
         let from = match kept {
-            0 => Bound::Unbounded,
-            n => Bound::Excluded(self.checkpoints[n - 1].upto),
+            0 => 0,
+            n => self.index_after(self.checkpoints[n - 1].upto),
         };
-        for (_, item) in self.items.range((from, Bound::Excluded(key))) {
+        // `key` is not filed yet, so the items before it end where the
+        // items after it begin.
+        let suffix = self.index_after(key);
+        for (_, item) in self.items.range(from..suffix) {
             match item {
                 LogItem::Action { action: e, outcome } => {
                     if !need.intersects(e.write_set()) {
@@ -542,7 +584,7 @@ impl<A: Action> ReplayLog<A> {
         let writes: Vec<_> = o.writes.iter().collect();
         let touched = o.writes.touched_objects();
         let mut first_kill: Vec<Option<Key>> = vec![None; writes.len()];
-        for (k2, item) in self.items.range((Bound::Excluded(key), Bound::Unbounded)) {
+        for (k2, item) in self.items.range(suffix..) {
             if first_kill.iter().all(|k| k.is_some()) {
                 break; // every write's first overwriter is known
             }
@@ -679,10 +721,10 @@ impl<A: Action> ReplayLog<A> {
         if pos <= self.base_pos {
             return;
         }
-        // Split off the prefix ≤ (pos, blind-phase, any arrival).
-        let keep = self.items.split_off(&(pos + 1, 0, 0));
-        let prefix = std::mem::replace(&mut self.items, keep);
-        for (key, item) in prefix {
+        // Drain the prefix ≤ (pos, blind-phase, any arrival).
+        let bound: Key = (pos + 1, 0, 0);
+        let folded = self.index_of(bound);
+        for (key, item) in self.items.drain(..folded) {
             match item {
                 LogItem::Action { outcome, .. } => {
                     let o = outcome.unwrap_or_else(|| {
@@ -703,7 +745,6 @@ impl<A: Action> ReplayLog<A> {
         // past a survivor's predecessor is re-asserted by that survivor's
         // delta, and objects last touched inside the folded span carry the
         // same value in the new base as in the dropped deltas.
-        let bound: Key = (pos + 1, 0, 0);
         let drop_n = self.checkpoints.partition_point(|c| c.upto < bound);
         if drop_n > 0 {
             self.checkpoints.drain(..drop_n);
@@ -769,12 +810,9 @@ impl<A: Action> ReplayLog<A> {
         let from = self.checkpoints.last().map(|c| c.upto);
         self.dirty.clear();
         self.since_ckpt = 0;
-        let range = match from {
-            Some(k) => (Bound::Excluded(k), Bound::Unbounded),
-            None => (Bound::Unbounded, Bound::Unbounded),
-        };
+        let start = from.map_or(0, |k| self.index_after(k));
         let mut hi = from;
-        for (key, item) in self.items.range_mut(range) {
+        for (key, item) in self.items.range_mut(start..) {
             self.entries_replayed += 1;
             match item {
                 LogItem::Action { action, outcome } => {
@@ -1006,6 +1044,71 @@ mod tests {
         assert_eq!(x_of(log.state()), 27);
         // Rebuild evaluated 4 (first time) and 5 (again).
         assert_eq!(evals, vec![(4, true), (5, false)]);
+    }
+
+    /// `gc(p)` folds everything filed at or before the blind-write phase of
+    /// `p` — an action at `p`, a blind as of `p` — and keeps the action at
+    /// `p + 1`: a late action between them reads the blind's value from the
+    /// new base.
+    #[test]
+    fn gc_folds_the_blind_as_of_its_position_and_keeps_the_next_action() {
+        let mut log = ReplayLog::new(initial());
+        log.insert_action(1, AddAction::new(0, 1), ev);
+        log.insert_action(2, AddAction::new(1, 2), ev);
+        let mut snap = Snapshot::new();
+        let mut obj = seve_world::WorldObject::new();
+        obj.set(V, Value::I64(100));
+        snap.push(X, obj);
+        assert!(!log.insert_blind(2, &snap, ev).rebuilt, "in order");
+        log.insert_action(4, AddAction::new(3, 5), ev);
+        assert_eq!(x_of(log.state()), 105);
+        log.gc(2);
+        assert_eq!(log.base_pos(), 2);
+        assert_eq!(log.log_len(), 1, "only the action at 4 is held");
+        assert!(log.has_action(4));
+        assert!(!log.has_action(3));
+        assert_eq!(x_of(log.state()), 105, "cache unchanged by gc");
+        // Position 3 arrives late: it reads X as of 3, i.e. the blind's 100
+        // from the base (not 3, had the blind been dropped, nor 105, had the
+        // action at 4 been folded too).
+        let r = log.insert_action(3, AddAction::new(2, 7), ev);
+        assert!(r.rebuilt);
+        assert_eq!(
+            r.outcome.unwrap().writes.iter().next().unwrap().2,
+            Value::I64(107)
+        );
+        assert_eq!(x_of(log.state()), 105, "the action at 4 keeps its outcome");
+        log.gc(3);
+        assert_eq!(log.log_len(), 1, "still the action at 4");
+        log.gc(4);
+        assert_eq!(log.log_len(), 0);
+        assert_eq!(x_of(log.state()), 105);
+    }
+
+    /// A late item is filed at its position whether that is the head of the
+    /// log or just before its tail: a verifying rebuild walks the log in
+    /// store order, and it must see positions ascending.
+    #[test]
+    fn late_inserts_at_the_head_and_before_the_tail_land_in_position_order() {
+        let mut log = ReplayLog::new(initial());
+        log.set_verify_rebuilds(true);
+        for p in [2, 3, 4, 6] {
+            log.insert_action(p, AddAction::new(p as u32, 1), ev);
+        }
+        for (late, want) in [(1, vec![1, 2, 3, 4, 6]), (5, vec![1, 2, 3, 4, 5, 6])] {
+            let mut order = Vec::new();
+            log.insert_action(late, AddAction::new(late as u32, 1), |p, a, s, f| {
+                order.push(p);
+                ev(p, a, s, f)
+            });
+            assert_eq!(order, want, "late {late}");
+            assert!(log.has_action(late));
+        }
+        assert_eq!(x_of(log.state()), 6);
+        log.gc(3);
+        assert_eq!(log.log_len(), 3, "4, 5 and 6 are held");
+        assert!((1..=6).all(|p| log.has_action(p)));
+        assert!(!log.has_action(7));
     }
 
     #[test]

@@ -410,74 +410,6 @@ proptest! {
         prop_assert_eq!(log.state().digest(), reference.digest());
     }
 
-    /// The checkpointed log is bit-identical to the full-rebuild oracle
-    /// (`checkpoint_interval = 0`) under arbitrary out-of-order arrival
-    /// interleavings, blind writes, and GC'd prefixes — same insert
-    /// results, same state after every step. Both run with verification
-    /// off: that is the production configuration, where rebuilds re-apply
-    /// stored outcomes, and it is the pair the golden digests compare.
-    #[test]
-    fn checkpointed_replay_matches_full_rebuild_oracle(
-        actions in gen_actions(14),
-        order in Just(()).prop_flat_map(|_| proptest::sample::subsequence((0usize..14).collect::<Vec<_>>(), 14).prop_shuffle()),
-        interval in 1usize..6,
-        gc_mask in prop::collection::vec(any::<bool>(), 14),
-        blinds in prop::collection::vec((0u32..8, -100i64..100, 0u64..16, 0usize..14), 0..5),
-    ) {
-        let mut initial = WorldState::new();
-        for o in 0..8u32 {
-            for a in 0..GEN_ATTRS {
-                initial.set_attr(ObjectId(o), AttrId(a), 0i64.into());
-            }
-        }
-        let ev = |_p: QueuePos, a: &GenAction, s: &WorldState, _f: bool| a.evaluate(&(), s);
-        let mut log: ReplayLog<GenAction> = ReplayLog::new(initial.clone());
-        log.set_checkpoint_interval(interval);
-        let mut oracle: ReplayLog<GenAction> = ReplayLog::new(initial);
-        oracle.set_checkpoint_interval(0);
-        let mut done: BTreeSet<usize> = BTreeSet::new();
-        for (step, &idx) in order.iter().enumerate() {
-            let pos = (idx + 1) as QueuePos;
-            let ri = log.insert_action(pos, actions[idx].clone(), ev);
-            let ro = oracle.insert_action(pos, actions[idx].clone(), ev);
-            prop_assert_eq!(ri, ro, "insert results diverged at step {}", step);
-            done.insert(idx);
-            for &(obj, val, as_of, after) in &blinds {
-                if after == step {
-                    let mut o = seve_world::WorldObject::new();
-                    o.set(AttrId(0), Value::I64(val));
-                    let mut snap = Snapshot::new();
-                    snap.push(ObjectId(obj), o);
-                    let bi = log.insert_blind(as_of, &snap, ev);
-                    let bo = oracle.insert_blind(as_of, &snap, ev);
-                    prop_assert_eq!(bi, bo, "blind results diverged at step {}", step);
-                }
-            }
-            if gc_mask[step] {
-                // GC the contiguous received prefix, as the server's
-                // install notices would.
-                let mut p = 0u64;
-                while done.contains(&(p as usize)) {
-                    p += 1;
-                }
-                if p > 0 {
-                    log.gc(p);
-                    oracle.gc(p);
-                }
-            }
-            prop_assert_eq!(
-                log.state().digest(),
-                oracle.state().digest(),
-                "state diverged at step {}",
-                step
-            );
-        }
-        prop_assert_eq!(log.base_pos(), oracle.base_pos());
-        prop_assert_eq!(log.log_len(), oracle.log_len());
-        prop_assert_eq!(log.divergences(), 0);
-        prop_assert_eq!(oracle.divergences(), 0);
-    }
-
     /// Soundness of the commutativity gate: the fast path must never fire
     /// when a later entry's read set overlaps the inserted write set (or
     /// vice versa) — and whether it fires or not, the state must match the
@@ -519,6 +451,147 @@ proptest! {
         prop_assert!(ro.rebuilt);
         prop_assert_eq!(outcome.as_ref(), ro.outcome);
         prop_assert_eq!(log.state().digest(), oracle.state().digest());
+    }
+}
+
+/// GCs the checkpointed-replay cases made at a position whose blind-write
+/// phase held a blind, and at one past the received prefix.
+static GC_AT_BLIND: AtomicUsize = AtomicUsize::new(0);
+static GC_PAST_PREFIX: AtomicUsize = AtomicUsize::new(0);
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    // Not a test by itself: `checkpointed_replay_matches_full_rebuild_oracle`
+    // runs the cases and then checks they were not vacuous.
+    fn checkpointed_replay_cases(
+        actions in gen_actions(14),
+        order in Just(()).prop_flat_map(|_| proptest::sample::subsequence((0usize..14).collect::<Vec<_>>(), 14).prop_shuffle()),
+        interval in 1usize..6,
+        gc_mask in prop::collection::vec(any::<bool>(), 14),
+        gc_at in prop::collection::vec(prop::option::of((any::<bool>(), 0u64..16)), 14),
+        blinds in prop::collection::vec((0u32..8, -100i64..100, 0u64..16, 0usize..14), 0..5),
+    ) {
+        let mut initial = WorldState::new();
+        for o in 0..8u32 {
+            for a in 0..GEN_ATTRS {
+                initial.set_attr(ObjectId(o), AttrId(a), 0i64.into());
+            }
+        }
+        let ev = |_p: QueuePos, a: &GenAction, s: &WorldState, _f: bool| a.evaluate(&(), s);
+        let mut log: ReplayLog<GenAction> = ReplayLog::new(initial.clone());
+        log.set_checkpoint_interval(interval);
+        let mut oracle: ReplayLog<GenAction> = ReplayLog::new(initial);
+        oracle.set_checkpoint_interval(0);
+        let mut done: BTreeSet<usize> = BTreeSet::new();
+        // The held items as (position, phase): an action at p is (p, 0), a
+        // blind as of p is (p, 1), so GC up to p keeps exactly those past
+        // (p, 1).
+        let mut held: Vec<(QueuePos, u8)> = Vec::new();
+        let gc = |p: QueuePos,
+                  log: &mut ReplayLog<GenAction>,
+                  oracle: &mut ReplayLog<GenAction>,
+                  held: &mut Vec<(QueuePos, u8)>| {
+            // At or behind the base a GC is a no-op, even with a blind
+            // filed as of the base since.
+            let acts = p > log.base_pos();
+            if acts && held.contains(&(p, 1)) {
+                GC_AT_BLIND.fetch_add(1, Ordering::Relaxed);
+            }
+            log.gc(p);
+            oracle.gc(p);
+            if acts {
+                held.retain(|&k| k > (p, 1));
+            }
+        };
+        for (step, &idx) in order.iter().enumerate() {
+            let pos = (idx + 1) as QueuePos;
+            done.insert(idx);
+            // A GC past a position retires it: the server installed it,
+            // and an action it never delivered does not arrive later.
+            if pos > log.base_pos() {
+                let ri = log.insert_action(pos, actions[idx].clone(), ev);
+                let ro = oracle.insert_action(pos, actions[idx].clone(), ev);
+                prop_assert_eq!(ri, ro, "insert results diverged at step {}", step);
+                held.push((pos, 0));
+            }
+            for &(obj, val, as_of, after) in &blinds {
+                if after == step {
+                    let mut o = seve_world::WorldObject::new();
+                    o.set(AttrId(0), Value::I64(val));
+                    let mut snap = Snapshot::new();
+                    snap.push(ObjectId(obj), o);
+                    let bi = log.insert_blind(as_of, &snap, ev);
+                    let bo = oracle.insert_blind(as_of, &snap, ev);
+                    prop_assert_eq!(&bi, &bo, "blind results diverged at step {}", step);
+                    if !bi.ignored {
+                        held.push((as_of, 1));
+                    }
+                }
+            }
+            if gc_mask[step] {
+                // GC the contiguous received prefix, as the server's
+                // install notices would.
+                let mut p = 0u64;
+                while done.contains(&(p as usize)) {
+                    p += 1;
+                }
+                if p > 0 {
+                    gc(p, &mut log, &mut oracle, &mut held);
+                }
+            }
+            if let Some((onto_blind, p)) = gc_at[step] {
+                // And anywhere else: onto a blind's phase, past items never
+                // received, or behind the base (a no-op).
+                let phases: Vec<QueuePos> =
+                    held.iter().filter(|k| k.1 == 1).map(|k| k.0).collect();
+                let p = match phases.len() {
+                    n if onto_blind && n > 0 => phases[p as usize % n],
+                    _ => p,
+                };
+                if p > (0..).find(|i| !done.contains(i)).unwrap_or(0) as u64 {
+                    GC_PAST_PREFIX.fetch_add(1, Ordering::Relaxed);
+                }
+                gc(p, &mut log, &mut oracle, &mut held);
+            }
+            prop_assert_eq!(log.base_pos(), oracle.base_pos());
+            prop_assert_eq!(log.log_len(), held.len(), "held items at step {}", step);
+            prop_assert_eq!(oracle.log_len(), held.len());
+            for &(p, phase) in &held {
+                if phase == 0 {
+                    prop_assert!(log.has_action(p), "action {} held", p);
+                }
+            }
+            prop_assert_eq!(
+                log.state().digest(),
+                oracle.state().digest(),
+                "state diverged at step {}",
+                step
+            );
+        }
+        prop_assert_eq!(log.divergences(), 0);
+        prop_assert_eq!(oracle.divergences(), 0);
+    }
+}
+
+/// The checkpointed log is bit-identical to the full-rebuild oracle
+/// (`checkpoint_interval = 0`) under arbitrary out-of-order arrival
+/// interleavings, blind writes, and GC — of the contiguous received prefix
+/// as the server's install notices make it, and at random positions, onto
+/// blind-write phases and past items never received — with the same insert
+/// results and the same state after every step, and both holding exactly
+/// the items past the last GC's blind phase. Both run with verification
+/// off: that is the production configuration, where rebuilds re-apply
+/// stored outcomes, and it is the pair the golden digests compare.
+#[test]
+fn checkpointed_replay_matches_full_rebuild_oracle() {
+    checkpointed_replay_cases();
+    for (what, counter) in [
+        ("GCs onto a held blind's phase", &GC_AT_BLIND),
+        ("GCs past the received prefix", &GC_PAST_PREFIX),
+    ] {
+        let n = counter.load(Ordering::Relaxed);
+        assert!(n > 100, "only {n} {what}: the GC cases are vacuous");
     }
 }
 

@@ -17,8 +17,66 @@ use seve_world::worlds::manhattan::{
     ManhattanConfig, ManhattanWorkload, ManhattanWorld, MoveAction, SpawnPattern,
 };
 use seve_world::{Action, GameWorld};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::sync::Arc;
+
+thread_local! {
+    /// Is this thread's largest allocation being recorded?
+    static MEASURING: Cell<bool> = const { Cell::new(false) };
+    /// The largest allocation, in bytes, this thread asked for while
+    /// `MEASURING`.
+    static PEAK: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The system allocator, recording the largest request each measuring
+/// thread makes (other tests run on their own threads and are not seen).
+struct PeakAlloc;
+
+impl PeakAlloc {
+    fn note(size: usize) {
+        // `try_with`: a thread being torn down may still free or allocate.
+        let _ = MEASURING.try_with(|on| {
+            if on.get() {
+                PEAK.with(|peak| peak.set(peak.get().max(size)));
+            }
+        });
+    }
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; `note` only reads and writes two const-initialized
+// thread-local cells, which never allocate.
+unsafe impl GlobalAlloc for PeakAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Self::note(layout.size());
+        // SAFETY: the caller's guarantees for `layout` pass through.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Self::note(new_size);
+        // SAFETY: `ptr` came from `System` with this `layout`, and the
+        // caller's guarantees for `new_size` pass through.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: PeakAlloc = PeakAlloc;
+
+/// The largest single allocation `f` makes on this thread.
+fn peak_allocation<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    PEAK.with(|peak| peak.set(0));
+    MEASURING.with(|on| on.set(true));
+    let out = f();
+    MEASURING.with(|on| on.set(false));
+    (out, PEAK.with(Cell::get))
+}
 
 /// Fifteen avatars a unit apart: every move reads all fifteen, the read-set
 /// size of a `crowd` move.
@@ -163,6 +221,99 @@ fn a_server_keeps_serving_around_forged_frames() {
             }
         }
         let want: BTreeSet<_> = [actions[0].id(), actions[3].id()].into();
+        assert_eq!(sent, want, "{mode:?}");
+    }
+}
+
+/// `action`'s `Submit` frame cut inside its read set, whose length prefix
+/// now claims 2³²−1 ids, and twelve ascending one-byte ids after it.
+fn forged_length_submit(action: &MoveAction) -> Vec<u8> {
+    let valid = to_bytes(&ToServer::Submit {
+        action: action.clone(),
+    })
+    .unwrap();
+    let needle = to_bytes(action.read_set()).unwrap();
+    let at = valid
+        .windows(needle.len())
+        .position(|w| w == needle)
+        .expect("the read set is in the frame");
+    let mut forged = valid[..at].to_vec();
+    forged.extend(to_bytes(&u32::MAX).unwrap());
+    forged.extend(0u8..12);
+    forged
+}
+
+/// The ids a decoder may reserve for a set ahead of their bytes, whatever
+/// length the peer claims (the vendored serde's cap on a `Vec`).
+const PREALLOC_CAP_BYTES: usize = 4096 * std::mem::size_of::<ObjectId>();
+
+/// A read set claiming 2³²−1 ids in twelve bytes decodes its twelve ids
+/// (spilling past the inline slots into a vector capped at 4096 ids) and
+/// then fails with a typed `Truncated`, never reserving for the claimed
+/// length; a server fed it between valid frames serves the valid ones.
+#[test]
+fn a_forged_read_set_length_is_truncated_without_preallocating_past_the_cap() {
+    let world = crowd_world();
+    let actions = moves(&world, 3, 0);
+    let forged = forged_length_submit(&actions[1]);
+    assert_eq!(
+        forged[forged.len() - 17..forged.len() - 12],
+        [0xff, 0xff, 0xff, 0xff, 0x0f]
+    );
+    let (result, peak) = peak_allocation(|| from_bytes::<ToServer<MoveAction>>(&forged));
+    let err = result.unwrap_err();
+    assert_eq!(err, WireError::Truncated { needed: 1, had: 0 }, "{err}");
+    assert!(peak > 0, "the twelve ids spilled into a vector");
+    assert!(
+        peak <= PREALLOC_CAP_BYTES,
+        "{peak} bytes reserved for a claimed 2^32-1 ids"
+    );
+    // A claim within the cap reserves no more than the claim: the bytes
+    // after the prefix decide how much of it is ever filled.
+    let mut honest = forged.clone();
+    let prefix = forged.len() - 17;
+    honest.splice(prefix..prefix + 5, to_bytes(&12u32).unwrap());
+    let (result, peak) = peak_allocation(|| from_bytes::<ObjectSet>(&honest[prefix..]));
+    assert_eq!(result.unwrap().len(), 12);
+    assert!(peak <= 12 * std::mem::size_of::<ObjectId>(), "{peak}");
+
+    let frames: Vec<(ClientId, Vec<u8>)> = vec![
+        (ClientId(0), forged_submits(&actions[0]).0),
+        (ClientId(1), forged),
+        (ClientId(2), forged_submits(&actions[2]).0),
+    ];
+    for mode in [ServerMode::Incomplete, ServerMode::InfoBound] {
+        let mut server = PipelineServer::new(Arc::clone(&world), ProtocolConfig::with_mode(mode));
+        let mut out = Vec::new();
+        let mut rejected = 0;
+        for (from, frame) in &frames {
+            match from_bytes::<ToServer<MoveAction>>(frame) {
+                Ok(msg) => {
+                    server.deliver(SimTime::ZERO, *from, msg, &mut out);
+                }
+                Err(e) => {
+                    assert!(matches!(e, WireError::Truncated { .. }), "{e}");
+                    rejected += 1;
+                }
+            }
+        }
+        let later = SimTime(1_000_000);
+        server.tick(later, &mut out);
+        server.push_tick(later, &mut out);
+        assert_eq!(rejected, 1);
+        assert_eq!(server.metrics().submissions, 2, "{mode:?}");
+        let mut sent = BTreeSet::new();
+        for (_, msg) in &out {
+            let back: ToClient<MoveAction> = from_bytes(&to_bytes(msg).unwrap()).unwrap();
+            if let ToClient::Batch { items } = back {
+                for item in items.iter() {
+                    if let Payload::Action(a) = &item.payload {
+                        sent.insert(a.id());
+                    }
+                }
+            }
+        }
+        let want: BTreeSet<_> = [actions[0].id(), actions[2].id()].into();
         assert_eq!(sent, want, "{mode:?}");
     }
 }

@@ -7,12 +7,13 @@ use seve_net::wire::{from_bytes, to_bytes};
 use seve_world::geometry::{Aabb, Segment, Vec2};
 use seve_world::ids::{AttrId, ObjectId};
 use seve_world::object::{WorldObject, INLINE};
-use seve_world::objset::ObjectSet;
+use seve_world::objset::{ObjectSet, INLINE as SET_INLINE};
 use seve_world::spatial::UniformGrid;
 use seve_world::state::{Snapshot, WorldState, WriteLog};
 use seve_world::terrain::Terrain;
 use seve_world::value::Value;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// The maps of the end-to-end benchmark's `crowd`, `loopback` and `sprawl`
@@ -573,5 +574,233 @@ proptest! {
         let rebuilt: ObjectSet = u.iter().collect();
         prop_assert_eq!(u.signature(), rebuilt.signature());
         prop_assert_eq!(&u, &rebuilt);
+    }
+}
+
+/// Ids the object-set op sequences draw from: three times the inline
+/// capacity, so sets cross it in both directions.
+const SET_IDS: u32 = 3 * SET_INLINE as u32;
+/// Sets the op sequences operate on (each can be the other's operand, so
+/// merges meet spilled and inline operands).
+const SETS: usize = 2;
+
+/// The other operand of a union or difference: one of the sets, or a set
+/// built from ids for the occasion.
+#[derive(Clone, Debug)]
+enum Operand {
+    Set(usize),
+    Fresh(Vec<u32>),
+}
+
+/// One mutation of set `.0`.
+#[derive(Clone, Debug)]
+enum SetOp {
+    Insert(usize, u32),
+    Remove(usize, u32),
+    Union(usize, Operand),
+    Subtract(usize, Operand),
+    Extend(usize, Vec<u32>),
+    Clear(usize),
+    FromIter(usize, Vec<u32>),
+}
+
+fn set_ids() -> impl Strategy<Value = Vec<u32>> {
+    prop::collection::vec(0..SET_IDS, 0..2 * SET_INLINE + 2)
+}
+
+fn operand() -> impl Strategy<Value = Operand> {
+    prop_oneof![
+        (0..SETS).prop_map(Operand::Set),
+        set_ids().prop_map(Operand::Fresh),
+    ]
+}
+
+fn set_op() -> impl Strategy<Value = SetOp> {
+    let s = || 0..SETS;
+    let id = || 0..SET_IDS;
+    // Single-id steps twice over, so sets walk across the inline capacity
+    // one id at a time as often as they jump it.
+    prop_oneof![
+        (s(), id()).prop_map(|(s, id)| SetOp::Insert(s, id)),
+        (s(), id()).prop_map(|(s, id)| SetOp::Insert(s, id)),
+        (s(), id()).prop_map(|(s, id)| SetOp::Remove(s, id)),
+        (s(), id()).prop_map(|(s, id)| SetOp::Remove(s, id)),
+        (s(), operand()).prop_map(|(s, o)| SetOp::Union(s, o)),
+        (s(), operand()).prop_map(|(s, o)| SetOp::Subtract(s, o)),
+        (s(), set_ids()).prop_map(|(s, ids)| SetOp::Extend(s, ids)),
+        s().prop_map(SetOp::Clear),
+        (s(), set_ids()).prop_map(|(s, ids)| SetOp::FromIter(s, ids)),
+    ]
+}
+
+fn object_set(ids: &[u32]) -> ObjectSet {
+    ids.iter().map(|&i| ObjectId(i)).collect()
+}
+
+/// Checks in which a set that had grown past the inline capacity, and then
+/// shrunk back to it, was compared with one built inline; and forged
+/// encodings the decoder refused.
+static SHRUNK_SETS_COMPARED: AtomicUsize = AtomicUsize::new(0);
+static FORGED_SETS_REFUSED: AtomicUsize = AtomicUsize::new(0);
+
+/// Apply `op` to the sets and to their sorted, duplicate-free models;
+/// returns the index of the set it changed.
+fn apply_set_op(
+    op: &SetOp,
+    sets: &mut [ObjectSet],
+    models: &mut [Vec<u32>],
+) -> Result<usize, TestCaseError> {
+    let ids_of = |ids: &[u32]| ids.iter().map(|&i| ObjectId(i)).collect::<Vec<_>>();
+    let s = match op {
+        SetOp::Insert(s, id) => {
+            let fresh = !models[*s].contains(id);
+            prop_assert_eq!(sets[*s].insert(ObjectId(*id)), fresh);
+            models[*s].push(*id);
+            *s
+        }
+        SetOp::Remove(s, id) => {
+            let held = models[*s].contains(id);
+            prop_assert_eq!(sets[*s].remove(ObjectId(*id)), held);
+            models[*s].retain(|i| i != id);
+            *s
+        }
+        SetOp::Union(s, operand) | SetOp::Subtract(s, operand) => {
+            let (with, with_model) = match operand {
+                Operand::Set(k) => (sets[*k].clone(), models[*k].clone()),
+                Operand::Fresh(ids) => (object_set(ids), ids.clone()),
+            };
+            if matches!(op, SetOp::Union(..)) {
+                sets[*s].union_with(&with);
+                models[*s].extend(with_model);
+            } else {
+                sets[*s].subtract(&with);
+                models[*s].retain(|i| !with_model.contains(i));
+            }
+            *s
+        }
+        SetOp::Extend(s, ids) => {
+            sets[*s].extend(ids_of(ids));
+            models[*s].extend(ids);
+            *s
+        }
+        SetOp::Clear(s) => {
+            sets[*s].clear();
+            models[*s].clear();
+            *s
+        }
+        SetOp::FromIter(s, ids) => {
+            sets[*s] = ObjectSet::from_iter(ids_of(ids));
+            models[*s] = ids.clone();
+            *s
+        }
+    };
+    models[s].sort_unstable();
+    models[s].dedup();
+    Ok(s)
+}
+
+/// Everything observable about a set against its sorted-`Vec` model.
+fn check_set(set: &ObjectSet, model: &[u32], other: &[u32]) -> Result<(), TestCaseError> {
+    let ids: Vec<ObjectId> = model.iter().map(|&i| ObjectId(i)).collect();
+    prop_assert_eq!(set.as_slice(), &ids[..]);
+    prop_assert_eq!(set.len(), model.len());
+    prop_assert_eq!(set.is_empty(), model.is_empty());
+    for id in 0..SET_IDS + 1 {
+        prop_assert_eq!(
+            set.contains(ObjectId(id)),
+            model.contains(&id),
+            "contains {}",
+            id
+        );
+    }
+    let fold = model.iter().fold(0u64, |s, &i| {
+        s | ObjectSet::singleton(ObjectId(i)).signature()
+    });
+    prop_assert_eq!(set.signature(), fold, "signature");
+    // Whatever form either side holds: built inline from the model, and
+    // cloned (a clone of a shrunk spilled set is inline).
+    prop_assert_eq!(set, &object_set(model));
+    prop_assert_eq!(&set.clone(), set);
+    // Against the other set, both ways.
+    let other_set = object_set(other);
+    prop_assert_eq!(
+        set.intersects(&other_set),
+        model.iter().any(|i| other.contains(i))
+    );
+    let not_in: Vec<u32> = set.iter_not_in(&other_set).map(|o| o.0).collect();
+    let want: Vec<u32> = model
+        .iter()
+        .copied()
+        .filter(|i| !other.contains(i))
+        .collect();
+    prop_assert_eq!(not_in, want);
+    // On the wire: the bytes of the `Vec<ObjectId>` it replaces, and back.
+    let bytes = to_bytes(set).unwrap();
+    prop_assert_eq!(&bytes, &to_bytes(&ids).unwrap());
+    let back: ObjectSet = from_bytes(&bytes).unwrap();
+    prop_assert_eq!(&back, set);
+    prop_assert_eq!(back.signature(), fold);
+    if ids.len() >= 2 {
+        let k = ids.len() / 2;
+        let mut swapped = ids.clone();
+        swapped.swap(k - 1, k);
+        let mut duplicated = ids.clone();
+        duplicated[k] = duplicated[k - 1];
+        for forged in [swapped, duplicated] {
+            prop_assert!(from_bytes::<ObjectSet>(&to_bytes(&forged).unwrap()).is_err());
+            FORGED_SETS_REFUSED.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    // Not a test by itself: `object_sets_match_the_vec_model` runs the
+    // cases and then checks they were not vacuous.
+    fn object_set_cases(ops in prop::collection::vec(set_op(), 0..48)) {
+        let mut sets: Vec<ObjectSet> = (0..SETS).map(|_| ObjectSet::new()).collect();
+        let mut models: Vec<Vec<u32>> = vec![Vec::new(); SETS];
+        // Has the set held more than the inline capacity since it was last
+        // built from scratch?
+        let mut grown = [false; SETS];
+        for op in &ops {
+            let s = apply_set_op(op, &mut sets, &mut models)?;
+            if matches!(op, SetOp::FromIter(..)) {
+                grown[s] = false;
+            }
+            grown[s] |= models[s].len() > SET_INLINE;
+            if grown[s] && models[s].len() <= SET_INLINE {
+                SHRUNK_SETS_COMPARED.fetch_add(1, Ordering::Relaxed);
+            }
+            for k in 0..SETS {
+                check_set(&sets[k], &models[k], &models[(k + 1) % SETS])
+                    .map_err(|e| TestCaseError::fail(format!("set {k} after {op:?}: {e}")))?;
+            }
+        }
+    }
+}
+
+/// `ObjectSet` holds up to `INLINE` ids inline and spills past that. Random
+/// sequences of every mutator over two sets, each the other's operand, are
+/// checked after every step against a sorted `Vec` of `u32`: the slice,
+/// length, membership, intersection and difference with the other set, the
+/// signature as a fold of the members' bits, equality with a set built from
+/// the model (a set that spilled and shrank back against an inline one),
+/// the encoded bytes of a `Vec<ObjectId>`, and the decoder's refusal of the
+/// same ids swapped or duplicated.
+#[test]
+fn object_sets_match_the_vec_model() {
+    object_set_cases();
+    for (what, counter) in [
+        (
+            "shrunk sets compared with inline ones",
+            &SHRUNK_SETS_COMPARED,
+        ),
+        ("forged encodings refused", &FORGED_SETS_REFUSED),
+    ] {
+        let n = counter.load(Ordering::Relaxed);
+        assert!(n > 1000, "only {n} {what}: the model check is vacuous");
     }
 }
