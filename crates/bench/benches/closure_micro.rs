@@ -8,10 +8,7 @@
 //! counterpart).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use seve_core::closure::{
-    analyze_new_actions, analyze_new_actions_linear, closure_for, closure_for_linear, ActionQueue,
-    AnalyzeScratch,
-};
+use seve_core::closure::{analyze_new_actions, closure_for, ActionQueue, AnalyzeScratch};
 use seve_net::time::SimTime;
 use seve_world::ids::ClientId;
 use seve_world::worlds::manhattan::{
@@ -69,19 +66,6 @@ fn bench_closure(c: &mut Criterion) {
                 )
             },
         );
-        g.bench_with_input(
-            BenchmarkId::new("algorithm6_single_move_linear", len),
-            &len,
-            |b, &len| {
-                let (_world, queue) = queue_of(len);
-                let last = queue.last_pos().unwrap();
-                b.iter_batched(
-                    || clone_queue(&queue),
-                    |mut q| std::hint::black_box(closure_for_linear(&mut q, ClientId(0), &[last])),
-                    criterion::BatchSize::SmallInput,
-                )
-            },
-        );
         g.bench_with_input(BenchmarkId::new("algorithm7_tick", len), &len, |b, &len| {
             let (_world, queue) = queue_of(len);
             let mut scratch = AnalyzeScratch::new();
@@ -91,18 +75,6 @@ fn bench_closure(c: &mut Criterion) {
                 criterion::BatchSize::SmallInput,
             )
         });
-        g.bench_with_input(
-            BenchmarkId::new("algorithm7_tick_linear", len),
-            &len,
-            |b, &len| {
-                let (_world, queue) = queue_of(len);
-                b.iter_batched(
-                    || clone_queue(&queue),
-                    |mut q| std::hint::black_box(analyze_new_actions_linear(&mut q, 1, 45.0)),
-                    criterion::BatchSize::SmallInput,
-                )
-            },
-        );
     }
     g.finish();
 }

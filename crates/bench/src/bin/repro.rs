@@ -2,16 +2,24 @@
 //!
 //! ```text
 //! repro [--quick]
-//!       [table1|fig6|fig7|fig8|fig9|fig10|table2|capacity|ablations|all]
+//!       [table1|fig6|fig7|fig8|fig9|fig10|table2|capacity|ablations|all|sim-scale]
 //! ```
 //!
 //! `--quick` runs the reduced sweeps used by the test suite; the default is
 //! the paper-fidelity configuration (Table I). Output is plain text,
 //! suitable for diffing against `EXPERIMENTS.md`.
+//!
+//! `sim-scale` is not part of `all`: it runs the Information Bound server
+//! with 10 moves per client at 1024 clients (`--quick`) or at 1024 and 2048,
+//! prints the deterministic counts on stdout and the wall-clock time on
+//! stderr, and panics on any Theorem 1 violation.
 
-use seve_sim::experiment::{self, Scale};
+use seve_core::config::ServerMode;
+use seve_sim::experiment::{self, paper_protocol, paper_sim, paper_world, run_seve, Scale};
 use seve_sim::report::{render_replay_work, render_settings, render_stage_profile};
+use seve_sim::SimConfig;
 use std::io::Write as _;
+use std::time::Instant;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -22,7 +30,7 @@ fn main() {
         .filter(|a| !a.starts_with("--"))
         .map(String::as_str)
         .collect();
-    const KNOWN: [&str; 10] = [
+    const KNOWN: [&str; 11] = [
         "all",
         "table1",
         "fig6",
@@ -33,6 +41,7 @@ fn main() {
         "table2",
         "capacity",
         "ablations",
+        "sim-scale",
     ];
     if let Some(bad) = what.iter().find(|w| !KNOWN.contains(w)) {
         eprintln!("unknown experiment '{bad}'");
@@ -114,5 +123,28 @@ fn main() {
             r.server_compute_us,
             r.duration.as_secs_f64()
         );
+    }
+    if what.contains(&"sim-scale") {
+        let sizes: &[usize] = if quick { &[1024] } else { &[1024, 2048] };
+        let _ = writeln!(
+            out,
+            "== sim-scale — Information Bound, 10 moves per client ==\n  clients  submitted  dropped"
+        );
+        for &clients in sizes {
+            // The quick world and network at every size: the run measures
+            // the simulator's own scaling, not the wall-count cost model.
+            let world = paper_world(clients, Scale::Quick);
+            let sim = SimConfig {
+                moves_per_client: 10,
+                ..paper_sim(Scale::Quick)
+            };
+            let mode = ServerMode::InfoBound;
+            let t = Instant::now();
+            let r = run_seve(&world, mode, paper_protocol(mode), &sim);
+            let wall_ms = t.elapsed().as_secs_f64() * 1e3;
+            assert_eq!(r.violations, 0, "Theorem 1 at {clients} clients");
+            let _ = writeln!(out, "  {clients:>7}  {:>9}  {:>7}", r.submitted, r.dropped);
+            eprintln!("sim-scale clients={clients}: {wall_ms:.0} ms wall");
+        }
     }
 }

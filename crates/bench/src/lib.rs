@@ -1,17 +1,20 @@
-//! # seve-bench — benchmark harness for the paper's evaluation
+//! # seve-bench — the paper's evaluation, regenerated
 //!
 //! Two kinds of artifacts live here:
 //!
 //! * the **`repro` binary** (`cargo run -p seve-bench --release --bin
 //!   repro`) — regenerates every table and figure of Section V as text
-//!   series (see `EXPERIMENTS.md` for recorded output);
-//! * **Criterion benches** (`cargo bench -p seve-bench`) — one bench per
-//!   table/figure at reduced scale, plus microbenches for the paper's
-//!   in-text cost claims (closure computation ≈0.04 ms per move; move cost
-//!   linear in wall count) and ablations (ω sweep, threshold sweep,
-//!   interest filtering, velocity culling, grid vs brute-force scans).
+//!   series (see `EXPERIMENTS.md` for recorded output), plus the
+//!   thousand-client `sim-scale` run;
+//! * **Criterion benches** (`cargo bench -p seve-bench`) — the figures at
+//!   reduced scale (`figures`), the paper's in-text closure cost claim
+//!   (`closure_micro`: Algorithms 6 and 7 over realistic queues), one
+//!   protocol step per engine (`protocol_step`), and the substrate's inner
+//!   loops (`substrate`).
 //!
-//! The library portion provides small shared helpers for the benches.
+//! End-to-end throughput and latency are measured by `bench/` at the repo
+//! root, not here. The library portion provides small shared helpers for
+//! the benches.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,15 +26,12 @@ use seve_sim::experiment::Scale;
 pub const BENCH_SCALE: Scale = Scale::Quick;
 
 pub mod replay_fixture {
-    //! A reusable out-of-order storm for the client replay benches: a
-    //! positioned action stream where every fourth position is delivered
+    //! A positioned action stream for the client replay benches, with an
+    //! out-of-order arrival schedule: every fourth position is delivered
     //! ~twelve positions late — half of the stragglers touching a private
     //! object (the commute fast path applies), half touching the shared
-    //! pool (a genuine suffix replay). The same arrival schedule drives the
-    //! checkpointed log and the full-rebuild oracle (`interval = 0`), so
-    //! the two can be timed and differentially checked back-to-back.
+    //! pool (a genuine suffix replay).
 
-    use seve_core::replay::ReplayLog;
     use seve_world::action::{Action, Influence, Outcome};
     use seve_world::geometry::Vec2;
     use seve_world::ids::{ActionId, AttrId, ClientId, ObjectId, QueuePos};
@@ -124,7 +124,7 @@ pub mod replay_fixture {
 
     /// The storm's arrival schedule: positions `1..=len` with every
     /// straggler re-ranked `DELAY` positions later (deterministic — no
-    /// randomness, so both variants and every repeat see the same stream).
+    /// randomness, so every repeat sees the same stream).
     pub fn storm(len: usize) -> Vec<(QueuePos, StormAction)> {
         let mut ranked: Vec<(u64, QueuePos)> = (1..=len as u64)
             .map(|p| {
@@ -151,127 +151,5 @@ pub mod replay_fixture {
             }
         }
         s
-    }
-
-    /// One insert's result, owned: the stable outcome and whether the
-    /// insert was out of order.
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct InsertResult {
-        /// The stable outcome of the inserted action.
-        pub outcome: Option<Outcome>,
-        /// Did the insert reconcile (out-of-order arrival)?
-        pub rebuilt: bool,
-    }
-
-    /// Play the whole storm into a fresh log with the given checkpoint
-    /// interval (`0` = full-rebuild oracle), returning the log and the
-    /// per-insert results for differential comparison.
-    pub fn play(
-        initial: &WorldState,
-        arrivals: &[(QueuePos, StormAction)],
-        interval: usize,
-    ) -> (ReplayLog<StormAction>, Vec<InsertResult>) {
-        let mut log = ReplayLog::new(initial.clone());
-        log.set_checkpoint_interval(interval);
-        let mut results = Vec::with_capacity(arrivals.len());
-        for (pos, a) in arrivals {
-            let r = log.insert_action(*pos, a.clone(), |_, a, s, _| a.evaluate(&(), s));
-            results.push(InsertResult {
-                outcome: r.outcome.cloned(),
-                rebuilt: r.rebuilt,
-            });
-        }
-        (log, results)
-    }
-
-    /// Play the storm, accumulating the wall-clock spent inside
-    /// *out-of-order* inserts only — the reconciliation cost the checkpoint
-    /// chain and commute gate attack. The in-order stream costs the same in
-    /// both variants and would otherwise drown the comparison.
-    pub fn play_reconcile_ns(
-        initial: &WorldState,
-        arrivals: &[(QueuePos, StormAction)],
-        interval: usize,
-    ) -> u64 {
-        let mut log = ReplayLog::new(initial.clone());
-        log.set_checkpoint_interval(interval);
-        let mut ns = 0u64;
-        for (pos, a) in arrivals {
-            let t = std::time::Instant::now();
-            let r = log.insert_action(*pos, a.clone(), |_, a, s, _| a.evaluate(&(), s));
-            let dt = t.elapsed().as_nanos() as u64;
-            if r.rebuilt {
-                ns += dt;
-            }
-        }
-        ns
-    }
-}
-
-pub mod push_fixture {
-    //! A reusable bounded-push scenario for the routing benches: a
-    //! Manhattan People world with a window of un-pushed queue entries and
-    //! a [`SphereRouting`] whose grid tracks every submission — exactly the
-    //! state `on_push` sees at the start of an ω·RTT cycle. Candidate
-    //! selection is a pure read of this state, so the indexed and linear
-    //! selectors can be timed back-to-back on one fixture.
-
-    use seve_core::config::ServerMode;
-    use seve_core::pipeline::{ingress, PipelineState, RoutingPolicy, SphereRouting};
-    use seve_net::time::SimTime;
-    use seve_sim::experiment::paper_protocol;
-    use seve_world::ids::{ClientId, QueuePos};
-    use seve_world::worlds::manhattan::{ManhattanConfig, ManhattanWorkload, ManhattanWorld};
-    use seve_world::worlds::Workload;
-    use seve_world::GameWorld;
-    use std::sync::Arc;
-
-    /// A server mid-run, one push window of entries queued.
-    pub struct PushFixture {
-        /// Pipeline state with `window` uncommitted, un-pushed entries.
-        pub st: PipelineState<ManhattanWorld>,
-        /// Sphere routing whose grid saw every submission.
-        pub routing: SphereRouting,
-        /// The push horizon (the queue tail).
-        pub horizon: QueuePos,
-        /// Simulated "now" at the push cycle, after every submission.
-        pub now: SimTime,
-    }
-
-    /// Build a fixture: `clients` avatars on the Table I Manhattan world,
-    /// `window` realistic moves queued and un-pushed.
-    pub fn build(clients: usize, window: usize, mode: ServerMode) -> PushFixture {
-        // The Table I geometry (1000×1000, clustered spawn) with the wall
-        // set dropped: walls only add evaluation cost, and the routing
-        // paths under test never look at them.
-        let world = Arc::new(ManhattanWorld::new(ManhattanConfig {
-            clients,
-            walls: 0,
-            ..ManhattanConfig::default()
-        }));
-        let cfg = paper_protocol(mode);
-        let mut st = PipelineState::new(world.clone(), cfg.clone());
-        let mut routing = SphereRouting::new(world.as_ref(), &cfg);
-        let mut wl = ManhattanWorkload::new(&world);
-        let mut state = world.initial_state();
-        let mut seqs = vec![0u32; clients];
-        for i in 0..window {
-            let c = ClientId((i % clients) as u16);
-            let a = wl.next_action(c, seqs[c.index()], &state, 0).expect("move");
-            seqs[c.index()] += 1;
-            // Advance the shared view so successive moves differ.
-            let out = seve_world::Action::evaluate(&a, world.env(), &state);
-            state.apply_writes(&out.writes);
-            RoutingPolicy::<ManhattanWorld>::before_enqueue(&mut routing, &mut st, c, &a);
-            ingress::admit(&mut st, SimTime(i as u64 * 1_000), a);
-        }
-        let horizon = st.queue.last_pos().unwrap_or(0);
-        let now = SimTime(window as u64 * 1_000 + 10_000);
-        PushFixture {
-            st,
-            routing,
-            horizon,
-            now,
-        }
     }
 }

@@ -53,7 +53,6 @@ impl<W: GameWorld> SeveClient<W> {
         let initial = world.initial_state();
         let mut replay = ReplayLog::new(initial.clone());
         replay.set_verify_rebuilds(cfg.verify_rebuilds);
-        replay.set_checkpoint_interval(cfg.replay_checkpoint_interval);
         let metrics = ClientMetrics {
             owner: id.0,
             ..ClientMetrics::default()

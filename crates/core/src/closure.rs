@@ -25,11 +25,11 @@
 //! descending per-object cursors (a [`Frontier`] per walk; one cursor per
 //! live object, shared by all clients, in the sliced pass) instead of
 //! examining every entry — O(conflicts · log) rather than O(queue). The
-//! pre-index linear scans survive as [`closure_for_linear`] and
-//! [`analyze_new_actions_linear`]; the indexed paths are bit-identical to
-//! them (proptested in `tests/prop_core.rs`), including the `sent`-bit and
-//! `dropped`-mark side effects, and still report the linear-equivalent
-//! `scanned` count so the simulated cost model is unchanged.
+//! paper's plain backwards scans live on as the oracles of
+//! `tests/prop_core.rs`; the indexed paths are bit-identical to them,
+//! including the `sent`-bit and `dropped`-mark side effects, and still
+//! report the linear-equivalent `scanned` count so the simulated cost model
+//! is unchanged.
 
 use crate::msg::Shared;
 use seve_net::time::SimTime;
@@ -495,9 +495,9 @@ pub struct ClosureResult {
 /// This implementation walks conflicts through the inverted write index: a
 /// [`Frontier`] seeded from the candidates jumps directly between the
 /// entries whose write sets can intersect `S`, visiting O(conflicts)
-/// entries instead of the whole queue. Bit-identical to
-/// [`closure_for_linear`] — same `send`, `blind_set`, `sent`-bit updates,
-/// and `scanned` (the linear-equivalent count) — because every visit
+/// entries instead of the whole queue. Bit-identical to the backwards scan
+/// (the `tests/prop_core.rs` oracle) — same `send`, `blind_set`, `sent`-bit
+/// updates, and `scanned` (the linear-equivalent count) — because every visit
 /// re-applies the exact linear predicates and the cursor invariant
 /// guarantees every conflicting entry is visited: whenever an object enters
 /// `S` a cursor is parked on its largest posting below the current
@@ -599,69 +599,6 @@ pub fn closure_for<A: Action>(
     }
 }
 
-/// The pre-index linear Algorithm 6: a full backwards scan over the queue.
-/// Kept as the reference implementation for the differential proptests and
-/// the indexed-vs-linear benches; behaviourally identical to
-/// [`closure_for`].
-pub fn closure_for_linear<A: Action>(
-    queue: &mut ActionQueue<A>,
-    client: ClientId,
-    candidates: &[QueuePos],
-) -> ClosureResult {
-    debug_assert!(candidates.windows(2).all(|w| w[0] < w[1]));
-    let mut send = Vec::with_capacity(candidates.len());
-    let mut s = ObjectSet::new();
-    let mut scanned = 0usize;
-    let mut cand_iter = candidates.iter().rev().peekable();
-    let newest = match candidates.last() {
-        Some(&p) => p,
-        None => {
-            return ClosureResult {
-                send,
-                blind_set: s,
-                scanned,
-                visited: 0,
-            }
-        }
-    };
-    for e in queue.iter_mut_rev() {
-        if e.pos > newest {
-            continue;
-        }
-        scanned += 1;
-        let is_cand = cand_iter.peek().is_some_and(|&&p| p == e.pos);
-        if is_cand {
-            cand_iter.next();
-        }
-        if e.dropped {
-            continue;
-        }
-        let conflicts = e.ws().intersects(&s);
-        if !is_cand && !conflicts {
-            continue;
-        }
-        if e.sent.contains(client) {
-            if conflicts {
-                s.subtract(e.ws());
-            }
-        } else {
-            send.push(e.pos);
-            s.union_with(e.rs());
-            e.sent.insert(client);
-        }
-        if s.is_empty() && cand_iter.peek().is_none() {
-            break; // nothing left to resolve — sound early exit
-        }
-    }
-    send.reverse();
-    ClosureResult {
-        send,
-        blind_set: s,
-        scanned,
-        visited: scanned,
-    }
-}
-
 /// The result of one Algorithm 7 tick.
 #[derive(Debug, Clone, Default)]
 pub struct DropAnalysis {
@@ -707,9 +644,10 @@ impl AnalyzeScratch {
 /// action seeds a [`Frontier`] from its read set and hops conflict to
 /// conflict instead of examining every older entry — and here the support
 /// set only ever grows, so every popped cursor *is* a conflict and no
-/// predicate recheck is needed. Bit-identical to
-/// [`analyze_new_actions_linear`], including the order drops are decided
-/// in (descending conflict positions, exactly the linear walk's order).
+/// predicate recheck is needed. Bit-identical to the per-action backwards
+/// scan (the `tests/prop_core.rs` oracle), including the order drops are
+/// decided in (descending conflict positions, exactly the linear walk's
+/// order).
 /// `scratch` carries the support set and the frontier's capacity from one
 /// tick to the next.
 pub fn analyze_new_actions<A: Action>(
@@ -774,60 +712,6 @@ pub fn analyze_new_actions<A: Action>(
         }
     }
     scratch.frontier_cap = scratch.frontier_cap.max(frontier.high_water());
-    result
-}
-
-/// The pre-index linear Algorithm 7 tick: per analyzed action, a full
-/// backwards scan over every older entry. Kept as the reference
-/// implementation for the differential proptests and the benches;
-/// behaviourally identical to [`analyze_new_actions`].
-pub fn analyze_new_actions_linear<A: Action>(
-    queue: &mut ActionQueue<A>,
-    from: QueuePos,
-    threshold: f64,
-) -> DropAnalysis {
-    let mut result = DropAnalysis::default();
-    let first = queue.first_pos();
-    let last = match queue.last_pos() {
-        Some(l) => l,
-        None => return result,
-    };
-    let start = from.max(first);
-    for pos in start..=last {
-        let (mut s, center) = {
-            let e = queue.get(pos).expect("position in range");
-            if e.dropped {
-                continue;
-            }
-            (e.rs().clone(), e.influence.center)
-        };
-        let mut invalid = false;
-        let mut chain = 0usize;
-        let mut j = pos;
-        while j > first {
-            j -= 1;
-            result.scanned += 1;
-            let ej = queue.get(j).expect("position in range");
-            if ej.dropped {
-                continue; // isValid_j is false — skip, as the paper does
-            }
-            if ej.ws().intersects(&s) {
-                chain += 1;
-                if center.dist(ej.influence.center) > threshold {
-                    invalid = true;
-                    break;
-                }
-                // (S − WS) ∪ RS simplifies to S ∪ RS since RS ⊇ WS.
-                s.union_with(ej.rs());
-            }
-        }
-        result.chain_lens.push(chain);
-        if invalid {
-            queue.get_mut(pos).expect("in range").dropped = true;
-            result.dropped.push(pos);
-        }
-    }
-    result.visited = result.scanned;
     result
 }
 

@@ -86,12 +86,6 @@ pub struct ProtocolConfig {
     /// verifying the Algorithm 6 closure contract (costly; used by the
     /// verification tests). Off: rebuilds re-apply stored outcomes.
     pub verify_rebuilds: bool,
-    /// Replay-log checkpoint interval K: clients snapshot ζ (delta-encoded
-    /// against the previous checkpoint) every K log items, so an
-    /// out-of-order insert replays from the nearest checkpoint instead of
-    /// from base. `0` disables checkpoints *and* the commutativity fast
-    /// path — the full-rebuild reference oracle.
-    pub replay_checkpoint_interval: usize,
     /// Notify clients of the last installed position (enabling garbage
     /// collection of their replay logs) every this-many installed actions.
     pub gc_every: u64,
@@ -123,7 +117,6 @@ impl Default for ProtocolConfig {
             velocity_culling: false,
             interest_radius_override: None,
             verify_rebuilds: false,
-            replay_checkpoint_interval: 32,
             gc_every: 64,
             scan_cost_us_per_entry: 0.5,
             msg_cost_us: 15,

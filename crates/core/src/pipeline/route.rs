@@ -231,9 +231,8 @@ impl<W: GameWorld> RoutingPolicy<W> for ClosureRouting {
 /// O(clients × queue-span). The grid supplies a cell-level superset and the
 /// *exact* scalar predicates of the linear scan decide membership, so the
 /// selection (and therefore egress order and the golden digests) is
-/// bit-identical to the scan-based path, which survives as
-/// [`SphereRouting::select_candidates_linear`] for differential tests and
-/// the before/after benches.
+/// bit-identical to the scan-based path, which survives in test builds as
+/// the oracle of the pipeline's selection tests.
 pub struct SphereRouting {
     /// `p̄_C` — last known position of each client's sphere of influence,
     /// updated from the influence center of each submission.
@@ -321,49 +320,6 @@ impl SphereRouting {
         }
     }
 
-    /// Candidate selection for every client over queue positions
-    /// `(last_push_pos, horizon]`, by the original linear scan: for each
-    /// client, walk the window and apply the Eq. 1 / interest / culling
-    /// filters. O(clients × window). Kept as the reference implementation
-    /// for differential tests and the before/after benches; does not mutate
-    /// routing or queue state.
-    pub fn select_candidates_linear<W: GameWorld>(
-        &self,
-        st: &PipelineState<W>,
-        now: SimTime,
-        horizon: QueuePos,
-        cands: &mut Vec<Vec<QueuePos>>,
-    ) {
-        let n = st.num_clients();
-        cands.truncate(n);
-        cands.resize_with(n, Vec::new);
-        let override_r = st.cfg.interest_radius_override;
-        for (i, out) in cands.iter_mut().enumerate() {
-            out.clear();
-            let client = ClientId(i as u16);
-            let lo = self.last_push_pos[i] + 1;
-            for pos in lo..=horizon {
-                let Some(e) = st.queue.get(pos) else {
-                    continue; // already committed: values flow via blinds
-                };
-                if e.dropped || e.sent.contains(client) {
-                    continue;
-                }
-                let own = e.action.issuer() == client;
-                if !own {
-                    if !self.interests[i].contains(e.influence.class) {
-                        continue;
-                    }
-                    let age = (now - e.submit_time).as_secs_f64();
-                    if !self.near(override_r, e, age, self.client_pos[i]) {
-                        continue;
-                    }
-                }
-                out.push(pos);
-            }
-        }
-    }
-
     /// The exact membership predicate of the linear scan: the dense-crowd
     /// interest-radius override, or the Eq. 1 sphere with optional area
     /// culling. Both paths must use the *same float operations* as the
@@ -388,9 +344,9 @@ impl SphereRouting {
     /// O(window × nearby clients). Hits go straight into the per-client
     /// buffers, which keep their capacity across cycles. Entries are
     /// visited in ascending position order, so every client's candidates
-    /// ascend and the result is identical to
-    /// [`SphereRouting::select_candidates_linear`] bit for bit.
-    pub fn select_candidates_indexed<W: GameWorld>(
+    /// ascend and the result is identical to the linear scan's bit for bit
+    /// (the oracle of the pipeline's selection tests).
+    pub(crate) fn select_candidates<W: GameWorld>(
         &self,
         st: &PipelineState<W>,
         now: SimTime,
@@ -455,6 +411,49 @@ impl SphereRouting {
 
 #[cfg(test)]
 impl SphereRouting {
+    /// Candidate selection for every client over queue positions
+    /// `(last_push_pos, horizon]`, by the original linear scan: for each
+    /// client, walk the window and apply the Eq. 1 / interest / culling
+    /// filters. O(clients × window). The reference implementation of the
+    /// selection differential tests; does not mutate routing or queue
+    /// state.
+    pub(crate) fn select_candidates_linear<W: GameWorld>(
+        &self,
+        st: &PipelineState<W>,
+        now: SimTime,
+        horizon: QueuePos,
+        cands: &mut Vec<Vec<QueuePos>>,
+    ) {
+        let n = st.num_clients();
+        cands.truncate(n);
+        cands.resize_with(n, Vec::new);
+        let override_r = st.cfg.interest_radius_override;
+        for (i, out) in cands.iter_mut().enumerate() {
+            out.clear();
+            let client = ClientId(i as u16);
+            let lo = self.last_push_pos[i] + 1;
+            for pos in lo..=horizon {
+                let Some(e) = st.queue.get(pos) else {
+                    continue; // already committed: values flow via blinds
+                };
+                if e.dropped || e.sent.contains(client) {
+                    continue;
+                }
+                let own = e.action.issuer() == client;
+                if !own {
+                    if !self.interests[i].contains(e.influence.class) {
+                        continue;
+                    }
+                    let age = (now - e.submit_time).as_secs_f64();
+                    if !self.near(override_r, e, age, self.client_pos[i]) {
+                        continue;
+                    }
+                }
+                out.push(pos);
+            }
+        }
+    }
+
     /// The push cycle's closure phase as it ran before the sliced pass: one
     /// [`closure_for`](crate::closure::closure_for) walk per client. The
     /// differential oracle of `on_push`.
@@ -519,7 +518,7 @@ impl<W: GameWorld> RoutingPolicy<W> for SphereRouting {
         // so select → closure for all → assembly per client is
         // observationally identical to the interleaved scan.
         let mut cands = std::mem::take(&mut self.scratch);
-        self.select_candidates_indexed(st, now, horizon, &mut cands);
+        self.select_candidates(st, now, horizon, &mut cands);
         #[cfg(test)]
         if self.per_client_oracle {
             cost = self.push_per_client(st, horizon, &cands, out);

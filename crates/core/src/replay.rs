@@ -34,7 +34,7 @@
 //! A naïve rebuild replays the whole log from `base`, making out-of-order
 //! reconciliation quadratic in window size. Three layers shrink that:
 //!
-//! * **Periodic checkpoints.** Every `checkpoint_interval` applied items
+//! * **Periodic checkpoints.** Every K = 32 applied items
 //!   the log records `⟨upto, delta⟩` where `delta` is the partial state
 //!   holding every object touched since the previous checkpoint, cut from
 //!   the true replay state at the boundary as shared handles (no object is
@@ -65,10 +65,10 @@
 //!
 //! All three layers are *work* optimizations, not behaviour changes:
 //! outcomes, evaluation counts, and the materialized state are
-//! bit-identical to the full rebuild, which remains available
-//! (`checkpoint_interval = 0`, or verification mode) as the reference
-//! oracle. Real work is reported via [`ReplayLog::entries_replayed`] and
-//! friends.
+//! bit-identical to the full rebuild, which remains available to tests
+//! ([`ReplayLog::set_checkpoint_interval`]`(0)`, or verification mode) as
+//! the reference oracle. Real work is reported via
+//! [`ReplayLog::entries_replayed`] and friends.
 
 use crate::msg::Shared;
 use seve_world::action::{Action, Outcome};
@@ -82,9 +82,9 @@ use std::collections::VecDeque;
 /// this position.
 type Key = (QueuePos, u8, u64);
 
-/// Checkpoint interval used when none is configured (the Table I default
-/// of [`crate::config::ProtocolConfig`]).
-const DEFAULT_CHECKPOINT_INTERVAL: usize = 32;
+/// The checkpoint interval K every replica runs with. Tests may override it
+/// per log through [`ReplayLog::set_checkpoint_interval`].
+const CHECKPOINT_INTERVAL: usize = 32;
 
 enum LogItem<A> {
     Action {
@@ -184,7 +184,7 @@ impl<A: Action> ReplayLog<A> {
             applied_hi: None,
             divergences: 0,
             verify_rebuilds: false,
-            checkpoint_interval: DEFAULT_CHECKPOINT_INTERVAL,
+            checkpoint_interval: CHECKPOINT_INTERVAL,
             checkpoints: Vec::new(),
             since_ckpt: 0,
             dirty: ObjectSet::new(),
@@ -204,8 +204,9 @@ impl<A: Action> ReplayLog<A> {
         self.verify_rebuilds = on;
     }
 
-    /// Set the checkpoint interval K (`0` = full-rebuild oracle mode).
-    /// Configure before inserting items.
+    /// Override the checkpoint interval K (`0` = full-rebuild oracle mode)
+    /// — a test hook: replicas always run with K = 32. Configure before
+    /// inserting items.
     pub fn set_checkpoint_interval(&mut self, k: usize) {
         debug_assert!(self.items.is_empty(), "configure before inserting items");
         self.checkpoint_interval = k;

@@ -364,7 +364,7 @@ struct StormTotals {
 /// Algorithm 3 runs), some own actions are dropped, and GC notices trim the
 /// log. After every `deliver` that resyncs, ζ_CO must equal the reference
 /// construction — a clone of ζ_CS with Q re-applied on top.
-fn run_storm(checkpoint_interval: usize) -> StormTotals {
+fn run_storm() -> StormTotals {
     const SEATS: usize = 24;
     const POSITIONS: u64 = 600;
     let me = ClientId(1);
@@ -372,10 +372,10 @@ fn run_storm(checkpoint_interval: usize) -> StormTotals {
         philosophers: SEATS,
         ..DiningConfig::default()
     }));
-    let mut cfg = ProtocolConfig::with_mode(ServerMode::Incomplete);
-    cfg.replay_checkpoint_interval = checkpoint_interval;
+    let cfg = ProtocolConfig::with_mode(ServerMode::Incomplete);
     let mut c: Client = SeveClient::new(me, Arc::clone(&world), &cfg);
-    let mut rng = Mix(0x5E4E_2009 ^ checkpoint_interval as u64);
+    // The seed the pinned totals below were recorded with.
+    let mut rng = Mix(0x5E4E_2009 ^ 32);
     let mut out = Vec::new();
 
     // The serialized stream: each seat alternates grab / release. Our own
@@ -515,23 +515,8 @@ fn out_of_order_storm_resyncs_to_the_reference_and_keeps_its_counts() {
         stable_digest: 14050226144950690964,
         optimistic_digest: 14050226144950690964,
     };
-    let k4 = StormTotals {
-        evaluations: 11816,
-        reconciliations: 25,
-        replay_rebuilds: 204,
-        commute_hits: 97,
-        entries_replayed: 504,
-        checkpoint_hits: 63,
-        eval_records: 590,
-        eval_stream_digest: 1400968636321402873,
-        stable_digest: 2020181619350585204,
-        optimistic_digest: 11270079849708062158,
-    };
-    assert_eq!(run_storm(32), k32);
-    assert_eq!(run_storm(4), k4);
+    assert_eq!(run_storm(), k32);
     // Every path fired: splices, sparse reconciles, Algorithm 3.
-    for t in [&k32, &k4] {
-        assert!(t.commute_hits > 20 && t.entries_replayed > 0 && t.reconciliations > 5);
-        assert!(t.replay_rebuilds > t.commute_hits);
-    }
+    assert!(k32.commute_hits > 20 && k32.entries_replayed > 0 && k32.reconciliations > 5);
+    assert!(k32.replay_rebuilds > k32.commute_hits);
 }

@@ -1,12 +1,13 @@
 //! Property-based tests for the protocol machinery: Algorithm 6 against a
 //! naive fixed-point closure, Algorithm 7's chain invariants, the inverted
-//! write index (indexed-vs-linear differentials and postings-list
-//! maintenance), and the replay log against in-order reference application.
+//! write index (differentials against the paper's plain backwards scans,
+//! which live here as oracles, and postings-list maintenance), and the
+//! replay log against in-order reference application.
 
 use proptest::prelude::*;
 use seve_core::closure::{
-    analyze_new_actions, analyze_new_actions_linear, closure_for, closure_for_linear, ActionQueue,
-    AnalyzeScratch, SlicedClosure,
+    analyze_new_actions, closure_for, ActionQueue, AnalyzeScratch, ClosureResult, DropAnalysis,
+    SlicedClosure,
 };
 use seve_core::replay::ReplayLog;
 use seve_net::time::SimTime;
@@ -156,6 +157,122 @@ fn naive_closure(
         }
     }
     (take, subtracts)
+}
+
+/// The pre-index linear Algorithm 6: a full backwards scan over the queue.
+/// The reference implementation for the differential proptests;
+/// behaviourally identical to [`closure_for`].
+fn closure_for_linear<A: Action>(
+    queue: &mut ActionQueue<A>,
+    client: ClientId,
+    candidates: &[QueuePos],
+) -> ClosureResult {
+    debug_assert!(candidates.windows(2).all(|w| w[0] < w[1]));
+    let mut send = Vec::with_capacity(candidates.len());
+    let mut s = ObjectSet::new();
+    let mut scanned = 0usize;
+    let mut cand_iter = candidates.iter().rev().peekable();
+    let newest = match candidates.last() {
+        Some(&p) => p,
+        None => {
+            return ClosureResult {
+                send,
+                blind_set: s,
+                scanned,
+                visited: 0,
+            }
+        }
+    };
+    for e in queue.iter_mut_rev() {
+        if e.pos > newest {
+            continue;
+        }
+        scanned += 1;
+        let is_cand = cand_iter.peek().is_some_and(|&&p| p == e.pos);
+        if is_cand {
+            cand_iter.next();
+        }
+        if e.dropped {
+            continue;
+        }
+        let conflicts = e.ws().intersects(&s);
+        if !is_cand && !conflicts {
+            continue;
+        }
+        if e.sent.contains(client) {
+            if conflicts {
+                s.subtract(e.ws());
+            }
+        } else {
+            send.push(e.pos);
+            s.union_with(e.rs());
+            e.sent.insert(client);
+        }
+        if s.is_empty() && cand_iter.peek().is_none() {
+            break; // nothing left to resolve — sound early exit
+        }
+    }
+    send.reverse();
+    ClosureResult {
+        send,
+        blind_set: s,
+        scanned,
+        visited: scanned,
+    }
+}
+
+/// The pre-index linear Algorithm 7 tick: per analyzed action, a full
+/// backwards scan over every older entry. The reference implementation for
+/// the differential proptests; behaviourally identical to
+/// [`analyze_new_actions`].
+fn analyze_new_actions_linear<A: Action>(
+    queue: &mut ActionQueue<A>,
+    from: QueuePos,
+    threshold: f64,
+) -> DropAnalysis {
+    let mut result = DropAnalysis::default();
+    let first = queue.first_pos();
+    let last = match queue.last_pos() {
+        Some(l) => l,
+        None => return result,
+    };
+    let start = from.max(first);
+    for pos in start..=last {
+        let (mut s, center) = {
+            let e = queue.get(pos).expect("position in range");
+            if e.dropped {
+                continue;
+            }
+            (e.rs().clone(), e.influence.center)
+        };
+        let mut invalid = false;
+        let mut chain = 0usize;
+        let mut j = pos;
+        while j > first {
+            j -= 1;
+            result.scanned += 1;
+            let ej = queue.get(j).expect("position in range");
+            if ej.dropped {
+                continue; // isValid_j is false — skip, as the paper does
+            }
+            if ej.ws().intersects(&s) {
+                chain += 1;
+                if center.dist(ej.influence.center) > threshold {
+                    invalid = true;
+                    break;
+                }
+                // (S − WS) ∪ RS simplifies to S ∪ RS since RS ⊇ WS.
+                s.union_with(ej.rs());
+            }
+        }
+        result.chain_lens.push(chain);
+        if invalid {
+            queue.get_mut(pos).expect("in range").dropped = true;
+            result.dropped.push(pos);
+        }
+    }
+    result.visited = result.scanned;
+    result
 }
 
 proptest! {

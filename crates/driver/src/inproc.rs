@@ -23,7 +23,7 @@ use crate::session::{
 };
 use crate::transport::{ClientEvent, ClientTransport, ServerEvent, ServerTransport};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use seve_core::engine::{ClientNode, ProtocolSuite, ServerNode, WireSize};
+use seve_core::engine::{ProtocolSuite, ServerNode, WireSize};
 use seve_world::ids::ClientId;
 use seve_world::worlds::Workload;
 use seve_world::GameWorld;
@@ -191,8 +191,7 @@ pub struct SessionConfig {
     /// Fault injection applied to every client transport, plus scheduled
     /// crashes and partitions.
     pub faults: FaultPlan,
-    /// Session-supervision parameters. Supervised by default; set
-    /// `session.supervised = false` for the PR-5 detection-only envelope.
+    /// Session-supervision parameters.
     pub session: SessionParams,
 }
 
@@ -251,70 +250,22 @@ where
     let workloads: Vec<Box<dyn Workload<W>>> =
         (0..n).map(|i| make_workload(ClientId(i as u16))).collect();
 
-    if cfg.session.supervised {
-        // Supervised wiring: the channels carry session envelopes, the
-        // fault decorator perturbs them (the "network" below supervision),
-        // and the supervisors recover on top.
-        let (server_t, client_ts) = wire::<SessionUp<P::Up>, SessionDown<P::Down>>(n);
-        let server_transport = SupervisedServerTransport::new(server_t, n, cfg.session);
-        let client_transports: Vec<_> = client_ts
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| {
-                SupervisedClientTransport::new(
-                    FaultyClientTransport::new(t, &cfg.faults, i),
-                    ClientId(i as u16),
-                    cfg.session,
-                )
-            })
-            .collect();
-        drive_session(
-            cfg,
-            push,
-            server_engine,
-            client_engines,
-            server_transport,
-            client_transports,
-            workloads,
-        )
-    } else {
-        let (server_transport, client_ts) = wire::<P::Up, P::Down>(n);
-        let client_transports: Vec<_> = client_ts
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| FaultyClientTransport::new(t, &cfg.faults, i))
-            .collect();
-        drive_session(
-            cfg,
-            push,
-            server_engine,
-            client_engines,
-            server_transport,
-            client_transports,
-            workloads,
-        )
-    }
-}
-
-/// Drive one wired-up session to completion: the server plus one thread
-/// per client, all on the shared [`NodeDriver`] loops.
-fn drive_session<W, S, C, ST, CT>(
-    cfg: &SessionConfig,
-    push: Duration,
-    server_engine: S,
-    client_engines: Vec<C>,
-    mut server_transport: ST,
-    client_transports: Vec<CT>,
-    workloads: Vec<Box<dyn Workload<W>>>,
-) -> SessionReport
-where
-    W: GameWorld,
-    S: ServerNode<W>,
-    C: ClientNode<W, Up = S::Up, Down = S::Down>,
-    ST: ServerTransport<S::Up, S::Down, Error = Infallible> + Send,
-    CT: ClientTransport<S::Up, S::Down, Error = Infallible> + Send,
-{
-    let n = client_engines.len();
+    // The channels carry session envelopes, the fault decorator perturbs
+    // them (the "network" below supervision), and the supervisors recover
+    // on top.
+    let (server_t, client_ts) = wire::<SessionUp<P::Up>, SessionDown<P::Down>>(n);
+    let mut server_transport = SupervisedServerTransport::new(server_t, n, cfg.session);
+    let client_transports: Vec<_> = client_ts
+        .into_iter()
+        .enumerate()
+        .map(|(i, t)| {
+            SupervisedClientTransport::new(
+                FaultyClientTransport::new(t, &cfg.faults, i),
+                ClientId(i as u16),
+                cfg.session,
+            )
+        })
+        .collect();
     let server_driver = NodeDriver::server(cfg.tick, push);
     let plan = &cfg.faults;
 

@@ -66,9 +66,8 @@ pub struct NodeDriver {
     /// submissions — no drain, no goodbye (Section III-C crash scenario).
     pub crash_after_moves: Option<u32>,
     /// Fault injection: partition the client's link for the given span
-    /// after this many submissions. A supervised transport buffers
-    /// up-traffic, loses down-traffic, then reconnects and resumes; an
-    /// unsupervised one no-ops.
+    /// after this many submissions. The supervised transport buffers
+    /// up-traffic, loses down-traffic, then reconnects and resumes.
     pub partition_after_moves: Option<(u32, Duration)>,
 }
 
@@ -172,11 +171,9 @@ impl NodeDriver {
                             break;
                         }
                     }
-                    // An unsupervised transport surfaces abrupt loss
-                    // (`Gone`) directly; the driver retires the seat either
-                    // way, exactly the pre-supervision semantics. A
-                    // supervised transport absorbs `Gone` internally (resume
-                    // window, then reap) and emits `Done` once per seat.
+                    // The supervised transport absorbs `Gone` internally
+                    // (resume window, then reap) and emits `Done` once per
+                    // seat; a bare transport's `Gone` retires the seat too.
                     ServerEvent::Done(_) | ServerEvent::Gone(_) => done += 1,
                     ServerEvent::Timeout => break,
                     ServerEvent::Closed => break 'session,

@@ -44,8 +44,8 @@ pub struct ClientReport {
     /// finishing its workload and draining?
     pub crashed: bool,
     /// What this client's session supervisor did (resequencing, acks,
-    /// reconnects). All-zero when the transport is unsupervised or the
-    /// run was fault-free on a substrate with implicit acks.
+    /// reconnects). All-zero when the run was fault-free on a substrate
+    /// with implicit acks.
     pub session: SessionStats,
 }
 

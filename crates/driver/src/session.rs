@@ -197,9 +197,6 @@ impl Backoff {
 /// Knobs of the supervision layer; embedded in every backend's config.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SessionParams {
-    /// Supervise at all? `false` restores the PR-5 detection-only
-    /// behaviour (faults surface as divergence, crashes as lost seats).
-    pub supervised: bool,
     /// Resend-ring high-water mark per client (unacked frames).
     pub ring: usize,
     /// Retransmit timeout: the oldest unacked frame older than this
@@ -228,7 +225,6 @@ pub struct SessionParams {
 /// Serde mirror of [`SessionParams`] (see [`BackoffParamsWire`]).
 #[derive(Serialize, Deserialize)]
 struct SessionParamsWire {
-    supervised: bool,
     ring: usize,
     rto_us: u64,
     give_up: u32,
@@ -243,7 +239,6 @@ struct SessionParamsWire {
 impl Serialize for SessionParams {
     fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
         SessionParamsWire {
-            supervised: self.supervised,
             ring: self.ring,
             rto_us: self.rto.as_micros() as u64,
             give_up: self.give_up,
@@ -262,7 +257,6 @@ impl<'de> Deserialize<'de> for SessionParams {
     fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
         let w = SessionParamsWire::deserialize(d)?;
         Ok(Self {
-            supervised: w.supervised,
             ring: w.ring,
             rto: Duration::from_micros(w.rto_us),
             give_up: w.give_up,
@@ -279,7 +273,6 @@ impl<'de> Deserialize<'de> for SessionParams {
 impl Default for SessionParams {
     fn default() -> Self {
         Self {
-            supervised: true,
             ring: 1024,
             rto: Duration::from_millis(200),
             give_up: 16,
@@ -294,14 +287,6 @@ impl Default for SessionParams {
 }
 
 impl SessionParams {
-    /// Detection-only parameters (the unsupervised PR-5 envelope).
-    pub fn unsupervised() -> Self {
-        Self {
-            supervised: false,
-            ..Self::default()
-        }
-    }
-
     /// How long a client may sit on an unsent cumulative ack: a quarter of
     /// the RTO, which leaves a client that stalls right at the deadline
     /// three quarters of an RTO (less two link latencies) before the server
@@ -1727,10 +1712,7 @@ mod tests {
     #[test]
     fn default_params_are_supervised() {
         let p = SessionParams::default();
-        assert!(p.supervised);
         assert_eq!(p.shed, ShedPolicy::Evict);
-        assert!(!SessionParams::unsupervised().supervised);
         assert!(SessionParams::fast().rto < p.rto);
-        assert!(SessionParams::fast().supervised);
     }
 }

@@ -28,7 +28,7 @@ use rand::{Rng, SeedableRng};
 use seve_core::consistency::ConsistencyOracle;
 use seve_core::engine::{ClientNode, ProtocolSuite, ServerNode, WireSize};
 use seve_core::metrics::ServerMetrics;
-use seve_net::event::{EventQueue, EventQueueKind};
+use seve_net::event::EventQueue;
 use seve_net::link::Link;
 use seve_net::stats::Summary;
 use seve_net::time::{SimDuration, SimTime};
@@ -66,12 +66,6 @@ pub struct SimConfig {
     /// adversary of Section III-E ("if each of them tries to pick up the
     /// two forks at the same tick").
     pub stagger: bool,
-    /// Event-queue implementation driving the loop. The hierarchical timer
-    /// wheel is the default (O(1) schedule/pop keeps thousand-client runs
-    /// affordable); the binary heap is retained as the drain-order oracle.
-    /// Both pop the identical event sequence, so every digest and metric is
-    /// independent of the choice.
-    pub event_queue: EventQueueKind,
     /// Session supervision (acked resume protocol). The sim models the
     /// single-address-space limit of the threaded wrappers: acks are
     /// instantaneous (the window trims the moment the client accepts a
@@ -92,7 +86,6 @@ impl Default for SimConfig {
             drain: SimDuration::from_secs(5),
             seed: 0x51_4E5E,
             stagger: true,
-            event_queue: EventQueueKind::Wheel,
             session: SessionParams::default(),
         }
     }
@@ -184,8 +177,8 @@ enum Ev<U, D> {
         client: usize,
         msg: U,
     },
-    /// A message arriving at client `client`. Under supervision `seq` is
-    /// the down-lane sequence number (1-based); unsupervised lanes carry 0.
+    /// A message arriving at client `client`; `seq` is its down-lane
+    /// sequence number (1-based).
     Down {
         client: usize,
         msg: D,
@@ -259,7 +252,7 @@ impl<'a, W: GameWorld, P: ProtocolSuite<W>> Simulation<'a, W, P> {
         let (mut server, mut clients) = self.suite.build(Arc::clone(&self.world));
         assert_eq!(clients.len(), n);
 
-        let mut queue: EventQueue<Ev<P::Up, P::Down>> = EventQueue::with_kind(cfg.event_queue);
+        let mut queue: EventQueue<Ev<P::Up, P::Down>> = EventQueue::new();
         let mut client_mach = vec![Machine::new(); n];
         let mut server_mach = Machine::new();
         let mut up_links: Vec<FaultyLink> = (0..n)
@@ -292,12 +285,11 @@ impl<'a, W: GameWorld, P: ProtocolSuite<W>> Simulation<'a, W, P> {
 
         // Session supervision state. The sim collapses the ack round trip:
         // the server's resend window trims the instant the client accepts a
-        // frame in order (both halves live in this address space), which
-        // keeps a fault-free supervised schedule event-for-event identical
-        // to the unsupervised one. Retransmit watchdogs are armed only on
-        // lanes that can actually lose traffic (down-lane faults configured
-        // or a partition scheduled), never on clean lanes.
-        let sup = cfg.session.supervised;
+        // frame in order (both halves live in this address space), so a
+        // fault-free run schedules no session event at all. Retransmit
+        // watchdogs are armed only on lanes that can actually lose traffic
+        // (down-lane faults configured or a partition scheduled), never on
+        // clean lanes.
         let rto = SimDuration::from_micros(cfg.session.rto.as_micros() as u64);
         let liveness = SimDuration::from_micros(cfg.session.liveness.as_micros() as u64);
         let partition_at: Vec<Option<LinkPartition>> = (0..n)
@@ -305,7 +297,7 @@ impl<'a, W: GameWorld, P: ProtocolSuite<W>> Simulation<'a, W, P> {
             .collect();
         let down_can_fault = !self.faults.down.is_none();
         let watch: Vec<bool> = (0..n)
-            .map(|i| sup && (down_can_fault || partition_at[i].is_some()))
+            .map(|i| down_can_fault || partition_at[i].is_some())
             .collect();
         let mut windows: Vec<std::collections::VecDeque<(u64, P::Down)>> =
             (0..n).map(|_| std::collections::VecDeque::new()).collect();
@@ -385,22 +377,17 @@ impl<'a, W: GameWorld, P: ProtocolSuite<W>> Simulation<'a, W, P> {
             ($d:expr, $m:expr, $done:expr) => {{
                 let d: usize = $d;
                 let done = $done;
-                if sup && reaped[d] {
+                if reaped[d] {
                     // Reaped lane: the server knows this client is gone —
                     // nothing is sent, nothing buffers.
                 } else {
                     let m = $m;
-                    let seq = if sup {
-                        let s = next_seq[d];
-                        next_seq[d] += 1;
-                        if windows[d].is_empty() {
-                            last_progress[d] = done;
-                        }
-                        windows[d].push_back((s, m.clone()));
-                        s
-                    } else {
-                        0
-                    };
+                    let seq = next_seq[d];
+                    next_seq[d] += 1;
+                    if windows[d].is_empty() {
+                        last_progress[d] = done;
+                    }
+                    windows[d].push_back((seq, m.clone()));
                     down_links[d].send(done, m.wire_bytes(), &mut arrivals);
                     fan(&arrivals, m, |at, m| {
                         queue.schedule(
@@ -428,7 +415,7 @@ impl<'a, W: GameWorld, P: ProtocolSuite<W>> Simulation<'a, W, P> {
                 let c: usize = $c;
                 let done = $done;
                 let m = $m;
-                if sup && partition_until[c].is_some() {
+                if partition_until[c].is_some() {
                     pending_up[c].push(m);
                 } else {
                     up_links[c].send(done, m.wire_bytes(), &mut arrivals);
@@ -468,21 +455,17 @@ impl<'a, W: GameWorld, P: ProtocolSuite<W>> Simulation<'a, W, P> {
                     {
                         crashed[client] = true;
                         client_inbox[client].clear();
-                        if sup {
-                            // Liveness supervision: the lane stays up for
-                            // the resume window, then the server reaps it.
-                            queue.schedule(now + liveness, Ev::Reap { client });
-                        }
+                        // Liveness supervision: the lane stays up for the
+                        // resume window, then the server reaps it.
+                        queue.schedule(now + liveness, Ev::Reap { client });
                         continue;
                     }
-                    if sup {
-                        if let Some(p) = partition_at[client] {
-                            if cfg.moves_per_client - moves_left[client] == p.after_submissions {
-                                let until =
-                                    now + SimDuration::from_micros(p.duration.as_micros() as u64);
-                                partition_until[client] = Some(until);
-                                queue.schedule(until, Ev::Heal { client });
-                            }
+                    if let Some(p) = partition_at[client] {
+                        if cfg.moves_per_client - moves_left[client] == p.after_submissions {
+                            let until =
+                                now + SimDuration::from_micros(p.duration.as_micros() as u64);
+                            partition_until[client] = Some(until);
+                            queue.schedule(until, Ev::Heal { client });
                         }
                     }
                     if moves_left[client] > 0 {
@@ -491,7 +474,7 @@ impl<'a, W: GameWorld, P: ProtocolSuite<W>> Simulation<'a, W, P> {
                     }
                 }
                 Ev::Up { client, msg } => {
-                    if sup && reaped[client] {
+                    if reaped[client] {
                         // A reaped lane swallows late traffic.
                         continue;
                     }
@@ -534,38 +517,34 @@ impl<'a, W: GameWorld, P: ProtocolSuite<W>> Simulation<'a, W, P> {
                     if crashed[client] || reaped[client] {
                         continue;
                     }
-                    if sup {
-                        if partition_until[client].is_some_and(|t| now < t) {
-                            // The link is dark: the frame is lost. The
-                            // resume handshake at heal retransmits it.
-                            continue;
+                    if partition_until[client].is_some_and(|t| now < t) {
+                        // The link is dark: the frame is lost. The resume
+                        // handshake at heal retransmits it.
+                        continue;
+                    }
+                    let before = client_inbox[client].len();
+                    reseq[client].accept(seq, msg, &mut reseq_out);
+                    for m in reseq_out.drain(..) {
+                        client_inbox[client].push_back(m);
+                    }
+                    // Instant ack: trim the resend window to the client's
+                    // cumulative ack (both halves share this address space,
+                    // so the ack round trip collapses — zero cost, zero
+                    // bytes, zero events).
+                    let cum = reseq[client].cum_ack();
+                    if cum > acked[client] {
+                        acked[client] = cum;
+                        stats.acks += 1;
+                        while windows[client].front().is_some_and(|&(s, _)| s <= cum) {
+                            windows[client].pop_front();
                         }
-                        let before = client_inbox[client].len();
-                        reseq[client].accept(seq, msg, &mut reseq_out);
-                        for m in reseq_out.drain(..) {
-                            client_inbox[client].push_back(m);
-                        }
-                        // Instant ack: trim the resend window to the
-                        // client's cumulative ack (both halves share this
-                        // address space, so the ack round trip collapses —
-                        // zero cost, zero bytes, zero events).
-                        let cum = reseq[client].cum_ack();
-                        if cum > acked[client] {
-                            acked[client] = cum;
-                            stats.acks += 1;
-                            while windows[client].front().is_some_and(|&(s, _)| s <= cum) {
-                                windows[client].pop_front();
-                            }
-                            attempts[client] = 0;
-                            last_progress[client] = now;
-                        }
-                        if client_inbox[client].len() == before {
-                            // Held out of order (or a duplicate): nothing
-                            // newly deliverable.
-                            continue;
-                        }
-                    } else {
-                        client_inbox[client].push_back(msg);
+                        attempts[client] = 0;
+                        last_progress[client] = now;
+                    }
+                    if client_inbox[client].len() == before {
+                        // Held out of order (or a duplicate): nothing newly
+                        // deliverable.
+                        continue;
                     }
                     if client_mach[client].is_busy(now) {
                         queue.schedule(client_mach[client].free_at(), Ev::WakeClient { client });
@@ -638,7 +617,7 @@ impl<'a, W: GameWorld, P: ProtocolSuite<W>> Simulation<'a, W, P> {
                 }
                 Ev::Retransmit { client } => {
                     armed[client] = false;
-                    if !sup || reaped[client] || windows[client].is_empty() {
+                    if reaped[client] || windows[client].is_empty() {
                         continue;
                     }
                     if partition_until[client].is_some() {
@@ -687,7 +666,7 @@ impl<'a, W: GameWorld, P: ProtocolSuite<W>> Simulation<'a, W, P> {
                     queue.schedule(now + rto, Ev::Retransmit { client });
                 }
                 Ev::Heal { client } => {
-                    if !sup || crashed[client] || reaped[client] {
+                    if crashed[client] || reaped[client] {
                         continue;
                     }
                     partition_until[client] = None;
@@ -723,7 +702,7 @@ impl<'a, W: GameWorld, P: ProtocolSuite<W>> Simulation<'a, W, P> {
                     }
                 }
                 Ev::Reap { client } => {
-                    if !sup || reaped[client] {
+                    if reaped[client] {
                         continue;
                     }
                     // Liveness expired with no resume: release the lane and
@@ -990,34 +969,6 @@ mod tests {
     }
 
     #[test]
-    fn heap_and_wheel_queues_drive_identical_runs() {
-        // The timer wheel must pop the exact event sequence the heap
-        // oracle does — same digests, same byte counts, same timings.
-        let world = Arc::new(DiningWorld::new(DiningConfig {
-            philosophers: 8,
-            ..DiningConfig::default()
-        }));
-        let suite = SeveSuite::new(ProtocolConfig::with_mode(ServerMode::InfoBound));
-        let run = |kind: EventQueueKind| {
-            let mut wl = DiningWorkload::new(&world);
-            let cfg = SimConfig {
-                moves_per_client: 8,
-                event_queue: kind,
-                ..SimConfig::default()
-            };
-            Simulation::new(Arc::clone(&world), &suite, cfg).run(&mut wl)
-        };
-        let wheel = run(EventQueueKind::Wheel);
-        let heap = run(EventQueueKind::Heap);
-        assert_eq!(wheel.response_ms.samples(), heap.response_ms.samples());
-        assert_eq!(wheel.total_bytes, heap.total_bytes);
-        assert_eq!(wheel.total_msgs, heap.total_msgs);
-        assert_eq!(wheel.stable_digests, heap.stable_digests);
-        assert_eq!(wheel.committed_digest, heap.committed_digest);
-        assert_eq!(wheel.duration, heap.duration);
-    }
-
-    #[test]
     fn synchronized_mode_fires_all_clients_together() {
         // stagger=false is the Section III-E adversary: with every grab on
         // the same tick, Algorithm 7 must drop some to break the ring
@@ -1172,49 +1123,12 @@ mod tests {
     }
 
     #[test]
-    fn unsupervised_down_lane_reordering_is_detected_by_the_oracle() {
-        // Down-lane FIFO is load-bearing: the closure property guarantees
-        // an action's support is *sent* before its dependents, so a
-        // transport that inverts down-lane delivery breaks the premise a
-        // replica's provisional evaluations rest on. With supervision off
-        // (the PR-5 envelope) that is documented degradation — and the
-        // consistency oracle must catch it, not paper over it.
-        let world = Arc::new(DiningWorld::new(DiningConfig {
-            philosophers: 6,
-            ..DiningConfig::default()
-        }));
-        let suite = SeveSuite::new(ProtocolConfig::with_mode(ServerMode::Basic));
-        let mut wl = DiningWorkload::new(&world);
-        let plan = FaultPlan {
-            down: FaultPolicy {
-                reorder: 0.3,
-                ..FaultPolicy::default()
-            },
-            ..FaultPlan::default()
-        };
-        let cfg = SimConfig {
-            session: SessionParams::unsupervised(),
-            ..small_cfg(10)
-        };
-        let r = Simulation::new(Arc::clone(&world), &suite, cfg)
-            .with_faults(plan)
-            .run(&mut wl);
-        assert!(
-            r.replay_rebuilds > 0,
-            "reordered pushes must exercise out-of-order reconciliation"
-        );
-        assert!(
-            r.violations > 0,
-            "the oracle must detect evaluations whose support arrived late"
-        );
-    }
-
-    #[test]
     fn supervised_down_lane_reordering_is_recovered() {
-        // Same fault plan, supervision on (the default): the resequencer
-        // restores down-lane FIFO before the replica sees a single frame,
-        // so the run is indistinguishable from a clean one — bit-identical
-        // digests, zero violations, zero rebuilds.
+        // Down-lane FIFO is load-bearing: the closure property guarantees
+        // an action's support is *sent* before its dependents. Under a
+        // reordering down lane the resequencer restores FIFO before the
+        // replica sees a single frame, so no evaluation runs on support
+        // that arrived late.
         let world = Arc::new(DiningWorld::new(DiningConfig {
             philosophers: 6,
             ..DiningConfig::default()

@@ -19,8 +19,9 @@ pub enum ServerEvent<U> {
     /// The client finished with an orderly goodbye.
     Done(ClientId),
     /// The client's connection was lost abruptly (broken socket, dropped
-    /// channel) with no goodbye. Supervised transports hold the lane open
-    /// for a resume; unsupervised drivers treat it like [`Done`].
+    /// channel) with no goodbye. The supervised transport absorbs it and
+    /// holds the lane open for a resume; a driver that sees it treats it
+    /// like [`Done`].
     ///
     /// [`Done`]: ServerEvent::Done
     Gone(ClientId),

@@ -5,65 +5,27 @@
 //! scheduled for the same instant are delivered in scheduling (FIFO) order,
 //! implemented with a monotone sequence number.
 //!
-//! Two interchangeable backends provide that order:
+//! The queue is a **hierarchical timer wheel**: six levels of 64 slots at
+//! microsecond granularity, so level `l` spans `64^(l+1)` µs and the wheel
+//! covers ~19 hours of virtual time before spilling into an overflow list.
+//! Scheduling is O(1); popping amortizes to O(1) per event because an entry
+//! cascades down at most `LEVELS` times. At thousand-client scale (hundreds
+//! of thousands of pending link/timer events, heavily clustered in time)
+//! this beats a binary heap's O(log n) comparison churn per operation.
 //!
-//! * a **hierarchical timer wheel** (the default) — six levels of 64 slots
-//!   at microsecond granularity, so level `l` spans `64^(l+1)` µs and the
-//!   wheel covers ~19 hours of virtual time before spilling into an
-//!   overflow list. Scheduling is O(1); popping amortizes to O(1) per event
-//!   because an entry cascades down at most `LEVELS` times. At
-//!   thousand-client scale (hundreds of thousands of pending link/timer
-//!   events, heavily clustered in time) this beats the binary heap's
-//!   O(log n) comparison churn per operation.
-//! * a **binary heap**, the original implementation, retained behind
-//!   [`EventQueue::with_kind`] as the drain-order oracle. Equivalence is
-//!   pinned by unit tests here, a randomized interleaving proptest in
-//!   `tests/prop_net.rs`, and a whole-simulation digest compare in
-//!   `bench_push`.
+//! The binary heap it replaced is the drain-order oracle of
+//! `tests/prop_net.rs` (`wheel_matches_heap_under_interleaving`, a
+//! `BinaryHeap<Reverse<(time, seq, id)>>` model under random interleavings
+//! of scheduling and popping), and `tests/determinism.rs` pins a dense
+//! 128-client run to the constants a heap-driven run produced.
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
-
-/// Which event-queue backend to use. Both produce bit-identical pop
-/// sequences; `Heap` is the simple oracle, `Wheel` the fast default.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum EventQueueKind {
-    /// Hierarchical timer wheel (default).
-    #[default]
-    Wheel,
-    /// Binary min-heap oracle.
-    Heap,
-}
+use std::collections::VecDeque;
 
 struct Entry<E> {
     at: SimTime,
     seq: u64,
     event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (then
-        // first-scheduled) entry surfaces first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 const SLOT_BITS: u32 = 6;
@@ -270,14 +232,9 @@ impl<E> Wheel<E> {
     }
 }
 
-enum Backend<E> {
-    Heap(BinaryHeap<Entry<E>>),
-    Wheel(Box<Wheel<E>>),
-}
-
 /// A deterministic priority queue of timed events.
 pub struct EventQueue<E> {
-    backend: Backend<E>,
+    wheel: Box<Wheel<E>>,
     next_seq: u64,
     now: SimTime,
     len: usize,
@@ -290,30 +247,13 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// An empty queue at time zero (timer-wheel backend).
+    /// An empty queue at time zero.
     pub fn new() -> Self {
-        Self::with_kind(EventQueueKind::Wheel)
-    }
-
-    /// An empty queue using the chosen backend.
-    pub fn with_kind(kind: EventQueueKind) -> Self {
-        let backend = match kind {
-            EventQueueKind::Heap => Backend::Heap(BinaryHeap::new()),
-            EventQueueKind::Wheel => Backend::Wheel(Box::new(Wheel::new())),
-        };
         Self {
-            backend,
+            wheel: Box::new(Wheel::new()),
             next_seq: 0,
             now: SimTime::ZERO,
             len: 0,
-        }
-    }
-
-    /// Which backend this queue runs on.
-    pub fn kind(&self) -> EventQueueKind {
-        match self.backend {
-            Backend::Heap(_) => EventQueueKind::Heap,
-            Backend::Wheel(_) => EventQueueKind::Wheel,
         }
     }
 
@@ -343,20 +283,13 @@ impl<E> EventQueue<E> {
         let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        let entry = Entry { at, seq, event };
-        match &mut self.backend {
-            Backend::Heap(h) => h.push(entry),
-            Backend::Wheel(w) => w.schedule(entry),
-        }
+        self.wheel.schedule(Entry { at, seq, event });
         self.len += 1;
     }
 
     /// Pop the next event, advancing the clock to its time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = match &mut self.backend {
-            Backend::Heap(h) => h.pop(),
-            Backend::Wheel(w) => w.pop(),
-        }?;
+        let entry = self.wheel.pop()?;
         self.len -= 1;
         debug_assert!(entry.at >= self.now);
         self.now = entry.at;
@@ -365,10 +298,7 @@ impl<E> EventQueue<E> {
 
     /// The time of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.backend {
-            Backend::Heap(h) => h.peek().map(|e| e.at),
-            Backend::Wheel(w) => w.peek_time().map(SimTime),
-        }
+        self.wheel.peek_time().map(SimTime)
     }
 }
 
@@ -377,63 +307,51 @@ mod tests {
     use super::*;
     use crate::time::SimDuration;
 
-    fn kinds() -> [EventQueueKind; 2] {
-        [EventQueueKind::Wheel, EventQueueKind::Heap]
-    }
-
     #[test]
     fn pops_in_time_order() {
-        for kind in kinds() {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(SimTime::from_ms(30), "c");
-            q.schedule(SimTime::from_ms(10), "a");
-            q.schedule(SimTime::from_ms(20), "b");
-            let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, vec!["a", "b", "c"], "{kind:?}");
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_ms(30), "c");
+        q.schedule(SimTime::from_ms(10), "a");
+        q.schedule(SimTime::from_ms(20), "b");
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec!["a", "b", "c"]);
     }
 
     #[test]
     fn simultaneous_events_pop_fifo() {
-        for kind in kinds() {
-            let mut q = EventQueue::with_kind(kind);
-            let t = SimTime::from_ms(5);
-            for i in 0..100 {
-                q.schedule(t, i);
-            }
-            let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, (0..100).collect::<Vec<_>>(), "{kind:?}");
+        let mut q = EventQueue::new();
+        let t = SimTime::from_ms(5);
+        for i in 0..100 {
+            q.schedule(t, i);
         }
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn clock_advances_with_pops() {
-        for kind in kinds() {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(SimTime::from_ms(7), ());
-            assert_eq!(q.now(), SimTime::ZERO);
-            assert_eq!(q.peek_time(), Some(SimTime::from_ms(7)));
-            q.pop();
-            assert_eq!(q.now(), SimTime::from_ms(7));
-            assert!(q.pop().is_none());
-            assert!(q.is_empty());
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_ms(7), ());
+        assert_eq!(q.now(), SimTime::ZERO);
+        assert_eq!(q.peek_time(), Some(SimTime::from_ms(7)));
+        q.pop();
+        assert_eq!(q.now(), SimTime::from_ms(7));
+        assert!(q.pop().is_none());
+        assert!(q.is_empty());
     }
 
     #[test]
     fn interleaved_scheduling_stays_ordered() {
-        for kind in kinds() {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(SimTime::from_ms(10), 1);
-            let (t, e) = q.pop().unwrap();
-            assert_eq!(e, 1);
-            // Schedule relative to the popped time.
-            q.schedule(t + SimDuration::from_ms(5), 2);
-            q.schedule(t + SimDuration::from_ms(1), 3);
-            assert_eq!(q.pop().unwrap().1, 3);
-            assert_eq!(q.pop().unwrap().1, 2);
-            assert_eq!(q.len(), 0);
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_ms(10), 1);
+        let (t, e) = q.pop().unwrap();
+        assert_eq!(e, 1);
+        // Schedule relative to the popped time.
+        q.schedule(t + SimDuration::from_ms(5), 2);
+        q.schedule(t + SimDuration::from_ms(1), 3);
+        assert_eq!(q.pop().unwrap().1, 3);
+        assert_eq!(q.pop().unwrap().1, 2);
+        assert_eq!(q.len(), 0);
     }
 
     /// The FIFO case the wheel must get right across levels: an event
@@ -443,37 +361,33 @@ mod tests {
     /// *tie* with the level-0 minimum, and the opened slot sorts by seq.
     #[test]
     fn cross_level_same_time_fifo() {
-        for kind in kinds() {
-            let mut q = EventQueue::with_kind(kind);
-            let far = SimTime(5_000_000); // parked at a high level from t=0
-            q.schedule(far, "early");
-            q.schedule(SimTime(4_999_990), "warm");
-            assert_eq!(q.pop().unwrap().1, "warm"); // cur advances near `far`
-            q.schedule(far, "late"); // lands directly in level 0
-            assert_eq!(q.pop().unwrap().1, "early");
-            assert_eq!(q.pop().unwrap().1, "late");
-            assert!(q.is_empty());
-        }
+        let mut q = EventQueue::new();
+        let far = SimTime(5_000_000); // parked at a high level from t=0
+        q.schedule(far, "early");
+        q.schedule(SimTime(4_999_990), "warm");
+        assert_eq!(q.pop().unwrap().1, "warm"); // cur advances near `far`
+        q.schedule(far, "late"); // lands directly in level 0
+        assert_eq!(q.pop().unwrap().1, "early");
+        assert_eq!(q.pop().unwrap().1, "late");
+        assert!(q.is_empty());
     }
 
     /// Events beyond the wheel horizon live in the overflow list and still
     /// drain in exact order, including against near events.
     #[test]
     fn overflow_events_order_correctly() {
-        for kind in kinds() {
-            let mut q = EventQueue::with_kind(kind);
-            let day = SimTime(86_400_000_000); // ≫ 64^6 µs horizon
-            q.schedule(day, "far");
-            q.schedule(day + SimDuration::from_micros(1), "farther");
-            q.schedule(day, "far2");
-            q.schedule(SimTime::from_ms(1), "near");
-            assert_eq!(q.pop().unwrap().1, "near");
-            assert_eq!(q.pop().unwrap().1, "far");
-            assert_eq!(q.pop().unwrap().1, "far2");
-            assert_eq!(q.pop().unwrap().1, "farther");
-            assert!(q.is_empty());
-            assert_eq!(q.now(), day + SimDuration::from_micros(1));
-        }
+        let mut q = EventQueue::new();
+        let day = SimTime(86_400_000_000); // ≫ 64^6 µs horizon
+        q.schedule(day, "far");
+        q.schedule(day + SimDuration::from_micros(1), "farther");
+        q.schedule(day, "far2");
+        q.schedule(SimTime::from_ms(1), "near");
+        assert_eq!(q.pop().unwrap().1, "near");
+        assert_eq!(q.pop().unwrap().1, "far");
+        assert_eq!(q.pop().unwrap().1, "far2");
+        assert_eq!(q.pop().unwrap().1, "farther");
+        assert!(q.is_empty());
+        assert_eq!(q.now(), day + SimDuration::from_micros(1));
     }
 
     /// Mid-drain same-time scheduling keeps FIFO: while a slot is open,
@@ -481,16 +395,14 @@ mod tests {
     /// draining.
     #[test]
     fn schedule_at_open_time_pops_last() {
-        for kind in kinds() {
-            let mut q = EventQueue::with_kind(kind);
-            let t = SimTime::from_ms(3);
-            q.schedule(t, 0);
-            q.schedule(t, 1);
-            assert_eq!(q.pop().unwrap().1, 0);
-            q.schedule(t, 2); // now == t: same-instant append mid-drain
-            assert_eq!(q.pop().unwrap().1, 1);
-            assert_eq!(q.pop().unwrap().1, 2);
-            assert!(q.is_empty());
-        }
+        let mut q = EventQueue::new();
+        let t = SimTime::from_ms(3);
+        q.schedule(t, 0);
+        q.schedule(t, 1);
+        assert_eq!(q.pop().unwrap().1, 0);
+        q.schedule(t, 2); // now == t: same-instant append mid-drain
+        assert_eq!(q.pop().unwrap().1, 1);
+        assert_eq!(q.pop().unwrap().1, 2);
+        assert!(q.is_empty());
     }
 }

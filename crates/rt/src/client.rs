@@ -233,12 +233,10 @@ where
 
 /// [`run_client`] with explicit fault injection and [`SessionParams`].
 ///
-/// The transport stack is `Supervised{Faulty{Tcp}}` when
-/// `session.supervised` (sequence-numbered envelopes, resequencing, acks,
-/// reconnect-with-backoff after a partition) and `Faulty{Tcp}` otherwise
-/// (bare protocol frames, byte-identical to the pre-session host). The
-/// client's entries in `faults` — crash schedule, partition window, lane
-/// policies — are applied here.
+/// The transport stack is `Supervised{Faulty{Tcp}}`: sequence-numbered
+/// envelopes, resequencing, acks, and reconnect-with-backoff after a
+/// partition. The client's entries in `faults` — crash schedule, partition
+/// window, lane policies — are applied here.
 #[allow(clippy::too_many_arguments)]
 pub fn run_client_with<W>(
     world: Arc<W>,
@@ -263,25 +261,15 @@ where
         .partition_for(id)
         .map(|p| (p.after_submissions, p.duration));
 
-    if session.supervised {
-        type Up<W> = SessionUp<ToServer<<W as GameWorld>::Action>>;
-        type Down<W> = SessionDown<ToClient<<W as GameWorld>::Action>>;
-        let token = session_token(session.seed, id);
-        let inner: TcpClientTransport<Up<W>, Down<W>> =
-            TcpClientTransport::connect(addr, id, world_digest, token)?;
-        let hello = inner.handshake_bytes();
-        let faulty = FaultyClientTransport::new(inner, faults, id.index());
-        let mut transport = SupervisedClientTransport::new(faulty, id, session);
-        let mut report = driver.run_client(engine, workload, &mut transport)?;
-        report.bytes_out += hello.load(Ordering::Relaxed);
-        Ok(report)
-    } else {
-        let inner: TcpClientTransport<ToServer<W::Action>, ToClient<W::Action>> =
-            TcpClientTransport::connect(addr, id, world_digest, 0)?;
-        let hello = inner.handshake_bytes();
-        let mut transport = FaultyClientTransport::new(inner, faults, id.index());
-        let mut report = driver.run_client(engine, workload, &mut transport)?;
-        report.bytes_out += hello.load(Ordering::Relaxed);
-        Ok(report)
-    }
+    type Up<W> = SessionUp<ToServer<<W as GameWorld>::Action>>;
+    type Down<W> = SessionDown<ToClient<<W as GameWorld>::Action>>;
+    let token = session_token(session.seed, id);
+    let inner: TcpClientTransport<Up<W>, Down<W>> =
+        TcpClientTransport::connect(addr, id, world_digest, token)?;
+    let hello = inner.handshake_bytes();
+    let faulty = FaultyClientTransport::new(inner, faults, id.index());
+    let mut transport = SupervisedClientTransport::new(faulty, id, session);
+    let mut report = driver.run_client(engine, workload, &mut transport)?;
+    report.bytes_out += hello.load(Ordering::Relaxed);
+    Ok(report)
 }

@@ -194,18 +194,18 @@ impl Acceptor {
     }
 }
 
-/// Spawn the accept/handshake thread for an `n`-seat session.
+/// Spawn the accept/handshake thread for a session with one seat per
+/// token.
 ///
-/// `tokens` selects the seating policy: `Some(per-seat tokens)` means a
-/// supervised session — a connection presenting the right token may take
-/// an *occupied* seat (mid-run resume; the stale socket is shut down and
-/// its reader silenced via a generation counter) — while `None` means
-/// plain sessions where an occupied seat refuses newcomers.
+/// Seating is by token: a connection presenting its seat's token (see
+/// [`session_token`]) takes the seat even when it is occupied — a mid-run
+/// resume; the stale socket is shut down and its reader silenced via a
+/// generation counter — and a connection presenting any other token is
+/// refused.
 fn spawn_acceptor<U>(
     listener: TcpListener,
-    n: usize,
     world_digest: u64,
-    tokens: Option<Arc<Vec<u64>>>,
+    tokens: Vec<u64>,
     tx: Sender<Inbound<U>>,
 ) -> io::Result<Acceptor>
 where
@@ -214,6 +214,7 @@ where
     // Nonblocking accept so the thread can notice the stop flag; seated
     // streams are flipped back to blocking before the handshake.
     listener.set_nonblocking(true)?;
+    let n = tokens.len();
     let stop = Arc::new(AtomicBool::new(false));
     let writers: SharedWriters = Arc::new(Mutex::new((0..n).map(|_| None).collect()));
     let gens: Arc<Vec<AtomicU64>> = Arc::new((0..n).map(|_| AtomicU64::new(0)).collect());
@@ -234,15 +235,9 @@ where
                         continue;
                     }
                 };
-                if let Ok(Some(r)) = seat_client::<U>(
-                    stream,
-                    n,
-                    world_digest,
-                    tokens.as_deref(),
-                    &writers,
-                    &gens,
-                    &tx,
-                ) {
+                if let Ok(Some(r)) =
+                    seat_client::<U>(stream, world_digest, &tokens, &writers, &gens, &tx)
+                {
                     readers.push(r);
                 }
             }
@@ -263,9 +258,8 @@ where
 /// reader thread. Returns `Ok(None)` for rejected connections.
 fn seat_client<U>(
     stream: TcpStream,
-    n: usize,
     world_digest: u64,
-    tokens: Option<&Vec<u64>>,
+    tokens: &[u64],
     writers: &SharedWriters,
     gens: &Arc<Vec<AtomicU64>>,
     tx: &Sender<Inbound<U>>,
@@ -298,23 +292,14 @@ where
         );
         return Ok(None);
     }
-    if client as usize >= n {
+    let Some(&seat_token) = tokens.get(client as usize) else {
+        let n = tokens.len();
         eprintln!("seve-rt: rejecting client {client}: id out of range (session has {n} seats)");
         return Ok(None);
-    }
-    match tokens {
-        Some(tokens) => {
-            if token != tokens[client as usize] {
-                eprintln!("seve-rt: rejecting client {client}: bad session token");
-                return Ok(None);
-            }
-        }
-        None => {
-            if writers.lock().expect("writer seats")[client as usize].is_some() {
-                eprintln!("seve-rt: rejecting client {client}: seat already taken");
-                return Ok(None);
-            }
-        }
+    };
+    if token != seat_token {
+        eprintln!("seve-rt: rejecting client {client}: bad session token");
+        return Ok(None);
     }
     stream.set_read_timeout(None)?;
 
@@ -407,13 +392,11 @@ where
 
 /// [`run_server`] with explicit [`SessionParams`].
 ///
-/// When `session.supervised`, the TCP transport carries sequence-numbered
-/// session envelopes and is wrapped in a [`SupervisedServerTransport`]:
-/// down-lane frames are resent past the client's last cumulative ack on
-/// RTO, crashed clients are reaped after the liveness deadline, and a
-/// reconnecting client may reclaim its seat mid-run by presenting its
-/// session token. With `session.supervised == false` the wire format is
-/// the bare protocol messages, byte-identical to the pre-session host.
+/// The TCP transport carries sequence-numbered session envelopes and is
+/// wrapped in a [`SupervisedServerTransport`]: down-lane frames are resent
+/// past the client's last cumulative ack on RTO, crashed clients are reaped
+/// after the liveness deadline, and a reconnecting client may reclaim its
+/// seat mid-run by presenting its session token.
 pub fn run_server_with<W, S>(
     engine: S,
     listener: TcpListener,
@@ -429,48 +412,26 @@ where
     S::Up: DeserializeOwned + Send + 'static,
     S::Down: Serialize + ShareKey + Sync + Clone,
 {
-    let tick_driver = NodeDriver::server(tick, push);
-    if session.supervised {
-        let (tx, rx) = channel::unbounded::<Inbound<SessionUp<S::Up>>>();
-        let tokens: Arc<Vec<u64>> = Arc::new(
-            (0..n as u16)
-                .map(|c| session_token(session.seed, ClientId(c)))
-                .collect(),
-        );
-        let acceptor = spawn_acceptor(listener, n, world_digest, Some(tokens), tx.clone())?;
-        wait_for_full_house(&acceptor.writers);
-        let inner = TcpServerTransport {
-            rx,
-            writers: Arc::clone(&acceptor.writers),
-            pool: BufferPool::new(),
-            drain_pool: seve_exec::Executor::new(drain_workers()),
-            writev_batches: 0,
-            _down: PhantomData,
-        };
-        let mut transport = SupervisedServerTransport::new(inner, n, session);
-        let report = tick_driver.run_server(engine, &mut transport, n);
-        drop(transport);
-        drop(tx);
-        acceptor.shutdown();
-        report
-    } else {
-        let (tx, rx) = channel::unbounded::<Inbound<S::Up>>();
-        let acceptor = spawn_acceptor(listener, n, world_digest, None, tx.clone())?;
-        wait_for_full_house(&acceptor.writers);
-        let mut transport = TcpServerTransport {
-            rx,
-            writers: Arc::clone(&acceptor.writers),
-            pool: BufferPool::new(),
-            drain_pool: seve_exec::Executor::new(drain_workers()),
-            writev_batches: 0,
-            _down: PhantomData,
-        };
-        let report = tick_driver.run_server(engine, &mut transport, n);
-        drop(transport);
-        drop(tx);
-        acceptor.shutdown();
-        report
-    }
+    let (tx, rx) = channel::unbounded::<Inbound<SessionUp<S::Up>>>();
+    let tokens = (0..n as u16)
+        .map(|c| session_token(session.seed, ClientId(c)))
+        .collect();
+    let acceptor = spawn_acceptor(listener, world_digest, tokens, tx.clone())?;
+    wait_for_full_house(&acceptor.writers);
+    let inner = TcpServerTransport {
+        rx,
+        writers: Arc::clone(&acceptor.writers),
+        pool: BufferPool::new(),
+        drain_pool: seve_exec::Executor::new(drain_workers()),
+        writev_batches: 0,
+        _down: PhantomData,
+    };
+    let mut transport = SupervisedServerTransport::new(inner, n, session);
+    let report = NodeDriver::server(tick, push).run_server(engine, &mut transport, n);
+    drop(transport);
+    drop(tx);
+    acceptor.shutdown();
+    report
 }
 
 /// Coalescing threshold: the most frames handed to one `write_vectored`

@@ -17,8 +17,8 @@
 //! | Table II | [`table2`] | % moves dropped vs move effect range |
 //! | In-text | [`server_capacity`] | ≈3500 clients on one server |
 
-use crate::harness::{RunResult, SimConfig, Simulation};
 use crate::report::{Figure, Series};
+use crate::{RunResult, SimConfig, Simulation};
 use seve_baselines::{BroadcastSuite, CentralSuite, RingSuite};
 use seve_core::config::{ProtocolConfig, ServerMode};
 use seve_core::server::SeveSuite;
@@ -655,8 +655,7 @@ pub fn ring_inconsistency(scale: Scale) -> Figure {
     for &r in &radii {
         let suite = seve_baselines::RingSuite::new(r);
         let mut wl = CombatWorkload::new(Arc::clone(&world));
-        let run =
-            crate::harness::Simulation::new(Arc::clone(&world), &suite, sim.clone()).run(&mut wl);
+        let run = Simulation::new(Arc::clone(&world), &suite, sim.clone()).run(&mut wl);
         let pct = if run.evals_checked > 0 {
             100.0 * run.violations as f64 / run.evals_checked as f64
         } else {
@@ -673,7 +672,7 @@ pub fn ring_inconsistency(scale: Scale) -> Figure {
     // The SEVE reference at the same density: zero, by construction.
     let suite = SeveSuite::new(paper_protocol(ServerMode::InfoBound));
     let mut wl = CombatWorkload::new(Arc::clone(&world));
-    let seve = crate::harness::Simulation::new(Arc::clone(&world), &suite, sim).run(&mut wl);
+    let seve = Simulation::new(Arc::clone(&world), &suite, sim).run(&mut wl);
     notes.push(format!(
         "SEVE reference: {} violations / {} evals",
         seve.violations, seve.evals_checked

@@ -9,12 +9,12 @@
 //! * [`machine`] — a simulated machine with a busy-time compute model; the
 //!   per-action costs come from the world's calibrated cost model (e.g.
 //!   7.44 ms per Manhattan People move at 100 000 walls).
-//! * [`harness`] — the event loop wiring one server and N clients over
+//! * [`Simulation`] — the event loop wiring one server and N clients over
 //!   latency/bandwidth [`seve_net::link::Link`]s, driving workload move
 //!   timers, server ticks (τ) and push cycles (ω·RTT), and collecting every
 //!   metric the paper reports. The loop itself lives in
 //!   [`seve_driver::sim`] (the discrete-event substrate of the unified
-//!   node driver); this crate re-exports it under the historical paths.
+//!   node driver); this crate re-exports it.
 //! * [`experiment`] — the parameter sets behind Table I and each figure.
 //! * [`report`] — plain-text table/series rendering for the `repro` binary.
 //!
@@ -26,9 +26,8 @@
 #![warn(missing_docs)]
 
 pub mod experiment;
-pub mod harness;
 pub mod machine;
 pub mod report;
 
-pub use harness::{RunResult, SimConfig, Simulation};
 pub use machine::Machine;
+pub use seve_driver::sim::{AveragedResult, RunResult, SimConfig, Simulation};

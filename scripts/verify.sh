@@ -78,7 +78,9 @@ bench_before=$(git status --porcelain -- bench)
 [ "$(git status --porcelain -- bench)" == "$bench_before" ]
 
 echo "== bench smoke =="
+# The Criterion benches must build; the thousand-client simulator run must
+# finish with zero Theorem 1 violations (repro panics on any).
 cargo bench --workspace --no-run
-scripts/bench.sh --smoke
+cargo run --release -p seve-bench --bin repro -- --quick sim-scale
 
 echo "verify.sh: all checks passed"

@@ -3,7 +3,6 @@
 //! The simulator exists to make the paper's experiments reproducible; that
 //! only holds if runs are deterministic functions of their configuration.
 
-use seve::net::event::EventQueueKind;
 use seve::prelude::*;
 use std::sync::Arc;
 
@@ -129,11 +128,21 @@ fn world_generation_is_seed_stable() {
     assert_ne!(w1.initial_state().digest(), w3.initial_state().digest());
 }
 
+/// FNV-1a-style fold of a run's per-client or per-sample values into one
+/// pinnable constant.
+fn fold(xs: impl IntoIterator<Item = u64>) -> u64 {
+    xs.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, x| {
+        (h ^ x).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
 #[test]
 fn timer_wheel_and_heap_agree_on_a_dense_run() {
     // 128 clustered avatars each moving every 60 ms against the 50 ms tick:
-    // about a hundred new actions per Algorithm 7 tick. The wheel-driven
-    // run must equal the heap-driven one event for event.
+    // about a hundred new actions per Algorithm 7 tick. The timer wheel must
+    // pop the exact event sequence the binary heap it replaced did, so the
+    // run must reproduce, event for event, the constants recorded from a
+    // heap-driven run of this configuration at commit 19346ed.
     let world = Arc::new(ManhattanWorld::new(ManhattanConfig {
         clients: 128,
         walls: 0,
@@ -145,22 +154,22 @@ fn timer_wheel_and_heap_agree_on_a_dense_run() {
         },
         ..ManhattanConfig::default()
     }));
-    let run = |queue: EventQueueKind| {
-        let suite = SeveSuite::new(ProtocolConfig::with_mode(ServerMode::InfoBound));
-        let sim = SimConfig {
-            moves_per_client: 15,
-            move_period: SimDuration::from_ms(60),
-            event_queue: queue,
-            ..SimConfig::default()
-        };
-        let mut wl = ManhattanWorkload::new(&world);
-        Simulation::new(Arc::clone(&world), &suite, sim).run(&mut wl)
+    let suite = SeveSuite::new(ProtocolConfig::with_mode(ServerMode::InfoBound));
+    let sim = SimConfig {
+        moves_per_client: 15,
+        move_period: SimDuration::from_ms(60),
+        ..SimConfig::default()
     };
-    let wheel = run(EventQueueKind::Wheel);
-    let heap = run(EventQueueKind::Heap);
-    assert_eq!(wheel.stable_digests, heap.stable_digests);
-    assert_eq!(wheel.committed_digest, heap.committed_digest);
-    assert_eq!(wheel.total_bytes, heap.total_bytes);
-    assert_eq!(wheel.response_ms.samples(), heap.response_ms.samples());
-    assert_eq!(wheel.duration, heap.duration);
+    let mut wl = ManhattanWorkload::new(&world);
+    let r = Simulation::new(Arc::clone(&world), &suite, sim).run(&mut wl);
+    assert_eq!(fold(r.stable_digests.iter().copied()), 1678445525464766241);
+    assert_eq!(r.committed_digest, Some(10642715210961830177));
+    assert_eq!(r.total_bytes, 2233813);
+    let samples = r.response_ms.samples();
+    assert_eq!(samples.len(), 1828);
+    assert_eq!(
+        fold(samples.iter().map(|s| s.to_bits())),
+        18235833916044918651
+    );
+    assert_eq!(r.duration, SimDuration::from_micros(5890500));
 }

@@ -18,11 +18,15 @@
 //!   the last cumulative ack on RTO. Drop, duplication, and reordering are
 //!   repaired before evaluation, so the oracle stays quiet and replicas
 //!   converge — the faults leave traces only in [`SessionStats`].
-//! * **Down lane — unsupervised detection, pinned.** With
-//!   `SessionParams::unsupervised()` the PR-5 envelope still holds: the
-//!   closure premise breaks and the consistency oracle must *detect* it
-//!   (violations > 0), never paper over it. Those cells stay here so the
-//!   supervision layer can never silently weaken the oracle.
+//! * **The oracle keeps its teeth.** Sessions are always supervised, so no
+//!   cell here can show the consistency oracle detecting a broken closure
+//!   premise. That power is pinned elsewhere:
+//!   `baselines::ring_diverges_in_dense_combat` and
+//!   `trade_conservation::broadcast_duplicates_items_under_contention` both
+//!   require the oracle to report violations for a protocol that really
+//!   diverges. That the injected faults really fire is asserted by the
+//!   recovery cells below (`retransmits > 0`, `holds > 0`,
+//!   `session_retransmits > 0`).
 //! * **Crash.** Section III-C: a mid-run client disappearance must leave
 //!   the survivors' session fully consistent; the liveness supervisor
 //!   reaps the dead lane (synthetic goodbye) instead of stranding it.
@@ -72,19 +76,12 @@ fn dining(philosophers: usize) -> Arc<DiningWorld> {
     }))
 }
 
-fn sim_run(
-    mode: ServerMode,
-    clients: usize,
-    moves: u32,
-    plan: FaultPlan,
-    session: SessionParams,
-) -> seve::sim::RunResult {
+fn sim_run(mode: ServerMode, clients: usize, moves: u32, plan: FaultPlan) -> seve::sim::RunResult {
     let world = manhattan(clients);
     let suite = SeveSuite::new(ProtocolConfig::with_mode(mode));
     let mut wl = ManhattanWorkload::new(&world);
     let sim = SimConfig {
         moves_per_client: moves,
-        session,
         ..SimConfig::default()
     };
     Simulation::new(world, &suite, sim)
@@ -92,18 +89,12 @@ fn sim_run(
         .run(&mut wl)
 }
 
-fn sim_dining_run(
-    clients: usize,
-    moves: u32,
-    plan: FaultPlan,
-    session: SessionParams,
-) -> seve::sim::RunResult {
+fn sim_dining_run(clients: usize, moves: u32, plan: FaultPlan) -> seve::sim::RunResult {
     let world = dining(clients);
     let suite = SeveSuite::new(ProtocolConfig::with_mode(ServerMode::Basic));
     let mut wl = DiningWorkload::new(&world);
     let sim = SimConfig {
         moves_per_client: moves,
-        session,
         ..SimConfig::default()
     };
     Simulation::new(world, &suite, sim)
@@ -146,7 +137,7 @@ fn sim_up_disorder_and_duplication_are_absorbed() {
         },
         ..FaultPlan::default()
     };
-    let r = sim_run(ServerMode::Basic, 6, 10, plan, SessionParams::default());
+    let r = sim_run(ServerMode::Basic, 6, 10, plan);
     assert_eq!(r.violations, 0, "Theorem 1 under lossless up-lane faults");
     assert_eq!(r.replay_divergences, 0);
     assert!(
@@ -164,20 +155,8 @@ fn sim_up_drop_unsubmits_actions_consistently() {
         },
         ..FaultPlan::default()
     };
-    let r = sim_run(
-        ServerMode::Incomplete,
-        6,
-        10,
-        lossy,
-        SessionParams::default(),
-    );
-    let clean = sim_run(
-        ServerMode::Incomplete,
-        6,
-        10,
-        FaultPlan::none(),
-        SessionParams::default(),
-    );
+    let r = sim_run(ServerMode::Incomplete, 6, 10, lossy);
+    let clean = sim_run(ServerMode::Incomplete, 6, 10, FaultPlan::none());
     // Dropped submissions never serialize: fewer actions resolve…
     assert!(
         r.response_ms.count() < clean.response_ms.count(),
@@ -192,13 +171,7 @@ fn sim_up_drop_unsubmits_actions_consistently() {
 
 #[test]
 fn sim_down_drop_is_recovered_by_supervision() {
-    let r = sim_run(
-        ServerMode::Basic,
-        6,
-        10,
-        down_drop_plan(0.3),
-        SessionParams::default(),
-    );
+    let r = sim_run(ServerMode::Basic, 6, 10, down_drop_plan(0.3));
     // The go-back-N window refills every hole before evaluation: no
     // violation, no divergence, full convergence — and a non-zero
     // retransmit count proving the faults actually happened.
@@ -215,29 +188,11 @@ fn sim_down_drop_is_recovered_by_supervision() {
 }
 
 #[test]
-fn sim_down_drop_detection_pinned_without_supervision() {
-    // The PR-5 envelope, pinned: with supervision off the oracle must
-    // still see the broken closure premise. This cell guards against the
-    // session layer ever weakening the oracle itself.
-    let r = sim_run(
-        ServerMode::Basic,
-        6,
-        10,
-        down_drop_plan(0.3),
-        SessionParams::unsupervised(),
-    );
-    assert!(
-        r.violations > 0,
-        "down-lane drops break the closure premise; the oracle must see it"
-    );
-}
-
-#[test]
 fn sim_down_reordering_is_recovered_by_supervision() {
     // The dining table makes every action contend on shared forks, so an
     // inverted prefix that slipped through would shift evaluations. The
     // resequencer must hold early frames until the gap fills instead.
-    let r = sim_dining_run(8, 12, down_reorder_plan(0.3), SessionParams::default());
+    let r = sim_dining_run(8, 12, down_reorder_plan(0.3));
     assert_eq!(
         r.violations, 0,
         "supervised reordering is resequenced before evaluation"
@@ -254,25 +209,12 @@ fn sim_down_reordering_is_recovered_by_supervision() {
 }
 
 #[test]
-fn sim_down_reordering_detection_pinned_without_supervision() {
-    let r = sim_dining_run(8, 12, down_reorder_plan(0.3), SessionParams::unsupervised());
-    assert!(
-        r.replay_rebuilds > 0,
-        "inverted down-lane delivery must trigger out-of-order reconciliation"
-    );
-    assert!(
-        r.violations > 0,
-        "down-lane reordering is documented degradation the oracle detects"
-    );
-}
-
-#[test]
 fn sim_midrun_crash_leaves_survivors_consistent() {
     let plan = FaultPlan {
         crashes: vec![(ClientId(1), 4)],
         ..FaultPlan::default()
     };
-    let r = sim_run(ServerMode::Basic, 6, 10, plan, SessionParams::default());
+    let r = sim_run(ServerMode::Basic, 6, 10, plan);
     assert_eq!(r.violations, 0, "Theorem 1 among performed evaluations");
     // Survivors (all but index 1) agree exactly: the complete world is
     // unaffected by one replica going dark (Section III-C).
@@ -314,7 +256,7 @@ fn sim_chaos_soak_converges_across_seeds() {
             },
             ..FaultPlan::default()
         };
-        let r = sim_dining_run(6, 10, plan, SessionParams::default());
+        let r = sim_dining_run(6, 10, plan);
         assert_eq!(r.violations, 0, "seed {seed}: chaos must be recovered");
         assert_eq!(r.replay_divergences, 0, "seed {seed}");
         assert!(
@@ -441,32 +383,6 @@ fn inproc_down_loss_is_recovered_by_supervision() {
     assert!(
         report.server.metrics.stage.session_retransmits > 0,
         "recovery must have resent something"
-    );
-}
-
-#[test]
-fn inproc_down_loss_detection_pinned_without_supervision() {
-    const N: usize = 4;
-    const MOVES: u32 = 10;
-    let world = dining(N);
-    let suite = SeveSuite::new(ProtocolConfig::with_mode(ServerMode::Basic));
-    let mut cfg = inproc_cfg(MOVES, down_drop_plan(0.3));
-    cfg.session = SessionParams::unsupervised();
-    let mut report = run_inproc_session(Arc::clone(&world), &suite, &cfg, |_| {
-        Box::new(DiningWorkload::new(&world))
-    });
-    // Every submission still reaches the server (the up lane is clean)…
-    assert_eq!(report.submitted(), (N as u64) * (MOVES as u64));
-    let responses = report.responses();
-    let (records, violations) = report.cross_check();
-    assert!(records > 0);
-    // …but a lossy down lane must leave a visible trace: either a client
-    // never saw its own serialized outcome (lost response) or it evaluated
-    // against a holed prefix (oracle violation). Silent success would mean
-    // the harness is lying about delivery.
-    assert!(
-        violations > 0 || responses < (N * MOVES as usize),
-        "30% down-lane loss cannot be invisible: {responses} responses, {violations} violations"
     );
 }
 
@@ -720,13 +636,7 @@ fn clean_runs_have_zero_coping_counters() {
     // when nothing goes wrong. Any non-zero coping counter on a clean run
     // means the session layer is doing work — and spending bytes — it has
     // no business doing, and would break golden-digest identity.
-    let r = sim_run(
-        ServerMode::Basic,
-        4,
-        8,
-        FaultPlan::none(),
-        SessionParams::default(),
-    );
+    let r = sim_run(ServerMode::Basic, 4, 8, FaultPlan::none());
     assert_eq!(r.session.coping(), 0, "sim: clean runs cope with nothing");
     assert_eq!(r.session.dups_dropped, 0);
     assert_eq!(r.session.holds, 0);

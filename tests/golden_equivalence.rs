@@ -15,7 +15,7 @@ use seve::core::config::ServerMode;
 use seve::sim::experiment::{
     dense_protocol, dense_world, paper_protocol, paper_sim, paper_world, run_seve, Scale,
 };
-use seve::sim::harness::{RunResult, SimConfig};
+use seve::sim::{RunResult, SimConfig};
 
 /// FNV-1a over a byte stream; stable and dependency-free.
 struct Digest(u64);
