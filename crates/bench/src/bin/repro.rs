@@ -11,8 +11,9 @@
 //!
 //! `sim-scale` is not part of `all`: it runs the Information Bound server
 //! with 10 moves per client at 1024 clients (`--quick`) or at 1024 and 2048,
-//! prints the deterministic counts on stdout and the wall-clock time on
-//! stderr, and panics on any Theorem 1 violation.
+//! prints the deterministic counts on stdout (submitted and dropped actions,
+//! and the events the simulator popped to carry them) and the wall-clock
+//! time on stderr, and panics on any Theorem 1 violation.
 
 use seve_core::config::ServerMode;
 use seve_sim::experiment::{self, paper_protocol, paper_sim, paper_world, run_seve, Scale};
@@ -128,7 +129,7 @@ fn main() {
         let sizes: &[usize] = if quick { &[1024] } else { &[1024, 2048] };
         let _ = writeln!(
             out,
-            "== sim-scale — Information Bound, 10 moves per client ==\n  clients  submitted  dropped"
+            "== sim-scale — Information Bound, 10 moves per client ==\n  clients  submitted  dropped     events"
         );
         for &clients in sizes {
             // The quick world and network at every size: the run measures
@@ -143,7 +144,11 @@ fn main() {
             let r = run_seve(&world, mode, paper_protocol(mode), &sim);
             let wall_ms = t.elapsed().as_secs_f64() * 1e3;
             assert_eq!(r.violations, 0, "Theorem 1 at {clients} clients");
-            let _ = writeln!(out, "  {clients:>7}  {:>9}  {:>7}", r.submitted, r.dropped);
+            let _ = writeln!(
+                out,
+                "  {clients:>7}  {:>9}  {:>7}  {:>9}",
+                r.submitted, r.dropped, r.events
+            );
             eprintln!("sim-scale clients={clients}: {wall_ms:.0} ms wall");
         }
     }

@@ -41,6 +41,7 @@ use serde::{Deserialize, Serialize};
 use seve_core::engine::{ShareKey, WireSize};
 use seve_world::ids::ClientId;
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Add;
 use std::time::{Duration, Instant};
 
 /// splitmix64, the same mixer the fault verdicts use: deterministic,
@@ -479,22 +480,24 @@ impl<M> Resequencer<M> {
 }
 
 /// The server side's bounded resend ring for one client: unacked frames in
-/// sequence order, with the retransmission bookkeeping.
+/// sequence order, with the retransmission bookkeeping. Generic over its
+/// timestamp: `Instant` on the threaded transports, `SimTime` under the
+/// simulator, which keeps its lanes' windows in this same type.
 #[derive(Debug)]
-pub struct SendWindow<M> {
+pub struct SendWindow<M, T = Instant> {
     next_seq: u64,
     ring: VecDeque<(u64, M)>,
     attempts: u32,
-    oldest_sent: Option<Instant>,
+    oldest_sent: Option<T>,
 }
 
-impl<M> Default for SendWindow<M> {
+impl<M, T: Copy> Default for SendWindow<M, T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<M> SendWindow<M> {
+impl<M, T: Copy> SendWindow<M, T> {
     /// An empty window; the first frame gets seq 1.
     pub fn new() -> Self {
         Self {
@@ -506,7 +509,7 @@ impl<M> SendWindow<M> {
     }
 
     /// Append one frame; returns its sequence number.
-    pub fn push(&mut self, msg: M, now: Instant) -> u64 {
+    pub fn push(&mut self, msg: M, now: T) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         if self.ring.is_empty() {
@@ -518,7 +521,7 @@ impl<M> SendWindow<M> {
     }
 
     /// Process a cumulative ack: drop everything ≤ `cum`.
-    pub fn ack(&mut self, cum: u64, now: Instant) {
+    pub fn ack(&mut self, cum: u64, now: T) {
         let before = self.ring.len();
         while self.ring.front().is_some_and(|(s, _)| *s <= cum) {
             self.ring.pop_front();
@@ -530,17 +533,37 @@ impl<M> SendWindow<M> {
         }
     }
 
-    /// Is the RTO expired for the oldest unacked frame?
-    pub fn due(&self, now: Instant, rto: Duration) -> bool {
+    /// When the oldest unacked frame's RTO runs out; `None` with nothing
+    /// unacked.
+    pub fn deadline<S>(&self, rto: S) -> Option<T>
+    where
+        T: Add<S, Output = T>,
+    {
         self.oldest_sent
-            .is_some_and(|t| !self.ring.is_empty() && now.duration_since(t) >= rto)
+            .filter(|_| !self.ring.is_empty())
+            .map(|t| t + rto)
+    }
+
+    /// Is the RTO expired for the oldest unacked frame?
+    pub fn due<S>(&self, now: T, rto: S) -> bool
+    where
+        T: Add<S, Output = T> + PartialOrd,
+    {
+        self.deadline(rto).is_some_and(|d| now >= d)
     }
 
     /// Record one go-back-N retransmission of the whole window; returns
     /// the attempt count.
-    pub fn retransmitted(&mut self, now: Instant) -> u32 {
+    pub fn retransmitted(&mut self, now: T) -> u32 {
         self.attempts += 1;
         self.oldest_sent = Some(now);
+        self.attempts
+    }
+
+    /// Go-back-N rounds (RTO resends and resume catch-ups) since the last
+    /// progress. A lane is reaped once this reaches
+    /// [`SessionParams::give_up`] and the window is due again.
+    pub fn attempts(&self) -> u32 {
         self.attempts
     }
 
@@ -721,7 +744,7 @@ where
                 lane.overdue_since = None;
             } else if now.duration_since(*lane.overdue_since.get_or_insert(now)) >= half {
                 lane.overdue_since = None;
-                if lane.win.attempts >= self.params.give_up {
+                if lane.win.attempts() >= self.params.give_up {
                     // The peer is unreachable past the whole retry budget:
                     // stop resending into the void.
                     self.reap(c)?;
@@ -1680,6 +1703,40 @@ mod tests {
         idle(&mut server);
         assert_eq!(server.stats().retransmits, 1);
         assert_eq!(link.borrow().batches, 4);
+    }
+
+    #[test]
+    fn an_unreachable_lane_is_resent_give_up_times_then_reaped() {
+        // The down link loses every frame, so nothing is ever acked. The lane
+        // gets exactly `give_up` go-back-N rounds, then one reap — the count
+        // the simulator runs too
+        // (sim::tests::an_unreachable_lane_is_resent_give_up_times_then_reaped).
+        let p = SessionParams {
+            rto: Duration::from_millis(4),
+            give_up: 3,
+            ..count_only(64)
+        };
+        let link = SharedLink::default();
+        let mut server: Server = SupervisedServerTransport::new(ScriptedServer(link.clone()), 1, p);
+        server.send_batch(&[(ClientId(0), 1)]).unwrap();
+        let mut passes = 0;
+        while server.stats().reaps == 0 {
+            link.borrow_mut().down.clear();
+            std::thread::sleep(p.rto / 2 + Duration::from_millis(1));
+            server.recv(Duration::ZERO).unwrap();
+            passes += 1;
+            assert!(passes < 100, "never reaped: {:?}", server.stats());
+        }
+        assert_eq!(server.stats().retransmits, u64::from(p.give_up));
+        assert_eq!(link.borrow().batches, 1 + p.give_up as usize);
+        std::thread::sleep(p.rto);
+        server.recv(Duration::ZERO).unwrap();
+        assert_eq!(server.stats().reaps, 1);
+        assert_eq!(
+            link.borrow().batches,
+            1 + p.give_up as usize,
+            "a reaped lane is silent"
+        );
     }
 
     #[test]

@@ -12,17 +12,22 @@
 //! every baseline run under the identical workload, network, and cost
 //! model — the apples-to-apples requirement of the evaluation.
 //!
-//! This loop is the simulator substrate of the unified driver layer. Its
-//! timers are the [`crate::timer`] *nominal* discipline inlined (the next
-//! firing stays on the nominal grid, scheduled at `max(nominal, now)`, the
-//! cycle ends past a hard horizon), and its links accept the same
-//! [`FaultPlan`] the threaded backends do — with no faults configured the
-//! event schedule is bit-identical to the pre-driver harness, pinned by the
-//! golden digests in `tests/golden_equivalence.rs`.
+//! This loop is the simulator substrate of the unified driver layer.
+//! [`Simulation::run`] sets up, pops every event in time order (events for
+//! the same instant in the order they were filed) into the one step that
+//! handles its kind, and collects. A message reaching a node joins its inbox
+//! and the node serves; a wake only serves. The server files at most one
+//! wake per instant; a client, one per arrival. Its timers are
+//! [`crate::timer`]'s *nominal* discipline, its links accept the same
+//! [`FaultPlan`] the threaded backends do, and its session halves are the
+//! threaded supervisor's own [`SendWindow`] and [`Resequencer`]. With no
+//! faults configured the event schedule is bit-identical to the pre-driver
+//! harness, pinned by the golden digests in `tests/golden_equivalence.rs`.
 
 use crate::fault::{FaultPlan, FaultyLink, LinkPartition};
 use crate::machine::Machine;
-use crate::session::{Resequencer, SessionParams, SessionStats};
+use crate::session::{Resequencer, SendWindow, SessionParams, SessionStats};
+use crate::timer::{MoveTimer, PeriodicTimer, Timer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use seve_core::consistency::ConsistencyOracle;
@@ -35,6 +40,7 @@ use seve_net::time::{SimDuration, SimTime};
 use seve_world::ids::ClientId;
 use seve_world::worlds::Workload;
 use seve_world::GameWorld;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Testbed parameters. Defaults are Table I.
@@ -66,12 +72,15 @@ pub struct SimConfig {
     /// adversary of Section III-E ("if each of them tries to pick up the
     /// two forks at the same tick").
     pub stagger: bool,
-    /// Session supervision (acked resume protocol). The sim models the
-    /// single-address-space limit of the threaded wrappers: acks are
+    /// Session supervision (acked resume protocol). The simulator reads
+    /// `rto`, `liveness` and `give_up`, and ignores `ring`, `shed`,
+    /// `heartbeat`, `idle_reap`, `backoff` and `seed`: acks are
     /// instantaneous (the window trims the moment the client accepts a
-    /// frame in order), and retransmit watchdogs are armed only on lanes
-    /// that can actually lose or partition — so a fault-free run schedules
-    /// not one extra event and stays bit-identical to the golden digests.
+    /// frame in order), so no ring fills and no heartbeat is needed, and a
+    /// partition heals on its schedule rather than by redialing. Retransmit
+    /// watchdogs are armed only on lanes that can actually lose or
+    /// partition — so a fault-free run schedules not one extra event and
+    /// stays bit-identical to the golden digests.
     pub session: SessionParams,
 }
 
@@ -92,7 +101,7 @@ impl Default for SimConfig {
 }
 
 /// Everything measured in one run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct RunResult {
     /// Protocol name (from the suite).
     pub protocol: String,
@@ -150,6 +159,9 @@ pub struct RunResult {
     /// Supervision-layer counters (retransmits, acks, reconnects, reaps).
     /// All coping counters are exactly zero on a fault-free run.
     pub session: SessionStats,
+    /// Events popped from the queue: the simulator's own work, which grows
+    /// linearly with the messages carried.
+    pub events: u64,
 }
 
 impl RunResult {
@@ -169,54 +181,548 @@ impl RunResult {
 }
 
 enum Ev<U, D> {
-    Move {
-        client: usize,
-    },
-    /// A message arriving at the server from `client`.
-    Up {
-        client: usize,
-        msg: U,
-    },
-    /// A message arriving at client `client`; `seq` is its down-lane
-    /// sequence number (1-based).
-    Down {
-        client: usize,
-        msg: D,
-        seq: u64,
-    },
-    /// The server machine may be free: drain its inbox.
+    /// Client `.0`'s move timer fires.
+    Move(usize),
+    /// A message arriving at the server from client `.0`.
+    Up(usize, U),
+    /// A message arriving at client `.0`; `.1` is its down-lane sequence
+    /// number (1-based).
+    Down(usize, u64, D),
+    /// The server machine may be free: serve its inbox.
     WakeServer,
-    /// Client `client`'s machine may be free: drain its inbox.
-    WakeClient {
-        client: usize,
-    },
-    Tick,
-    Push,
-    /// Retransmit watchdog for `client`'s resend window (armed only on
-    /// lanes that can fault — never scheduled on a clean run).
-    Retransmit {
-        client: usize,
-    },
-    /// End of `client`'s link partition: reconnect, resume, flush.
-    Heal {
-        client: usize,
-    },
-    /// Liveness deadline for a crashed `client`: reap its lane.
-    Reap {
-        client: usize,
-    },
+    /// Client `.0`'s machine may be free: serve its inbox.
+    WakeClient(usize),
+    /// One of the server's periodic cycles is due.
+    Cycle(Cycle),
+    /// Retransmit watchdog for client `.0`'s resend window (armed only on
+    /// lanes that can fault — never filed on a clean run).
+    Retransmit(usize),
+    /// End of client `.0`'s link partition: reconnect, resume, flush.
+    Heal(usize),
+    /// Liveness deadline for crashed client `.0`: reap its lane.
+    Reap(usize),
 }
 
-/// Schedule one message at each faulted arrival time. The single-arrival
-/// path (always taken with no faults) moves the message without cloning, so
-/// the scheduling sequence is exactly the pre-fault harness's.
-fn fan<M: Clone>(arrivals: &[SimTime], msg: M, mut sched: impl FnMut(SimTime, M)) {
-    if arrivals.len() == 1 {
-        sched(arrivals[0], msg);
-    } else {
-        for &at in arrivals {
-            sched(at, msg.clone());
+/// The server's two periodic cycles, each on the nominal grid of its own
+/// [`PeriodicTimer`].
+#[derive(Clone, Copy)]
+enum Cycle {
+    /// The simulation tick τ (Algorithm 7).
+    Tick,
+    /// The ω·RTT push cycle (First / Information Bound servers only).
+    Push,
+}
+
+/// The event queue, with the scratch the links report arrivals into.
+struct Queue<U, D> {
+    events: EventQueue<Ev<U, D>>,
+    arrivals: Vec<SimTime>,
+}
+
+impl<U, D> Queue<U, D> {
+    fn schedule(&mut self, at: SimTime, ev: Ev<U, D>) {
+        self.events.schedule(at, ev);
+    }
+
+    /// Put `msg` on `link` at `at` and file `ev(msg)` at each faulted
+    /// arrival: none for a drop, two for a duplicate. The single-arrival
+    /// path (always taken with no faults) moves the message without
+    /// cloning, so the schedule is exactly the pre-fault harness's.
+    fn transmit<M>(
+        &mut self,
+        link: &mut FaultyLink,
+        at: SimTime,
+        msg: M,
+        ev: impl Fn(M) -> Ev<U, D>,
+    ) where
+        M: WireSize + Clone,
+    {
+        link.send(at, msg.wire_bytes(), &mut self.arrivals);
+        if let [t] = self.arrivals[..] {
+            self.events.schedule(t, ev(msg));
+        } else {
+            for &t in &self.arrivals {
+                self.events.schedule(t, ev(msg.clone()));
+            }
         }
+    }
+}
+
+/// One client seat: the engine and its machine, its two links, both halves
+/// of its session, and its fault schedule.
+struct Lane<C, U, D> {
+    node: C,
+    mach: Machine,
+    moves: MoveTimer,
+    up: FaultyLink,
+    down: FaultyLink,
+    /// Down frames released in lane order, waiting for the machine.
+    inbox: VecDeque<D>,
+    /// The server's resend ring for this lane. Acks are instantaneous
+    /// (both halves live in this address space): the ring trims the moment
+    /// the resequencer releases a frame, at zero bytes, events and time.
+    window: SendWindow<D, SimTime>,
+    /// The client's reorder buffer.
+    reseq: Resequencer<D>,
+    /// Ups produced while the link is dark; they cross (and count) at heal.
+    held_up: Vec<U>,
+    /// The down lane can lose frames (down faults or a partition): the only
+    /// lanes a retransmit watchdog is ever armed on.
+    watched: bool,
+    /// A `Retransmit` is filed and has not popped.
+    armed: bool,
+    crash_after: Option<u32>,
+    partition: Option<LinkPartition>,
+    /// End of the current partition, while the link is dark.
+    dark_until: Option<SimTime>,
+    crashed: bool,
+    reaped: bool,
+}
+
+/// The state of one run. Every event kind is one step (one method).
+struct Run<'a, W: GameWorld, P: ProtocolSuite<W>> {
+    workload: &'a mut dyn Workload<W>,
+    queue: Queue<P::Up, P::Down>,
+    server: P::Server,
+    server_mach: Machine,
+    /// Ups that reached the server, in arrival order. A message that finds
+    /// the machine busy waits here: rescheduling the event instead would
+    /// let a later arrival overtake it on a tie, which no TCP stream does.
+    server_inbox: VecDeque<(usize, P::Up)>,
+    /// The instant of the `WakeServer` filed and not yet popped, if any.
+    server_wake: Option<SimTime>,
+    tick: PeriodicTimer,
+    push: Option<PeriodicTimer>,
+    lanes: Vec<Lane<P::Client, P::Up, P::Down>>,
+    rto: SimDuration,
+    liveness: SimDuration,
+    give_up: u32,
+    stats: SessionStats,
+    events: u64,
+    end_time: SimTime,
+    // Scratch buffers, reused by every step.
+    up_out: Vec<P::Up>,
+    down_out: Vec<(ClientId, P::Down)>,
+    released: Vec<P::Down>,
+}
+
+impl<'a, W: GameWorld, P: ProtocolSuite<W>> Run<'a, W, P> {
+    fn new(sim: &Simulation<'_, W, P>, workload: &'a mut dyn Workload<W>) -> Self {
+        let (cfg, faults) = (&sim.cfg, &sim.faults);
+        let n = sim.world.num_clients();
+        let (server, clients) = sim.suite.build(Arc::clone(&sim.world));
+        assert_eq!(clients.len(), n);
+
+        // Stagger the move timers: clients are not synchronized, and "the
+        // random order of arrival of actions at the server will ensure
+        // fairness" (Section III-E).
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let first_moves: Vec<SimTime> = (0..n)
+            .map(|_| {
+                if cfg.stagger {
+                    SimTime(rng.gen_range(0..cfg.move_period.as_micros().max(1)))
+                } else {
+                    SimTime::ZERO
+                }
+            })
+            .collect();
+        let moves = cfg.moves_per_client.saturating_sub(1) as f64;
+        let span = cfg.move_period.scaled(moves);
+        let last_move = first_moves
+            .iter()
+            .max()
+            .map_or(SimTime::ZERO, |&t| t + span);
+        let hard_end = last_move + cfg.drain;
+
+        let link = || Link::new(cfg.latency, cfg.bandwidth_bps);
+        let lanes: Vec<_> = clients
+            .into_iter()
+            .zip(first_moves)
+            .enumerate()
+            .map(|(i, (node, first))| {
+                let id = ClientId(i as u16);
+                let partition = faults.partition_for(id);
+                Lane {
+                    node,
+                    mach: Machine::new(),
+                    moves: MoveTimer::new(first, cfg.move_period, cfg.moves_per_client),
+                    up: FaultyLink::new(link(), faults.up.clone(), FaultPlan::up_stream(i)),
+                    down: FaultyLink::new(link(), faults.down.clone(), FaultPlan::down_stream(i)),
+                    inbox: VecDeque::new(),
+                    window: SendWindow::new(),
+                    reseq: Resequencer::new(),
+                    held_up: Vec::new(),
+                    watched: !faults.down.is_none() || partition.is_some(),
+                    armed: false,
+                    crash_after: faults.crash_for(id),
+                    partition,
+                    dark_until: None,
+                    crashed: false,
+                    reaped: false,
+                }
+            })
+            .collect();
+
+        let mut queue = Queue {
+            events: EventQueue::new(),
+            arrivals: Vec::new(),
+        };
+        for (client, lane) in lanes.iter().enumerate() {
+            if let Some(at) = lane.moves.next_deadline() {
+                queue.schedule(at, Ev::Move(client));
+            }
+        }
+        let cycle = |p: SimDuration| PeriodicTimer::nominal(SimTime::ZERO + p, p, hard_end);
+        let tick = cycle(cfg.tick);
+        queue.schedule(SimTime::ZERO + cfg.tick, Ev::Cycle(Cycle::Tick));
+        let push = server.push_period().map(cycle);
+        if let Some(p) = &push {
+            queue.schedule(SimTime::ZERO + p.period(), Ev::Cycle(Cycle::Push));
+        }
+
+        let sim_duration = |d: std::time::Duration| SimDuration::from_micros(d.as_micros() as u64);
+        Self {
+            workload,
+            queue,
+            server,
+            server_mach: Machine::new(),
+            server_inbox: VecDeque::new(),
+            server_wake: None,
+            tick,
+            push,
+            lanes,
+            rto: sim_duration(cfg.session.rto),
+            liveness: sim_duration(cfg.session.liveness),
+            give_up: cfg.session.give_up,
+            stats: SessionStats::default(),
+            events: 0,
+            end_time: SimTime::ZERO,
+            up_out: Vec::new(),
+            down_out: Vec::new(),
+            released: Vec::new(),
+        }
+    }
+
+    /// Client `c`'s move timer: submit one action, then crash or go dark if
+    /// the fault schedule says so, else re-arm the timer.
+    fn on_move(&mut self, c: usize, now: SimTime) {
+        let lane = &mut self.lanes[c];
+        if lane.crashed || lane.reaped {
+            return;
+        }
+        if lane.mach.is_busy(now) {
+            self.queue.schedule(lane.mach.free_at(), Ev::Move(c));
+            return;
+        }
+        let mut out = std::mem::take(&mut self.up_out);
+        let (id, seq) = (ClientId(c as u16), lane.node.next_seq());
+        let view = lane.node.optimistic();
+        if let Some(action) = self.workload.next_action(id, seq, view, now.as_ms()) {
+            let cost = lane.node.submit(now, action, &mut out);
+            let done = lane.mach.run(now, cost);
+            self.send_up(c, &mut out, done);
+        }
+        self.up_out = out;
+
+        let lane = &mut self.lanes[c];
+        let next = lane.moves.advance(now);
+        let made = lane.moves.fired();
+        if lane.crash_after.is_some_and(|k| made >= k) {
+            // An abrupt disconnect: traffic it already sent still arrives (a
+            // dead socket does not recall transmitted bytes), traffic to it
+            // is discarded, and the lane stays up for the resume window.
+            lane.crashed = true;
+            lane.inbox.clear();
+            self.queue.schedule(now + self.liveness, Ev::Reap(c));
+            return;
+        }
+        if let Some(p) = lane.partition.filter(|p| p.after_submissions == made) {
+            let until = now + SimDuration::from_micros(p.duration.as_micros() as u64);
+            lane.dark_until = Some(until);
+            self.queue.schedule(until, Ev::Heal(c));
+        }
+        if let Some(at) = next {
+            self.queue.schedule(at, Ev::Move(c));
+        }
+    }
+
+    /// Send `out` (drained) up `c`'s link at `done`; a dark link holds it
+    /// until the heal.
+    fn send_up(&mut self, c: usize, out: &mut Vec<P::Up>, done: SimTime) {
+        let lane = &mut self.lanes[c];
+        for msg in out.drain(..) {
+            if lane.dark_until.is_some() {
+                lane.held_up.push(msg);
+            } else {
+                self.queue
+                    .transmit(&mut lane.up, done, msg, |msg| Ev::Up(c, msg));
+            }
+        }
+    }
+
+    /// Send `out` (drained) down its lanes at `done`: each frame takes the
+    /// lane's next sequence number and a slot in its resend window, and a
+    /// watched lane's retransmit watchdog is armed. A reaped lane is gone:
+    /// nothing is sent, nothing buffers.
+    fn send_down(&mut self, out: &mut Vec<(ClientId, P::Down)>, done: SimTime) {
+        for (dest, msg) in out.drain(..) {
+            let c = dest.index();
+            let lane = &mut self.lanes[c];
+            if lane.reaped {
+                continue;
+            }
+            let seq = lane.window.push(msg.clone(), done);
+            self.queue
+                .transmit(&mut lane.down, done, msg, |msg| Ev::Down(c, seq, msg));
+            if lane.watched && !lane.armed {
+                lane.armed = true;
+                self.queue.schedule(done + self.rto, Ev::Retransmit(c));
+            }
+        }
+    }
+
+    /// A message reaches the server: queue it, then serve.
+    fn on_up(&mut self, c: usize, msg: P::Up, now: SimTime) {
+        if self.lanes[c].reaped {
+            // A reaped lane swallows late traffic.
+            return;
+        }
+        self.server_inbox.push_back((c, msg));
+        self.serve_server(now);
+    }
+
+    /// A `WakeServer` pops: it is no longer pending; serve.
+    fn on_wake_server(&mut self, now: SimTime) {
+        if self.server_wake == Some(now) {
+            self.server_wake = None;
+        }
+        self.serve_server(now);
+    }
+
+    /// Deliver the server inbox's head if the machine is free, and make
+    /// sure a wake is filed for whatever must wait.
+    fn serve_server(&mut self, now: SimTime) {
+        if self.server_inbox.is_empty() {
+            return;
+        }
+        if self.server_mach.is_busy(now) {
+            self.wake_server(self.server_mach.free_at());
+            return;
+        }
+        let (from, msg) = self.server_inbox.pop_front().expect("checked non-empty");
+        let mut out = std::mem::take(&mut self.down_out);
+        let cost = self
+            .server
+            .deliver(now, ClientId(from as u16), msg, &mut out);
+        let done = self.server_mach.run(now, cost);
+        self.send_down(&mut out, done);
+        self.down_out = out;
+        if !self.server_inbox.is_empty() {
+            self.wake_server(done);
+        }
+    }
+
+    /// File a `WakeServer` at `at` unless one is already pending for `at`.
+    /// Wakes are filed only at the machine's `free_at`, which never moves
+    /// back, so the last one filed is the only one a new one can repeat.
+    fn wake_server(&mut self, at: SimTime) {
+        if self.server_wake != Some(at) {
+            self.server_wake = Some(at);
+            self.queue.schedule(at, Ev::WakeServer);
+        }
+    }
+
+    /// A down frame reaches client `c`: resequence it, trim the resend
+    /// window to the client's cumulative ack, and serve what it released.
+    fn on_down(&mut self, c: usize, seq: u64, msg: P::Down, now: SimTime) {
+        let lane = &mut self.lanes[c];
+        if lane.crashed || lane.reaped || lane.dark_until.is_some_and(|t| now < t) {
+            // Into a dark link the frame is lost; the resume at heal
+            // resends it.
+            return;
+        }
+        let queued = lane.inbox.len();
+        lane.reseq.accept(seq, msg, &mut self.released);
+        lane.inbox.extend(self.released.drain(..));
+        let unacked = lane.window.len();
+        lane.window.ack(lane.reseq.cum_ack(), now);
+        self.stats.acks += u64::from(lane.window.len() < unacked);
+        // Held out of order, or a duplicate: nothing newly deliverable.
+        if lane.inbox.len() > queued {
+            self.serve_client(c, now);
+        }
+    }
+
+    /// Deliver client `c`'s inbox head if its machine is free, else file a
+    /// wake for when it frees. Client wakes stay one per arrival: zero-cost
+    /// deliveries leave the machine free, so a second wake at the same
+    /// instant does real work.
+    fn serve_client(&mut self, c: usize, now: SimTime) {
+        let lane = &mut self.lanes[c];
+        if lane.crashed || lane.reaped || lane.inbox.is_empty() {
+            return;
+        }
+        if lane.mach.is_busy(now) {
+            self.queue.schedule(lane.mach.free_at(), Ev::WakeClient(c));
+            return;
+        }
+        let msg = lane.inbox.pop_front().expect("checked non-empty");
+        let mut out = std::mem::take(&mut self.up_out);
+        let cost = lane.node.deliver(now, msg, &mut out);
+        let done = lane.mach.run(now, cost);
+        self.send_up(c, &mut out, done);
+        self.up_out = out;
+        if !self.lanes[c].inbox.is_empty() {
+            self.queue.schedule(done, Ev::WakeClient(c));
+        }
+    }
+
+    /// One server cycle (tick or push) if the machine is free, else retry
+    /// when it frees; the next firing stays on the cycle's nominal grid.
+    fn on_cycle(&mut self, cycle: Cycle, now: SimTime) {
+        if self.server_mach.is_busy(now) {
+            self.queue
+                .schedule(self.server_mach.free_at(), Ev::Cycle(cycle));
+            return;
+        }
+        let mut out = std::mem::take(&mut self.down_out);
+        let (cost, timer) = match cycle {
+            Cycle::Tick => (self.server.tick(now, &mut out), &mut self.tick),
+            Cycle::Push => (
+                self.server.push_tick(now, &mut out),
+                self.push.as_mut().expect("filed only with a period"),
+            ),
+        };
+        let next = timer.advance(now);
+        let done = self.server_mach.run(now, cost);
+        self.send_down(&mut out, done);
+        self.down_out = out;
+        if let Some(at) = next {
+            self.queue.schedule(at, Ev::Cycle(cycle));
+        }
+    }
+
+    /// The retransmit watchdog: once the oldest unacked frame is an RTO
+    /// old, resend the window — or, after `give_up` unanswered rounds, reap
+    /// the lane. A dark link waits for its heal, which resends anyway.
+    fn on_retransmit(&mut self, c: usize, now: SimTime) {
+        let lane = &mut self.lanes[c];
+        lane.armed = false;
+        if lane.reaped || lane.window.is_empty() {
+            return;
+        }
+        let due = match lane.dark_until {
+            Some(_) => now + self.rto,
+            None => lane.window.deadline(self.rto).expect("non-empty window"),
+        };
+        if now < due {
+            lane.armed = true;
+            self.queue.schedule(due, Ev::Retransmit(c));
+            return;
+        }
+        if lane.window.attempts() >= self.give_up {
+            self.reap(c);
+            return;
+        }
+        self.resend_window(c, now);
+        self.lanes[c].armed = true;
+        self.queue.schedule(now + self.rto, Ev::Retransmit(c));
+    }
+
+    /// Go-back-N: resend every unacked frame on `c`'s lane. The faulty link
+    /// re-rolls its verdicts per transmission, so repeated rounds converge.
+    fn resend_window(&mut self, c: usize, now: SimTime) {
+        let lane = &mut self.lanes[c];
+        if lane.window.is_empty() {
+            return;
+        }
+        self.stats.retransmits += lane.window.len() as u64;
+        for (seq, msg) in lane.window.frames() {
+            let (seq, msg) = (*seq, msg.clone());
+            self.queue
+                .transmit(&mut lane.down, now, msg, |msg| Ev::Down(c, seq, msg));
+        }
+        lane.window.retransmitted(now);
+    }
+
+    /// A partition ends: the client resumes from its cumulative ack (the
+    /// server resends exactly the frames past it; delivered frames are
+    /// never replayed), then flushes the ups it held through the dark.
+    fn on_heal(&mut self, c: usize, now: SimTime) {
+        let lane = &mut self.lanes[c];
+        if lane.crashed || lane.reaped {
+            return;
+        }
+        lane.dark_until = None;
+        let mut held = std::mem::take(&mut lane.held_up);
+        self.stats.reconnects += 1;
+        self.resend_window(c, now);
+        self.send_up(c, &mut held, now);
+    }
+
+    /// Release lane `c` and every buffer it pins: liveness expired with no
+    /// resume, or the window went unanswered past `give_up`.
+    fn reap(&mut self, c: usize) {
+        let lane = &mut self.lanes[c];
+        if lane.reaped {
+            return;
+        }
+        lane.reaped = true;
+        lane.window.clear();
+        lane.inbox.clear();
+        lane.held_up.clear();
+        self.stats.reaps += 1;
+    }
+
+    /// Fold the engines, links and counters into the run's metrics.
+    fn finish(mut self, protocol: &str) -> RunResult {
+        let duration = self.end_time - SimTime::ZERO;
+        let mut server = self.server.metrics().clone();
+        server.stage.session_retransmits += self.stats.retransmits;
+        server.stage.session_acks += self.stats.acks;
+        server.stage.session_reconnects += self.stats.reconnects;
+        server.stage.session_reaps += self.stats.reaps;
+        server.stage.session_sheds += self.stats.sheds;
+        let mut r = RunResult {
+            protocol: protocol.to_string(),
+            clients: self.lanes.len(),
+            server_compute_us: server.compute_us,
+            server_utilization: self.server_mach.utilization(duration),
+            server,
+            committed_digest: self.server.committed().map(|s| s.digest()),
+            duration,
+            events: self.events,
+            ..RunResult::default()
+        };
+        let mut oracle = ConsistencyOracle::new();
+        for lane in &mut self.lanes {
+            r.stable_digests.push(lane.node.stable().digest());
+            let m = lane.node.metrics_mut();
+            r.response_ms.merge(&m.response_ms);
+            r.drop_notice_ms.merge(&m.drop_notice_ms);
+            r.submitted += m.submitted;
+            r.dropped += m.dropped;
+            r.client_compute_us += m.compute_us;
+            r.replay_divergences += m.replay_divergences;
+            r.replay_rebuilds += m.replay_rebuilds;
+            r.replay_entries_replayed += m.replay_entries_replayed;
+            r.replay_checkpoint_hits += m.replay_checkpoint_hits;
+            r.replay_commute_hits += m.replay_commute_hits;
+            for rec in m.take_eval_records() {
+                r.missing_read_evals += u64::from(rec.missing_reads > 0);
+                oracle.observe(&rec);
+            }
+            r.server_up_bytes += lane.up.link().bytes_sent();
+            r.server_down_bytes += lane.down.link().bytes_sent();
+            r.total_msgs += lane.up.link().msgs_sent() + lane.down.link().msgs_sent();
+            self.stats.dups_dropped += lane.reseq.dups_dropped;
+            self.stats.holds += lane.reseq.holds;
+        }
+        r.total_bytes = r.server_up_bytes + r.server_down_bytes;
+        r.violations = oracle.violations().len();
+        r.evals_checked = oracle.records();
+        r.session = self.stats;
+        r
     }
 }
 
@@ -245,562 +751,50 @@ impl<'a, W: GameWorld, P: ProtocolSuite<W>> Simulation<'a, W, P> {
         self
     }
 
-    /// Run to completion with the given workload, returning all metrics.
+    /// Run to completion with the given workload, returning all metrics:
+    /// set up, pop every event in time order (same-instant events in the
+    /// order they were filed) into its one step, collect.
     pub fn run(&self, workload: &mut dyn Workload<W>) -> RunResult {
-        let n = self.world.num_clients();
-        let cfg = &self.cfg;
-        let (mut server, mut clients) = self.suite.build(Arc::clone(&self.world));
-        assert_eq!(clients.len(), n);
-
-        let mut queue: EventQueue<Ev<P::Up, P::Down>> = EventQueue::new();
-        let mut client_mach = vec![Machine::new(); n];
-        let mut server_mach = Machine::new();
-        let mut up_links: Vec<FaultyLink> = (0..n)
-            .map(|i| {
-                FaultyLink::new(
-                    Link::new(cfg.latency, cfg.bandwidth_bps),
-                    self.faults.up.clone(),
-                    FaultPlan::up_stream(i),
-                )
-            })
-            .collect();
-        let mut down_links: Vec<FaultyLink> = (0..n)
-            .map(|i| {
-                FaultyLink::new(
-                    Link::new(cfg.latency, cfg.bandwidth_bps),
-                    self.faults.down.clone(),
-                    FaultPlan::down_stream(i),
-                )
-            })
-            .collect();
-
-        // Crash schedule: client i disconnects abruptly after its k-th
-        // submission. In-flight traffic it already sent still arrives (a
-        // dead socket does not recall transmitted bytes); traffic *to* it
-        // is discarded.
-        let crash_at: Vec<Option<u32>> = (0..n)
-            .map(|i| self.faults.crash_for(ClientId(i as u16)))
-            .collect();
-        let mut crashed = vec![false; n];
-
-        // Session supervision state. The sim collapses the ack round trip:
-        // the server's resend window trims the instant the client accepts a
-        // frame in order (both halves live in this address space), so a
-        // fault-free run schedules no session event at all. Retransmit
-        // watchdogs are armed only on lanes that can actually lose traffic
-        // (down-lane faults configured or a partition scheduled), never on
-        // clean lanes.
-        let rto = SimDuration::from_micros(cfg.session.rto.as_micros() as u64);
-        let liveness = SimDuration::from_micros(cfg.session.liveness.as_micros() as u64);
-        let partition_at: Vec<Option<LinkPartition>> = (0..n)
-            .map(|i| self.faults.partition_for(ClientId(i as u16)))
-            .collect();
-        let down_can_fault = !self.faults.down.is_none();
-        let watch: Vec<bool> = (0..n)
-            .map(|i| down_can_fault || partition_at[i].is_some())
-            .collect();
-        let mut windows: Vec<std::collections::VecDeque<(u64, P::Down)>> =
-            (0..n).map(|_| std::collections::VecDeque::new()).collect();
-        let mut next_seq: Vec<u64> = vec![1; n];
-        let mut reseq: Vec<Resequencer<P::Down>> = (0..n).map(|_| Resequencer::new()).collect();
-        let mut acked: Vec<u64> = vec![0; n];
-        let mut attempts: Vec<u32> = vec![0; n];
-        let mut armed = vec![false; n];
-        let mut reaped = vec![false; n];
-        let mut last_progress: Vec<SimTime> = vec![SimTime::ZERO; n];
-        let mut partition_until: Vec<Option<SimTime>> = vec![None; n];
-        let mut pending_up: Vec<Vec<P::Up>> = (0..n).map(|_| Vec::new()).collect();
-        let mut reseq_out: Vec<P::Down> = Vec::new();
-        let mut stats = SessionStats::default();
-
-        // Stagger the move timers: clients are not synchronized, and "the
-        // random order of arrival of actions at the server will ensure
-        // fairness" (Section III-E).
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut next_move: Vec<SimTime> = (0..n)
-            .map(|_| {
-                if cfg.stagger {
-                    SimTime(rng.gen_range(0..cfg.move_period.as_micros().max(1)))
-                } else {
-                    SimTime::ZERO
-                }
-            })
-            .collect();
-        let mut moves_left = vec![cfg.moves_per_client; n];
-        for (i, &t) in next_move.iter().enumerate() {
-            if cfg.moves_per_client > 0 {
-                queue.schedule(t, Ev::Move { client: i });
-            }
-        }
-        let last_move = next_move
-            .iter()
-            .map(|t| {
-                *t + cfg
-                    .move_period
-                    .scaled((cfg.moves_per_client.saturating_sub(1)) as f64)
-            })
-            .max()
-            .unwrap_or(SimTime::ZERO);
-        let hard_end = last_move + cfg.drain;
-
-        // Server cycles.
-        let mut tick_nominal = SimTime::ZERO + cfg.tick;
-        queue.schedule(tick_nominal, Ev::Tick);
-        let push_period = server.push_period();
-        let mut push_nominal = SimTime::ZERO;
-        if let Some(p) = push_period {
-            push_nominal = SimTime::ZERO + p;
-            queue.schedule(push_nominal, Ev::Push);
-        }
-
-        let mut up_out: Vec<P::Up> = Vec::new();
-        let mut down_out: Vec<(ClientId, P::Down)> = Vec::new();
-        let mut arrivals: Vec<SimTime> = Vec::new();
-        let mut end_time = SimTime::ZERO;
-
-        // Per-node FIFO inboxes: a message arriving while the node is busy
-        // queues here, preserving arrival order. (Rescheduling the event
-        // itself would let a later arrival overtake a deferred one when
-        // their retry times tie — a reordering a real TCP stream never
-        // exhibits.)
-        let mut server_inbox: std::collections::VecDeque<(usize, P::Up)> =
-            std::collections::VecDeque::new();
-        let mut client_inbox: Vec<std::collections::VecDeque<P::Down>> =
-            (0..n).map(|_| std::collections::VecDeque::new()).collect();
-
-        // One down-lane emission, supervision-aware: assign the sequence
-        // number, remember the frame in the resend window, arm the
-        // retransmit watchdog on faultable lanes. A macro rather than a
-        // closure so the four emission sites (deliver, wake, tick, push)
-        // share the bookkeeping without fighting the borrow checker.
-        macro_rules! send_down {
-            ($d:expr, $m:expr, $done:expr) => {{
-                let d: usize = $d;
-                let done = $done;
-                if reaped[d] {
-                    // Reaped lane: the server knows this client is gone —
-                    // nothing is sent, nothing buffers.
-                } else {
-                    let m = $m;
-                    let seq = next_seq[d];
-                    next_seq[d] += 1;
-                    if windows[d].is_empty() {
-                        last_progress[d] = done;
-                    }
-                    windows[d].push_back((seq, m.clone()));
-                    down_links[d].send(done, m.wire_bytes(), &mut arrivals);
-                    fan(&arrivals, m, |at, m| {
-                        queue.schedule(
-                            at,
-                            Ev::Down {
-                                client: d,
-                                msg: m,
-                                seq,
-                            },
-                        )
-                    });
-                    if watch[d] && !armed[d] {
-                        armed[d] = true;
-                        queue.schedule(done + rto, Ev::Retransmit { client: d });
-                    }
-                }
-            }};
-        }
-
-        // One up-lane emission: a partitioned client buffers instead of
-        // sending (the bytes count when the flush actually happens, at
-        // heal).
-        macro_rules! send_up {
-            ($c:expr, $m:expr, $done:expr) => {{
-                let c: usize = $c;
-                let done = $done;
-                let m = $m;
-                if partition_until[c].is_some() {
-                    pending_up[c].push(m);
-                } else {
-                    up_links[c].send(done, m.wire_bytes(), &mut arrivals);
-                    fan(&arrivals, m, |at, m| {
-                        queue.schedule(at, Ev::Up { client: c, msg: m })
-                    });
-                }
-            }};
-        }
-
-        while let Some((now, ev)) = queue.pop() {
-            end_time = now;
+        let mut run = Run::<W, P>::new(self, workload);
+        while let Some((now, ev)) = run.queue.events.pop() {
+            run.events += 1;
+            run.end_time = now;
             match ev {
-                Ev::Move { client } => {
-                    if crashed[client] || reaped[client] {
-                        continue;
-                    }
-                    if client_mach[client].is_busy(now) {
-                        queue.schedule(client_mach[client].free_at(), Ev::Move { client });
-                        continue;
-                    }
-                    let c = &mut clients[client];
-                    let seq = c.next_seq();
-                    let id = ClientId(client as u16);
-                    up_out.clear();
-                    if let Some(action) = workload.next_action(id, seq, c.optimistic(), now.as_ms())
-                    {
-                        let cost = c.submit(now, action, &mut up_out);
-                        let done = client_mach[client].run(now, cost);
-                        for msg in up_out.drain(..) {
-                            send_up!(client, msg, done);
-                        }
-                    }
-                    moves_left[client] -= 1;
-                    if crash_at[client]
-                        .is_some_and(|k| cfg.moves_per_client - moves_left[client] >= k)
-                    {
-                        crashed[client] = true;
-                        client_inbox[client].clear();
-                        // Liveness supervision: the lane stays up for the
-                        // resume window, then the server reaps it.
-                        queue.schedule(now + liveness, Ev::Reap { client });
-                        continue;
-                    }
-                    if let Some(p) = partition_at[client] {
-                        if cfg.moves_per_client - moves_left[client] == p.after_submissions {
-                            let until =
-                                now + SimDuration::from_micros(p.duration.as_micros() as u64);
-                            partition_until[client] = Some(until);
-                            queue.schedule(until, Ev::Heal { client });
-                        }
-                    }
-                    if moves_left[client] > 0 {
-                        next_move[client] += cfg.move_period;
-                        queue.schedule(next_move[client].max(now), Ev::Move { client });
-                    }
-                }
-                Ev::Up { client, msg } => {
-                    if reaped[client] {
-                        // A reaped lane swallows late traffic.
-                        continue;
-                    }
-                    server_inbox.push_back((client, msg));
-                    if server_mach.is_busy(now) {
-                        queue.schedule(server_mach.free_at(), Ev::WakeServer);
-                        continue;
-                    }
-                    let (client, msg) = server_inbox.pop_front().expect("just pushed");
-                    down_out.clear();
-                    let cost = server.deliver(now, ClientId(client as u16), msg, &mut down_out);
-                    let done = server_mach.run(now, cost);
-                    for (dest, m) in down_out.drain(..) {
-                        send_down!(dest.index(), m, done);
-                    }
-                    if !server_inbox.is_empty() {
-                        queue.schedule(done, Ev::WakeServer);
-                    }
-                }
-                Ev::WakeServer => {
-                    if server_inbox.is_empty() {
-                        continue;
-                    }
-                    if server_mach.is_busy(now) {
-                        queue.schedule(server_mach.free_at(), Ev::WakeServer);
-                        continue;
-                    }
-                    let (client, msg) = server_inbox.pop_front().expect("checked non-empty");
-                    down_out.clear();
-                    let cost = server.deliver(now, ClientId(client as u16), msg, &mut down_out);
-                    let done = server_mach.run(now, cost);
-                    for (dest, m) in down_out.drain(..) {
-                        send_down!(dest.index(), m, done);
-                    }
-                    if !server_inbox.is_empty() {
-                        queue.schedule(done, Ev::WakeServer);
-                    }
-                }
-                Ev::Down { client, msg, seq } => {
-                    if crashed[client] || reaped[client] {
-                        continue;
-                    }
-                    if partition_until[client].is_some_and(|t| now < t) {
-                        // The link is dark: the frame is lost. The resume
-                        // handshake at heal retransmits it.
-                        continue;
-                    }
-                    let before = client_inbox[client].len();
-                    reseq[client].accept(seq, msg, &mut reseq_out);
-                    for m in reseq_out.drain(..) {
-                        client_inbox[client].push_back(m);
-                    }
-                    // Instant ack: trim the resend window to the client's
-                    // cumulative ack (both halves share this address space,
-                    // so the ack round trip collapses — zero cost, zero
-                    // bytes, zero events).
-                    let cum = reseq[client].cum_ack();
-                    if cum > acked[client] {
-                        acked[client] = cum;
-                        stats.acks += 1;
-                        while windows[client].front().is_some_and(|&(s, _)| s <= cum) {
-                            windows[client].pop_front();
-                        }
-                        attempts[client] = 0;
-                        last_progress[client] = now;
-                    }
-                    if client_inbox[client].len() == before {
-                        // Held out of order (or a duplicate): nothing newly
-                        // deliverable.
-                        continue;
-                    }
-                    if client_mach[client].is_busy(now) {
-                        queue.schedule(client_mach[client].free_at(), Ev::WakeClient { client });
-                        continue;
-                    }
-                    let msg = client_inbox[client]
-                        .pop_front()
-                        .expect("released at least one");
-                    up_out.clear();
-                    let cost = clients[client].deliver(now, msg, &mut up_out);
-                    let done = client_mach[client].run(now, cost);
-                    for m in up_out.drain(..) {
-                        send_up!(client, m, done);
-                    }
-                    if !client_inbox[client].is_empty() {
-                        queue.schedule(done, Ev::WakeClient { client });
-                    }
-                }
-                Ev::WakeClient { client } => {
-                    if crashed[client] || reaped[client] || client_inbox[client].is_empty() {
-                        continue;
-                    }
-                    if client_mach[client].is_busy(now) {
-                        queue.schedule(client_mach[client].free_at(), Ev::WakeClient { client });
-                        continue;
-                    }
-                    let msg = client_inbox[client].pop_front().expect("checked non-empty");
-                    up_out.clear();
-                    let cost = clients[client].deliver(now, msg, &mut up_out);
-                    let done = client_mach[client].run(now, cost);
-                    for m in up_out.drain(..) {
-                        send_up!(client, m, done);
-                    }
-                    if !client_inbox[client].is_empty() {
-                        queue.schedule(done, Ev::WakeClient { client });
-                    }
-                }
-                Ev::Tick => {
-                    if server_mach.is_busy(now) {
-                        queue.schedule(server_mach.free_at(), Ev::Tick);
-                        continue;
-                    }
-                    down_out.clear();
-                    let cost = server.tick(now, &mut down_out);
-                    let done = server_mach.run(now, cost);
-                    for (dest, m) in down_out.drain(..) {
-                        send_down!(dest.index(), m, done);
-                    }
-                    tick_nominal += cfg.tick;
-                    if tick_nominal <= hard_end {
-                        queue.schedule(tick_nominal.max(now), Ev::Tick);
-                    }
-                }
-                Ev::Push => {
-                    if server_mach.is_busy(now) {
-                        queue.schedule(server_mach.free_at(), Ev::Push);
-                        continue;
-                    }
-                    down_out.clear();
-                    let cost = server.push_tick(now, &mut down_out);
-                    let done = server_mach.run(now, cost);
-                    for (dest, m) in down_out.drain(..) {
-                        send_down!(dest.index(), m, done);
-                    }
-                    let p = push_period.expect("push event only scheduled with a period");
-                    push_nominal += p;
-                    if push_nominal <= hard_end {
-                        queue.schedule(push_nominal.max(now), Ev::Push);
-                    }
-                }
-                Ev::Retransmit { client } => {
-                    armed[client] = false;
-                    if reaped[client] || windows[client].is_empty() {
-                        continue;
-                    }
-                    if partition_until[client].is_some() {
-                        // Dark link: the heal event will retransmit the
-                        // window; keep the watchdog alive past it.
-                        armed[client] = true;
-                        queue.schedule(now + rto, Ev::Retransmit { client });
-                        continue;
-                    }
-                    let due = last_progress[client] + rto;
-                    if now < due {
-                        armed[client] = true;
-                        queue.schedule(due, Ev::Retransmit { client });
-                        continue;
-                    }
-                    attempts[client] += 1;
-                    if attempts[client] >= cfg.session.give_up {
-                        // Unreachable after give_up windows: reap the lane.
-                        reaped[client] = true;
-                        windows[client].clear();
-                        client_inbox[client].clear();
-                        pending_up[client].clear();
-                        stats.reaps += 1;
-                        continue;
-                    }
-                    // Go-back-N: resend every unacked frame. The faulty
-                    // link re-rolls verdicts per transmission, so repeated
-                    // rounds converge.
-                    stats.retransmits += windows[client].len() as u64;
-                    let burst: Vec<(u64, P::Down)> = windows[client].iter().cloned().collect();
-                    for (seq, m) in burst {
-                        down_links[client].send(now, m.wire_bytes(), &mut arrivals);
-                        fan(&arrivals, m, |at, m| {
-                            queue.schedule(
-                                at,
-                                Ev::Down {
-                                    client,
-                                    msg: m,
-                                    seq,
-                                },
-                            )
-                        });
-                    }
-                    last_progress[client] = now;
-                    armed[client] = true;
-                    queue.schedule(now + rto, Ev::Retransmit { client });
-                }
-                Ev::Heal { client } => {
-                    if crashed[client] || reaped[client] {
-                        continue;
-                    }
-                    partition_until[client] = None;
-                    stats.reconnects += 1;
-                    // Resume handshake: the client reports its last
-                    // cumulative ack, the server retransmits exactly the
-                    // frames past it (already-delivered frames are never
-                    // replayed — the resequencer would drop them anyway).
-                    stats.retransmits += windows[client].len() as u64;
-                    let burst: Vec<(u64, P::Down)> = windows[client].iter().cloned().collect();
-                    for (seq, m) in burst {
-                        down_links[client].send(now, m.wire_bytes(), &mut arrivals);
-                        fan(&arrivals, m, |at, m| {
-                            queue.schedule(
-                                at,
-                                Ev::Down {
-                                    client,
-                                    msg: m,
-                                    seq,
-                                },
-                            )
-                        });
-                    }
-                    last_progress[client] = now;
-                    // Flush the ups buffered while the link was dark; their
-                    // bytes count now, when they actually cross the wire.
-                    let ups = std::mem::take(&mut pending_up[client]);
-                    for m in ups {
-                        up_links[client].send(now, m.wire_bytes(), &mut arrivals);
-                        fan(&arrivals, m, |at, m| {
-                            queue.schedule(at, Ev::Up { client, msg: m })
-                        });
-                    }
-                }
-                Ev::Reap { client } => {
-                    if reaped[client] {
-                        continue;
-                    }
-                    // Liveness expired with no resume: release the lane and
-                    // every buffer it pinned.
-                    reaped[client] = true;
-                    windows[client].clear();
-                    client_inbox[client].clear();
-                    pending_up[client].clear();
-                    stats.reaps += 1;
-                }
+                Ev::Move(c) => run.on_move(c, now),
+                Ev::Up(c, msg) => run.on_up(c, msg, now),
+                Ev::Down(c, seq, msg) => run.on_down(c, seq, msg, now),
+                Ev::WakeServer => run.on_wake_server(now),
+                Ev::WakeClient(c) => run.serve_client(c, now),
+                Ev::Cycle(cycle) => run.on_cycle(cycle, now),
+                Ev::Retransmit(c) => run.on_retransmit(c, now),
+                Ev::Heal(c) => run.on_heal(c, now),
+                Ev::Reap(c) => run.reap(c),
             }
         }
+        run.finish(self.suite.name())
+    }
 
-        // Collect metrics.
-        let mut oracle = ConsistencyOracle::new();
-        let mut response_ms = Summary::new();
-        let mut drop_notice_ms = Summary::new();
-        let mut submitted = 0u64;
-        let mut dropped = 0u64;
-        let mut missing = 0u64;
-        let mut client_compute = 0u64;
-        let mut divergences = 0u64;
-        let mut rebuilds = 0u64;
-        let mut entries_replayed = 0u64;
-        let mut checkpoint_hits = 0u64;
-        let mut commute_hits = 0u64;
-        let mut stable_digests = Vec::with_capacity(n);
-        for c in clients.iter_mut() {
-            stable_digests.push(c.stable().digest());
-            let m = c.metrics_mut();
-            response_ms.merge(&m.response_ms);
-            drop_notice_ms.merge(&m.drop_notice_ms);
-            submitted += m.submitted;
-            dropped += m.dropped;
-            client_compute += m.compute_us;
-            divergences += m.replay_divergences;
-            rebuilds += m.replay_rebuilds;
-            entries_replayed += m.replay_entries_replayed;
-            checkpoint_hits += m.replay_checkpoint_hits;
-            commute_hits += m.replay_commute_hits;
-            for rec in m.take_eval_records() {
-                missing += u64::from(rec.missing_reads > 0);
-                oracle.observe(&rec);
-            }
-        }
-        let total_bytes: u64 = up_links
-            .iter()
-            .chain(down_links.iter())
-            .map(|l| l.link().bytes_sent())
-            .sum();
-        let total_msgs: u64 = up_links
-            .iter()
-            .chain(down_links.iter())
-            .map(|l| l.link().msgs_sent())
-            .sum();
-        let server_down_bytes: u64 = down_links.iter().map(|l| l.link().bytes_sent()).sum();
-        let server_up_bytes: u64 = up_links.iter().map(|l| l.link().bytes_sent()).sum();
-        let duration = end_time - SimTime::ZERO;
-
-        for r in &reseq {
-            stats.dups_dropped += r.dups_dropped;
-            stats.holds += r.holds;
-        }
-        let mut server_metrics = server.metrics().clone();
-        server_metrics.stage.session_retransmits += stats.retransmits;
-        server_metrics.stage.session_acks += stats.acks;
-        server_metrics.stage.session_reconnects += stats.reconnects;
-        server_metrics.stage.session_reaps += stats.reaps;
-        server_metrics.stage.session_sheds += stats.sheds;
-
-        RunResult {
-            protocol: self.suite.name().to_string(),
-            clients: n,
-            response_ms,
-            drop_notice_ms,
-            submitted,
-            dropped,
-            total_bytes,
-            server_down_bytes,
-            server_up_bytes,
-            total_msgs,
-            violations: oracle.violations().len(),
-            missing_read_evals: missing,
-            replay_divergences: divergences,
-            replay_rebuilds: rebuilds,
-            replay_entries_replayed: entries_replayed,
-            replay_checkpoint_hits: checkpoint_hits,
-            replay_commute_hits: commute_hits,
-            evals_checked: oracle.records(),
-            client_compute_us: client_compute,
-            server_compute_us: server_metrics.compute_us,
-            server_utilization: server_mach.utilization(duration),
-            server: server_metrics,
-            stable_digests,
-            committed_digest: server.committed().map(|s| s.digest()),
-            duration,
-            session: stats,
-        }
+    /// Run `repeats` times with derived seeds, averaging the metrics.
+    /// `make_workload` builds a fresh workload per run.
+    pub fn run_repeated(
+        &self,
+        repeats: usize,
+        mut make_workload: impl FnMut() -> Box<dyn Workload<W>>,
+    ) -> AveragedResult {
+        let runs = (0..repeats)
+            .map(|i| {
+                let mut cfg = self.cfg.clone();
+                cfg.seed = cfg
+                    .seed
+                    .wrapping_add(i as u64)
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15 | 1);
+                let sim = Simulation::new(Arc::clone(&self.world), self.suite, cfg)
+                    .with_faults(self.faults.clone());
+                let mut wl = make_workload();
+                sim.run(wl.as_mut())
+            })
+            .collect();
+        AveragedResult { runs }
     }
 }
 
@@ -838,31 +832,6 @@ impl AveragedResult {
     }
 }
 
-impl<'a, W: GameWorld, P: ProtocolSuite<W>> Simulation<'a, W, P> {
-    /// Run `repeats` times with derived seeds, averaging the metrics.
-    /// `make_workload` builds a fresh workload per run.
-    pub fn run_repeated(
-        &self,
-        repeats: usize,
-        mut make_workload: impl FnMut() -> Box<dyn Workload<W>>,
-    ) -> AveragedResult {
-        let runs = (0..repeats)
-            .map(|i| {
-                let mut cfg = self.cfg.clone();
-                cfg.seed = cfg
-                    .seed
-                    .wrapping_add(i as u64)
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15 | 1);
-                let sim = Simulation::new(Arc::clone(&self.world), self.suite, cfg)
-                    .with_faults(self.faults.clone());
-                let mut wl = make_workload();
-                sim.run(wl.as_mut())
-            })
-            .collect();
-        AveragedResult { runs }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -870,6 +839,7 @@ mod tests {
     use seve_core::config::{ProtocolConfig, ServerMode};
     use seve_core::server::SeveSuite;
     use seve_world::worlds::dining::{DiningConfig, DiningWorkload, DiningWorld};
+    use seve_world::worlds::manhattan::{ManhattanConfig, ManhattanWorkload, ManhattanWorld};
 
     fn small_cfg(moves: u32) -> SimConfig {
         SimConfig {
@@ -1119,6 +1089,78 @@ mod tests {
         assert!(
             r.stable_digests.windows(2).all(|w| w[0] == w[1]),
             "replicas must converge despite up-lane disorder and duplication"
+        );
+    }
+
+    #[test]
+    fn a_saturated_server_costs_events_linear_in_messages() {
+        // 20 ms a message against 24 philosophers moving every 300 ms: the
+        // offered load is several times what the server can serve, so its
+        // inbox backs up the way Central's does in Figure 6. One server
+        // wake per instant keeps the events a message costs independent of
+        // that backlog.
+        let world = Arc::new(DiningWorld::new(DiningConfig {
+            philosophers: 24,
+            ..DiningConfig::default()
+        }));
+        let mut cfg = ProtocolConfig::with_mode(ServerMode::InfoBound);
+        cfg.msg_cost_us = 20_000;
+        let suite = SeveSuite::new(cfg);
+        let mut wl = DiningWorkload::new(&world);
+        let r = Simulation::new(world, &suite, small_cfg(20)).run(&mut wl);
+        assert!(
+            r.server_utilization > 0.9,
+            "the server must be saturated: {}",
+            r.server_utilization
+        );
+        // Measured: 4 076 events for 1 011 messages. A wake filed per
+        // arrival instead pops 223 029.
+        assert!(
+            r.events <= 6 * r.total_msgs,
+            "{} events for {} messages",
+            r.events,
+            r.total_msgs
+        );
+    }
+
+    #[test]
+    fn an_unreachable_lane_is_resent_give_up_times_then_reaped() {
+        // One client, one move, a down link that loses every frame: the
+        // Basic server sends the submitter one frame, which is never acked.
+        // The lane gets exactly `give_up` go-back-N rounds of that frame and
+        // is reaped on the next RTO, as `SupervisedServerTransport` does
+        // (session::tests::an_unreachable_lane_is_resent_give_up_times_then_reaped).
+        let world = Arc::new(ManhattanWorld::new(ManhattanConfig {
+            clients: 1,
+            walls: 10,
+            ..ManhattanConfig::default()
+        }));
+        let suite = SeveSuite::new(ProtocolConfig::with_mode(ServerMode::Basic));
+        let mut wl = ManhattanWorkload::new(&world);
+        let give_up = 4;
+        let cfg = SimConfig {
+            session: SessionParams {
+                give_up,
+                ..SessionParams::default()
+            },
+            ..small_cfg(1)
+        };
+        let plan = FaultPlan {
+            down: FaultPolicy {
+                drop: 1.0,
+                ..FaultPolicy::default()
+            },
+            ..FaultPlan::default()
+        };
+        let r = Simulation::new(world, &suite, cfg)
+            .with_faults(plan)
+            .run(&mut wl);
+        assert_eq!(r.session.retransmits, u64::from(give_up));
+        assert_eq!(r.session.reaps, 1);
+        assert_eq!(
+            r.total_msgs,
+            2 + u64::from(give_up),
+            "one submission up, one frame down, then only the resends"
         );
     }
 

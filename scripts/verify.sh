@@ -78,9 +78,9 @@ bench_before=$(git status --porcelain -- bench)
 [ "$(git status --porcelain -- bench)" == "$bench_before" ]
 
 echo "== bench smoke =="
-# The Criterion benches must build; the thousand-client simulator run must
-# finish with zero Theorem 1 violations (repro panics on any).
+# The Criterion benches must build; the 1024- and 2048-client simulator
+# runs must finish with zero Theorem 1 violations (repro panics on any).
 cargo bench --workspace --no-run
-cargo run --release -p seve-bench --bin repro -- --quick sim-scale
+cargo run --release -p seve-bench --bin repro -- sim-scale
 
 echo "verify.sh: all checks passed"

@@ -42,7 +42,7 @@ use seve::core::pipeline::PipelineServer;
 use seve::core::server::SeveSuite;
 use seve::driver::{
     run_inproc_session, FaultPlan, FaultPolicy, LinkPartition, SessionConfig, SessionParams,
-    SimConfig, Simulation,
+    SessionStats, SimConfig, Simulation,
 };
 use seve::rt::{run_client_with, run_server_with, ClientReport, ServerReport};
 use seve::world::ids::ClientId;
@@ -228,6 +228,62 @@ fn sim_midrun_crash_leaves_survivors_consistent() {
     assert!(
         survivors.windows(2).all(|w| w[0] == w[1]),
         "surviving replicas must converge"
+    );
+}
+
+#[test]
+fn sim_faulted_run_is_pinned_bit_for_bit() {
+    // Every supervision path of the simulator in one run: a down lane that
+    // drops, duplicates and reorders (retransmit, resequence), one partition
+    // that heals (resume catch-up, buffered ups), one crash (liveness
+    // reap). No lane comes near `give_up`, so the only reap is the crash's.
+    // The constants were recorded at commit 686ebf2, before the event loop
+    // was split into per-event steps over `SendWindow`; a change to how the
+    // loop weaves links, windows, resequencers and machines moves them.
+    let plan = FaultPlan {
+        down: FaultPolicy {
+            seed: 5,
+            drop: 0.1,
+            duplicate: 0.1,
+            reorder: 0.1,
+            ..FaultPolicy::default()
+        },
+        crashes: vec![(ClientId(4), 6)],
+        partitions: vec![LinkPartition {
+            client: ClientId(2),
+            after_submissions: 3,
+            duration: Duration::from_millis(700),
+        }],
+        ..FaultPlan::default()
+    };
+    let r = sim_run(ServerMode::InfoBound, 6, 12, plan);
+    assert_eq!(r.violations, 0);
+    let fold = r
+        .stable_digests
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, &d| {
+            (h ^ d).wrapping_mul(0x1_0000_01b3)
+        });
+    assert_eq!(
+        (fold, r.committed_digest, r.total_bytes, r.total_msgs),
+        (
+            0x6166_4d4b_f6a2_2959,
+            Some(0x9ca2_de61_7b73_e30c),
+            97_125,
+            738
+        )
+    );
+    assert_eq!(
+        r.session,
+        SessionStats {
+            retransmits: 325,
+            acks: 149,
+            reconnects: 1,
+            reaps: 1,
+            sheds: 0,
+            dups_dropped: 94,
+            holds: 51,
+        }
     );
 }
 
