@@ -15,7 +15,7 @@
 //!   cycles, client move/drain/linger phases, shared by every threaded
 //!   backend.
 //! * [`sim`] — the discrete-event substrate (virtual clock + event queue),
-//!   bit-identical to the pre-driver harness when no faults are injected.
+//!   deterministic and pinned by the golden digests.
 //! * [`fault`] — seeded drop/duplicate/reorder/delay plus client crashes,
 //!   realized on simulator links ([`fault::FaultyLink`]) and on threaded
 //!   transports ([`fault::FaultyClientTransport`]) from one

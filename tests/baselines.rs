@@ -165,3 +165,24 @@ fn timestamp_aborts_under_contention_and_stays_consistent() {
     );
     assert!(r.response_ms.mean() > 238.0);
 }
+
+#[test]
+fn a_saturated_client_costs_events_linear_in_messages() {
+    // The client-side twin of the simulator's saturated-server test. Every
+    // Broadcast client simulates every other client's move at full cost:
+    // 12 clients × 40 ms a move, every 300 ms, is 1.5 times what one
+    // client machine can evaluate, so every inbox backs up. One client
+    // wake per instant keeps the events a message costs independent of
+    // that backlog.
+    let world = manhattan(12, 40_000);
+    let mut wl = ManhattanWorkload::new(&world);
+    let r = Simulation::new(world, &BroadcastSuite::default(), sim(10)).run(&mut wl);
+    // Measured: 4 517 events for 1 560 messages. A wake filed per arrival
+    // instead pops 52 093.
+    assert!(
+        r.events <= 6 * r.total_msgs,
+        "{} events for {} messages",
+        r.events,
+        r.total_msgs
+    );
+}
