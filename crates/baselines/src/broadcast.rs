@@ -20,7 +20,7 @@
 //! reconciles, replicas can evaluate the same action differently; the
 //! consistency oracle counts those divergences.
 
-use seve_core::engine::{ClientNode, ProtocolSuite, ServerNode, WireSize};
+use seve_core::engine::{ClientNode, ProtocolSuite, ServerNode};
 use seve_core::metrics::{ClientMetrics, EvalRecord, ServerMetrics};
 use seve_net::time::{SimDuration, SimTime};
 use seve_world::action::Action;
@@ -49,31 +49,19 @@ impl Default for BroadcastConfig {
 }
 
 /// Client → server: an executed action to broadcast.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, serde::Serialize)]
 pub struct BcastUp<A> {
     /// The action.
     pub action: A,
 }
 
-impl<A: Action> WireSize for BcastUp<A> {
-    fn wire_bytes(&self) -> u32 {
-        1 + self.action.wire_bytes()
-    }
-}
-
 /// Server → client: a relayed action with its broadcast order.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, serde::Serialize)]
 pub struct BcastDown<A> {
     /// Relay order stamp.
     pub pos: QueuePos,
     /// The action to simulate.
     pub action: A,
-}
-
-impl<A: Action> WireSize for BcastDown<A> {
-    fn wire_bytes(&self) -> u32 {
-        1 + 8 + self.action.wire_bytes()
-    }
 }
 
 /// A full-simulation client node.

@@ -13,7 +13,7 @@
 //! the server queue — and with it every response time — grows without
 //! bound.
 
-use seve_core::engine::{ClientNode, ProtocolSuite, ServerNode, WireSize};
+use seve_core::engine::{ClientNode, ProtocolSuite, ServerNode};
 use seve_core::metrics::{ClientMetrics, ServerMetrics};
 use seve_net::time::{SimDuration, SimTime};
 use seve_world::action::Action;
@@ -52,20 +52,14 @@ impl Default for CentralConfig {
 }
 
 /// Client → server: a raw action for server-side evaluation.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, serde::Serialize)]
 pub struct CentralUp<A> {
     /// The action to execute.
     pub action: A,
 }
 
-impl<A: Action> WireSize for CentralUp<A> {
-    fn wire_bytes(&self) -> u32 {
-        1 + self.action.wire_bytes()
-    }
-}
-
 /// Server → client: the state update produced by one action.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, serde::Serialize)]
 pub struct CentralDown {
     /// Which action caused it (for issuer response matching).
     pub cause: ActionId,
@@ -75,12 +69,6 @@ pub struct CentralDown {
     pub writes: WriteLog,
     /// Whether the action aborted (no-op).
     pub aborted: bool,
-}
-
-impl WireSize for CentralDown {
-    fn wire_bytes(&self) -> u32 {
-        1 + 6 + 8 + 1 + self.writes.wire_bytes()
-    }
 }
 
 /// The thin client: keeps a render view, submits actions, applies updates.

@@ -20,7 +20,7 @@
 //! waiter conflicts with it), so the protocol is deadlock- and
 //! starvation-free.
 
-use seve_core::engine::{ClientNode, ProtocolSuite, ServerNode, WireSize};
+use seve_core::engine::{ClientNode, ProtocolSuite, ServerNode};
 use seve_core::metrics::{ClientMetrics, ServerMetrics};
 use seve_net::time::{SimDuration, SimTime};
 use seve_world::action::Action;
@@ -50,7 +50,7 @@ impl Default for LockingConfig {
 }
 
 /// Client → server messages.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, serde::Serialize)]
 pub enum LockUp<A> {
     /// Request locks on the action's read set.
     Request {
@@ -70,17 +70,8 @@ pub enum LockUp<A> {
     },
 }
 
-impl<A: Action> WireSize for LockUp<A> {
-    fn wire_bytes(&self) -> u32 {
-        match self {
-            LockUp::Request { action } => 1 + action.wire_bytes(),
-            LockUp::Effect { writes, .. } => 1 + 8 + 6 + 1 + writes.wire_bytes(),
-        }
-    }
-}
-
 /// Server → client messages.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, serde::Serialize)]
 pub enum LockDown {
     /// All locks acquired: execute now.
     Grant {
@@ -100,15 +91,6 @@ pub enum LockDown {
         /// Whether the transaction was a no-op.
         aborted: bool,
     },
-}
-
-impl WireSize for LockDown {
-    fn wire_bytes(&self) -> u32 {
-        match self {
-            LockDown::Grant { .. } => 1 + 8 + 6,
-            LockDown::Update { writes, .. } => 1 + 8 + 6 + 1 + writes.wire_bytes(),
-        }
-    }
 }
 
 struct WaitingTxn {

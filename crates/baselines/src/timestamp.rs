@@ -11,7 +11,7 @@
 //! moving, would potentially cause the transaction to abort", which is why
 //! contention makes this protocol unusable for fast-paced worlds.
 
-use seve_core::engine::{ClientNode, ProtocolSuite, ServerNode, WireSize};
+use seve_core::engine::{ClientNode, ProtocolSuite, ServerNode};
 use seve_core::metrics::{ClientMetrics, ServerMetrics};
 use seve_net::time::{SimDuration, SimTime};
 use seve_world::action::Action;
@@ -43,7 +43,7 @@ impl Default for TimestampConfig {
 }
 
 /// Client → server: a tentatively executed transaction for certification.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, serde::Serialize)]
 pub struct TsUp<A> {
     /// The transaction.
     pub action: A,
@@ -57,18 +57,8 @@ pub struct TsUp<A> {
     pub aborted_noop: bool,
 }
 
-impl<A: Action> WireSize for TsUp<A> {
-    fn wire_bytes(&self) -> u32 {
-        1 + self.action.wire_bytes()
-            + 4
-            + self.read_versions.len() as u32 * 12
-            + self.writes.wire_bytes()
-            + 1
-    }
-}
-
 /// Server → client messages.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, serde::Serialize)]
 pub enum TsDown {
     /// Certification succeeded; the transaction is serialized at `pos`.
     Commit {
@@ -101,20 +91,6 @@ pub enum TsDown {
         /// New versions of the written objects.
         versions: Vec<(ObjectId, u64)>,
     },
-}
-
-impl WireSize for TsDown {
-    fn wire_bytes(&self) -> u32 {
-        match self {
-            TsDown::Commit { .. } => 1 + 6 + 4 + 8,
-            TsDown::Abort {
-                fresh, versions, ..
-            } => 1 + 6 + 4 + fresh.wire_bytes() + versions.len() as u32 * 12,
-            TsDown::Update {
-                writes, versions, ..
-            } => 1 + 8 + 6 + writes.wire_bytes() + versions.len() as u32 * 12,
-        }
-    }
 }
 
 /// The certifying server.

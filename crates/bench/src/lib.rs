@@ -53,7 +53,7 @@ pub mod replay_fixture {
     /// A state-dependent increment over a small object set: each object's
     /// counter is read and rewritten, so replay order is observable and
     /// RS = WS ⊇ WS as the paper assumes.
-    #[derive(Clone, Debug)]
+    #[derive(Clone, Debug, serde::Serialize)]
     pub struct StormAction {
         id: ActionId,
         delta: i64,
@@ -81,9 +81,6 @@ pub mod replay_fixture {
                 w.push(obj, ATTR, (cur + self.delta).into());
             }
             Outcome::ok(w)
-        }
-        fn wire_bytes(&self) -> u32 {
-            16
         }
     }
 

@@ -724,7 +724,7 @@ mod tests {
     use seve_world::state::WorldState;
 
     /// A test action with explicit sets and position.
-    #[derive(Clone, Debug)]
+    #[derive(Clone, Debug, serde::Serialize)]
     struct TestAction {
         id: ActionId,
         rs: ObjectSet,
@@ -762,9 +762,6 @@ mod tests {
         }
         fn evaluate(&self, _e: &(), _s: &WorldState) -> Outcome {
             Outcome::abort()
-        }
-        fn wire_bytes(&self) -> u32 {
-            8
         }
     }
 

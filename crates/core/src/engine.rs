@@ -14,12 +14,6 @@ use seve_world::state::WorldState;
 use seve_world::GameWorld;
 use std::sync::Arc;
 
-/// Anything whose encoded size is known, for bandwidth accounting.
-pub trait WireSize {
-    /// Approximate encoded size in bytes.
-    fn wire_bytes(&self) -> u32;
-}
-
 /// Identity of a shareable message payload, for encode-once fan-out.
 ///
 /// Transports key their per-batch frame cache on this: the first message
@@ -50,9 +44,9 @@ pub trait ShareKey {
 /// A client-side protocol engine.
 pub trait ClientNode<W: GameWorld>: Send {
     /// Message type sent to the server.
-    type Up: WireSize + Clone + Send + std::fmt::Debug;
+    type Up: serde::Serialize + Clone + Send + std::fmt::Debug;
     /// Message type received from the server.
-    type Down: WireSize + Clone + Send + std::fmt::Debug;
+    type Down: serde::Serialize + Clone + Send + std::fmt::Debug;
 
     /// This client's identity.
     fn id(&self) -> ClientId;
@@ -92,9 +86,9 @@ pub trait ClientNode<W: GameWorld>: Send {
 /// A server-side protocol engine.
 pub trait ServerNode<W: GameWorld>: Send {
     /// Message type received from clients.
-    type Up: WireSize + Clone + Send + std::fmt::Debug;
+    type Up: serde::Serialize + Clone + Send + std::fmt::Debug;
     /// Message type sent to clients.
-    type Down: WireSize + Clone + Send + std::fmt::Debug;
+    type Down: serde::Serialize + Clone + Send + std::fmt::Debug;
 
     /// Deliver one message from client `from`. Outgoing `(dest, msg)` pairs
     /// are appended to `out`; returns the compute cost in microseconds.
@@ -134,9 +128,9 @@ pub trait ServerNode<W: GameWorld>: Send {
 /// world. The harness is generic over this.
 pub trait ProtocolSuite<W: GameWorld> {
     /// Client → server message type.
-    type Up: WireSize + Clone + Send + std::fmt::Debug;
+    type Up: serde::Serialize + Clone + Send + std::fmt::Debug;
     /// Server → client message type.
-    type Down: WireSize + Clone + Send + std::fmt::Debug;
+    type Down: serde::Serialize + Clone + Send + std::fmt::Debug;
     /// The client engine type.
     type Client: ClientNode<W, Up = Self::Up, Down = Self::Down>;
     /// The server engine type.

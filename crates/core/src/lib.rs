@@ -54,7 +54,7 @@ pub mod server;
 
 pub use client::SeveClient;
 pub use config::{ProtocolConfig, ServerMode};
-pub use engine::{ClientNode, ProtocolSuite, ServerNode, WireSize};
+pub use engine::{ClientNode, ProtocolSuite, ServerNode};
 pub use metrics::{ClientMetrics, ServerMetrics};
 pub use msg::{Item, Payload, ToClient, ToServer};
 pub use pipeline::PipelineServer;

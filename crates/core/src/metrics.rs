@@ -135,8 +135,6 @@ pub struct StageMetrics {
     /// Batch assembly and hand-off: blind writes, `sent` tracking,
     /// per-client FIFO order.
     pub egress: StageProfile,
-    /// Encoded bytes of every message egress emitted.
-    pub egress_bytes: u64,
     /// Messages egress emitted.
     pub egress_msgs: u64,
     /// Messages whose wire payload was built fresh — one per distinct
@@ -265,7 +263,6 @@ mod tests {
         assert_eq!(s.refused, 0);
         assert_eq!(s.max_queue_len, 0);
         assert_eq!(s.stage.ingress.events, 0);
-        assert_eq!(s.stage.egress_bytes, 0);
         assert_eq!(s.stage.frames_encoded, 0);
         assert_eq!(s.stage.frames_reused, 0);
         assert_eq!(s.stage.pool_hits, 0);

@@ -11,10 +11,11 @@
 //!   notices from Algorithm 7; and [`ToClient::GcUpTo`] install notices
 //!   enabling client-side garbage collection (Section III-C).
 //!
-//! Every message knows its approximate encoded size so the simulated links
-//! can account bandwidth (Figure 9) without actually serializing.
+//! A message's size is the number of bytes the codec writes for it,
+//! [`wire::encoded_len`]: the simulated links charge that for bandwidth
+//! (Figure 9), so there is no second model of the format to drift.
 
-use crate::engine::{ShareId, ShareKey, WireSize};
+use crate::engine::{ShareId, ShareKey};
 use seve_net::wire;
 use seve_world::ids::{ActionId, QueuePos};
 use seve_world::state::{Snapshot, WriteLog};
@@ -31,9 +32,11 @@ use std::sync::{Arc, OnceLock};
 /// more into a slot the clones share, and that and every later
 /// serialization copy the slot's bytes into the output through the codec's
 /// [`wire::Raw`] splice. So an action sent to one client is encoded once,
-/// and an action sent to 45 is encoded twice and copied 44 times. The
-/// simulator never serializes, so its slots stay empty. [`Shared::ptr_id`]
-/// gives transports a frame-cache key ([`ShareId::Ptr`]).
+/// and an action sent to 45 is encoded twice and copied 44 times. Counting
+/// ([`wire::encoded_len`]) is serializing, so a simulated link charging a
+/// payload's size goes through the same slot: the second count fills it
+/// and later counts take its length. [`Shared::ptr_id`] gives transports a
+/// frame-cache key ([`ShareId::Ptr`]).
 pub struct Shared<T>(Arc<Slot<T>>);
 
 struct Slot<T> {
@@ -154,15 +157,6 @@ impl<A: Action> Item<A> {
     }
 }
 
-impl<A: Action> WireSize for Item<A> {
-    fn wire_bytes(&self) -> u32 {
-        8 + match &self.payload {
-            Payload::Action(a) => 1 + a.wire_bytes(),
-            Payload::Blind(s) => 1 + s.wire_bytes(),
-        }
-    }
-}
-
 /// Client → server messages.
 #[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
 pub enum ToServer<A> {
@@ -185,15 +179,6 @@ pub enum ToServer<A> {
         /// Did the action abort (behave as a no-op)?
         aborted: bool,
     },
-}
-
-impl<A: Action> WireSize for ToServer<A> {
-    fn wire_bytes(&self) -> u32 {
-        match self {
-            ToServer::Submit { action } => 1 + action.wire_bytes(),
-            ToServer::Completion { writes, .. } => 1 + 8 + 6 + 1 + writes.wire_bytes(),
-        }
-    }
 }
 
 /// Server → client messages.
@@ -222,16 +207,6 @@ pub enum ToClient<A> {
     },
 }
 
-impl<A: Action> WireSize for ToClient<A> {
-    fn wire_bytes(&self) -> u32 {
-        match self {
-            ToClient::Batch { items } => 2 + items.iter().map(WireSize::wire_bytes).sum::<u32>(),
-            ToClient::Dropped { .. } => 1 + 6 + 8,
-            ToClient::GcUpTo { .. } => 1 + 8,
-        }
-    }
-}
-
 impl<A> ShareKey for ToClient<A> {
     fn share_key(&self) -> Option<ShareId> {
         match self {
@@ -254,9 +229,10 @@ mod tests {
     use seve_world::ids::{AttrId, ClientId, ObjectId};
     use seve_world::objset::ObjectSet;
     use seve_world::state::WorldState;
+    use wire::encoded_len;
 
     /// A minimal test action.
-    #[derive(Clone, Debug)]
+    #[derive(Clone, Debug, serde::Serialize)]
     pub struct NopAction {
         id: ActionId,
         set: ObjectSet,
@@ -288,43 +264,50 @@ mod tests {
         fn evaluate(&self, _env: &(), _state: &WorldState) -> Outcome {
             Outcome::abort()
         }
-        fn wire_bytes(&self) -> u32 {
-            10
-        }
     }
 
     #[test]
     fn item_sizes() {
-        let a = Item::action(1, NopAction::new(0, 0));
-        assert_eq!(a.wire_bytes(), 8 + 1 + 10);
+        // A position varint and a payload tag, then the payload's own
+        // bytes: `Shared` adds nothing.
+        let action = NopAction::new(0, 0);
+        let a = Item::action(1, action.clone());
+        assert_eq!(encoded_len(&a), 1 + 1 + encoded_len(&action));
         let mut snap = Snapshot::new();
         snap.push(ObjectId(1), seve_world::WorldObject::new());
-        let b: Item<NopAction> = Item::blind(0, snap.clone());
-        assert_eq!(b.wire_bytes(), 8 + 1 + snap.wire_bytes());
+        let b: Item<NopAction> = Item::blind(300, snap.clone());
+        assert_eq!(encoded_len(&b), 2 + 1 + encoded_len(&snap));
     }
 
     #[test]
     fn batch_size_sums_items() {
+        let items = vec![
+            Item::action(1, NopAction::new(0, 0)),
+            Item::action(2, NopAction::new(1, 0)),
+        ];
+        let sum: usize = items.iter().map(encoded_len).sum();
         let batch: ToClient<NopAction> = ToClient::Batch {
-            items: vec![
-                Item::action(1, NopAction::new(0, 0)),
-                Item::action(2, NopAction::new(1, 0)),
-            ]
-            .into(),
+            items: items.into(),
         };
-        assert_eq!(batch.wire_bytes(), 2 + 2 * 19);
+        // The variant tag and the vector's length, then the items.
+        assert_eq!(encoded_len(&batch), 1 + 1 + sum);
     }
 
     #[test]
     fn completion_size_includes_writes() {
         let mut w = WriteLog::new();
         w.push(ObjectId(0), AttrId(0), 1i64.into());
+        let id = ActionId::new(ClientId(0), 0);
         let m: ToServer<NopAction> = ToServer::Completion {
             pos: 3,
-            id: ActionId::new(ClientId(0), 0),
+            id,
             writes: w.clone(),
             aborted: false,
         };
-        assert_eq!(m.wire_bytes(), 1 + 8 + 6 + 1 + w.wire_bytes());
+        // Tag, position, id, writes, abort flag.
+        assert_eq!(
+            encoded_len(&m),
+            1 + 1 + encoded_len(&id) + encoded_len(&w) + 1
+        );
     }
 }

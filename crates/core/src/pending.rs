@@ -156,7 +156,7 @@ mod tests {
     use seve_world::ids::{ActionId, ClientId};
     use seve_world::state::{WorldState, WriteLog};
 
-    #[derive(Clone, Debug)]
+    #[derive(Clone, Debug, serde::Serialize)]
     struct FakeAction {
         id: ActionId,
         ws: ObjectSet,
@@ -187,9 +187,6 @@ mod tests {
         }
         fn evaluate(&self, _env: &(), _s: &WorldState) -> Outcome {
             Outcome::ok(WriteLog::new())
-        }
-        fn wire_bytes(&self) -> u32 {
-            8
         }
     }
 

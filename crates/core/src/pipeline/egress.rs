@@ -9,7 +9,6 @@
 use crate::closure::ClosureResult;
 use crate::msg::{Item, Shared, ToClient};
 use crate::pipeline::state::PipelineState;
-use crate::WireSize;
 use seve_world::ids::{ClientId, QueuePos};
 use seve_world::objset::ObjectSet;
 use seve_world::GameWorld;
@@ -184,9 +183,7 @@ fn span_items<W: GameWorld>(
 /// broadcast path (GC notices). The first copy counts as an encode, the
 /// rest as frame reuses; the transport's frame cache sees the same split
 /// through the message's [`ShareKey`](crate::engine::ShareKey). The
-/// `egress_bytes`/`egress_msgs` traffic counters are untouched: they have
-/// only ever counted batches, and changing them would move
-/// protocol-visible numbers.
+/// `egress_msgs` counter is untouched: it has only ever counted batches.
 pub fn broadcast<W: GameWorld>(
     st: &mut PipelineState<W>,
     msg: ToClient<W::Action>,
@@ -214,7 +211,6 @@ fn finish<W: GameWorld>(
     out: &mut Vec<(ClientId, ToClient<W::Action>)>,
 ) {
     let msg = ToClient::Batch { items };
-    st.metrics.stage.egress_bytes += u64::from(msg.wire_bytes());
     st.metrics.stage.egress_msgs += 1;
     if reused {
         st.metrics.stage.frames_reused += 1;

@@ -522,7 +522,7 @@ fn sliced_push_emits_the_per_client_loops_stream() {
     assert_eq!(m_sliced.closure_scan_entries, m_walks.closure_scan_entries);
     let (s, w) = (&m_sliced.stage, &m_walks.stage);
     assert_eq!(s.closure_entries_linear, w.closure_entries_linear);
-    assert_eq!(s.egress_bytes, w.egress_bytes);
+    assert_eq!(s.egress_msgs, w.egress_msgs);
     // The walks also count the dropped entries their cursors step over.
     assert!(s.closure_entries_visited <= w.closure_entries_visited);
     // One stage record per push cycle, against one per client per cycle.
@@ -675,7 +675,6 @@ fn stage_profile_observes_traffic() {
     assert_eq!(stage.analyze.events, 2, "one closure scan per reply");
     assert_eq!(stage.egress.events, 2, "one emitted batch per reply");
     assert_eq!(stage.egress_msgs, 2);
-    assert!(stage.egress_bytes > 0, "batches have nonzero wire size");
     // Per-client replies are never shared: each is its own frame.
     assert_eq!(stage.frames_encoded, 2);
     assert_eq!(stage.frames_reused, 0);

@@ -880,7 +880,7 @@ mod tests {
     /// An action that increments one attribute of one object by `delta` —
     /// evaluation genuinely depends on the prior state, so replay order is
     /// observable.
-    #[derive(Clone, Debug)]
+    #[derive(Clone, Debug, serde::Serialize)]
     struct AddAction {
         id: ActionId,
         delta: i64,
@@ -929,9 +929,6 @@ mod tests {
             let mut w = WriteLog::new();
             w.push(obj, self.attr, (cur + self.delta).into());
             Outcome::ok(w)
-        }
-        fn wire_bytes(&self) -> u32 {
-            8
         }
     }
 

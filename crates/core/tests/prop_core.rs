@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// action reads and writes one of a few attributes, so interleavings
 /// exercise cross-attribute shadowing: attribute-granular sparse masking
 /// against object-granular checkpoint deltas and blind snapshots.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, serde::Serialize)]
 struct GenAction {
     id: ActionId,
     rs: ObjectSet,
@@ -60,9 +60,6 @@ impl Action for GenAction {
             w.push(o, self.attr, (sum + 1).into());
         }
         Outcome::ok(w)
-    }
-    fn wire_bytes(&self) -> u32 {
-        16
     }
 }
 

@@ -235,7 +235,7 @@ impl FaultyLink {
     /// Transmit `bytes` at `now`; `arrivals` receives the delivery times
     /// (cleared first). Dropped messages are still transmitted — they
     /// consume bandwidth and count on the link — but never arrive.
-    pub fn send(&mut self, now: SimTime, bytes: u32, arrivals: &mut Vec<SimTime>) {
+    pub fn send(&mut self, now: SimTime, bytes: usize, arrivals: &mut Vec<SimTime>) {
         arrivals.clear();
         let i = self.index;
         self.index += 1;

@@ -3,17 +3,18 @@
 //!
 //! This is the third substrate under the [`crate::node::NodeDriver`] loops:
 //! real concurrency and real wall-clock timing like the TCP runtime, but no
-//! serialization, no listener, no ports — sessions run entirely inside one
-//! process. That makes it the fastest way to exercise the *threaded* drive
-//! loops (and the fault decorator) in ordinary tests, where spinning up
-//! sockets per case would be slow and flaky.
+//! listener and no ports — sessions run entirely inside one process, and
+//! messages cross as values. That makes it the fastest way to exercise the
+//! *threaded* drive loops (and the fault decorator) in ordinary tests,
+//! where spinning up sockets per case would be slow and flaky.
 //!
 //! Wiring: one shared MPSC up-channel into the server, one down-channel per
 //! client. A client that finishes (or whose transport is dropped after a
 //! crash) signals `Done`, mirroring the TCP runtime's goodbye frame /
-//! broken-socket detection. Byte accounting uses the messages'
-//! [`WireSize`], so transfer totals remain comparable with the other
-//! backends even though nothing is actually serialized.
+//! broken-socket detection. Each envelope the transport carries is charged
+//! the bytes the codec would write for it ([`encoded_len`]), as the TCP
+//! runtime's frames are, so transfer totals are comparable across the
+//! backends.
 
 use crate::fault::{FaultPlan, FaultyClientTransport};
 use crate::node::NodeDriver;
@@ -23,7 +24,9 @@ use crate::session::{
 };
 use crate::transport::{ClientEvent, ClientTransport, ServerEvent, ServerTransport};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use seve_core::engine::{ProtocolSuite, ServerNode, WireSize};
+use serde::Serialize;
+use seve_core::engine::{ProtocolSuite, ServerNode};
+use seve_net::wire::encoded_len;
 use seve_world::ids::ClientId;
 use seve_world::worlds::Workload;
 use seve_world::GameWorld;
@@ -91,7 +94,7 @@ pub fn wire<U, D>(
     (InprocServerTransport { rx: rx_up, txs }, clients)
 }
 
-impl<U, D: WireSize + Clone> ServerTransport<U, D> for InprocServerTransport<U, D> {
+impl<U, D: Serialize + Clone> ServerTransport<U, D> for InprocServerTransport<U, D> {
     type Error = Infallible;
 
     fn recv(&mut self, timeout: Duration) -> Result<ServerEvent<U>, Infallible> {
@@ -107,7 +110,7 @@ impl<U, D: WireSize + Clone> ServerTransport<U, D> for InprocServerTransport<U, 
     fn send_batch(&mut self, out: &[(ClientId, D)]) -> Result<u64, Infallible> {
         let mut bytes = 0u64;
         for (dest, m) in out {
-            let sz = m.wire_bytes() as u64;
+            let sz = encoded_len(m) as u64;
             // A send to a departed or released client is the channel
             // analogue of writing to a closed socket: silently lost.
             if let Some(tx) = &self.txs[dest.index()] {
@@ -134,7 +137,7 @@ impl<U, D: WireSize + Clone> ServerTransport<U, D> for InprocServerTransport<U, 
     }
 }
 
-impl<U: WireSize, D> ClientTransport<U, D> for InprocClientTransport<U, D> {
+impl<U: Serialize, D> ClientTransport<U, D> for InprocClientTransport<U, D> {
     type Error = Infallible;
 
     fn recv(&mut self, timeout: Duration) -> Result<ClientEvent<D>, Infallible> {
@@ -147,7 +150,7 @@ impl<U: WireSize, D> ClientTransport<U, D> for InprocClientTransport<U, D> {
     }
 
     fn send(&mut self, msg: U) -> Result<u64, Infallible> {
-        let bytes = msg.wire_bytes() as u64;
+        let bytes = encoded_len(&msg) as u64;
         Ok(if self.tx.send(InUp::Msg(self.id, msg)).is_ok() {
             bytes
         } else {

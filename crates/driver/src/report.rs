@@ -155,11 +155,7 @@ pub fn render_stage_profile(label: &str, stage: &StageMetrics) -> String {
             p.mean_us()
         );
     }
-    let _ = writeln!(
-        out,
-        "  egress emitted {} messages, {} wire bytes",
-        stage.egress_msgs, stage.egress_bytes
-    );
+    let _ = writeln!(out, "  egress emitted {} messages", stage.egress_msgs);
     let _ = writeln!(
         out,
         "  wire path: {} frames encoded, {} reused (shared payloads), \
@@ -250,7 +246,6 @@ mod tests {
         stage.ingress.record(2_000);
         stage.egress.record(1_000);
         stage.egress_msgs = 3;
-        stage.egress_bytes = 120;
         stage.frames_encoded = 2;
         stage.frames_reused = 1;
         stage.pool_hits = 5;
@@ -260,7 +255,7 @@ mod tests {
             assert!(text.contains(name), "missing stage {name}");
         }
         assert!(text.contains("SEVE @ 8 clients"));
-        assert!(text.contains("3 messages, 120 wire bytes"));
+        assert!(text.contains("egress emitted 3 messages"));
         assert!(
             text.contains(
                 "2 frames encoded, 1 reused (shared payloads), 5 pool hits, 4 writev batches"

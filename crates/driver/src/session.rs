@@ -29,16 +29,18 @@
 //!
 //! Fault-free sessions are pass-through for the engines: no retransmit
 //! timers fire and every counter except `acks` stays zero. The *byte
-//! accounting* ([`WireSize`]) prices control frames at zero so that totals
-//! stay comparable across {sim, inproc, tcp} — that is the simulator's
-//! model, not the socket's truth. On TCP an ack is a frame of its own: an
-//! encode, a `write` syscall on the client, a reader-thread wake, a decode
-//! and a channel send on the server. That is why acks are cumulative *and
-//! delayed*: the cost is per ack frame, not per acknowledged frame.
+//! accounting* counts the envelopes that carry engine messages
+//! ([`SessionUp::Msg`], [`SessionDown::Seq`]) at their encoded size, header
+//! included, and leaves control frames out — the simulator models acks as
+//! free, which is not the socket's truth. On TCP an ack is a frame of its
+//! own: an encode, a `write` syscall on the client, a reader-thread wake, a
+//! decode and a channel send on the server. That is why acks are
+//! cumulative *and delayed*: the cost is per ack frame, not per
+//! acknowledged frame.
 
 use crate::transport::{ClientEvent, ClientTransport, EgressStats, ServerEvent, ServerTransport};
 use serde::{Deserialize, Serialize};
-use seve_core::engine::{ShareKey, WireSize};
+use seve_core::engine::ShareKey;
 use seve_world::ids::ClientId;
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Add;
@@ -390,26 +392,6 @@ pub enum SessionUp<U> {
 pub enum SessionDown<D> {
     /// Sequenced protocol message.
     Seq(u64, D),
-}
-
-// Control frames are modelled as piggybacked on the substrate (a few bytes
-// of header amortized into the existing frame overhead), so byte accounting
-// stays identical across {sim, inproc, tcp} and with pre-supervision runs.
-impl<U: WireSize> WireSize for SessionUp<U> {
-    fn wire_bytes(&self) -> u32 {
-        match self {
-            SessionUp::Msg(u) => u.wire_bytes(),
-            _ => 0,
-        }
-    }
-}
-
-impl<D: WireSize> WireSize for SessionDown<D> {
-    fn wire_bytes(&self) -> u32 {
-        match self {
-            SessionDown::Seq(_, d) => d.wire_bytes(),
-        }
-    }
 }
 
 // Per-client sequence numbers make otherwise-identical payloads distinct on
@@ -1269,27 +1251,17 @@ mod tests {
     }
 
     #[test]
-    fn envelopes_cost_no_extra_wire_bytes() {
-        struct Fixed;
-        impl WireSize for Fixed {
-            fn wire_bytes(&self) -> u32 {
-                17
-            }
-        }
-        assert_eq!(SessionUp::Msg(Fixed).wire_bytes(), 17);
-        assert_eq!(SessionUp::<Fixed>::Ack(5).wire_bytes(), 0);
-        assert_eq!(SessionUp::<Fixed>::Heartbeat.wire_bytes(), 0);
+    fn envelopes_cost_a_tag_and_a_sequence_number() {
+        use seve_net::wire::encoded_len;
+        let msg = 300u32;
+        assert_eq!(encoded_len(&SessionUp::Msg(msg)), 1 + encoded_len(&msg));
+        assert_eq!(encoded_len(&SessionUp::<u32>::Ack(5)), 2);
         assert_eq!(
-            SessionUp::<Fixed>::Resume {
-                token: 1,
-                last_acked: 0
-            }
-            .wire_bytes(),
-            0
+            encoded_len(&SessionDown::Seq(9, msg)),
+            1 + 1 + encoded_len(&msg)
         );
-        assert_eq!(SessionDown::Seq(9, Fixed).wire_bytes(), 17);
         use seve_core::engine::ShareKey;
-        assert_eq!(SessionDown::Seq(9, Fixed).share_key(), None);
+        assert_eq!(SessionDown::Seq(9, msg).share_key(), None);
     }
 
     // ---- Ack cadence and shedding, over a scripted link ----

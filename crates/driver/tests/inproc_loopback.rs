@@ -78,9 +78,10 @@ fn info_bound_inproc_is_consistent() {
     run_session(ServerMode::InfoBound);
 }
 
-/// The byte accounting on this backend uses the same `WireSize` model as
-/// the simulator, so a session moves a plausible amount of traffic both
-/// ways even though nothing is serialized.
+/// This backend charges every envelope it carries the bytes the codec
+/// would write for it, the size the simulator charges too, so a session
+/// moves a plausible amount of traffic both ways although messages cross
+/// as values.
 #[test]
 fn inproc_session_accounts_traffic_both_ways() {
     const N: usize = 3;

@@ -67,14 +67,15 @@ impl Link {
     /// Serialization delay queues FIFO behind earlier messages; propagation
     /// latency then applies. With no bandwidth cap the message departs
     /// immediately.
-    pub fn send(&mut self, now: SimTime, bytes: u32) -> SimTime {
-        self.bytes_sent += u64::from(bytes);
+    pub fn send(&mut self, now: SimTime, bytes: usize) -> SimTime {
+        let bytes = bytes as u64;
+        self.bytes_sent += bytes;
         self.msgs_sent += 1;
         let start = now.max(self.busy_until);
         let transmit = match self.bandwidth_bps {
             Some(bps) => {
                 // bits / (bits/sec) = sec; in µs: bits * 1e6 / bps.
-                SimDuration::from_micros(u64::from(bytes) * 8 * 1_000_000 / bps)
+                SimDuration::from_micros(bytes * 8 * 1_000_000 / bps)
             }
             None => SimDuration::ZERO,
         };

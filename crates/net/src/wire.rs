@@ -125,6 +125,30 @@ pub fn to_bytes_into<T: Serialize>(value: &T, out: &mut Vec<u8>) -> Result<(), W
     value.serialize(&mut Encoder { out, splice: false })
 }
 
+/// The number of bytes [`to_bytes`] writes for `value`: the same encoder,
+/// counting instead of writing, so it allocates nothing of its own. (A
+/// [`Raw`] splice counts its length; a `Shared` payload counted a second
+/// time caches its encoding, as a second encode does.)
+///
+/// This is the only definition of a message's size: simulated links charge
+/// it, and the in-process transports report it.
+///
+/// # Panics
+///
+/// If `value` has no encoding, which is when [`to_bytes`] returns an
+/// error: a sequence or map of unknown length, or one longer than
+/// `u32::MAX`.
+pub fn encoded_len<T: Serialize>(value: &T) -> usize {
+    let mut count = Count(0);
+    value
+        .serialize(&mut Encoder {
+            out: &mut count,
+            splice: false,
+        })
+        .expect("value has a wire encoding");
+    count.0
+}
+
 /// Deserialize a `T` from `bytes`, requiring full consumption.
 pub fn from_bytes<T: DeserializeOwned>(bytes: &[u8]) -> Result<T, WireError> {
     let mut dec = Decoder { input: bytes };
@@ -253,24 +277,55 @@ fn unzigzag(u: u64) -> i64 {
     (u >> 1) as i64 ^ -((u & 1) as i64)
 }
 
-struct Encoder<'a> {
-    out: &'a mut Vec<u8>,
+/// Where an [`Encoder`] puts the bytes it produces.
+trait Sink {
+    fn byte(&mut self, b: u8);
+    fn bytes(&mut self, b: &[u8]);
+}
+
+impl Sink for Vec<u8> {
+    #[inline]
+    fn byte(&mut self, b: u8) {
+        self.push(b);
+    }
+    #[inline]
+    fn bytes(&mut self, b: &[u8]) {
+        self.extend_from_slice(b);
+    }
+}
+
+/// A sink that keeps only the count ([`encoded_len`]).
+struct Count(usize);
+
+impl Sink for Count {
+    #[inline]
+    fn byte(&mut self, _: u8) {
+        self.0 += 1;
+    }
+    #[inline]
+    fn bytes(&mut self, b: &[u8]) {
+        self.0 += b.len();
+    }
+}
+
+struct Encoder<'a, S> {
+    out: &'a mut S,
     /// Set by a [`RAW_TOKEN`] newtype: the next byte string is spliced
     /// without its length prefix.
     splice: bool,
 }
 
-impl Encoder<'_> {
+impl<S: Sink> Encoder<'_, S> {
     #[inline]
     fn put(&mut self, bytes: &[u8]) {
-        self.out.extend_from_slice(bytes);
+        self.out.bytes(bytes);
     }
 
     /// One- to three-byte forms inline, like the decoder.
     #[inline]
     fn put_varint(&mut self, v: u64) {
         if v < 0x80 {
-            self.out.push(v as u8);
+            self.out.byte(v as u8);
         } else if v < 0x4000 {
             self.put(&[v as u8 | 0x80, (v >> 7) as u8]);
         } else if v < 0x20_0000 {
@@ -300,7 +355,7 @@ impl Encoder<'_> {
     }
 }
 
-impl ser::Serializer for &mut Encoder<'_> {
+impl<S: Sink> ser::Serializer for &mut Encoder<'_, S> {
     type Ok = ();
     type Error = WireError;
     type SerializeSeq = Self;
@@ -312,11 +367,11 @@ impl ser::Serializer for &mut Encoder<'_> {
     type SerializeStructVariant = Self;
 
     fn serialize_bool(self, v: bool) -> Result<(), WireError> {
-        self.out.push(u8::from(v));
+        self.out.byte(u8::from(v));
         Ok(())
     }
     fn serialize_i8(self, v: i8) -> Result<(), WireError> {
-        self.out.push(v as u8);
+        self.out.byte(v as u8);
         Ok(())
     }
     fn serialize_i16(self, v: i16) -> Result<(), WireError> {
@@ -332,7 +387,7 @@ impl ser::Serializer for &mut Encoder<'_> {
         Ok(())
     }
     fn serialize_u8(self, v: u8) -> Result<(), WireError> {
-        self.out.push(v);
+        self.out.byte(v);
         Ok(())
     }
     fn serialize_u16(self, v: u16) -> Result<(), WireError> {
@@ -369,11 +424,11 @@ impl ser::Serializer for &mut Encoder<'_> {
         Ok(())
     }
     fn serialize_none(self) -> Result<(), WireError> {
-        self.out.push(0);
+        self.out.byte(0);
         Ok(())
     }
     fn serialize_some<T: Serialize + ?Sized>(self, v: &T) -> Result<(), WireError> {
-        self.out.push(1);
+        self.out.byte(1);
         v.serialize(self)
     }
     fn serialize_unit(self) -> Result<(), WireError> {
@@ -456,7 +511,7 @@ impl ser::Serializer for &mut Encoder<'_> {
 
 macro_rules! encoder_compound {
     ($trait:path, $method:ident $(, $key:ident)?) => {
-        impl $trait for &mut Encoder<'_> {
+        impl<S: Sink> $trait for &mut Encoder<'_, S> {
             type Ok = ();
             type Error = WireError;
             $(fn $key<T: Serialize + ?Sized>(&mut self, key: &T) -> Result<(), WireError> {
@@ -478,7 +533,7 @@ encoder_compound!(ser::SerializeTupleStruct, serialize_field);
 encoder_compound!(ser::SerializeTupleVariant, serialize_field);
 encoder_compound!(ser::SerializeMap, serialize_value, serialize_key);
 
-impl ser::SerializeStruct for &mut Encoder<'_> {
+impl<S: Sink> ser::SerializeStruct for &mut Encoder<'_, S> {
     type Ok = ();
     type Error = WireError;
     fn serialize_field<T: Serialize + ?Sized>(
@@ -493,7 +548,7 @@ impl ser::SerializeStruct for &mut Encoder<'_> {
     }
 }
 
-impl ser::SerializeStructVariant for &mut Encoder<'_> {
+impl<S: Sink> ser::SerializeStructVariant for &mut Encoder<'_, S> {
     type Ok = ();
     type Error = WireError;
     fn serialize_field<T: Serialize + ?Sized>(

@@ -104,7 +104,7 @@ proptest! {
 
     #[test]
     fn link_deliveries_are_fifo_and_account_bytes(
-        sends in prop::collection::vec((0u64..10_000, 1u32..5_000), 1..60),
+        sends in prop::collection::vec((0u64..10_000, 1usize..5_000), 1..60),
         bps in prop::option::of(1_000u64..1_000_000),
         latency_ms in 0u64..500
     ) {
@@ -121,11 +121,11 @@ proptest! {
             prop_assert!(d >= SimTime(t) + SimDuration::from_ms(latency_ms));
             // With a bandwidth cap, serialization takes real time.
             if let Some(b) = bps {
-                let min_transmit = u64::from(bytes) * 8 * 1_000_000 / b;
+                let min_transmit = bytes as u64 * 8 * 1_000_000 / b;
                 prop_assert!(d.as_micros() >= t + min_transmit + latency_ms * 1000);
             }
             last_delivery = d;
-            total += u64::from(bytes);
+            total += bytes as u64;
         }
         prop_assert_eq!(link.bytes_sent(), total);
         prop_assert_eq!(link.msgs_sent(), sorted.len() as u64);

@@ -1,12 +1,18 @@
 //! Property-based tests for the binary wire format: round trips over
 //! arbitrary protocol payloads, the varint rules at every length, total
-//! safety on damaged input, and the identity of spliced encodings.
+//! safety on damaged input, the identity of spliced encodings, and
+//! `encoded_len` as the length of what `to_bytes` writes.
 
 use proptest::prelude::*;
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
+use seve_baselines::broadcast::{BcastDown, BcastUp};
+use seve_baselines::central::{CentralDown, CentralUp};
+use seve_baselines::locking::{LockDown, LockUp};
+use seve_baselines::timestamp::{TsDown, TsUp};
 use seve_core::msg::{Item, Payload, Shared, ToClient, ToServer};
-use seve_rt::wire::{from_bytes, to_bytes, to_bytes_into, BufferPool, WireError};
+use seve_driver::session::{SessionDown, SessionUp};
+use seve_rt::wire::{encoded_len, from_bytes, to_bytes, to_bytes_into, BufferPool, WireError};
 use seve_world::geometry::Vec2;
 use seve_world::ids::{ActionId, AttrId, ClientId, ObjectId};
 use seve_world::objset::ObjectSet;
@@ -114,6 +120,84 @@ fn roundtrip_len<T: Serialize + DeserializeOwned + PartialEq + std::fmt::Debug>(
     let bytes = to_bytes(&v).unwrap();
     assert_eq!(from_bytes::<T>(&bytes).unwrap(), v);
     bytes.len()
+}
+
+/// `v` counted, then encoded: the two lengths must agree.
+fn count_then_encode<T: Serialize>(v: &T) -> (usize, usize) {
+    let counted = encoded_len(v);
+    (counted, to_bytes(v).unwrap().len())
+}
+
+/// Every baseline message that can be built from `up`'s parts, counted and
+/// encoded.
+fn baseline_sizes(up: &ToServer<Nested>, fresh: &Snapshot) -> Vec<(usize, usize)> {
+    match up.clone() {
+        ToServer::Submit { action } => vec![
+            count_then_encode(&CentralUp {
+                action: action.clone(),
+            }),
+            count_then_encode(&BcastUp {
+                action: action.clone(),
+            }),
+            count_then_encode(&BcastDown {
+                pos: 300,
+                action: action.clone(),
+            }),
+            count_then_encode(&LockUp::Request {
+                action: action.clone(),
+            }),
+            count_then_encode(&TsUp {
+                action,
+                read_versions: vec![(ObjectId(3), 300)],
+                attempt: 2,
+                writes: WriteLog::new(),
+                aborted_noop: false,
+            }),
+        ],
+        ToServer::Completion {
+            pos,
+            id,
+            writes,
+            aborted,
+        } => vec![
+            count_then_encode(&CentralDown {
+                cause: id,
+                pos,
+                writes: writes.clone(),
+                aborted,
+            }),
+            count_then_encode(&LockUp::<Nested>::Effect {
+                pos,
+                id,
+                writes: writes.clone(),
+                aborted,
+            }),
+            count_then_encode(&LockDown::Grant { pos, id }),
+            count_then_encode(&LockDown::Update {
+                pos,
+                cause: id,
+                writes: writes.clone(),
+                aborted,
+            }),
+            count_then_encode(&TsDown::Commit {
+                cause: id,
+                attempt: 1,
+                pos,
+            }),
+            count_then_encode(&TsDown::Abort {
+                cause: id,
+                attempt: 1,
+                fresh: fresh.clone(),
+                versions: vec![(ObjectId(1), pos)],
+            }),
+            count_then_encode(&TsDown::Update {
+                pos,
+                cause: id,
+                writes,
+                versions: vec![(ObjectId(1), pos)],
+            }),
+        ],
+    }
 }
 
 /// A batch over `handles` picked by `picks`, optionally after a blind.
@@ -354,14 +438,20 @@ proptest! {
     /// `to_bytes` oracle for arbitrary protocol messages — including over
     /// recycled (previously dirtied) pool buffers, and for `Shared`
     /// payload clones (the broadcast fan-out path encodes the clone).
+    /// `encoded_len` agrees with it whether the message's `Shared` slots
+    /// are fresh, encoded once, or cached, and so it does for the session
+    /// envelopes and the baselines' messages.
     #[test]
     fn pooled_encoding_matches_oracle(
         down in prop::collection::vec(to_client(), 1..5),
         up in prop::collection::vec(to_server(), 1..5),
+        fresh in snapshot(),
     ) {
         let mut pool = BufferPool::new();
         for msg in &down {
+            let counted = encoded_len(msg);
             let oracle = to_bytes(msg).unwrap();
+            prop_assert_eq!(counted, oracle.len(), "fresh ToClient count");
             let mut buf = pool.take();
             to_bytes_into(msg, &mut buf).unwrap();
             prop_assert_eq!(&buf, &oracle, "pooled ToClient encoding diverged");
@@ -372,14 +462,26 @@ proptest! {
             to_bytes_into(&msg.clone(), &mut buf).unwrap();
             prop_assert_eq!(&buf, &oracle, "shared-clone encoding diverged");
             pool.put(buf);
+            prop_assert_eq!(encoded_len(msg), oracle.len(), "cached ToClient count");
+            let (counted, written) = count_then_encode(&SessionDown::Seq(300, msg.clone()));
+            prop_assert_eq!(counted, written, "SessionDown count");
         }
         for msg in &up {
+            let counted = encoded_len(msg);
             let oracle = to_bytes(msg).unwrap();
+            prop_assert_eq!(counted, oracle.len(), "ToServer count");
             let mut buf = pool.take();
             to_bytes_into(msg, &mut buf).unwrap();
             prop_assert_eq!(&buf, &oracle, "pooled ToServer encoding diverged");
             pool.put(buf);
+            let (counted, written) = count_then_encode(&SessionUp::Msg(msg.clone()));
+            prop_assert_eq!(counted, written, "SessionUp count");
+            for (counted, written) in baseline_sizes(msg, &fresh) {
+                prop_assert_eq!(counted, written, "baseline message count");
+            }
         }
+        let (counted, written) = count_then_encode(&SessionUp::<ToServer<Nested>>::Ack(300));
+        prop_assert_eq!(counted, written, "SessionUp::Ack count");
         // Every take after the first recycled a dirty buffer.
         prop_assert_eq!(pool.misses(), 1);
     }
@@ -496,7 +598,8 @@ proptest! {
 
     /// The splice is invisible on the wire: batches encoded with cold
     /// slots, warm slots, and slots shared with other batches are byte-equal
-    /// to the same items built fresh.
+    /// to the same items built fresh. Counting them first, and again at
+    /// every round, changes no byte and always gives the fresh length.
     #[test]
     fn spliced_batches_match_fresh_encodings(
         actions in prop::collection::vec(nested(), 1..6),
@@ -512,6 +615,9 @@ proptest! {
         let fresh_a = to_bytes(&fresh_batch(&handles, &all, None)).unwrap();
         let fresh_b = to_bytes(&fresh_batch(&handles, &picks, Some(&blind))).unwrap();
         let mut pool = BufferPool::new();
+        // A count before any encode takes the first serialization of `b`'s
+        // slots, so `a`'s first encode meets some of them warm.
+        prop_assert_eq!(encoded_len(&b), fresh_b.len());
         // Cold, then warm, then spliced — and `b` shares `a`'s slots (and
         // may hold one handle several times).
         for round in 0..3 {
@@ -522,6 +628,7 @@ proptest! {
                 pool.put(buf);
                 // A clone shares the item vector's slot too.
                 prop_assert_eq!(&to_bytes(&msg.clone()).unwrap(), fresh);
+                prop_assert_eq!(encoded_len(msg), fresh.len(), "round {}", round);
             }
         }
         let back: ToClient<Nested> = from_bytes(&fresh_b).unwrap();

@@ -4,11 +4,11 @@
 //! pinned so a codec change that grows the wire fails here first.
 
 use seve_core::config::{ProtocolConfig, ServerMode};
-use seve_core::engine::{ServerNode, WireSize};
+use seve_core::engine::ServerNode;
 use seve_core::msg::{Item, Payload, ToClient, ToServer};
 use seve_core::pipeline::PipelineServer;
 use seve_net::time::SimTime;
-use seve_rt::wire::{from_bytes, to_bytes, WireError};
+use seve_rt::wire::{encoded_len, from_bytes, to_bytes, WireError};
 use seve_world::ids::{AttrId, ClientId, ObjectId};
 use seve_world::objset::ObjectSet;
 use seve_world::state::{Snapshot, WriteLog};
@@ -427,9 +427,10 @@ fn a_server_refuses_ids_outside_the_world_and_undeclared_writes() {
     }
 }
 
-/// Encoded bytes of representative messages, against the simulator's
-/// modeled `WireSize` (which this codec does not change). A codec change
-/// that grows any of these fails here, not only in the benchmark.
+/// Encoded bytes of representative messages, which are also what the
+/// simulator charges (`encoded_len`, counted here before any encode). A
+/// codec change that grows any of these fails here, not only in the
+/// benchmark.
 #[test]
 fn golden_encoded_sizes() {
     let world = crowd_world();
@@ -457,22 +458,22 @@ fn golden_encoded_sizes() {
         aborted: false,
     };
     let gc: ToClient<MoveAction> = ToClient::GcUpTo { pos: 20_000 };
+    let counted = [
+        encoded_len(&batch),
+        encoded_len(&submit),
+        encoded_len(&completion),
+        encoded_len(&gc),
+    ];
     let real = [
         to_bytes(&batch).unwrap().len(),
         to_bytes(&submit).unwrap().len(),
         to_bytes(&completion).unwrap().len(),
         to_bytes(&gc).unwrap().len(),
     ];
-    let modeled = [
-        batch.wire_bytes(),
-        submit.wire_bytes(),
-        completion.wire_bytes(),
-        gc.wire_bytes(),
-    ];
     assert_eq!(
         real,
         [546, 80, 51, 4],
         "real bytes: batch, submit, completion, gc"
     );
-    assert_eq!(modeled, [859, 124, 79, 9], "modeled bytes");
+    assert_eq!(counted, real, "counted bytes");
 }

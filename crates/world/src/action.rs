@@ -11,6 +11,11 @@
 //! Like Bayou, the action code checks for conflicts when re-applied: it
 //! either computes appropriate new values or detects a fatal conflict and
 //! behaves as a no-op ([`Outcome::aborted`]).
+//!
+//! "The messages passed between the clients and the server primarily
+//! consist of actions" (Section III-A), so an [`Action`] is
+//! `serde::Serialize`: its encoding is both what crosses a real socket and
+//! the size a simulated link charges for it.
 
 use crate::geometry::Vec2;
 use crate::ids::{ActionId, ClientId, ObjectId};
@@ -104,7 +109,7 @@ impl Outcome {
 /// `Env` is the immutable world environment (terrain, constants) shared by
 /// all replicas; it is *not* part of the replicated state and evaluation
 /// may read it freely.
-pub trait Action: Clone + std::fmt::Debug + Send + Sync + 'static {
+pub trait Action: Clone + std::fmt::Debug + serde::Serialize + Send + Sync + 'static {
     /// Immutable environment the action code may consult (walls, tuning).
     type Env: Send + Sync + 'static;
 
@@ -134,9 +139,6 @@ pub trait Action: Clone + std::fmt::Debug + Send + Sync + 'static {
     /// normal condition under the Incomplete World Model and the code must
     /// handle it deterministically (usually by ignoring the absent object).
     fn evaluate(&self, env: &Self::Env, state: &WorldState) -> Outcome;
-
-    /// Approximate encoded size in bytes, for bandwidth accounting.
-    fn wire_bytes(&self) -> u32;
 }
 
 /// A game world: initial state, environment, semantics, and the compute-cost

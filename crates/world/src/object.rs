@@ -162,11 +162,6 @@ impl WorldObject {
         }
         h
     }
-
-    /// Approximate wire size in bytes: count + per-attr (id + value).
-    pub fn wire_bytes(&self) -> u32 {
-        1 + self.iter().map(|(_, v)| 2 + v.wire_bytes()).sum::<u32>()
-    }
 }
 
 impl Default for WorldObject {
@@ -291,13 +286,6 @@ mod tests {
         assert_eq!(o1.fold_digest(7), o2.fold_digest(7));
         let o3 = WorldObject::from_attrs([(A, Value::I64(1)), (B, Value::I64(3))]);
         assert_ne!(o1.fold_digest(7), o3.fold_digest(7));
-    }
-
-    #[test]
-    fn wire_bytes() {
-        let o = WorldObject::from_attrs([(A, Value::I64(1)), (B, Value::Bool(true))]);
-        // 1 + (2 + 9) + (2 + 2)
-        assert_eq!(o.wire_bytes(), 16);
     }
 
     /// The inline object must not outgrow what it replaced: a `Vec` header

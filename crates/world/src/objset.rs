@@ -436,13 +436,6 @@ impl ObjectSet {
         self.ids.truncate(0);
         self.sig = 0;
     }
-
-    /// The simulated network's price for the set: a length prefix and 4
-    /// bytes per id. (The real codec sends one varint per id.)
-    #[inline]
-    pub fn wire_bytes(&self) -> u32 {
-        2 + 4 * self.len() as u32
-    }
 }
 
 impl Default for ObjectSet {
@@ -671,12 +664,6 @@ mod tests {
                 assert_eq!(got, want);
             }
         }
-    }
-
-    #[test]
-    fn wire_bytes_scales_with_len() {
-        assert_eq!(ObjectSet::new().wire_bytes(), 2);
-        assert_eq!(set(&[1, 2, 3]).wire_bytes(), 2 + 12);
     }
 
     /// The signature must stay an exact function of the membership across

@@ -99,15 +99,6 @@ impl WriteLog {
         }
         h
     }
-
-    /// Approximate wire size in bytes.
-    pub fn wire_bytes(&self) -> u32 {
-        2 + self
-            .writes
-            .iter()
-            .map(|&(_, _, v)| 4 + 2 + v.wire_bytes())
-            .sum::<u32>()
-    }
 }
 
 impl fmt::Debug for WriteLog {
@@ -166,15 +157,6 @@ impl Snapshot {
     /// The set of objects captured.
     pub fn object_set(&self) -> ObjectSet {
         self.objects.iter().map(|&(o, _)| o).collect()
-    }
-
-    /// Approximate wire size in bytes.
-    pub fn wire_bytes(&self) -> u32 {
-        2 + self
-            .objects
-            .iter()
-            .map(|(_, o)| 4 + o.wire_bytes())
-            .sum::<u32>()
     }
 }
 

@@ -68,20 +68,6 @@ impl Value {
         }
     }
 
-    /// Approximate wire size of the value in bytes (tag + payload).
-    ///
-    /// The simulated network's price for the value (Figure 9). The real
-    /// codec's encoding is its own and often smaller: an `I64` is a tag and
-    /// a zigzag varint.
-    #[inline]
-    pub fn wire_bytes(self) -> u32 {
-        match self {
-            Value::F64(_) | Value::I64(_) => 1 + 8,
-            Value::Bool(_) => 1 + 1,
-            Value::Vec2(_) => 1 + 16,
-        }
-    }
-
     /// Mix this value into a 64-bit FNV-1a style digest.
     ///
     /// Digests let replicas compare states and results cheaply; see
@@ -168,10 +154,14 @@ mod tests {
 
     #[test]
     fn wire_sizes() {
-        assert_eq!(Value::F64(0.0).wire_bytes(), 9);
-        assert_eq!(Value::I64(0).wire_bytes(), 9);
-        assert_eq!(Value::Bool(false).wire_bytes(), 2);
-        assert_eq!(Value::Vec2(Vec2::ZERO).wire_bytes(), 17);
+        // A variant tag, then the payload: floats at their exact width, an
+        // `I64` as a zigzag varint.
+        let len = |v: Value| seve_net::wire::encoded_len(&v);
+        assert_eq!(len(Value::F64(0.0)), 9);
+        assert_eq!(len(Value::I64(0)), 2);
+        assert_eq!(len(Value::I64(-300)), 3);
+        assert_eq!(len(Value::Bool(false)), 2);
+        assert_eq!(len(Value::Vec2(Vec2::ZERO)), 17);
     }
 
     #[test]

@@ -297,15 +297,6 @@ impl Action for CombatAction {
             }
         }
     }
-
-    fn wire_bytes(&self) -> u32 {
-        let base = 6 + 16;
-        match self {
-            CombatAction::Move { rs, ws, .. } => base + 16 + 8 + rs.wire_bytes() + ws.wire_bytes(),
-            CombatAction::Shoot { rs, ws, .. } => base + 4 + 16 + rs.wire_bytes() + ws.wire_bytes(),
-            CombatAction::Scry { rs, ws, .. } => base + 8 + 8 + rs.wire_bytes() + ws.wire_bytes(),
-        }
-    }
 }
 
 /// The combat world.

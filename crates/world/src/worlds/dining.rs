@@ -227,11 +227,6 @@ impl Action for DiningAction {
             }
         }
     }
-
-    fn wire_bytes(&self) -> u32 {
-        let (_, _, _, _, _, rs, ws) = self.parts();
-        6 + 4 + 16 + 8 + rs.wire_bytes() + ws.wire_bytes()
-    }
 }
 
 /// The dining-philosophers world.

@@ -236,11 +236,6 @@ impl Action for MoveAction {
         writes.push(me, BUMPS, bumps.into());
         Outcome::ok(writes)
     }
-
-    fn wire_bytes(&self) -> u32 {
-        // id (6) + pos (16) + dir (16) + radius/speed/dt (17) + sets.
-        6 + 16 + 16 + 17 + self.rs.wire_bytes() + self.ws.wire_bytes()
-    }
 }
 
 /// The Manhattan People world.

@@ -143,10 +143,6 @@ impl Action for TradeAction {
         w.push(self.seller, ITEMS, (seller_items - 1).into());
         Outcome::ok(w)
     }
-
-    fn wire_bytes(&self) -> u32 {
-        6 + 4 + 8 + 16 + self.rs.wire_bytes() + self.ws.wire_bytes()
-    }
 }
 
 /// The trading world.

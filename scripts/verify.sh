@@ -79,8 +79,10 @@ bench_before=$(git status --porcelain -- bench)
 
 echo "== bench smoke =="
 # The Criterion benches must build; the 1024- and 2048-client simulator
-# runs must finish with zero Theorem 1 violations (repro panics on any).
+# runs and every quick-scale experiment must finish with zero Theorem 1
+# violations (repro panics on any).
 cargo bench --workspace --no-run
 cargo run --release -p seve-bench --bin repro -- sim-scale
+cargo run --release -p seve-bench --bin repro -- --quick all > /dev/null
 
 echo "verify.sh: all checks passed"
