@@ -48,11 +48,12 @@
 //! the lowest position processed for the client if its residue is empty, and
 //! the queue head otherwise.
 
-use super::{ActionQueue, ClosureResult, ObjectIdMap, PostingsMap};
+use super::{ActionQueue, ClosureResult};
 use seve_world::ids::{ObjectId, QueuePos};
 use seve_world::Action;
 
-/// `row_of` value of a position no client has as a candidate.
+/// `row_of` value of a position no client has as a candidate, and `slot_of`
+/// value of an object with no mask row this cycle.
 const NO_ROW: u32 = u32::MAX;
 
 /// The set bits of `word`, lowest first.
@@ -80,8 +81,10 @@ fn words_of(summary: u64, words: usize) -> impl Iterator<Item = usize> {
 pub struct SlicedClosure {
     /// Mask words per row: one per 64 clients.
     words: usize,
-    /// Object → row of `mask` this cycle.
-    slot_of: ObjectIdMap<u32>,
+    /// Per object id, its row of `mask` this cycle, or [`NO_ROW`]. Sized to
+    /// the largest id given a row so far; only the entries of `slot_obj` are
+    /// ever set, and [`SlicedClosure::begin`] resets just those.
+    slot_of: Vec<u32>,
     /// Row → object.
     slot_obj: Vec<ObjectId>,
     /// `M[o]`: `words` words per object row.
@@ -186,11 +189,10 @@ impl SlicedClosure {
             self.ws_rows.clear();
             let mut summary = 0;
             for o in e.ws().iter() {
-                if let Some(&row) = self.slot_of.get(&o) {
-                    if self.live[row as usize] != 0 {
-                        self.ws_rows.push(row);
-                        summary |= self.live[row as usize];
-                    }
+                let row = self.slot_of.get(o.index()).copied().unwrap_or(NO_ROW);
+                if row != NO_ROW && self.live[row as usize] != 0 {
+                    self.ws_rows.push(row);
+                    summary |= self.live[row as usize];
                 }
             }
             if e.dropped {
@@ -345,8 +347,9 @@ impl SlicedClosure {
     fn begin(&mut self, clients: usize, window: usize) {
         debug_assert!(self.mask.iter().all(|&m| m == 0), "a cycle left mask bits");
         self.words = clients.div_ceil(64);
-        self.slot_of.clear();
-        self.slot_obj.clear();
+        for o in self.slot_obj.drain(..) {
+            self.slot_of[o.index()] = NO_ROW;
+        }
         self.live.clear();
         self.pending.clear();
         self.pending.resize(window.div_ceil(64), 0);
@@ -367,23 +370,33 @@ impl SlicedClosure {
 
     /// The mask row of `o`, created (dead, all-zero) on first use.
     fn row_for(&mut self, o: ObjectId) -> u32 {
-        *self.slot_of.entry(o).or_insert_with(|| {
+        if self.slot_of.len() <= o.index() {
+            self.slot_of.resize(o.index() + 1, NO_ROW);
+        }
+        if self.slot_of[o.index()] == NO_ROW {
             let row = self.slot_obj.len();
             self.slot_obj.push(o);
             self.live.push(0);
             if self.mask.len() < (row + 1) * self.words {
                 self.mask.resize((row + 1) * self.words, 0);
             }
-            row as u32
-        })
+            self.slot_of[o.index()] = row as u32;
+        }
+        self.slot_of[o.index()]
     }
 }
 
 /// Park (or step) the shared cursor of `o`: mark its largest posting
 /// strictly below `q` pending, if it has one.
 #[inline]
-fn mark_below(pending: &mut [u64], index: &PostingsMap, first: QueuePos, o: ObjectId, q: QueuePos) {
-    if let Some(list) = index.get(&o) {
+fn mark_below(
+    pending: &mut [u64],
+    index: &[Vec<QueuePos>],
+    first: QueuePos,
+    o: ObjectId,
+    q: QueuePos,
+) {
+    if let Some(list) = index.get(o.index()) {
         let i = list.partition_point(|&p| p < q);
         if i > 0 {
             let off = (list[i - 1] - first) as usize;

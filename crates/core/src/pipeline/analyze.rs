@@ -1,12 +1,12 @@
 //! Analyze stage: transitive-closure scans (Algorithm 6) and drop
 //! verdicts (Algorithm 7), behind the [`DropPolicy`] trait.
 //!
-//! The closure scan serves two consumers, each through a stage-timed helper
-//! here: [`closure_support`] walks one client's chain for the Incomplete
-//! World Model's per-submission replies, and [`closure_support_all`] runs
-//! the bounded models' push fan-out as one pass for every client
-//! ([`SlicedClosure`]), booking the whole pass to the analyze stage once
-//! per push cycle. The drop verdict is a
+//! The closure scan serves two consumers, each through a helper here that
+//! records its workload metrics: [`closure_support`] walks one client's
+//! chain for the Incomplete World Model's per-submission replies, and
+//! [`closure_support_all`] runs the bounded models' push fan-out as one pass
+//! for every client ([`SlicedClosure`]). Their callers lap the stage clock
+//! to `analyze` after them (see [`crate::pipeline`]). The drop verdict is a
 //! policy: [`NoDrop`] for the Basic / Incomplete / First Bound modes, and
 //! [`ChainBreak`] for the Information Bound Model, which walks each newly
 //! submitted action's conflict chain and drops actions whose chain reaches
@@ -25,11 +25,10 @@ use crate::pipeline::{serialize, state::PipelineState};
 use seve_net::time::SimTime;
 use seve_world::ids::{ClientId, QueuePos};
 use seve_world::{Action, GameWorld};
-use std::time::Instant;
 
 /// Compute the transitive support (Algorithm 6) for `candidates` on behalf
-/// of `client`, marking the returned positions as sent. Stage-timed; also
-/// records the closure-scan workload metrics — both the linear-equivalent
+/// of `client`, marking the returned positions as sent. Records the
+/// closure-scan workload metrics — both the linear-equivalent
 /// `scanned` (the simulated cost input, unchanged by the inverted index)
 /// and the entries the indexed traversal actually visited.
 pub fn closure_support<W: GameWorld>(
@@ -37,27 +36,21 @@ pub fn closure_support<W: GameWorld>(
     client: ClientId,
     candidates: &[QueuePos],
 ) -> ClosureResult {
-    let t = Instant::now();
     let result = closure_for(&mut st.queue, client, candidates);
     record_closure(st, &result);
-    st.metrics
-        .stage
-        .analyze
-        .record(t.elapsed().as_nanos() as u64);
     result
 }
 
 /// [`closure_support`] for every client of a push cycle at once:
 /// `candidates[c]` are client `c`'s, and the returned slice holds one result
-/// per client, equal to what the per-client walk returns for it. One stage
-/// record covers the whole pass; the workload metrics are recorded per
-/// client with candidates, as the per-client loop recorded them.
+/// per client, equal to what the per-client walk returns for it. The
+/// workload metrics are recorded per client with candidates, as the
+/// per-client loop recorded them.
 pub fn closure_support_all<'s, W: GameWorld>(
     st: &mut PipelineState<W>,
     sliced: &'s mut SlicedClosure,
     candidates: &[Vec<QueuePos>],
 ) -> &'s [ClosureResult] {
-    let t = Instant::now();
     let results = sliced.run(&mut st.queue, candidates);
     for (result, _) in results
         .iter()
@@ -66,10 +59,6 @@ pub fn closure_support_all<'s, W: GameWorld>(
     {
         record_closure(st, result);
     }
-    st.metrics
-        .stage
-        .analyze
-        .record(t.elapsed().as_nanos() as u64);
     results
 }
 

@@ -3,8 +3,9 @@
 //! Everything a client receives funnels through here: blind writes
 //! `W(S, ζ_S(S))` filtered against the per-client version tables, action
 //! items in queue-position order (the per-client FIFO the replay contract
-//! depends on), and the egress byte/message counters. Emission is
-//! stage-timed; the simulated cost model stays with the caller.
+//! depends on), and the egress message/frame counters. The caller laps the
+//! stage clock to `egress` after emitting (see [`crate::pipeline`]), and the
+//! simulated cost model stays with it too.
 
 use crate::closure::ClosureResult;
 use crate::msg::{Item, Shared, ToClient};
@@ -14,7 +15,6 @@ use seve_world::objset::ObjectSet;
 use seve_world::GameWorld;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::time::Instant;
 
 /// Per-push-cycle cache of assembled action spans, keyed by the position
 /// range. Valid only while the queue is untouched (one `on_tick` catch-up
@@ -38,7 +38,7 @@ pub fn blind_item_for<W: GameWorld>(
     let known = &mut st.client_known[client.index()];
     let mut snap = seve_world::state::Snapshot::new();
     for o in set.iter() {
-        let committed = st.committed_version.get(&o).copied().unwrap_or(0);
+        let committed = st.committed_version[o.index()];
         let held = known.get(&o).copied();
         // `held = None` means the client holds the initial value
         // (version 0), which every replica bootstraps with.
@@ -83,22 +83,17 @@ pub fn batch_items<W: GameWorld>(
 }
 
 /// Assemble and emit the closure-routed batch (blind write + transitive
-/// support + candidates, in queue order) for `client`. Stage-timed; records
-/// the batch-size metric and the egress byte/message counters.
+/// support + candidates, in queue order) for `client`. Records the
+/// batch-size metric and the egress message/frame counters.
 pub fn emit_closure_batch<W: GameWorld>(
     st: &mut PipelineState<W>,
     client: ClientId,
     result: &ClosureResult,
     out: &mut Vec<(ClientId, ToClient<W::Action>)>,
 ) {
-    let t = Instant::now();
     let items = batch_items(st, client, &result.send, &result.blind_set);
     st.metrics.batch_items.record(items.len() as f64);
     finish(st, client, Shared::new(items), false, out);
-    st.metrics
-        .stage
-        .egress
-        .record(t.elapsed().as_nanos() as u64);
 }
 
 /// Assemble and emit the plain action span `lo..=hi` for `client`
@@ -114,7 +109,6 @@ pub fn emit_span<W: GameWorld>(
     record_summary: bool,
     out: &mut Vec<(ClientId, ToClient<W::Action>)>,
 ) -> usize {
-    let t = Instant::now();
     let items = span_items(st, lo, hi);
     let n = items.len();
     if record_summary {
@@ -123,10 +117,6 @@ pub fn emit_span<W: GameWorld>(
     if n > 0 {
         finish(st, client, Shared::new(items), false, out);
     }
-    st.metrics
-        .stage
-        .egress
-        .record(t.elapsed().as_nanos() as u64);
     n
 }
 
@@ -144,7 +134,6 @@ pub fn emit_span_cached<W: GameWorld>(
     cache: &mut SpanCache<W::Action>,
     out: &mut Vec<(ClientId, ToClient<W::Action>)>,
 ) -> usize {
-    let t = Instant::now();
     let (items, reused) = match cache.entry((lo, hi)) {
         Entry::Occupied(e) => (e.get().clone(), true),
         Entry::Vacant(v) => {
@@ -156,10 +145,6 @@ pub fn emit_span_cached<W: GameWorld>(
     if n > 0 {
         finish(st, client, items, reused, out);
     }
-    st.metrics
-        .stage
-        .egress
-        .record(t.elapsed().as_nanos() as u64);
     n
 }
 

@@ -65,7 +65,9 @@ pub trait RoutingPolicy<W: GameWorld>: Send {
     }
 
     /// The ω·RTT proactive push fan-out over positions up to `horizon`.
-    /// Returns the simulated compute cost.
+    /// Returns the simulated compute cost. The stage clock is started when
+    /// this is called, and the policy laps each stage it runs (selection to
+    /// `route`, then `analyze`, then `egress`).
     fn on_push(
         &mut self,
         _st: &mut PipelineState<W>,
@@ -154,6 +156,7 @@ impl<W: GameWorld> RoutingPolicy<W> for BroadcastRouting {
     ) -> u64 {
         let lo = self.pos_c[from.index()] + 1;
         let n_items = egress::emit_span(st, from, lo, pos, true, out);
+        st.laps.lap(&mut st.metrics.stage.egress);
         self.advance(from.index(), pos);
         self.trim_delivered(st);
         st.scan_cost(n_items)
@@ -190,6 +193,7 @@ impl<W: GameWorld> RoutingPolicy<W> for BroadcastRouting {
                 cost += st.cfg.msg_cost_us + st.scan_cost(n_items);
             }
         }
+        st.laps.lap(&mut st.metrics.stage.egress);
         self.trim_delivered(st);
         cost
     }
@@ -214,7 +218,9 @@ impl<W: GameWorld> RoutingPolicy<W> for ClosureRouting {
     ) -> u64 {
         // Algorithm 6: compute the reply for the submitting client.
         let result = analyze::closure_support(st, from, &[pos]);
+        st.laps.lap(&mut st.metrics.stage.analyze);
         egress::emit_closure_batch(st, from, &result, out);
+        st.laps.lap(&mut st.metrics.stage.egress);
         st.scan_cost(result.scanned)
     }
 }
@@ -472,8 +478,10 @@ impl SphereRouting {
             }
             let client = ClientId(i as u16);
             let result = analyze::closure_support(st, client, candidates);
+            st.laps.lap(&mut st.metrics.stage.analyze);
             cost += st.cfg.msg_cost_us + st.scan_cost(result.scanned);
             egress::emit_closure_batch(st, client, &result, out);
+            st.laps.lap(&mut st.metrics.stage.egress);
         }
         cost
     }
@@ -519,6 +527,7 @@ impl<W: GameWorld> RoutingPolicy<W> for SphereRouting {
         // observationally identical to the interleaved scan.
         let mut cands = std::mem::take(&mut self.scratch);
         self.select_candidates(st, now, horizon, &mut cands);
+        st.laps.lap(&mut st.metrics.stage.route);
         #[cfg(test)]
         if self.per_client_oracle {
             cost = self.push_per_client(st, horizon, &cands, out);
@@ -526,6 +535,7 @@ impl<W: GameWorld> RoutingPolicy<W> for SphereRouting {
             return cost;
         }
         let results = analyze::closure_support_all(st, &mut self.sliced, &cands);
+        st.laps.lap(&mut st.metrics.stage.analyze);
         for (i, result) in results.iter().enumerate() {
             self.last_push_pos[i] = horizon.max(self.last_push_pos[i]);
             if cands[i].is_empty() {
@@ -534,6 +544,7 @@ impl<W: GameWorld> RoutingPolicy<W> for SphereRouting {
             cost += st.cfg.msg_cost_us + st.scan_cost(result.scanned);
             egress::emit_closure_batch(st, ClientId(i as u16), result, out);
         }
+        st.laps.lap(&mut st.metrics.stage.egress);
         self.scratch = cands;
         cost
     }

@@ -80,8 +80,10 @@ fn install_ready<W: GameWorld>(st: &mut PipelineState<W>) -> bool {
             let outcome = e.completion.expect("checked above");
             if !outcome.aborted {
                 st.zeta_s.apply_writes(&outcome.writes);
-                for o in outcome.writes.touched_objects().iter() {
-                    st.committed_version.insert(o, e.pos);
+                // An object written twice is stamped twice with the same
+                // position: the table needs no set of touched objects.
+                for (o, _, _) in outcome.writes.iter() {
+                    st.committed_version[o.index()] = e.pos;
                 }
             }
             st.last_committed = e.pos;

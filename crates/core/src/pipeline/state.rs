@@ -10,13 +10,14 @@
 
 use crate::closure::{ActionQueue, AnalyzeScratch, ObjectIdMap};
 use crate::config::ProtocolConfig;
-use crate::metrics::ServerMetrics;
-use seve_world::ids::{ActionId, QueuePos};
+use crate::metrics::{ServerMetrics, StageProfile};
+use crate::pipeline::ingress::AdmissionLedger;
+use seve_world::ids::QueuePos;
 use seve_world::objset::ObjectSet;
 use seve_world::state::WorldState;
 use seve_world::GameWorld;
-use std::collections::HashSet;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Shared state of the staged server pipeline.
 pub struct PipelineState<W: GameWorld> {
@@ -39,22 +40,57 @@ pub struct PipelineState<W: GameWorld> {
     pub metrics: ServerMetrics,
     /// The last position for which a GC notice was broadcast.
     pub(crate) last_gc_sent: QueuePos,
-    /// Position of the last *installed* writer of each object — the
-    /// committed version used to suppress redundant blind writes. Probed
-    /// per blind-set object of every pushed batch, hence the one-multiply
-    /// hasher of the write index.
-    pub(crate) committed_version: ObjectIdMap<QueuePos>,
+    /// Per object id below `object_bound`: the position of its last
+    /// *installed* writer (0 for the initial value) — the committed version
+    /// used to suppress redundant blind writes. Probed per blind-set object
+    /// of every pushed batch.
+    pub(crate) committed_version: Vec<QueuePos>,
     /// Per client: the newest writer position (action sent or blind write)
     /// whose value for an object the client is known to hold. Lets egress
     /// skip blind writes for values the client already has. Probed per
-    /// written object of every pushed item (same hasher).
+    /// written object of every pushed item. Hashed, not dense: a client
+    /// holds versions of the objects it has been sent, and a table per
+    /// client of every object id is clients × objects.
     pub(crate) client_known: Vec<ObjectIdMap<QueuePos>>,
-    /// Every action id ever admitted. Serialization assigns one queue
-    /// position per action, so a submission redelivered by an
-    /// at-least-once transport must be ignored, not enqueued again.
-    pub(crate) admitted: HashSet<ActionId>,
+    /// Which action ids have been admitted, so a redelivered submission is
+    /// serialized once.
+    pub(crate) admitted: AdmissionLedger,
     /// Reusable analyze-stage buffers, cleared (not freed) between ticks.
     pub(crate) analyze_scratch: AnalyzeScratch,
+    /// The wall clock the stage profile is booked from.
+    pub(crate) laps: Laps,
+}
+
+/// The stage clock: one `Instant::now` per stage boundary. A server call
+/// [`start`](Laps::start)s it when its first stage begins, and every
+/// [`lap`](Laps::lap) closes the running stage — booking the time since the
+/// previous boundary to it — and opens the next. The stages of one call
+/// therefore tile its wall time: what they book sums to no more than the
+/// call took, and nothing is booked twice.
+pub(crate) struct Laps {
+    last: Instant,
+}
+
+impl Laps {
+    fn new() -> Self {
+        Self {
+            last: Instant::now(),
+        }
+    }
+
+    /// Open a call's first stage.
+    #[inline]
+    pub(crate) fn start(&mut self) {
+        self.last = Instant::now();
+    }
+
+    /// Close the running stage, booking it to `stage`, and open the next.
+    #[inline]
+    pub(crate) fn lap(&mut self, stage: &mut StageProfile) {
+        let now = Instant::now();
+        stage.record(now.duration_since(self.last).as_nanos() as u64);
+        self.last = now;
+    }
 }
 
 impl<W: GameWorld> PipelineState<W> {
@@ -70,10 +106,11 @@ impl<W: GameWorld> PipelineState<W> {
             queue: ActionQueue::new(),
             metrics: ServerMetrics::default(),
             last_gc_sent: 0,
-            committed_version: ObjectIdMap::default(),
+            committed_version: vec![0; object_bound],
             client_known: vec![ObjectIdMap::default(); n],
-            admitted: HashSet::new(),
+            admitted: AdmissionLedger::new(n),
             analyze_scratch: AnalyzeScratch::new(),
+            laps: Laps::new(),
             world,
             cfg,
         }
