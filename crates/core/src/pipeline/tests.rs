@@ -680,6 +680,66 @@ fn stage_profile_observes_traffic() {
     assert_eq!(stage.frames_reused, 0);
 }
 
+/// Every stage's `(events, nanos)`, in pipeline order.
+fn stage_totals(s: &PipelineServer<DiningWorld>) -> [(u64, u64); 5] {
+    let m = &s.metrics().stage;
+    [m.ingress, m.serialize, m.analyze, m.route, m.egress].map(|p| (p.events, p.nanos))
+}
+
+/// Run `call` on `s`, returning the stage events it added and checking that
+/// the stage time it booked fits inside its wall time.
+fn laps_of(
+    s: &mut PipelineServer<DiningWorld>,
+    call: impl FnOnce(&mut PipelineServer<DiningWorld>),
+) -> [u64; 5] {
+    let before = stage_totals(s);
+    let t = std::time::Instant::now();
+    call(s);
+    let wall = t.elapsed().as_nanos() as u64;
+    let after = stage_totals(s);
+    let booked: u64 = after.iter().zip(&before).map(|(a, b)| a.1 - b.1).sum();
+    assert!(
+        booked <= wall,
+        "stages booked {booked} ns of a {wall} ns call"
+    );
+    std::array::from_fn(|i| after[i].0 - before[i].0)
+}
+
+#[test]
+fn stage_laps_tile_each_call() {
+    let (world, mut s) = setup(6, ServerMode::InfoBound);
+    let mut out = Vec::new();
+    // [ingress, serialize, analyze, route, egress]
+    let submit = laps_of(&mut s, |s| {
+        s.deliver(
+            SimTime::ZERO,
+            ClientId(0),
+            ToServer::Submit {
+                action: world.grab(ClientId(0), 0),
+            },
+            &mut out,
+        );
+    });
+    assert_eq!(submit, [1, 0, 0, 1, 0], "ingress | route");
+    let tick = laps_of(&mut s, |s| {
+        s.tick(SimTime::from_ms(10), &mut out);
+    });
+    assert_eq!(tick, [0, 0, 1, 1, 0], "analyze | route");
+    let push = laps_of(&mut s, |s| {
+        s.push_tick(SimTime::from_ms(20), &mut out);
+    });
+    assert_eq!(push, [0, 0, 1, 1, 1], "route | analyze | egress");
+    assert!(
+        out.iter().any(|(_, m)| matches!(m, ToClient::Batch { .. })),
+        "the push cycle shipped the grab"
+    );
+    // A push cycle with nothing to ship still laps each stage once.
+    let idle = laps_of(&mut s, |s| {
+        s.push_tick(SimTime::from_ms(30), &mut out);
+    });
+    assert_eq!(idle, [0, 0, 1, 1, 1]);
+}
+
 #[test]
 fn broadcast_routing_reuses_frames() {
     // Basic mode broadcasts every submission span to all clients: the

@@ -453,8 +453,10 @@ proptest! {
         actions in gen_actions(16),
         // Per step: 0 = push next action, 1 = pop_front, 2 = mark a live
         // entry dropped (drops do NOT remove postings — dropped entries
-        // stay indexed and are skipped at traversal time).
-        ops in prop::collection::vec(0u8..3, 1..32),
+        // stay indexed and are skipped at traversal time), 3 = pop every
+        // entry, emptying every postings list, so that later pushes write to
+        // objects whose lists were emptied (and stay allocated).
+        ops in prop::collection::vec(0u8..4, 1..32),
         pick in prop::collection::vec(0usize..1024, 32),
     ) {
         let mut q: ActionQueue<GenAction> = ActionQueue::new();
@@ -470,6 +472,7 @@ proptest! {
                 1 => {
                     q.pop_front();
                 }
+                3 => while q.pop_front().is_some() {},
                 _ => {
                     if let Some(last) = q.last_pos() {
                         let span = (last - q.first_pos() + 1) as usize;
@@ -487,9 +490,11 @@ proptest! {
                     expect.entry(o).or_default().push(e.pos);
                 }
             }
-            prop_assert_eq!(q.index_snapshot(), expect);
-            for (&o, list) in q.index_snapshot().iter() {
-                prop_assert_eq!(q.postings(o), &list[..]);
+            // Emptied lists are omitted from the snapshot, and read as empty.
+            prop_assert_eq!(q.index_snapshot(), expect.clone());
+            for o in (0..8).map(ObjectId) {
+                let want = expect.get(&o).map_or(&[][..], Vec::as_slice);
+                prop_assert_eq!(q.postings(o), want);
             }
         }
     }

@@ -424,6 +424,16 @@ fn a_server_refuses_ids_outside_the_world_and_undeclared_writes() {
         }
         let served: BTreeSet<_> = [actions[0].id(), actions[2].id(), actions[3].id()].into();
         assert_eq!(sent, served, "{mode:?}");
+        // The serializer's per-object tables are indexed by object id: a
+        // refused frame must not have sized them. The write index names
+        // only the world's objects, and still holds the uncommitted moves.
+        let index = server.state().queue.index_snapshot();
+        assert!(!index.is_empty(), "{mode:?}");
+        assert!(
+            index.keys().all(|o| o.index() < initial.len()),
+            "{mode:?}: {:?}",
+            index.keys().last()
+        );
     }
 }
 
