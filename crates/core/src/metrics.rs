@@ -171,15 +171,18 @@ pub struct StageMetrics {
     /// Always 0: there is no compute executor. Kept only because the
     /// end-to-end benchmark reads it.
     pub exec_width: u64,
-    /// Tasks the TCP transport's drain pool ran (zero on other backends;
-    /// merged in at report time).
+    /// Always 0: no executor runs tasks (the TCP server writes its
+    /// sockets on the engine thread). Kept only because the end-to-end
+    /// benchmark reads it.
     pub exec_tasks: u64,
-    /// Always 0: the drain pool has one shared queue and steals nothing.
-    /// Kept only because the end-to-end benchmark reads it.
+    /// Always 0, like `exec_tasks`. Kept only because the end-to-end
+    /// benchmark reads it.
     pub exec_steals: u64,
-    /// Summed wall-clock nanoseconds drain-pool lanes spent inside tasks.
+    /// Always 0, like `exec_tasks`. Kept only because the end-to-end
+    /// benchmark reads it.
     pub exec_busy_nanos: u64,
-    /// High-water mark of drain tasks queued and not yet picked up.
+    /// Always 0, like `exec_tasks`. Kept only because the end-to-end
+    /// benchmark reads it.
     pub exec_queue_hwm: u64,
     /// Pooled encode buffers still checked out at report time. Non-zero
     /// after a drained shutdown means the transport leaked buffers.

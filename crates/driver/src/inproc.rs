@@ -168,8 +168,8 @@ impl<U: Serialize, D> ClientTransport<U, D> for InprocClientTransport<U, D> {
 impl<U, D> Drop for InprocClientTransport<U, D> {
     /// A transport dropped without an orderly [`ClientTransport::finish`]
     /// is a crashed client: signal the loss so the server's seat count
-    /// still converges — exactly what the TCP runtime's reader thread does
-    /// when a socket breaks.
+    /// still converges — exactly what the TCP server reports when a
+    /// client's socket breaks.
     fn drop(&mut self) {
         if !self.finished {
             let _ = self.tx.send(InUp::Gone(self.id));

@@ -231,11 +231,6 @@ impl NodeDriver {
         metrics.stage.session_reconnects += wire.session.reconnects;
         metrics.stage.session_reaps += wire.session.reaps;
         metrics.stage.session_sheds += wire.session.sheds;
-        // The transport's drain pool is the only executor; its counters
-        // fill the profile's `exec_*` fields (host-side diagnostics).
-        metrics.stage.exec_tasks += wire.exec_tasks;
-        metrics.stage.exec_busy_nanos += wire.exec_busy_nanos;
-        metrics.stage.exec_queue_hwm = metrics.stage.exec_queue_hwm.max(wire.exec_queue_hwm);
         Ok(ServerReport {
             metrics,
             committed_digest: engine.committed().map(|s| s.digest()),

@@ -172,17 +172,6 @@ pub fn render_stage_profile(label: &str, stage: &StageMetrics) -> String {
         "  analyze index: {} entries visited ({} linear-equivalent)",
         stage.analyze_entries_visited, stage.analyze_entries_linear
     );
-    // The TCP transport's drain pool reports once it has run tasks; other
-    // backends have none, and their profile has no such line.
-    if stage.exec_tasks > 0 {
-        let _ = writeln!(
-            out,
-            "  drain pool: {} tasks, busy {:.3} ms, queue high-water {}",
-            stage.exec_tasks,
-            stage.exec_busy_nanos as f64 / 1e6,
-            stage.exec_queue_hwm,
-        );
-    }
     // The session line appears only when the supervisor actually coped
     // with a fault, so fault-free profiles are unchanged (acks alone don't
     // qualify — they flow on every supervised TCP run).
@@ -264,19 +253,6 @@ mod tests {
         );
         assert!(text.contains("closure index"));
         assert!(text.contains("analyze index"));
-        assert!(
-            !text.contains("drain pool:"),
-            "drain-pool line only when the pool ran tasks"
-        );
-
-        stage.exec_tasks = 12;
-        stage.exec_busy_nanos = 2_500_000;
-        stage.exec_queue_hwm = 5;
-        let text = render_stage_profile("SEVE @ 8 clients", &stage);
-        assert!(
-            text.contains("drain pool: 12 tasks, busy 2.500 ms, queue high-water 5"),
-            "drain-pool line missing or malformed"
-        );
         assert!(
             !text.contains("session:"),
             "session line only when the supervisor coped with a fault"

@@ -33,8 +33,8 @@
 //! ([`SessionUp::Msg`], [`SessionDown::Seq`]) at their encoded size, header
 //! included, and leaves control frames out — the simulator models acks as
 //! free, which is not the socket's truth. On TCP an ack is a frame of its
-//! own: an encode, a `write` syscall on the client, a reader-thread wake, a
-//! decode and a channel send on the server. That is why acks are
+//! own: an encode and a `write` syscall on the client, a `read` and a
+//! decode on the server. That is why acks are
 //! cumulative *and delayed*: the cost is per ack frame, not per
 //! acknowledged frame.
 

@@ -57,13 +57,6 @@ pub struct EgressStats {
     pub pool_misses: u64,
     /// Vectored-write batches (syscalls) issued while draining egress.
     pub writev_batches: u64,
-    /// Tasks the transport's drain pool executed (zero for transports
-    /// without one).
-    pub exec_tasks: u64,
-    /// Summed wall-clock nanoseconds drain-pool lanes spent in tasks.
-    pub exec_busy_nanos: u64,
-    /// High-water mark of tasks queued on the drain pool.
-    pub exec_queue_hwm: u64,
     /// Pooled encode buffers currently checked out (a non-zero value after
     /// a drained shutdown is a leak).
     pub pool_outstanding: u64,
@@ -90,9 +83,8 @@ pub trait ServerTransport<U, D> {
     /// End the session: tell every client to stop.
     fn stop_all(&mut self) -> Result<(), Self::Error>;
 
-    /// Release every resource held for client `c` (sockets, writer lanes,
-    /// pooled buffers) — the reaping hook. Unblocks any reader parked on
-    /// the peer. Default: nothing to release.
+    /// Release every resource held for client `c` (sockets, egress lanes,
+    /// pooled buffers) — the reaping hook. Default: nothing to release.
     fn release(&mut self, _c: ClientId) -> Result<(), Self::Error> {
         Ok(())
     }

@@ -97,6 +97,13 @@ impl FrameReader {
         }
     }
 
+    /// Unwrap the stream, with the bytes read from it and not yet
+    /// returned as a message (the start of the next frame, or several).
+    pub fn into_parts(mut self) -> (TcpStream, Vec<u8>) {
+        self.buf.drain(..self.start);
+        (self.stream, self.buf)
+    }
+
     fn buffered(&self) -> &[u8] {
         &self.buf[self.start..]
     }

@@ -13,7 +13,8 @@
 //!   serde derive encodes.
 //! * [`frame`] — length-prefixed framing over `TcpStream` (a fixed `u32`
 //!   prefix, so a reader can size a frame from four bytes).
-//! * [`server`] — a threaded server hosting any [`seve_core::ServerNode`].
+//! * [`server`] — a server hosting any [`seve_core::ServerNode`], its
+//!   sockets nonblocking and owned by the engine thread.
 //! * [`client`] — a threaded client driving a [`seve_core::SeveClient`]
 //!   with a workload at a fixed move cadence.
 //!
@@ -39,4 +40,4 @@ pub mod server;
 pub use seve_net::wire;
 
 pub use client::{run_client, run_client_with, ClientReport, TcpClientTransport};
-pub use server::{fan_out, run_server, run_server_with, ServerReport, TcpServerTransport};
+pub use server::{fan_out, run_server, run_server_with, Lane, ServerReport, TcpServerTransport};

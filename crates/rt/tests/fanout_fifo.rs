@@ -1,18 +1,21 @@
-//! Per-client FIFO delivery under the threaded egress fan-out.
+//! Per-client FIFO delivery and stall isolation under the nonblocking
+//! egress fan-out.
 //!
 //! The replay contract requires that each client observe its messages in
-//! the order the server emitted them. `fan_out` writes different clients'
-//! messages from parallel scoped workers, so this test hammers it with
-//! interleaved multi-client batches over real loopback sockets and asserts
-//! that every client reads its own stream back in exact emission order —
-//! and that nothing is lost, duplicated, or cross-delivered.
+//! the order the server emitted them. `fan_out` queues each client's frames
+//! on its lane and writes every lane until its socket would block, so these
+//! tests hammer it with interleaved multi-client batches over real loopback
+//! sockets and assert that every client reads its own stream back in exact
+//! emission order — nothing lost, duplicated, or cross-delivered — and that
+//! a client that stops reading holds up neither the call nor the others.
 
 use seve_core::engine::ShareId;
 use seve_rt::frame::FrameReader;
-use seve_rt::server::{fan_out, RtDown};
+use seve_rt::server::{fan_out, Lane, RtDown};
 use seve_rt::wire::BufferPool;
 use seve_world::ids::ClientId;
 use std::net::{TcpListener, TcpStream};
+use std::time::{Duration, Instant};
 
 const CLIENTS: usize = 4;
 const FLUSHES: u32 = 16;
@@ -46,20 +49,19 @@ fn fan_out_preserves_per_client_fifo_order() {
             (c, seen)
         }));
     }
-    let mut writers: Vec<Option<TcpStream>> = Vec::new();
+    let mut writers: Vec<Option<Lane>> = Vec::new();
     for _ in 0..CLIENTS {
         let (stream, _) = listener.accept().expect("accept");
         stream.set_nodelay(true).expect("nodelay");
-        writers.push(Some(stream));
+        writers.push(Some(Lane::new(stream).expect("lane")));
     }
 
     // Emit interleaved batches: every flush carries messages for all
-    // clients, round-robin, so the parallel workers race each other while
-    // each client's sequence numbers strictly ascend across flushes.
+    // clients, round-robin, while each client's sequence numbers strictly
+    // ascend across flushes.
     let mut seqs = [0u32; CLIENTS];
     let mut total_bytes = 0u64;
     let mut pool = BufferPool::new();
-    let exec = seve_exec::Executor::new(4);
     for _ in 0..FLUSHES {
         let mut out: Vec<(ClientId, u64)> = Vec::new();
         for round in 0..PER_CLIENT_PER_FLUSH {
@@ -70,8 +72,7 @@ fn fan_out_preserves_per_client_fifo_order() {
                 seqs[c as usize] += 1;
             }
         }
-        let (bytes, _batches) =
-            fan_out(&mut writers, &out, |_| None, &mut pool, &exec).expect("fan out");
+        let (bytes, _batches) = fan_out(&mut writers, &out, |_| None, &mut pool).expect("fan out");
         total_bytes += bytes;
     }
     assert!(total_bytes > 0);
@@ -99,18 +100,17 @@ fn fan_out_preserves_per_client_fifo_order() {
 
 #[test]
 fn fan_out_single_destination_stays_sequential_and_ordered() {
-    // The ≤1-destination fast path (the common solicited-reply case) must
-    // behave identically.
+    // One busy destination among idle and unseated ones (the common
+    // solicited-reply case) must behave identically.
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().unwrap();
     let client = TcpStream::connect(addr).expect("connect");
     let (server_end, _) = listener.accept().expect("accept");
-    let mut writers = vec![Some(server_end), None, None];
+    let mut writers = vec![Some(Lane::new(server_end).expect("lane")), None, None];
 
     let out: Vec<(ClientId, u64)> = (0..32u64).map(|i| (ClientId(0), i)).collect();
     let mut pool = BufferPool::new();
-    let exec = seve_exec::Executor::new(4);
-    fan_out(&mut writers, &out, |_| None, &mut pool, &exec).expect("fan out");
+    fan_out(&mut writers, &out, |_| None, &mut pool).expect("fan out");
     drop(writers);
 
     let mut reader = FrameReader::new(client);
@@ -124,14 +124,17 @@ fn fan_out_single_destination_stays_sequential_and_ordered() {
 
 #[test]
 fn stalled_destination_does_not_block_other_lanes() {
-    // The drain queue's mutex must be released before a worker blocks in
-    // `write`: one destination that stops reading may occupy only its own
-    // worker while every other lane keeps draining. We stall client 2 by
-    // not reading it and shipping it far more bytes than loopback socket
-    // buffering absorbs, then require clients 0 and 1 to complete while
-    // the stalled write is still in flight.
+    // Client 2 stops reading and is shipped far more bytes than loopback
+    // socket buffering absorbs. The send must still return promptly, with
+    // clients 0 and 1 served, before client 2 reads a byte; what client 2's
+    // socket did not take stays queued on its lane, in order, and goes out
+    // as later flushes find room.
     const STALL_FRAMES: usize = 8;
     const STALL_FRAME_BYTES: usize = 4 * 1024 * 1024;
+    // The send encodes 32 MiB and writes what the sockets take: about
+    // 0.6 s in a debug build on a 2-core x86-64 VM. Waiting on client 2
+    // would never return, since client 2 reads only after the send.
+    const SEND_BOUND: Duration = Duration::from_secs(10);
 
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().unwrap();
@@ -139,10 +142,10 @@ fn stalled_destination_does_not_block_other_lanes() {
     for _ in 0..3 {
         clients.push(TcpStream::connect(addr).expect("connect"));
     }
-    let mut writers: Vec<Option<TcpStream>> = Vec::new();
+    let mut writers: Vec<Option<Lane>> = Vec::new();
     for _ in 0..3 {
         let (stream, _) = listener.accept().expect("accept");
-        writers.push(Some(stream));
+        writers.push(Some(Lane::new(stream).expect("lane")));
     }
 
     let mut out: Vec<(ClientId, Vec<u8>)> =
@@ -151,23 +154,30 @@ fn stalled_destination_does_not_block_other_lanes() {
         out.push((ClientId(2), vec![0xCC; STALL_FRAME_BYTES]));
     }
 
-    let writer = std::thread::spawn(move || {
+    // Send on another thread, so a send that waits for client 2 fails the
+    // bound below instead of hanging the test.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
         let mut pool = BufferPool::new();
-        // The PR-8 stall-isolation guarantee must hold on the persistent
-        // shared pool exactly as it did with per-cycle spawned workers: a
-        // pool of ≥3 lanes gives every lane below its own drain task.
-        let exec = seve_exec::Executor::new(4);
-        let r = fan_out(&mut writers, &out, |_| None, &mut pool, &exec).expect("fan out");
-        drop(writers);
-        r
+        let sent = fan_out(&mut writers, &out, |_| None, &mut pool).expect("fan out");
+        let _ = done_tx.send((writers, pool, sent));
     });
+    let (mut writers, mut pool, (bytes, _batches)) = done_rx
+        .recv_timeout(SEND_BOUND)
+        .expect("the send returned before the stalled client read anything");
+    assert!(
+        bytes as usize > STALL_FRAMES * STALL_FRAME_BYTES,
+        "every frame is queued, written or not"
+    );
+    let stalled = writers[2].as_ref().expect("stalled lane");
+    assert!(
+        !stalled.is_flushed() && !stalled.is_broken(),
+        "the stalled lane keeps its unwritten tail"
+    );
 
-    // If a worker still held the queue lock across its blocking write,
-    // these reads would starve; the timeout turns that hang into a loud
-    // failure instead.
     for (c, byte) in [(0usize, 0xAAu8), (1, 0xBB)] {
         clients[c]
-            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .set_read_timeout(Some(Duration::from_secs(10)))
             .expect("set timeout");
         let mut reader = FrameReader::new(clients[c].try_clone().expect("clone"));
         match reader.read_msg::<RtDown<Vec<u8>>>().expect("read frame") {
@@ -176,19 +186,31 @@ fn stalled_destination_does_not_block_other_lanes() {
         }
     }
 
-    // Only now unstall client 2 and let the fan-out finish.
-    let mut reader = FrameReader::new(clients.pop().unwrap());
-    for _ in 0..STALL_FRAMES {
-        match reader
-            .read_msg::<RtDown<Vec<u8>>>()
-            .expect("read stalled frame")
-        {
-            RtDown::Msg(v) => assert_eq!(v.len(), STALL_FRAME_BYTES),
-            RtDown::Stop => panic!("unexpected stop"),
+    // Only now does client 2 read; flushing its lane as room appears
+    // delivers the rest, in order, and hands every buffer back.
+    let stalled_client = clients.pop().unwrap();
+    let reader = std::thread::spawn(move || {
+        let mut reader = FrameReader::new(stalled_client);
+        for _ in 0..STALL_FRAMES {
+            match reader
+                .read_msg::<RtDown<Vec<u8>>>()
+                .expect("read stalled frame")
+            {
+                RtDown::Msg(v) => assert_eq!(v, vec![0xCC; STALL_FRAME_BYTES]),
+                RtDown::Stop => panic!("unexpected stop"),
+            }
         }
+    });
+    let lane = writers[2].as_mut().expect("stalled lane");
+    let give_up = Instant::now() + Duration::from_secs(60);
+    while !lane.is_flushed() {
+        assert!(Instant::now() < give_up, "the stalled lane never drained");
+        assert!(!lane.is_broken(), "the stalled lane broke");
+        lane.flush(&mut pool);
+        std::thread::sleep(Duration::from_millis(1));
     }
-    let (bytes, _batches) = writer.join().expect("fan-out thread");
-    assert!(bytes as usize > STALL_FRAMES * STALL_FRAME_BYTES);
+    reader.join().expect("stalled reader");
+    assert_eq!(pool.outstanding(), 0, "every written frame was recycled");
 }
 
 #[test]
@@ -209,26 +231,18 @@ fn shared_payloads_encode_once_and_reach_every_client() {
             (c, v)
         }));
     }
-    let mut writers: Vec<Option<TcpStream>> = Vec::new();
+    let mut writers: Vec<Option<Lane>> = Vec::new();
     for _ in 0..CLIENTS {
         let (stream, _) = listener.accept().expect("accept");
         stream.set_nodelay(true).expect("nodelay");
-        writers.push(Some(stream));
+        writers.push(Some(Lane::new(stream).expect("lane")));
     }
 
     let out: Vec<(ClientId, u64)> = (0..CLIENTS as u16)
         .map(|c| (ClientId(c), 0xFEED_u64))
         .collect();
     let mut pool = BufferPool::new();
-    let exec = seve_exec::Executor::new(4);
-    fan_out(
-        &mut writers,
-        &out,
-        |_| Some(ShareId::Gc(7)),
-        &mut pool,
-        &exec,
-    )
-    .expect("fan out");
+    fan_out(&mut writers, &out, |_| Some(ShareId::Gc(7)), &mut pool).expect("fan out");
     drop(writers);
 
     // One encode for the whole broadcast: exactly one buffer was drawn

@@ -12,7 +12,12 @@
 # `server_actions_per_s`), then per side its median, quartiles and the pairs
 # that side won, every end-to-end metric's median and range, whether every
 # run was `"correct": true` with `failed` 0, and the metrics that read the
-# same in every run of both sides.
+# same in every run of both sides. Runs pass `--report`, so for a run that
+# printed no metrics (a `loopback` run whose generator ran late in every
+# rep, say) it also prints the claimed metric of each of its reps, marked
+# `invalid` where the harness disowned the rep, and how many reps were
+# valid. Those per-rep values are evidence only: the medians, quartiles and
+# pair wins use nothing but the metrics the runs printed.
 #
 # Everything it writes (exports, target directories, run output) lives in
 # one temporary directory, removed on exit: the repository, bench/ included,
@@ -55,7 +60,7 @@ done
 run() { # side, pair
     local side=$1 k=$2
     (cd "$tmp/$side/src" && CARGO_TARGET_DIR=$tmp/$side/target "${cmd[@]}" \
-        --workload "$workload" --seed "$seed" --seconds 20 --trace 0 \
+        --workload "$workload" --seed "$seed" --seconds 20 --trace 0 --report \
         --out "$tmp/$side/out.$k" 2> "$tmp/$side/err.$k" | tail -n 1 > "$tmp/$side/run.$k") || true
 }
 
@@ -90,6 +95,12 @@ def value(run, name):
         return None
     return run["metrics"][name]["value"]
 
+def reps(side, k):
+    try:
+        return json.load(open(f"{tmp}/{side}/out.{k}/{workload}.rep.json"))["reps"]
+    except (OSError, ValueError, KeyError):
+        return None
+
 def ahead(a, b, name):
     if a is None or b is None:
         return False
@@ -103,6 +114,12 @@ for side, runs in sides.items():
         if value(r, metric) is None:
             gates = [l.strip() for l in open(f"{tmp}/{side}/err.{k}") if "GATE FAILED" in l]
             print(f"    {side} run {k + 1} missed: {gates[0] if gates else 'no verdict line'}")
+            rs = reps(side, k)
+            if rs:
+                vals = [f"{rep['calibrated'].get(metric, {}).get('value', float('nan')):.6g}"
+                        + ("" if rep["valid"] else " invalid") for rep in rs]
+                valid = sum(1 for rep in rs if rep["valid"])
+                print(f"      its reps ({valid} of {len(rs)} valid): {', '.join(vals)}")
 for side, other in (("parent", "change"), ("change", "parent")):
     runs = sides[side]
     vals = [v for v in (value(r, metric) for r in runs) if v is not None]
