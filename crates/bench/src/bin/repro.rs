@@ -23,14 +23,6 @@ use std::io::Write as _;
 use std::time::Instant;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let scale = if quick { Scale::Quick } else { Scale::Full };
-    let what: Vec<&str> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .collect();
     const KNOWN: [&str; 11] = [
         "all",
         "table1",
@@ -44,11 +36,26 @@ fn main() {
         "ablations",
         "sim-scale",
     ];
-    if let Some(bad) = what.iter().find(|w| !KNOWN.contains(w)) {
-        eprintln!("unknown experiment '{bad}'");
-        eprintln!("usage: repro [--quick] [{}]", KNOWN.join("|"));
-        std::process::exit(2);
+    let usage = format!("usage: repro [--quick] [{}]", KNOWN.join("|"));
+    let mut quick = false;
+    let mut what: Vec<&str> = Vec::new();
+    for a in std::env::args().skip(1) {
+        match a.as_str() {
+            "--quick" => quick = true,
+            "--help" | "-h" => {
+                println!("{usage}");
+                std::process::exit(0);
+            }
+            w => match KNOWN.iter().find(|k| **k == w) {
+                Some(k) => what.push(k),
+                None => {
+                    eprintln!("unknown argument '{w}'\n{usage}");
+                    std::process::exit(2);
+                }
+            },
+        }
     }
+    let scale = if quick { Scale::Quick } else { Scale::Full };
     let all = what.is_empty() || what.contains(&"all");
     let want = |k: &str| all || what.contains(&k);
     let stdout = std::io::stdout();

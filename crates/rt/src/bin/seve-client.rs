@@ -10,55 +10,54 @@
 //! match the server's.
 
 use seve_driver::report::render_replay_work;
-use seve_rt::cli::{build_protocol, build_world, parse_common};
-use seve_rt::run_client;
+use seve_driver::{FaultPlan, SessionParams};
+use seve_rt::cli::{build_protocol, build_world, exit_usage, parse_common, value};
+use seve_rt::run_client_with;
 use seve_world::ids::ClientId;
 use seve_world::worlds::manhattan::ManhattanWorkload;
+use std::net::SocketAddr;
 use std::time::Duration;
 
+const USAGE: &str = "usage: seve-client [--connect ADDR] [--id N] [--moves N] [--period MS]
+                   [--clients N] [--walls N] [--seed N]
+                   [--mode basic|incomplete|first-bound|info-bound] [--rtt MS]";
+
 fn main() {
-    let mut connect = "127.0.0.1:4000".to_string();
+    let mut connect = SocketAddr::from(([127, 0, 0, 1], 4000));
     let mut id: u16 = 0;
     let mut moves: u32 = 50;
     let mut period_ms: u64 = 100;
-    let mut raw: Vec<String> = Vec::new();
+    let mut common: Vec<String> = Vec::new();
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
-        let mut grab = |name: &str| {
-            it.next().unwrap_or_else(|| {
-                eprintln!("{name} needs a value");
-                std::process::exit(2);
-            })
+        let parsed = match a.as_str() {
+            "--connect" => value("--connect", &mut it).map(|v| connect = v),
+            "--id" => value("--id", &mut it).map(|v| id = v),
+            "--moves" => value("--moves", &mut it).map(|v| moves = v),
+            "--period" => value("--period", &mut it).map(|v| period_ms = v),
+            _ => {
+                common.push(a);
+                Ok(())
+            }
         };
-        match a.as_str() {
-            "--connect" => connect = grab("--connect"),
-            "--id" => id = grab("--id").parse().expect("--id"),
-            "--moves" => moves = grab("--moves").parse().expect("--moves"),
-            "--period" => period_ms = grab("--period").parse().expect("--period"),
-            other => raw.push(other.to_string()),
-        }
+        parsed.unwrap_or_else(|e| exit_usage(USAGE, e));
     }
-    let opts = parse_common(raw.into_iter()).unwrap_or_else(|e| {
-        eprintln!("argument error: {e}");
-        std::process::exit(2);
-    });
+    let opts = parse_common(common.into_iter()).unwrap_or_else(|e| exit_usage(USAGE, e));
     let world = build_world(&opts);
     let cfg = build_protocol(&opts);
-    let addr = connect.parse().unwrap_or_else(|e| {
-        eprintln!("bad address {connect}: {e}");
-        std::process::exit(2);
-    });
 
     println!("seve-client {id}: joining {connect}, {moves} moves every {period_ms} ms");
     let mut wl = ManhattanWorkload::new(&world);
-    match run_client(
+    match run_client_with(
         world,
         &cfg,
-        addr,
+        connect,
         ClientId(id),
         &mut wl,
         moves,
         Duration::from_millis(period_ms),
+        &FaultPlan::none(),
+        SessionParams::default(),
     ) {
         Ok(report) => {
             println!("done: responses {}", report.metrics.response_ms);

@@ -13,30 +13,28 @@ use seve_core::engine::ProtocolSuite;
 use seve_core::pipeline::PipelineServer;
 use seve_core::server::SeveSuite;
 use seve_driver::report::render_stage_profile;
-use seve_rt::cli::{build_protocol, build_world, parse_common};
-use seve_rt::run_server;
+use seve_driver::SessionParams;
+use seve_rt::cli::{build_protocol, build_world, exit_usage, parse_common, value};
+use seve_rt::run_server_with;
 use seve_world::worlds::manhattan::ManhattanWorld;
 use std::net::TcpListener;
 use std::time::Duration;
 
+const USAGE: &str = "usage: seve-server [--listen ADDR] [--clients N] [--walls N] [--seed N]
+                   [--mode basic|incomplete|first-bound|info-bound] [--rtt MS]";
+
 fn main() {
     let mut listen = "127.0.0.1:4000".to_string();
-    let mut raw: Vec<String> = Vec::new();
+    let mut common: Vec<String> = Vec::new();
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         if a == "--listen" {
-            listen = it.next().unwrap_or_else(|| {
-                eprintln!("--listen needs an address");
-                std::process::exit(2);
-            });
+            listen = value("--listen", &mut it).unwrap_or_else(|e| exit_usage(USAGE, e));
         } else {
-            raw.push(a);
+            common.push(a);
         }
     }
-    let opts = parse_common(raw.into_iter()).unwrap_or_else(|e| {
-        eprintln!("argument error: {e}");
-        std::process::exit(2);
-    });
+    let opts = parse_common(common.into_iter()).unwrap_or_else(|e| exit_usage(USAGE, e));
     let world = build_world(&opts);
     let cfg = build_protocol(&opts);
     let tick = Duration::from_millis(cfg.tick.as_micros() / 1000);
@@ -61,7 +59,8 @@ fn main() {
         world.initial_state().digest()
     };
     let (server, _clients): (PipelineServer<ManhattanWorld>, _) = suite.build(world);
-    match run_server(server, listener, opts.clients, tick, push, digest) {
+    let session = SessionParams::default();
+    match run_server_with(server, listener, opts.clients, tick, push, digest, session) {
         Ok(report) => {
             println!("session complete:");
             println!("  submissions : {}", report.metrics.submissions);

@@ -5,6 +5,8 @@
 use seve_core::config::{ProtocolConfig, ServerMode};
 use seve_net::time::SimDuration;
 use seve_world::worlds::manhattan::{ManhattanConfig, ManhattanWorld, SpawnPattern};
+use std::fmt::Display;
+use std::str::FromStr;
 use std::sync::Arc;
 
 /// Options shared by `seve-server` and `seve-client`.
@@ -20,8 +22,6 @@ pub struct CommonOpts {
     pub mode: ServerMode,
     /// Assumed round-trip time, milliseconds (drives ω·RTT cycles).
     pub rtt_ms: u64,
-    /// Remaining positional arguments.
-    pub rest: Vec<String>,
 }
 
 impl Default for CommonOpts {
@@ -32,50 +32,72 @@ impl Default for CommonOpts {
             seed: 7,
             mode: ServerMode::InfoBound,
             rtt_ms: 40,
-            rest: Vec::new(),
         }
     }
 }
 
+/// Why a command line does not run.
+#[derive(Debug, PartialEq)]
+pub enum ArgError {
+    /// `--help` or `-h`.
+    Help,
+    /// An unknown flag, a stray positional, or a missing or unparsable
+    /// value.
+    Bad(String),
+}
+
+/// Take the value that follows flag `name` from `it`, parsed.
+pub fn value<T: FromStr>(name: &str, it: &mut impl Iterator<Item = String>) -> Result<T, ArgError>
+where
+    T::Err: Display,
+{
+    let v = it
+        .next()
+        .ok_or_else(|| ArgError::Bad(format!("{name} needs a value")))?;
+    v.parse()
+        .map_err(|e| ArgError::Bad(format!("{name} {v:?}: {e}")))
+}
+
 /// Parse `--clients N --walls N --seed N --mode basic|incomplete|
-/// first-bound|info-bound --rtt MS` plus positionals from `args`.
-pub fn parse_common(args: impl Iterator<Item = String>) -> Result<CommonOpts, String> {
+/// first-bound|info-bound --rtt MS` from `args`. Any other argument is
+/// an error, and `--help` or `-h` asks for the usage.
+pub fn parse_common(mut args: impl Iterator<Item = String>) -> Result<CommonOpts, ArgError> {
     let mut opts = CommonOpts::default();
-    let mut it = args.peekable();
-    while let Some(arg) = it.next() {
-        let mut grab = |name: &str| -> Result<String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
+    while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--clients" => {
-                opts.clients = grab("--clients")?
-                    .parse()
-                    .map_err(|e| format!("--clients: {e}"))?
-            }
-            "--walls" => {
-                opts.walls = grab("--walls")?
-                    .parse()
-                    .map_err(|e| format!("--walls: {e}"))?
-            }
-            "--seed" => {
-                opts.seed = grab("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--rtt" => opts.rtt_ms = grab("--rtt")?.parse().map_err(|e| format!("--rtt: {e}"))?,
+            "--clients" => opts.clients = value("--clients", &mut args)?,
+            "--walls" => opts.walls = value("--walls", &mut args)?,
+            "--seed" => opts.seed = value("--seed", &mut args)?,
+            "--rtt" => opts.rtt_ms = value("--rtt", &mut args)?,
             "--mode" => {
-                opts.mode = match grab("--mode")?.as_str() {
+                opts.mode = match value::<String>("--mode", &mut args)?.as_str() {
                     "basic" => ServerMode::Basic,
                     "incomplete" => ServerMode::Incomplete,
                     "first-bound" => ServerMode::FirstBound,
                     "info-bound" => ServerMode::InfoBound,
-                    other => return Err(format!("unknown mode '{other}'")),
+                    other => return Err(ArgError::Bad(format!("unknown mode '{other}'"))),
                 }
             }
-            other => opts.rest.push(other.to_string()),
+            "--help" | "-h" => return Err(ArgError::Help),
+            other => return Err(ArgError::Bad(format!("unknown argument '{other}'"))),
         }
     }
     Ok(opts)
+}
+
+/// End a command line that does not run: for `--help`, print `usage` and
+/// exit 0; otherwise print the error and `usage` to stderr and exit 2.
+pub fn exit_usage(usage: &str, e: ArgError) -> ! {
+    match e {
+        ArgError::Help => {
+            println!("{usage}");
+            std::process::exit(0)
+        }
+        ArgError::Bad(why) => {
+            eprintln!("argument error: {why}\n{usage}");
+            std::process::exit(2)
+        }
+    }
 }
 
 /// Build the world both sides agree on.
@@ -106,7 +128,7 @@ pub fn build_protocol(opts: &CommonOpts) -> ProtocolConfig {
 mod tests {
     use super::*;
 
-    fn parse(words: &[&str]) -> Result<CommonOpts, String> {
+    fn parse(words: &[&str]) -> Result<CommonOpts, ArgError> {
         parse_common(words.iter().map(|s| s.to_string()))
     }
 
@@ -114,20 +136,18 @@ mod tests {
     fn defaults_and_overrides() {
         let o = parse(&[]).unwrap();
         assert_eq!(o.clients, 4);
-        let o = parse(&[
-            "--clients",
-            "12",
-            "--mode",
-            "incomplete",
-            "--rtt",
-            "100",
-            "extra",
-        ])
-        .unwrap();
+        let o = parse(&["--clients", "12", "--mode", "incomplete", "--rtt", "100"]).unwrap();
         assert_eq!(o.clients, 12);
         assert_eq!(o.mode, ServerMode::Incomplete);
         assert_eq!(o.rtt_ms, 100);
-        assert_eq!(o.rest, vec!["extra".to_string()]);
+        assert!(matches!(
+            parse(&["--rtt", "100", "extra"]),
+            Err(ArgError::Bad(_))
+        ));
+        assert_eq!(
+            parse(&["--clients", "3", "-h"]).unwrap_err(),
+            ArgError::Help
+        );
         let cfg = build_protocol(&o);
         assert_eq!(cfg.rtt.as_ms_f64(), 100.0);
         assert_eq!(cfg.tick.as_ms_f64(), 25.0);

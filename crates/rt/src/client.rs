@@ -1,90 +1,127 @@
-//! The threaded TCP client driver.
+//! The TCP client driver.
 //!
 //! Drives a [`SeveClient`] engine — the same one the simulator uses — over
 //! a real socket. This module owns only the socket plumbing (connect +
-//! hello handshake, a reader thread feeding a channel, the framed writer),
-//! packaged as a [`TcpClientTransport`]; the move/drain/linger phases are
-//! the driver layer's [`NodeDriver::run_client`], shared with the
-//! in-process backend.
+//! hello handshake, then one nonblocking [`Lane`] that the calling thread
+//! flushes and reads), packaged as a [`TcpClientTransport`]; the
+//! move/drain/linger phases are the driver layer's
+//! [`NodeDriver::run_client`], shared with the in-process backend.
 //!
 //! The transport is reconnectable: [`ClientTransport::reconnect`] dials
 //! the server again and re-presents the hello (with the session token), so
 //! a [`SupervisedClientTransport`] stacked on top can heal a lost link and
 //! resume the session mid-run.
 
-use crate::frame::{encode_frame_into, write_msg, FrameError, FrameReader};
+use crate::frame::{write_msg, FrameError};
+use crate::lane::{encode, wait, Lane};
 use crate::server::{RtDown, RtUp};
-use crate::wire::BufferPool;
-use crossbeam::channel::{self, Receiver, RecvTimeoutError};
+use crate::wire::{self, BufferPool};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 use seve_core::client::SeveClient;
 use seve_core::config::ProtocolConfig;
-use seve_core::msg::{ToClient, ToServer};
 use seve_driver::{
     session_token, ClientEvent, ClientTransport, FaultPlan, FaultyClientTransport, NodeDriver,
-    SessionDown, SessionParams, SessionUp, SupervisedClientTransport,
+    SessionParams, SupervisedClientTransport,
 };
 use seve_world::ids::ClientId;
 use seve_world::worlds::Workload;
 use seve_world::GameWorld;
-use std::io;
+use std::collections::VecDeque;
+use std::io::{Read, Write};
 use std::marker::PhantomData;
-use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 pub use seve_driver::ClientReport;
 
-/// A client's side of a framed-TCP session: the writer socket plus the
-/// channel the reader thread feeds. Implements [`ClientTransport`] so
-/// [`NodeDriver::run_client`] can drive any engine over it. `writer` is
-/// `None` while the link is down (after a partition or a lost server);
-/// [`ClientTransport::reconnect`] dials again and re-seats the session.
+/// A client's side of a framed-TCP session, driven from the calling thread.
+///
+/// `recv` returns queued events first. With none queued it flushes the
+/// lane and reads it until the socket would block, queueing whole frames,
+/// and naps at most `IDLE_NAP` before it tries again. `send` and
+/// `finish` queue a frame and flush; only `partition`, `reconnect` and the
+/// drop wait on the server.
 pub struct TcpClientTransport<U, D> {
     addr: SocketAddr,
     id: ClientId,
     world_digest: u64,
     token: u64,
-    writer: Option<TcpStream>,
-    rx: Receiver<RtDown<D>>,
-    /// Recycled encode buffer for the submit path: after the first send,
-    /// framing a message allocates nothing.
+    /// `None` while the link is down (after a partition or a lost
+    /// server); [`ClientTransport::reconnect`] dials again.
+    lane: Option<Lane<TcpStream>>,
+    events: VecDeque<ClientEvent<D>>,
+    /// Recycled encode buffers: after warm-up, framing a message allocates
+    /// nothing.
     pool: BufferPool,
-    /// Reader threads, one per connection made; stale ones exit when
-    /// their socket is shut down.
-    readers: Vec<std::thread::JoinHandle<()>>,
     /// Handshake frames are sent outside the driven session; the runner
     /// folds them into the report's wire total afterwards.
     hello_bytes: Arc<AtomicU64>,
     _up: PhantomData<U>,
 }
 
-impl<U, D> TcpClientTransport<U, D>
-where
-    U: Serialize,
-    D: DeserializeOwned + Send + 'static,
-{
-    /// Dial `addr`, present the hello for `id`, and spawn the reader.
+/// Frame `msg` into a buffer from `pool`, queue it on `lane` and flush.
+/// Returns the frame's size.
+fn queue<S: Read + Write, U: Serialize>(
+    lane: &mut Lane<S>,
+    msg: &RtUp<U>,
+    pool: &mut BufferPool,
+) -> Result<u64, FrameError> {
+    let frame = encode(msg, pool)?;
+    let len = frame.len() as u64;
+    lane.push(frame);
+    lane.flush(pool);
+    Ok(len)
+}
+
+/// Flush the lane in `slot` and read it, queueing each whole frame as an
+/// event. A lane that breaks — end of stream, an I/O error, an oversize
+/// prefix or an undecodable payload — is retired and reported
+/// [`ClientEvent::Closed`], after the frames before the break. A link that
+/// is down reports `Closed` on every pass, as a closed channel would.
+fn pump<S: Read + Write, D: DeserializeOwned>(
+    slot: &mut Option<Lane<S>>,
+    events: &mut VecDeque<ClientEvent<D>>,
+    pool: &mut BufferPool,
+) {
+    let Some(lane) = slot else {
+        events.push_back(ClientEvent::Closed);
+        return;
+    };
+    lane.flush(pool);
+    lane.read(|payload| {
+        let event = match wire::from_bytes::<RtDown<D>>(payload) {
+            Ok(RtDown::Msg(m)) => ClientEvent::Msg(m),
+            Ok(RtDown::Stop) => ClientEvent::Stop,
+            Err(_) => return false,
+        };
+        events.push_back(event);
+        true
+    });
+    if lane.is_broken() {
+        slot.take().expect("a broken lane").retire(pool);
+        events.push_back(ClientEvent::Closed);
+    }
+}
+
+impl<U: Serialize, D: DeserializeOwned> TcpClientTransport<U, D> {
+    /// Dial `addr` and present the hello for `id`.
     pub fn connect(
         addr: SocketAddr,
         id: ClientId,
         world_digest: u64,
         token: u64,
     ) -> Result<Self, FrameError> {
-        // Start from a disconnected channel; `reconnect` installs the
-        // live one.
-        let (_tx, rx) = channel::unbounded::<RtDown<D>>();
         let mut t = Self {
             addr,
             id,
             world_digest,
             token,
-            writer: None,
-            rx,
+            lane: None,
+            events: VecDeque::new(),
             pool: BufferPool::new(),
-            readers: Vec::new(),
             hello_bytes: Arc::new(AtomicU64::new(0)),
             _up: PhantomData,
         };
@@ -99,68 +136,56 @@ where
     }
 }
 
-impl<U, D> Drop for TcpClientTransport<U, D> {
-    fn drop(&mut self) {
-        // Shutting the socket (not just dropping our writer clone) wakes
-        // the reader thread, so joining below cannot hang.
-        if let Some(s) = self.writer.take() {
-            let _ = s.shutdown(Shutdown::Both);
-        }
-        for h in self.readers.drain(..) {
-            let _ = h.join();
+impl<U, D> TcpClientTransport<U, D> {
+    /// Take the link down. What `send` and `finish` queued is written
+    /// first, blocking as the socket's `write_all` would: an up-lane frame
+    /// has no resend, so one left in the tail would be a lost submission.
+    fn close(&mut self) {
+        if let Some(mut lane) = self.lane.take() {
+            if lane.stream().set_nonblocking(false).is_ok() {
+                lane.flush(&mut self.pool);
+            }
+            lane.retire(&mut self.pool);
         }
     }
 }
 
-impl<U, D> ClientTransport<U, D> for TcpClientTransport<U, D>
-where
-    U: Serialize,
-    D: DeserializeOwned + Send + 'static,
-{
+impl<U, D> Drop for TcpClientTransport<U, D> {
+    fn drop(&mut self) {
+        self.close();
+    }
+}
+
+impl<U: Serialize, D: DeserializeOwned> ClientTransport<U, D> for TcpClientTransport<U, D> {
     type Error = FrameError;
 
     fn recv(&mut self, timeout: Duration) -> Result<ClientEvent<D>, FrameError> {
-        Ok(match self.rx.recv_timeout(timeout) {
-            Ok(RtDown::Msg(m)) => ClientEvent::Msg(m),
-            Ok(RtDown::Stop) => ClientEvent::Stop,
-            Err(RecvTimeoutError::Timeout) => ClientEvent::Timeout,
-            Err(RecvTimeoutError::Disconnected) => ClientEvent::Closed,
-        })
+        let event = wait(timeout, || {
+            if self.events.is_empty() {
+                pump(&mut self.lane, &mut self.events, &mut self.pool);
+            }
+            self.events.pop_front()
+        });
+        Ok(event.unwrap_or(ClientEvent::Timeout))
     }
 
     fn send(&mut self, msg: U) -> Result<u64, FrameError> {
-        use std::io::Write;
-        let Some(writer) = self.writer.as_mut() else {
-            return Err(FrameError::Io(io::Error::new(
-                io::ErrorKind::NotConnected,
-                "link down",
-            )));
-        };
-        let mut frame = self.pool.take();
-        let r = encode_frame_into(&RtUp::Msg(msg), &mut frame);
-        let len = frame.len() as u64;
-        let r = r.and_then(|()| {
-            writer.write_all(&frame)?;
-            writer.flush()?;
-            Ok(())
-        });
-        self.pool.put(frame);
-        r.map(|()| len)
+        let lane = self.lane.as_mut().ok_or(FrameError::Closed)?;
+        queue(lane, &RtUp::Msg(msg), &mut self.pool)
     }
 
     fn finish(&mut self) -> Result<u64, FrameError> {
-        match self.writer.as_mut() {
-            Some(w) => Ok(write_msg(w, &RtUp::<U>::Bye)? as u64),
+        match self.lane.as_mut() {
+            Some(lane) => queue(lane, &RtUp::<U>::Bye, &mut self.pool),
             None => Ok(0),
         }
     }
 
     fn reconnect(&mut self) -> Result<bool, FrameError> {
-        let stream = TcpStream::connect(self.addr)?;
+        let mut stream = TcpStream::connect(self.addr)?;
         stream.set_nodelay(true)?;
-        let mut writer = stream.try_clone()?;
         let hello = write_msg(
-            &mut writer,
+            &mut stream,
             &RtUp::<U>::Hello {
                 client: self.id.0,
                 world_digest: self.world_digest,
@@ -168,75 +193,33 @@ where
             },
         )? as u64;
         self.hello_bytes.fetch_add(hello, Ordering::Relaxed);
-
-        // Reader thread: frames → channel.
-        let (tx, rx) = channel::unbounded::<RtDown<D>>();
-        let mut reader = FrameReader::new(stream);
-        self.readers.push(std::thread::spawn(move || {
-            while let Ok(m) = reader.read_msg::<RtDown<D>>() {
-                let stop = matches!(m, RtDown::Stop);
-                if tx.send(m).is_err() || stop {
-                    break;
-                }
-            }
-        }));
-
-        // Retire any previous socket only once the new one is seated; its
-        // reader exits on the shutdown.
-        if let Some(old) = self.writer.replace(writer) {
-            let _ = old.shutdown(Shutdown::Both);
-        }
-        self.rx = rx;
+        let lane = Lane::new(stream)?;
+        // Retire the previous link only once the new one is up; what it
+        // had delivered and not yet been asked for is stale.
+        self.close();
+        self.events.clear();
+        self.lane = Some(lane);
         Ok(true)
     }
 
     fn partition(&mut self, _d: Duration) -> Result<(), FrameError> {
-        // A real outage: kill the socket. The server's reader observes the
-        // loss; the supervised wrapper above models the dark window and
+        // A real outage: close the socket. The server observes the loss;
+        // the supervised wrapper above models the dark window and
         // schedules the heal.
-        if let Some(s) = self.writer.take() {
-            let _ = s.shutdown(Shutdown::Both);
-        }
+        self.close();
         Ok(())
     }
 }
 
 /// Connect to `addr` as `id`, submit `moves` workload actions at `period`,
-/// drain, and return the observations. Runs a supervised session with
-/// [`SessionParams::default`] and no injected faults; see
-/// [`run_client_with`].
-pub fn run_client<W>(
-    world: Arc<W>,
-    cfg: &ProtocolConfig,
-    addr: SocketAddr,
-    id: ClientId,
-    workload: &mut dyn Workload<W>,
-    moves: u32,
-    period: Duration,
-) -> Result<ClientReport, FrameError>
-where
-    W: GameWorld,
-    W::Action: Serialize + DeserializeOwned,
-{
-    run_client_with(
-        world,
-        cfg,
-        addr,
-        id,
-        workload,
-        moves,
-        period,
-        &FaultPlan::none(),
-        SessionParams::default(),
-    )
-}
-
-/// [`run_client`] with explicit fault injection and [`SessionParams`].
+/// drain, and return the observations.
 ///
 /// The transport stack is `Supervised{Faulty{Tcp}}`: sequence-numbered
 /// envelopes, resequencing, acks, and reconnect-with-backoff after a
-/// partition. The client's entries in `faults` — crash schedule, partition
-/// window, lane policies — are applied here.
+/// partition, under `session` ([`SessionParams::default`] for a plain
+/// run). The client's entries in `faults` — crash schedule, partition
+/// window, lane policies — are applied here; [`FaultPlan::none`] injects
+/// none.
 #[allow(clippy::too_many_arguments)]
 pub fn run_client_with<W>(
     world: Arc<W>,
@@ -261,15 +244,92 @@ where
         .partition_for(id)
         .map(|p| (p.after_submissions, p.duration));
 
-    type Up<W> = SessionUp<ToServer<<W as GameWorld>::Action>>;
-    type Down<W> = SessionDown<ToClient<<W as GameWorld>::Action>>;
     let token = session_token(session.seed, id);
-    let inner: TcpClientTransport<Up<W>, Down<W>> =
-        TcpClientTransport::connect(addr, id, world_digest, token)?;
+    let inner = TcpClientTransport::connect(addr, id, world_digest, token)?;
     let hello = inner.handshake_bytes();
     let faulty = FaultyClientTransport::new(inner, faults, id.index());
     let mut transport = SupervisedClientTransport::new(faulty, id, session);
     let mut report = driver.run_client(engine, workload, &mut transport)?;
     report.bytes_out += hello.load(Ordering::Relaxed);
     Ok(report)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::lane::scripted::{check_seed, frame_of, payload, Caller, Got, ScriptedStream};
+    use crate::lane::scripted::{SplitMix64, SCALE_SEEDS, SEEDS, UNDECODABLE};
+
+    /// The client's side of a lane: `send` and `recv`'s pass over it.
+    struct ClientSide;
+
+    impl Caller for ClientSide {
+        fn hello(&self) -> Vec<u8> {
+            Vec::new()
+        }
+
+        fn inbound(&self, rng: &mut SplitMix64) -> (Vec<u8>, Option<Got>) {
+            match rng.below(8) {
+                0 => (frame_of(&RtDown::<Vec<u8>>::Stop), Some(Got::Stop)),
+                _ => {
+                    let p = payload(rng);
+                    (frame_of(&RtDown::Msg(&p)), Some(Got::Msg(p)))
+                }
+            }
+        }
+
+        fn open(&self, stream: ScriptedStream) -> Lane<ScriptedStream> {
+            stream.set_nonblocking(true);
+            Lane::with_inbound(stream, Vec::new())
+        }
+
+        fn frame(&self, payload: &[u8]) -> Vec<u8> {
+            frame_of(&RtUp::Msg(payload))
+        }
+
+        fn send(
+            &self,
+            lane: &mut Option<Lane<ScriptedStream>>,
+            batch: &[Vec<u8>],
+            pool: &mut BufferPool,
+        ) {
+            for p in batch {
+                if let Some(lane) = lane {
+                    queue(lane, &RtUp::Msg(p), pool).expect("encode");
+                }
+            }
+        }
+
+        fn pump(
+            &self,
+            lane: &mut Option<Lane<ScriptedStream>>,
+            got: &mut Vec<Got>,
+            pool: &mut BufferPool,
+        ) {
+            let mut events = VecDeque::new();
+            pump::<_, Vec<u8>>(lane, &mut events, pool);
+            got.extend(events.into_iter().map(|e| match e {
+                ClientEvent::Msg(m) => Got::Msg(m),
+                ClientEvent::Stop => Got::Stop,
+                ClientEvent::Closed => Got::Broke,
+                ClientEvent::Timeout => panic!("a pass over the lane reports no timeout"),
+            }));
+        }
+    }
+
+    #[test]
+    fn scripted_streams_keep_every_frame() {
+        assert!(wire::from_bytes::<RtDown<Vec<u8>>>(&UNDECODABLE).is_err());
+        for seed in 0..SEEDS {
+            check_seed(&ClientSide, seed);
+        }
+    }
+
+    #[test]
+    #[ignore = "for scripts/verify.sh --chaos"]
+    fn scripted_streams_at_scale() {
+        for seed in 0..SCALE_SEEDS {
+            check_seed(&ClientSide, seed);
+        }
+    }
 }

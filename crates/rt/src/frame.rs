@@ -78,18 +78,18 @@ pub fn write_msg<T: Serialize>(stream: &mut TcpStream, msg: &T) -> Result<usize,
     Ok(frame.len())
 }
 
-/// A buffered frame reader over a stream.
-pub struct FrameReader {
-    stream: TcpStream,
+/// A buffered frame reader over a blocking stream.
+pub struct FrameReader<S = TcpStream> {
+    stream: S,
     /// Unconsumed bytes; `start` indexes the first live byte so each frame
     /// doesn't shift the whole buffer.
     buf: Vec<u8>,
     start: usize,
 }
 
-impl FrameReader {
+impl<S: Read> FrameReader<S> {
     /// Wrap a stream.
-    pub fn new(stream: TcpStream) -> Self {
+    pub fn new(stream: S) -> Self {
         Self {
             stream,
             buf: Vec::with_capacity(8 * 1024),
@@ -99,7 +99,7 @@ impl FrameReader {
 
     /// Unwrap the stream, with the bytes read from it and not yet
     /// returned as a message (the start of the next frame, or several).
-    pub fn into_parts(mut self) -> (TcpStream, Vec<u8>) {
+    pub fn into_parts(mut self) -> (S, Vec<u8>) {
         self.buf.drain(..self.start);
         (self.stream, self.buf)
     }
@@ -133,7 +133,10 @@ impl FrameReader {
                 }
             }
             let mut chunk = [0u8; 8 * 1024];
-            let n = self.stream.read(&mut chunk)?;
+            let n = match self.stream.read(&mut chunk) {
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                r => r?,
+            };
             if n == 0 {
                 return Err(FrameError::Closed);
             }

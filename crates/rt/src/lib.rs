@@ -13,10 +13,13 @@
 //!   serde derive encodes.
 //! * [`frame`] — length-prefixed framing over `TcpStream` (a fixed `u32`
 //!   prefix, so a reader can size a frame from four bytes).
+//! * [`lane`] — one nonblocking socket's framed traffic, the [`Lane`]
+//!   both ends drive.
 //! * [`server`] — a server hosting any [`seve_core::ServerNode`], its
 //!   sockets nonblocking and owned by the engine thread.
-//! * [`client`] — a threaded client driving a [`seve_core::SeveClient`]
-//!   with a workload at a fixed move cadence.
+//! * [`client`] — a client driving a [`seve_core::SeveClient`] with a
+//!   workload at a fixed move cadence, its one socket a lane on the
+//!   client's own thread.
 //!
 //! The engine loops themselves live in the driver layer (`seve-driver`):
 //! this crate contributes [`server::TcpServerTransport`] and
@@ -36,8 +39,10 @@
 pub mod cli;
 pub mod client;
 pub mod frame;
+pub mod lane;
 pub mod server;
 pub use seve_net::wire;
 
-pub use client::{run_client, run_client_with, ClientReport, TcpClientTransport};
-pub use server::{fan_out, run_server, run_server_with, Lane, ServerReport, TcpServerTransport};
+pub use client::{run_client_with, ClientReport, TcpClientTransport};
+pub use lane::Lane;
+pub use server::{fan_out, run_server_with, ServerReport, TcpServerTransport};

@@ -9,7 +9,8 @@
 //! (ω·RTT) timers interleaved with message dispatch — is the driver
 //! layer's [`NodeDriver::run_server`], shared with the in-process backend.
 
-use crate::frame::{encode_frame_into, FrameError, FrameReader, MAX_FRAME};
+use crate::frame::{FrameError, FrameReader};
+use crate::lane::{encode, recycle, wait, Lane};
 use crate::wire::{self, BufferPool};
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
@@ -22,14 +23,14 @@ use seve_world::ids::ClientId;
 use seve_world::GameWorld;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, Read, Write};
 use std::marker::PhantomData;
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 pub use seve_driver::ServerReport;
 
@@ -77,225 +78,52 @@ impl<M: Serialize> Serialize for RtDownMsgRef<'_, M> {
     }
 }
 
-/// Coalescing threshold: the most frames handed to one `write_vectored`
-/// call. Past this the syscall savings are already banked and the iovec
-/// itself starts costing.
-const WRITEV_MAX_FRAMES: usize = 64;
-
-/// Initial size of a lane's inbound buffer; it doubles only when one
-/// frame does not fit.
-const INBOUND_CHUNK: usize = 8 * 1024;
-
-/// Most reads one sweep spends on one lane, so a peer that never stops
-/// sending cannot keep the sweep from reaching the others.
-const READS_PER_SWEEP: usize = 16;
-
-/// Longest [`TcpServerTransport::recv`] sleeps between two sweeps while it
-/// waits with nothing queued. std has no readiness wait (and this crate
-/// forbids `unsafe`), so this bounds the delay the transport adds to a
-/// reply when the engine answers submissions as they arrive. Engines that
-/// speak on their cycles sleep to the cycle deadline and never wait here.
-const IDLE_NAP: Duration = Duration::from_micros(200);
-
 /// How long [`TcpServerTransport`]'s `stop_all` keeps flushing the `Stop`
 /// frames before it retires the lanes whose peer stopped reading.
 const STOP_GRACE: Duration = Duration::from_millis(100);
 
-/// Hand a frame reference back: the last holder returns the buffer to
-/// `pool`, so a frame shared by several lanes is recycled exactly once.
-fn recycle(frame: Arc<Vec<u8>>, pool: &mut BufferPool) {
-    if let Ok(buf) = Arc::try_unwrap(frame) {
-        pool.put(buf);
+/// Flush and read every lane once, starting at lane `first`, and queue
+/// each whole frame as an event from its client: `Msg` for a message,
+/// `Done` for a goodbye (the lane stays open — the client still relays
+/// completions for tail actions); a duplicate hello is ignored. Then
+/// unseat the broken lanes. Returns the write calls issued.
+fn sweep_lanes<S: Read + Write, U: DeserializeOwned>(
+    lanes: &mut [Option<Lane<S>>],
+    first: usize,
+    events: &mut VecDeque<ServerEvent<U>>,
+    pool: &mut BufferPool,
+) -> u64 {
+    let mut batches = 0;
+    let n = lanes.len();
+    for i in (first..n).chain(0..first) {
+        if let Some(lane) = &mut lanes[i] {
+            batches += lane.flush(pool);
+            let c = ClientId(i as u16);
+            lane.read(|payload| {
+                match wire::from_bytes::<RtUp<U>>(payload) {
+                    Ok(RtUp::Msg(m)) => events.push_back(ServerEvent::Msg(c, m)),
+                    Ok(RtUp::Bye) => events.push_back(ServerEvent::Done(c)),
+                    Ok(RtUp::Hello { .. }) => {}
+                    Err(_) => return false,
+                }
+                true
+            });
+        }
     }
+    unseat_broken(lanes, events, pool);
+    batches
 }
 
-/// One seated client's nonblocking socket and its buffers, owned by the
-/// engine thread.
-///
-/// Outbound, a lane is a FIFO of whole frames (its *tail*) of which the
-/// front may be partly written: frames are only ever appended, and
-/// [`Lane::flush`] writes from the front until the socket would block, so
-/// the client reads its frames in the order they were queued and a client
-/// that stops reading holds up nothing but its own tail. Inbound, a lane
-/// accumulates bytes until a whole length-prefixed frame is present.
-pub struct Lane {
-    stream: TcpStream,
-    /// Inbound bytes: `inbound[start..end]` has been read and not yet
-    /// parsed. The whole vector stays initialized, so a read never zeroes
-    /// it again.
-    inbound: Vec<u8>,
-    start: usize,
-    end: usize,
-    /// Frames queued for this client and not yet fully written, oldest
-    /// first; the first `written` bytes of the front frame are on the wire.
-    tail: VecDeque<Arc<Vec<u8>>>,
-    written: usize,
-    /// The peer closed, a read or write failed, or the peer sent a frame
-    /// no client can have meant: the lane takes no further traffic.
-    broken: bool,
-}
-
-impl Lane {
-    /// Own `stream` as a lane, switching it to nonblocking mode.
-    pub fn new(stream: TcpStream) -> io::Result<Self> {
-        Self::with_inbound(stream, Vec::new())
-    }
-
-    /// [`Lane::new`] with `leftover` — bytes already read from the socket
-    /// past the hello — as the start of the inbound stream.
-    fn with_inbound(stream: TcpStream, leftover: Vec<u8>) -> io::Result<Self> {
-        stream.set_nonblocking(true)?;
-        let end = leftover.len();
-        let mut inbound = leftover;
-        inbound.resize(end.max(INBOUND_CHUNK), 0);
-        Ok(Self {
-            stream,
-            inbound,
-            start: 0,
-            end,
-            tail: VecDeque::new(),
-            written: 0,
-            broken: false,
-        })
-    }
-
-    /// Has every queued frame been written?
-    pub fn is_flushed(&self) -> bool {
-        self.tail.is_empty()
-    }
-
-    /// Has the lane failed (see [`Lane`]) and stopped taking traffic?
-    pub fn is_broken(&self) -> bool {
-        self.broken
-    }
-
-    /// Write queued frames through `write_vectored`, at most
-    /// [`WRITEV_MAX_FRAMES`] per call, until the tail is empty or the
-    /// socket would block. A partial write leaves the rest of its frame at
-    /// the front, to be written first next time. Fully written frames go
-    /// back to `pool`. Returns the write calls issued; a failed write
-    /// breaks the lane.
-    pub fn flush(&mut self, pool: &mut BufferPool) -> u64 {
-        let mut batches = 0;
-        while !self.broken && !self.tail.is_empty() {
-            let mut slices = [IoSlice::new(&[]); WRITEV_MAX_FRAMES];
-            let mut k = 0;
-            for (slot, frame) in slices.iter_mut().zip(&self.tail) {
-                *slot = IoSlice::new(if k == 0 {
-                    &frame[self.written..]
-                } else {
-                    frame
-                });
-                k += 1;
-            }
-            match self.stream.write_vectored(&slices[..k]) {
-                Ok(0) => self.broken = true,
-                Ok(n) => {
-                    batches += 1;
-                    self.advance(n, pool);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => self.broken = true,
-            }
-        }
-        batches
-    }
-
-    /// Move the write position `n` bytes on, retiring finished frames.
-    fn advance(&mut self, mut n: usize, pool: &mut BufferPool) {
-        while n > 0 {
-            let left = self.tail[0].len() - self.written;
-            if n < left {
-                self.written += n;
-                return;
-            }
-            n -= left;
-            self.written = 0;
-            recycle(self.tail.pop_front().expect("a written frame"), pool);
-        }
-    }
-
-    /// Read what the peer has sent, until the socket would block, and
-    /// queue each whole frame as an event from `c`: `Msg` for a message,
-    /// `Done` for a goodbye (the lane stays open — the client still relays
-    /// completions for tail actions). End of stream, a read error, a length
-    /// prefix past [`MAX_FRAME`] or an undecodable payload breaks the lane;
-    /// the frames before it are still queued.
-    fn read<U: DeserializeOwned>(&mut self, c: ClientId, events: &mut VecDeque<ServerEvent<U>>) {
-        self.parse(c, events);
-        for _ in 0..READS_PER_SWEEP {
-            if self.broken {
-                return;
-            }
-            if self.end == self.inbound.len() {
-                self.make_room();
-            }
-            let room = self.inbound.len() - self.end;
-            match self.stream.read(&mut self.inbound[self.end..]) {
-                Ok(0) => self.broken = true,
-                Ok(n) => {
-                    self.end += n;
-                    self.parse(c, events);
-                    if n < room {
-                        // A short read drained the socket.
-                        return;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => self.broken = true,
-            }
-        }
-    }
-
-    /// Free space after `end`: move the unparsed bytes to the front, and
-    /// double the buffer if they fill it (one frame larger than it).
-    fn make_room(&mut self) {
-        self.inbound.copy_within(self.start..self.end, 0);
-        self.end -= self.start;
-        self.start = 0;
-        if self.end == self.inbound.len() {
-            self.inbound.resize(2 * self.end, 0);
-        }
-    }
-
-    /// Queue every whole frame in the inbound buffer.
-    fn parse<U: DeserializeOwned>(&mut self, c: ClientId, events: &mut VecDeque<ServerEvent<U>>) {
-        while !self.broken {
-            let avail = &self.inbound[self.start..self.end];
-            let Some(prefix) = avail.get(..4) else { break };
-            let len = u32::from_le_bytes(prefix.try_into().expect("4 bytes")) as usize;
-            if len > MAX_FRAME {
-                self.broken = true;
-                break;
-            }
-            let Some(payload) = avail.get(4..4 + len) else {
-                break;
-            };
-            match wire::from_bytes::<RtUp<U>>(payload) {
-                Ok(RtUp::Msg(m)) => events.push_back(ServerEvent::Msg(c, m)),
-                Ok(RtUp::Bye) => events.push_back(ServerEvent::Done(c)),
-                // A duplicate hello: ignore.
-                Ok(RtUp::Hello { .. }) => {}
-                Err(_) => {
-                    self.broken = true;
-                    break;
-                }
-            }
-            self.start += 4 + len;
-        }
-        if self.start == self.end {
-            self.start = 0;
-            self.end = 0;
-        }
-    }
-
-    /// Close the socket and hand every queued frame back to `pool`.
-    fn retire(mut self, pool: &mut BufferPool) {
-        let _ = self.stream.shutdown(Shutdown::Both);
-        for frame in self.tail.drain(..) {
-            recycle(frame, pool);
+/// Unseat every broken lane, reporting each [`ServerEvent::Gone`] once.
+fn unseat_broken<S: Read + Write, U>(
+    lanes: &mut [Option<Lane<S>>],
+    events: &mut VecDeque<ServerEvent<U>>,
+    pool: &mut BufferPool,
+) {
+    for (i, slot) in lanes.iter_mut().enumerate() {
+        if slot.as_ref().is_some_and(Lane::is_broken) {
+            slot.take().expect("a broken lane").retire(pool);
+            events.push_back(ServerEvent::Gone(ClientId(i as u16)));
         }
     }
 }
@@ -322,8 +150,8 @@ impl Lane {
 ///
 /// A frame buffer returns to `pool` once every lane it was queued on has
 /// written it, so the steady state allocates nothing.
-pub fn fan_out<M: Serialize>(
-    lanes: &mut [Option<Lane>],
+pub fn fan_out<S: Read + Write, M: Serialize>(
+    lanes: &mut [Option<Lane<S>>],
     out: &[(ClientId, M)],
     share_key: impl Fn(&M) -> Option<ShareId>,
     pool: &mut BufferPool,
@@ -338,11 +166,7 @@ pub fn fan_out<M: Serialize>(
     let mut bytes = 0u64;
     for (i, f) in frames {
         bytes += f.len() as u64;
-        lanes[i]
-            .as_mut()
-            .expect("encoded for a live lane")
-            .tail
-            .push_back(f);
+        lanes[i].as_mut().expect("encoded for a live lane").push(f);
     }
     let mut batches = 0u64;
     for lane in lanes.iter_mut().flatten() {
@@ -353,8 +177,8 @@ pub fn fan_out<M: Serialize>(
 
 /// [`fan_out`]'s encode phase: one `(lane index, frame)` per message for a
 /// live lane, in batch order.
-fn encode_batch<M: Serialize>(
-    lanes: &[Option<Lane>],
+fn encode_batch<S: Read + Write, M: Serialize>(
+    lanes: &[Option<Lane<S>>],
     out: &[(ClientId, M)],
     share_key: impl Fn(&M) -> Option<ShareId>,
     pool: &mut BufferPool,
@@ -364,18 +188,6 @@ fn encode_batch<M: Serialize>(
     // pointed-to buffers alive, so a ShareId can never alias a recycled
     // frame within the batch.
     let mut cache: HashMap<ShareId, Arc<Vec<u8>>> = HashMap::new();
-    let encode = |msg: &M, pool: &mut BufferPool| -> Result<Arc<Vec<u8>>, FrameError> {
-        let mut buf = pool.take();
-        match encode_frame_into(&RtDownMsgRef(msg), &mut buf) {
-            Ok(()) => Ok(Arc::new(buf)),
-            Err(e) => {
-                // Hand the partially-written buffer straight back so a
-                // failed encode doesn't count as a leaked allocation.
-                pool.put(buf);
-                Err(e)
-            }
-        }
-    };
     for (dest, msg) in out {
         let i = dest.index();
         if lanes[i].as_ref().is_none_or(Lane::is_broken) {
@@ -384,23 +196,13 @@ fn encode_batch<M: Serialize>(
         let frame = match share_key(msg) {
             Some(k) => match cache.entry(k) {
                 Entry::Occupied(e) => Arc::clone(e.get()),
-                Entry::Vacant(v) => Arc::clone(v.insert(encode(msg, pool)?)),
+                Entry::Vacant(v) => Arc::clone(v.insert(encode(&RtDownMsgRef(msg), pool)?)),
             },
-            None => encode(msg, pool)?,
+            None => encode(&RtDownMsgRef(msg), pool)?,
         };
         frames.push((i, frame));
     }
     Ok(())
-}
-
-/// A connection that passed the handshake, on its way from the acceptor
-/// thread to the engine thread.
-struct Seat {
-    client: ClientId,
-    stream: TcpStream,
-    /// Bytes the handshake read past the hello: the client may send its
-    /// first frames (a `Resume`, say) in the same write as the hello.
-    leftover: Vec<u8>,
 }
 
 /// The server's side of a framed-TCP session, driven entirely from the
@@ -415,8 +217,9 @@ struct Seat {
 /// A lane that breaks is unseated and reported [`ServerEvent::Gone`]
 /// exactly once. `send_batch` is [`fan_out`]. No call waits on a client.
 pub struct TcpServerTransport<U, D> {
-    lanes: Vec<Option<Lane>>,
-    seats: Receiver<Seat>,
+    lanes: Vec<Option<Lane<TcpStream>>>,
+    /// Connections that passed the handshake, from the acceptor thread.
+    seats: Receiver<(ClientId, Lane<TcpStream>)>,
     events: VecDeque<ServerEvent<U>>,
     /// The lane the last sweep started at.
     first: usize,
@@ -458,55 +261,41 @@ where
             _down: PhantomData,
         };
         while t.lanes.iter().any(Option::is_none) {
-            let seat = t
+            let (c, lane) = t
                 .seats
                 .recv()
                 .map_err(|_| io::Error::other("the acceptor thread ended"))?;
-            t.install(seat);
+            t.install(c, lane);
         }
         Ok(t)
     }
 }
 
-impl<U, D> TcpServerTransport<U, D> {
-    /// Give `seat` its client's lane, retiring the lane it replaces.
-    fn install(&mut self, seat: Seat) {
-        let Ok(lane) = Lane::with_inbound(seat.stream, seat.leftover) else {
-            return;
-        };
-        if let Some(old) = self.lanes[seat.client.index()].replace(lane) {
+impl<U: DeserializeOwned, D> TcpServerTransport<U, D> {
+    /// Seat `lane` as client `c`'s, retiring the lane it replaces.
+    fn install(&mut self, c: ClientId, lane: Lane<TcpStream>) {
+        if let Some(old) = self.lanes[c.index()].replace(lane) {
             old.retire(&mut self.pool);
         }
     }
 
-    /// Unseat every broken lane, reporting each `Gone` once.
-    fn unseat_broken(&mut self) {
-        for (i, slot) in self.lanes.iter_mut().enumerate() {
-            if slot.as_ref().is_some_and(Lane::is_broken) {
-                slot.take().expect("a broken lane").retire(&mut self.pool);
-                self.events.push_back(ServerEvent::Gone(ClientId(i as u16)));
+    /// The next queued event. With none queued, install new seats, then
+    /// flush and read every lane once; each sweep starts one lane further
+    /// on, so no client's frames are always queued first.
+    fn poll(&mut self) -> Option<ServerEvent<U>> {
+        if self.events.is_empty() {
+            while let Ok((c, lane)) = self.seats.try_recv() {
+                self.install(c, lane);
             }
+            self.first = (self.first + 1) % self.lanes.len().max(1);
+            self.writev_batches += sweep_lanes(
+                &mut self.lanes,
+                self.first,
+                &mut self.events,
+                &mut self.pool,
+            );
         }
-    }
-}
-
-impl<U: DeserializeOwned, D> TcpServerTransport<U, D> {
-    /// Install new seats, then flush and read every lane once. Each sweep
-    /// starts one lane further on, so no client's frames are always queued
-    /// first.
-    fn sweep(&mut self) {
-        while let Ok(seat) = self.seats.try_recv() {
-            self.install(seat);
-        }
-        let n = self.lanes.len();
-        self.first = (self.first + 1) % n.max(1);
-        for i in (self.first..n).chain(0..self.first) {
-            if let Some(lane) = &mut self.lanes[i] {
-                self.writev_batches += lane.flush(&mut self.pool);
-                lane.read(ClientId(i as u16), &mut self.events);
-            }
-        }
-        self.unseat_broken();
+        self.events.pop_front()
     }
 }
 
@@ -516,27 +305,13 @@ impl<U: DeserializeOwned, D: Serialize + ShareKey> ServerTransport<U, D>
     type Error = FrameError;
 
     fn recv(&mut self, timeout: Duration) -> Result<ServerEvent<U>, FrameError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(e) = self.events.pop_front() {
-                return Ok(e);
-            }
-            self.sweep();
-            if !self.events.is_empty() {
-                continue;
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return Ok(ServerEvent::Timeout);
-            }
-            std::thread::sleep(left.min(IDLE_NAP));
-        }
+        Ok(wait(timeout, || self.poll()).unwrap_or(ServerEvent::Timeout))
     }
 
     fn send_batch(&mut self, out: &[(ClientId, D)]) -> Result<u64, FrameError> {
         let (bytes, batches) = fan_out(&mut self.lanes, out, D::share_key, &mut self.pool)?;
         self.writev_batches += batches;
-        self.unseat_broken();
+        unseat_broken(&mut self.lanes, &mut self.events, &mut self.pool);
         Ok(bytes)
     }
 
@@ -544,31 +319,18 @@ impl<U: DeserializeOwned, D: Serialize + ShareKey> ServerTransport<U, D>
         // Best effort and bounded: a client that already vanished is not
         // an error, and one that stopped reading is waited for only
         // STOP_GRACE, then retired with its tail.
-        let mut buf = self.pool.take();
-        if let Err(e) = encode_frame_into(&RtDown::<D>::Stop, &mut buf) {
-            self.pool.put(buf);
-            return Err(e);
-        }
-        let stop = Arc::new(buf);
+        let stop = encode(&RtDown::<D>::Stop, &mut self.pool)?;
         for lane in self.lanes.iter_mut().flatten() {
-            lane.tail.push_back(Arc::clone(&stop));
+            lane.push(Arc::clone(&stop));
         }
         recycle(stop, &mut self.pool);
-        let deadline = Instant::now() + STOP_GRACE;
-        loop {
+        wait(STOP_GRACE, || {
             for lane in self.lanes.iter_mut().flatten() {
                 self.writev_batches += lane.flush(&mut self.pool);
             }
-            let flushed = self
-                .lanes
-                .iter()
-                .flatten()
-                .all(|l| l.is_flushed() || l.is_broken());
-            if flushed || Instant::now() >= deadline {
-                break;
-            }
-            std::thread::sleep(IDLE_NAP);
-        }
+            let mut lanes = self.lanes.iter().flatten();
+            lanes.all(|l| l.is_flushed() || l.is_broken()).then_some(())
+        });
         for slot in &mut self.lanes {
             if slot.as_ref().is_some_and(|l| !l.is_flushed()) {
                 slot.take().expect("a lane").retire(&mut self.pool);
@@ -613,7 +375,7 @@ fn spawn_acceptor<U>(
     listener: TcpListener,
     world_digest: u64,
     tokens: Vec<u64>,
-    seats: Sender<Seat>,
+    seats: Sender<(ClientId, Lane<TcpStream>)>,
     stop: Arc<AtomicBool>,
 ) -> io::Result<JoinHandle<()>>
 where
@@ -626,7 +388,7 @@ where
         while !stop.load(Ordering::Relaxed) {
             match listener.accept() {
                 Ok((stream, _peer)) => {
-                    if let Some(seat) = handshake::<U>(stream, world_digest, &tokens) {
+                    if let Some(seat) = seat::<U>(stream, world_digest, &tokens) {
                         if seats.send(seat).is_err() {
                             return;
                         }
@@ -638,18 +400,33 @@ where
     }))
 }
 
-/// Read and check one freshly accepted connection's hello. Returns the
-/// seat it may take, or `None` for a connection that is refused.
-fn handshake<U: DeserializeOwned>(
+/// [`handshake`] a freshly accepted connection, and hand its lane over
+/// nonblocking.
+fn seat<U: DeserializeOwned>(
     stream: TcpStream,
     world_digest: u64,
     tokens: &[u64],
-) -> Option<Seat> {
+) -> Option<(ClientId, Lane)> {
     stream.set_nonblocking(false).ok()?;
     stream.set_nodelay(true).ok()?;
     // A peer that connects but never completes its hello must not wedge
     // the acceptor — bound the handshake read.
     stream.set_read_timeout(Some(Duration::from_secs(1))).ok()?;
+    let (c, lane) = handshake::<_, U>(stream, world_digest, tokens)?;
+    lane.stream().set_nonblocking(true).ok()?;
+    Some((c, lane))
+}
+
+/// Read and check a connection's hello from the blocking `stream`. Returns
+/// the seat it may take and its lane, or `None` for a connection that is
+/// refused. Bytes read past the hello start the lane's inbound stream: the
+/// client may send its first frames (a `Resume`, say) in the same write as
+/// the hello.
+fn handshake<S: Read + Write, U: DeserializeOwned>(
+    stream: S,
+    world_digest: u64,
+    tokens: &[u64],
+) -> Option<(ClientId, Lane<S>)> {
     let mut reader = FrameReader::new(stream);
     // The first frame must identify the client.
     let Ok(RtUp::Hello {
@@ -679,52 +456,21 @@ fn handshake<U: DeserializeOwned>(
         return None;
     }
     let (stream, leftover) = reader.into_parts();
-    stream.set_read_timeout(None).ok()?;
-    Some(Seat {
-        client: ClientId(client),
-        stream,
-        leftover,
-    })
+    Some((ClientId(client), Lane::with_inbound(stream, leftover)))
 }
 
 /// Accept `n` clients on `listener` and run `engine` until every client
 /// says goodbye. `tick` and `push` are the wall-clock cycle periods (push
 /// ignored when the engine does not push). `world_digest` is the digest of
 /// the initial world state; clients presenting a different digest are
-/// rejected (their replicas could never converge). Runs a supervised
-/// session with [`SessionParams::default`]; see [`run_server_with`].
-pub fn run_server<W, S>(
-    engine: S,
-    listener: TcpListener,
-    n: usize,
-    tick: Duration,
-    push: Duration,
-    world_digest: u64,
-) -> Result<ServerReport, FrameError>
-where
-    W: GameWorld,
-    S: ServerNode<W>,
-    S::Up: DeserializeOwned + Send + 'static,
-    S::Down: Serialize + ShareKey + Sync + Clone,
-{
-    run_server_with(
-        engine,
-        listener,
-        n,
-        tick,
-        push,
-        world_digest,
-        SessionParams::default(),
-    )
-}
-
-/// [`run_server`] with explicit [`SessionParams`].
+/// rejected (their replicas could never converge).
 ///
 /// The TCP transport carries sequence-numbered session envelopes and is
-/// wrapped in a [`SupervisedServerTransport`]: down-lane frames are resent
-/// past the client's last cumulative ack on RTO, crashed clients are reaped
-/// after the liveness deadline, and a reconnecting client may reclaim its
-/// seat mid-run by presenting its session token.
+/// wrapped in a [`SupervisedServerTransport`] under `session`
+/// ([`SessionParams::default`] for a plain run): down-lane frames are
+/// resent past the client's last cumulative ack on RTO, crashed clients
+/// are reaped after the liveness deadline, and a reconnecting client may
+/// reclaim its seat mid-run by presenting its session token.
 pub fn run_server_with<W, S>(
     engine: S,
     listener: TcpListener,
@@ -751,7 +497,91 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lane::scripted::{check_seed, frame_of, payload, Caller, Got, ScriptedStream};
+    use crate::lane::scripted::{SplitMix64, SCALE_SEEDS, SEEDS, UNDECODABLE};
     use crate::wire;
+
+    const DIGEST: u64 = 0x5EED;
+    const TOKEN: u64 = 77;
+
+    /// The server's side of a lane: the handshake, the sweep and
+    /// [`fan_out`].
+    struct ServerSide;
+
+    impl Caller for ServerSide {
+        fn hello(&self) -> Vec<u8> {
+            frame_of(&RtUp::<Vec<u8>>::Hello {
+                client: 0,
+                world_digest: DIGEST,
+                token: TOKEN,
+            })
+        }
+
+        fn inbound(&self, rng: &mut SplitMix64) -> (Vec<u8>, Option<Got>) {
+            match rng.below(8) {
+                0 => (frame_of(&RtUp::<Vec<u8>>::Bye), Some(Got::Done)),
+                1 => (self.hello(), None),
+                _ => {
+                    let p = payload(rng);
+                    (frame_of(&RtUp::Msg(&p)), Some(Got::Msg(p)))
+                }
+            }
+        }
+
+        fn open(&self, stream: ScriptedStream) -> Lane<ScriptedStream> {
+            let (c, lane) =
+                handshake::<_, Vec<u8>>(stream, DIGEST, &[TOKEN]).expect("the hello is taken");
+            assert_eq!(c, ClientId(0));
+            lane.stream().set_nonblocking(true);
+            lane
+        }
+
+        fn frame(&self, payload: &[u8]) -> Vec<u8> {
+            frame_of(&RtDown::Msg(payload))
+        }
+
+        fn send(
+            &self,
+            lane: &mut Option<Lane<ScriptedStream>>,
+            batch: &[Vec<u8>],
+            pool: &mut BufferPool,
+        ) {
+            let out: Vec<_> = batch.iter().map(|p| (ClientId(0), p)).collect();
+            fan_out(std::slice::from_mut(lane), &out, |_| None, pool).expect("encode");
+        }
+
+        fn pump(
+            &self,
+            lane: &mut Option<Lane<ScriptedStream>>,
+            got: &mut Vec<Got>,
+            pool: &mut BufferPool,
+        ) {
+            let mut events = VecDeque::new();
+            sweep_lanes::<_, Vec<u8>>(std::slice::from_mut(lane), 0, &mut events, pool);
+            got.extend(events.into_iter().map(|e| match e {
+                ServerEvent::Msg(_, m) => Got::Msg(m),
+                ServerEvent::Done(_) => Got::Done,
+                ServerEvent::Gone(_) => Got::Broke,
+                other => panic!("a sweep reports no {other:?}"),
+            }));
+        }
+    }
+
+    #[test]
+    fn scripted_streams_keep_every_frame() {
+        assert!(wire::from_bytes::<RtUp<Vec<u8>>>(&UNDECODABLE).is_err());
+        for seed in 0..SEEDS {
+            check_seed(&ServerSide, seed);
+        }
+    }
+
+    #[test]
+    #[ignore = "for scripts/verify.sh --chaos"]
+    fn scripted_streams_at_scale() {
+        for seed in 0..SCALE_SEEDS {
+            check_seed(&ServerSide, seed);
+        }
+    }
 
     #[test]
     fn borrowed_envelope_encodes_like_the_owned_variant() {

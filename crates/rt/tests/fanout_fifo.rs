@@ -11,7 +11,8 @@
 
 use seve_core::engine::ShareId;
 use seve_rt::frame::FrameReader;
-use seve_rt::server::{fan_out, Lane, RtDown};
+use seve_rt::lane::Lane;
+use seve_rt::server::{fan_out, RtDown};
 use seve_rt::wire::BufferPool;
 use seve_world::ids::ClientId;
 use std::net::{TcpListener, TcpStream};

@@ -6,7 +6,8 @@
 use seve_core::config::{ProtocolConfig, ServerMode};
 use seve_core::consistency::ConsistencyOracle;
 use seve_core::pipeline::PipelineServer;
-use seve_rt::{run_client, run_server};
+use seve_driver::{FaultPlan, SessionParams};
+use seve_rt::{run_client_with, run_server_with};
 use seve_world::ids::ClientId;
 use seve_world::worlds::manhattan::{
     ManhattanConfig, ManhattanWorkload, ManhattanWorld, SpawnPattern,
@@ -51,13 +52,14 @@ fn run_session(mode: ServerMode) {
         w.initial_state().digest()
     };
     let server = std::thread::spawn(move || {
-        run_server(
+        run_server_with(
             PipelineServer::new(server_world, server_cfg),
             listener,
             N,
             Duration::from_millis(5),
             Duration::from_millis(5),
             digest,
+            SessionParams::default(),
         )
         .expect("server runs")
     });
@@ -68,7 +70,7 @@ fn run_session(mode: ServerMode) {
         let cfg = cfg.clone();
         client_handles.push(std::thread::spawn(move || {
             let mut wl = ManhattanWorkload::new(&w);
-            run_client(
+            run_client_with(
                 Arc::clone(&w),
                 &cfg,
                 addr,
@@ -76,6 +78,8 @@ fn run_session(mode: ServerMode) {
                 &mut wl,
                 MOVES,
                 Duration::from_millis(25),
+                &FaultPlan::none(),
+                SessionParams::default(),
             )
             .expect("client runs")
         }));

@@ -18,7 +18,7 @@ use seve::core::consistency::ConsistencyOracle;
 use seve::core::pipeline::PipelineServer;
 use seve::driver::{run_inproc_session, SessionConfig};
 use seve::prelude::*;
-use seve::rt::{run_client, run_server};
+use seve::rt::{run_client_with, run_server_with};
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
@@ -62,13 +62,14 @@ fn run_tcp(world: Arc<ManhattanWorld>, cfg: ProtocolConfig, n: usize, moves: u32
     let server_cfg = cfg.clone();
     let digest = world.initial_state().digest();
     let server = std::thread::spawn(move || {
-        run_server(
+        run_server_with(
             PipelineServer::new(server_world, server_cfg),
             listener,
             n,
             Duration::from_millis(5),
             Duration::from_millis(5),
             digest,
+            SessionParams::default(),
         )
         .expect("server session")
     });
@@ -79,7 +80,7 @@ fn run_tcp(world: Arc<ManhattanWorld>, cfg: ProtocolConfig, n: usize, moves: u32
         let cfg = cfg.clone();
         clients.push(std::thread::spawn(move || {
             let mut wl = ManhattanWorkload::new(&world);
-            run_client(
+            run_client_with(
                 Arc::clone(&world),
                 &cfg,
                 addr,
@@ -87,6 +88,8 @@ fn run_tcp(world: Arc<ManhattanWorld>, cfg: ProtocolConfig, n: usize, moves: u32
                 &mut wl,
                 moves,
                 Duration::from_millis(30),
+                &FaultPlan::none(),
+                SessionParams::default(),
             )
             .expect("client session")
         }));

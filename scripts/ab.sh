@@ -17,7 +17,8 @@
 # rep, say) it also prints the claimed metric of each of its reps, marked
 # `invalid` where the harness disowned the rep, and how many reps were
 # valid. Those per-rep values are evidence only: the medians, quartiles and
-# pair wins use nothing but the metrics the runs printed.
+# pair wins use nothing but the metrics the runs printed. Every `GATE FAILED`
+# line of every run is printed under that run.
 #
 # Everything it writes (exports, target directories, run output) lives in
 # one temporary directory, removed on exit: the repository, bench/ included,
@@ -111,9 +112,15 @@ for side, runs in sides.items():
     vals = ["missing" if value(r, metric) is None else f"{value(r, metric):.6g}" for r in runs]
     print(f"  {side} runs: {' '.join(vals)}")
     for k, r in enumerate(runs):
+        gates = [l.strip() for l in open(f"{tmp}/{side}/err.{k}") if "GATE FAILED" in l]
+        if value(r, metric) is not None and gates:
+            print(f"    {side} run {k + 1} not correct:")
+            for g in gates:
+                print(f"      {g}")
         if value(r, metric) is None:
-            gates = [l.strip() for l in open(f"{tmp}/{side}/err.{k}") if "GATE FAILED" in l]
             print(f"    {side} run {k + 1} missed: {gates[0] if gates else 'no verdict line'}")
+            for g in gates[1:]:
+                print(f"      {g}")
             rs = reps(side, k)
             if rs:
                 vals = [f"{rep['calibrated'].get(metric, {}).get('value', float('nan')):.6g}"

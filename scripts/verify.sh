@@ -5,13 +5,17 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # --chaos: fault-tolerance smoke slice only. Seeded chaos soaks must end
-# consistent with non-zero SessionStats (the faults really happened), and
+# consistent with non-zero SessionStats (the faults really happened),
 # clean runs must report exactly zero coping counters (supervision is
-# invisible when nothing goes wrong).
+# invisible when nothing goes wrong), and both ends of a socket lane must
+# keep every frame over seeded scripted streams.
 if [[ "${1:-}" == "--chaos" ]]; then
   echo "== chaos smoke =="
   cargo test -q -p seve --release --test fault_matrix -- \
     chaos clean_runs_have_zero_coping_counters
+  # The lane's scripted-stream properties over 10^5 seeds per side
+  # (the default test run covers 2 000).
+  cargo test -q -p seve-rt --release --lib -- --ignored scripted_streams_at_scale
   echo "verify.sh --chaos: fault-tolerance smoke passed"
   exit 0
 fi
