@@ -187,16 +187,17 @@ pub struct StageMetrics {
     /// Pooled encode buffers still checked out at report time. Non-zero
     /// after a drained shutdown means the transport leaked buffers.
     pub pool_outstanding: u64,
-    /// Down-lane frames retransmitted by the session supervisor (RTO
-    /// expiry or resume catch-up). Zero on a fault-free run.
+    /// Down-lane frames the session supervisor resent to catch a resumed
+    /// client up. Zero on a fault-free run.
     pub session_retransmits: u64,
     /// Cumulative acknowledgements the session supervisor processed.
     pub session_acks: u64,
     /// Resume handshakes accepted after a reconnect. Zero on a fault-free
     /// run.
     pub session_reconnects: u64,
-    /// Client lanes reaped by the liveness supervisor (crash, silence, or
-    /// retry-budget exhaustion). Zero on a fault-free run.
+    /// Client lanes reaped by the liveness supervisor (a lost connection
+    /// never resumed, or a client silent while it owed an ack). Zero on a
+    /// fault-free run.
     pub session_reaps: u64,
     /// Overload responses: evicted lanes or thinned push cycles. Zero on
     /// a fault-free run.

@@ -1,37 +1,42 @@
 //! Seeded fault injection for any backend.
 //!
-//! The paper's tolerance claims (Section III-C: redundant completion
-//! messages, client crash recovery) and the replay log's out-of-order
-//! reconciliation only mean something if loss, duplication, reordering, and
-//! delay are exercised in the *real drive loops*, not hand-pumped engine
-//! tests. This module provides one seeded [`FaultPolicy`] with two
-//! realizations:
+//! The fault model is a stream's (DESIGN.md §16.0): inside a live
+//! connection nothing is lost, duplicated or reordered, and what a dead
+//! connection loses is its unacked tail. So the faults are of two kinds:
 //!
-//! * [`FaultyLink`] — wraps a simulator [`Link`]: verdicts perturb the
-//!   arrival times the harness schedules (drop = no arrival, duplicate =
-//!   second transmission, delay = arrival jitter, reorder = an arrival
-//!   shift past subsequently sent traffic).
-//! * [`FaultyClientTransport`] — decorates any [`ClientTransport`] (TCP,
-//!   in-process): drop and duplicate act per message; reorder and delay are
-//!   realized as a holdback-swap — the victim waits until the next message
-//!   on the lane passes it, and is flushed at session end so a held tail
-//!   message is never silently lost.
+//! * **Connection faults**, scheduled per client in a [`FaultPlan`]: a
+//!   crash (the client stops mid-workload without a goodbye) and a
+//!   [`LinkPartition`] (the link goes dark with frames in flight and heals
+//!   later; a short one is a *connection cut*). The node drivers enforce
+//!   them, and the session layer recovers a partition by resume.
+//! * **Up-lane message faults** ([`FaultPlan::up`]): what a broken or
+//!   hostile client does to its own submissions — drop, duplicate, reorder
+//!   or delay them. The protocol absorbs them: arrival order is
+//!   serialization order, and the server's ingress ledger dedups by action
+//!   id. One seeded [`FaultPolicy`] has two realizations:
+//!   * [`FaultyLink`] — wraps a simulator [`Link`]: verdicts perturb the
+//!     arrival times the harness schedules (drop = no arrival, duplicate =
+//!     second transmission, delay = arrival jitter, reorder = an arrival
+//!     shift past subsequently sent traffic).
+//!   * [`FaultyClientTransport`] — decorates a client's supervised
+//!     [`ClientTransport`] (TCP, in-process), so it perturbs protocol
+//!     messages, never the session's own acks and resumes: drop and
+//!     duplicate act per message; reorder and delay are realized as a
+//!     holdback-swap — the victim waits until the next message passes it,
+//!     and is flushed at the goodbye so a held tail message is never
+//!     silently lost.
 //!
 //! Verdicts are pure hashes of `(seed, lane, message index)` — no shared
 //! RNG stream — so a policy with all rates at zero is *exactly* the
-//! identity: same calls, same order, same results, bit for bit. Client
-//! crashes are not a message fault; they are driven by
-//! [`FaultPlan::crashes`] and enforced by the node drivers (the client
-//! stops mid-workload without a goodbye).
+//! identity: same calls, same order, same results, bit for bit.
 
 use crate::transport::{ClientEvent, ClientTransport};
 use seve_net::link::Link;
 use seve_net::time::{SimDuration, SimTime};
 use seve_world::ids::ClientId;
-use std::collections::VecDeque;
 use std::time::Duration;
 
-/// Seeded, per-message fault rates for one direction of traffic.
+/// Seeded, per-message fault rates for a client's submissions.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FaultPolicy {
     /// Verdict seed; two lanes with the same seed and stream id fault the
@@ -135,9 +140,9 @@ impl FaultPolicy {
 /// A seeded link outage: `client`'s duplex link goes dark after its
 /// `after_submissions`-th submission and heals `duration` later, at which
 /// point the client reconnects (with backoff on real sockets) and resumes
-/// its session from the last acked sequence number. Doubles as the
-/// crash-then-reconnect schedule: on the TCP substrate the connection is
-/// actually torn down and redialed.
+/// its session from the last delivered sequence number. Frames in flight
+/// when it goes dark are lost. On the TCP substrate the connection is
+/// actually torn down and redialed; a short outage is a connection cut.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LinkPartition {
     /// The partitioned client.
@@ -148,14 +153,12 @@ pub struct LinkPartition {
     pub duration: Duration,
 }
 
-/// A full fault scenario for one session: per-direction message faults plus
+/// A full fault scenario for one session: up-lane message faults plus
 /// client crashes and link partitions.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
-    /// Faults on client → server traffic.
+    /// Faults on the protocol messages clients send.
     pub up: FaultPolicy,
-    /// Faults on server → client traffic.
-    pub down: FaultPolicy,
     /// Clients that crash: `(client, k)` disconnects the client abruptly
     /// after its `k`-th submission — no drain, no goodbye.
     pub crashes: Vec<(ClientId, u32)>,
@@ -171,10 +174,7 @@ impl FaultPlan {
 
     /// Does this plan inject anything at all?
     pub fn is_none(&self) -> bool {
-        self.up.is_none()
-            && self.down.is_none()
-            && self.crashes.is_empty()
-            && self.partitions.is_empty()
+        self.up.is_none() && self.crashes.is_empty() && self.partitions.is_empty()
     }
 
     /// The crash point for `client`, if scheduled.
@@ -191,14 +191,10 @@ impl FaultPlan {
     }
 
     /// The up-lane stream id for client `i` (shared convention across
-    /// backends so the same plan faults the same messages).
+    /// backends so the same plan faults the same messages). It stays
+    /// `2 i`, so a seeded plan faults the messages its pins were taken on.
     pub fn up_stream(i: usize) -> u64 {
         2 * i as u64
-    }
-
-    /// The down-lane stream id for client `i`.
-    pub fn down_stream(i: usize) -> u64 {
-        2 * i as u64 + 1
     }
 }
 
@@ -262,10 +258,10 @@ impl FaultyLink {
     }
 }
 
-/// One direction of threaded-transport faulting: drop / duplicate act per
-/// message, reorder / delay hold the victim back until the next message on
-/// the lane passes it (an adjacent swap). `flush` releases a held message
-/// at session boundaries so nothing is silently lost.
+/// Threaded-transport faulting of one client's submissions: drop /
+/// duplicate act per message, reorder / delay hold the victim back until
+/// the next message passes it (an adjacent swap). `flush` releases a held
+/// message at the goodbye so nothing is silently lost.
 #[derive(Debug)]
 struct Lane<M> {
     policy: FaultPolicy,
@@ -318,93 +314,60 @@ impl<M: Clone> Lane<M> {
     }
 }
 
-/// Fault decorator over any [`ClientTransport`]: the up lane perturbs
-/// `send`/`finish`, the down lane perturbs `recv`. With both policies at
-/// zero it is the identity.
+/// Fault decorator over a client's [`ClientTransport`]: perturbs what
+/// `send` and `finish` carry, and passes the down lane, reconnects and
+/// partitions straight through. With a zero policy it is the identity.
 #[derive(Debug)]
-pub struct FaultyClientTransport<T, U, D> {
+pub struct FaultyClientTransport<T, U> {
     inner: T,
     up: Lane<U>,
-    down: Lane<D>,
-    ready: VecDeque<ClientEvent<D>>,
-    scratch_up: Vec<U>,
-    scratch_down: Vec<D>,
+    scratch: Vec<U>,
 }
 
-impl<T, U: Clone, D: Clone> FaultyClientTransport<T, U, D> {
+impl<T, U: Clone> FaultyClientTransport<T, U> {
     /// Decorate `inner` for client index `i` under `plan`.
     pub fn new(inner: T, plan: &FaultPlan, i: usize) -> Self {
         Self {
             inner,
             up: Lane::new(plan.up.clone(), FaultPlan::up_stream(i)),
-            down: Lane::new(plan.down.clone(), FaultPlan::down_stream(i)),
-            ready: VecDeque::new(),
-            scratch_up: Vec::new(),
-            scratch_down: Vec::new(),
-        }
-    }
-}
-
-impl<T, U, D> ClientTransport<U, D> for FaultyClientTransport<T, U, D>
-where
-    T: ClientTransport<U, D>,
-    U: Clone,
-    D: Clone,
-{
-    type Error = T::Error;
-
-    fn recv(&mut self, timeout: Duration) -> Result<ClientEvent<D>, Self::Error> {
-        if let Some(e) = self.ready.pop_front() {
-            return Ok(e);
-        }
-        match self.inner.recv(timeout)? {
-            ClientEvent::Msg(d) => {
-                self.scratch_down.clear();
-                self.down.admit(d, &mut self.scratch_down);
-                for m in self.scratch_down.drain(..) {
-                    self.ready.push_back(ClientEvent::Msg(m));
-                }
-                // A dropped or held message yields nothing this round; the
-                // driver treats it exactly like a quiet timeout.
-                Ok(self.ready.pop_front().unwrap_or(ClientEvent::Timeout))
-            }
-            terminal @ (ClientEvent::Stop | ClientEvent::Closed) => {
-                // Session boundary: release a held message before the end
-                // marker so a held tail item is reordered, not lost.
-                self.scratch_down.clear();
-                self.down.flush(&mut self.scratch_down);
-                for m in self.scratch_down.drain(..) {
-                    self.ready.push_back(ClientEvent::Msg(m));
-                }
-                self.ready.push_back(terminal);
-                Ok(self.ready.pop_front().expect("just pushed terminal"))
-            }
-            ClientEvent::Timeout => Ok(ClientEvent::Timeout),
+            scratch: Vec::new(),
         }
     }
 
-    fn send(&mut self, msg: U) -> Result<u64, Self::Error> {
-        self.scratch_up.clear();
-        self.up.admit(msg, &mut self.scratch_up);
+    /// Send what the lane let through; returns the bytes written.
+    fn pass<D>(&mut self) -> Result<u64, T::Error>
+    where
+        T: ClientTransport<U, D>,
+    {
         let mut bytes = 0u64;
-        for m in std::mem::take(&mut self.scratch_up) {
+        for m in self.scratch.drain(..) {
             bytes += self.inner.send(m)?;
         }
         Ok(bytes)
     }
+}
 
-    fn finish(&mut self) -> Result<u64, Self::Error> {
-        self.scratch_up.clear();
-        self.up.flush(&mut self.scratch_up);
-        let mut bytes = 0u64;
-        for m in std::mem::take(&mut self.scratch_up) {
-            bytes += self.inner.send(m)?;
-        }
-        Ok(bytes + self.inner.finish()?)
+impl<T, U, D> ClientTransport<U, D> for FaultyClientTransport<T, U>
+where
+    T: ClientTransport<U, D>,
+    U: Clone,
+{
+    type Error = T::Error;
+
+    fn recv(&mut self, timeout: Duration) -> Result<ClientEvent<D>, Self::Error> {
+        self.inner.recv(timeout)
     }
 
-    // The decorator simulates the lossy network *below* the supervision
-    // layer, so connection management passes straight through.
+    fn send(&mut self, msg: U) -> Result<u64, Self::Error> {
+        self.up.admit(msg, &mut self.scratch);
+        self.pass()
+    }
+
+    fn finish(&mut self) -> Result<u64, Self::Error> {
+        self.up.flush(&mut self.scratch);
+        Ok(self.pass()? + self.inner.finish()?)
+    }
+
     fn reconnect(&mut self) -> Result<bool, Self::Error> {
         self.inner.reconnect()
     }
@@ -517,7 +480,7 @@ mod tests {
         assert_eq!(plan.crash_for(ClientId(0)), None);
         assert!(!plan.is_none());
         assert!(FaultPlan::none().is_none());
-        assert_ne!(FaultPlan::up_stream(3), FaultPlan::down_stream(3));
+        assert_ne!(FaultPlan::up_stream(3), FaultPlan::up_stream(4));
     }
 
     #[test]

@@ -214,7 +214,7 @@ impl Default for SessionConfig {
 
 impl SessionConfig {
     /// A config scaled for tests: short periods, few moves, a fast
-    /// supervision envelope (short RTO and liveness deadlines).
+    /// supervision envelope (short ack delay and liveness deadline).
     pub fn fast(moves: u32, move_period: Duration, tick: Duration) -> Self {
         Self {
             tick,
@@ -253,19 +253,18 @@ where
     let workloads: Vec<Box<dyn Workload<W>>> =
         (0..n).map(|i| make_workload(ClientId(i as u16))).collect();
 
-    // The channels carry session envelopes, the fault decorator perturbs
-    // them (the "network" below supervision), and the supervisors recover
-    // on top.
+    // The channels carry session envelopes under the supervisors, and the
+    // fault decorator perturbs what each client submits on top.
     let (server_t, client_ts) = wire::<SessionUp<P::Up>, SessionDown<P::Down>>(n);
     let mut server_transport = SupervisedServerTransport::new(server_t, n, cfg.session);
     let client_transports: Vec<_> = client_ts
         .into_iter()
         .enumerate()
         .map(|(i, t)| {
-            SupervisedClientTransport::new(
-                FaultyClientTransport::new(t, &cfg.faults, i),
-                ClientId(i as u16),
-                cfg.session,
+            FaultyClientTransport::new(
+                SupervisedClientTransport::new(t, ClientId(i as u16), cfg.session),
+                &cfg.faults,
+                i,
             )
         })
         .collect();

@@ -16,10 +16,13 @@
 //!   backend.
 //! * [`sim`] — the discrete-event substrate (virtual clock + event queue),
 //!   deterministic and pinned by the golden digests.
-//! * [`fault`] — seeded drop/duplicate/reorder/delay plus client crashes,
-//!   realized on simulator links ([`fault::FaultyLink`]) and on threaded
-//!   transports ([`fault::FaultyClientTransport`]) from one
-//!   [`fault::FaultPlan`].
+//! * [`fault`] — seeded client crashes and link partitions, plus
+//!   drop/duplicate/reorder/delay of clients' submissions, realized on
+//!   simulator links ([`fault::FaultyLink`]) and on threaded transports
+//!   ([`fault::FaultyClientTransport`]) from one [`fault::FaultPlan`].
+//! * [`session`] — the supervision layer every threaded session runs
+//!   under: sequence numbers, delayed acks, resume after a lost
+//!   connection, liveness reaping and shedding.
 //! * [`report`] — uniform [`report::ServerReport`]/[`report::ClientReport`]
 //!   with the pipeline stage profile and replay-work counters, whatever the
 //!   substrate.
@@ -44,8 +47,8 @@ pub use machine::Machine;
 pub use node::NodeDriver;
 pub use report::{ClientReport, ReplayWork, ServerReport, SessionReport};
 pub use session::{
-    session_token, Backoff, BackoffParams, Resequencer, RetryBudgetExhausted, SendWindow,
-    SessionDown, SessionParams, SessionStats, SessionUp, ShedPolicy, SupervisedClientTransport,
+    session_token, Backoff, BackoffParams, RetryBudgetExhausted, SendWindow, SessionDown,
+    SessionParams, SessionStats, SessionUp, ShedPolicy, SupervisedClientTransport,
     SupervisedServerTransport,
 };
 pub use sim::{AveragedResult, RunResult, SimConfig, Simulation};

@@ -43,9 +43,8 @@ pub struct ClientReport {
     /// Did this client crash mid-run (fault injection) instead of
     /// finishing its workload and draining?
     pub crashed: bool,
-    /// What this client's session supervisor did (resequencing, acks,
-    /// reconnects). All-zero when the run was fault-free on a substrate
-    /// with implicit acks.
+    /// What this client's session supervisor did (reconnects, frames
+    /// dropped out of sequence). All-zero when the run was fault-free.
     pub session: SessionStats,
 }
 

@@ -1,49 +1,53 @@
-//! Session supervision: the acked resume protocol, reconnect with backoff,
-//! liveness reaping, and overload shedding.
+//! Session supervision: sequence numbers, delayed cumulative acks, resume
+//! after a lost connection, liveness reaping, and overload shedding.
 //!
 //! The protocol engines assume a reliable FIFO down-lane and clients that
 //! say goodbye (the replay log reconciles *out-of-order item arrival*, not
-//! transport loss). This module supplies that assumption on top of lossy or
-//! interrupted substrates, as a pair of transport decorators driven by the
-//! unchanged [`crate::node::NodeDriver`] loops:
+//! transport loss). Every substrate SEVE runs on is a stream — TCP in
+//! `seve-rt`, channels in [`crate::inproc`] — which already orders and
+//! retransmits inside a live connection. What a stream can lose is the
+//! unacked tail of a connection that dies: a partition, a reset, a crash or
+//! a reap (DESIGN.md §16.0). This module recovers exactly that, and only by
+//! resume, as a pair of transport decorators driven by the unchanged
+//! [`crate::node::NodeDriver`] loops:
 //!
 //! * [`SupervisedServerTransport`] — sequence-numbers every down-lane
-//!   message, keeps a bounded per-client resend ring, retransmits past the
-//!   client's last cumulative ack on timeout, reaps lanes whose client
-//!   vanished (liveness deadlines), and sheds load when a ring crosses its
-//!   high-water mark ([`ShedPolicy`]).
-//! * [`SupervisedClientTransport`] — resequences the down lane (in-order
-//!   delivery, duplicate suppression), acknowledges cumulatively and late
-//!   (one [`SessionUp::Ack`] per `rto / 4` or per `ring / 8` frames,
-//!   whichever comes first; again when the server resends what was
-//!   acked), sends heartbeats while idle, and — after a link partition —
-//!   reconnects under seeded exponential [`Backoff`] and resumes with a
-//!   [`SessionUp::Resume`] handshake carrying the session token and the
-//!   last acked sequence number, so the server retransmits exactly the
-//!   frames the client missed and nothing it already delivered.
+//!   message and keeps it in a bounded per-client resend ring until the
+//!   client acks it; answers a [`SessionUp::Resume`] by resending every
+//!   frame past the client's last ack (go-back-N); reaps lanes whose client
+//!   vanished (detached past `liveness`) or stopped answering (frames owed
+//!   and nothing heard for `liveness`); and sheds load when a ring crosses
+//!   its high-water mark ([`ShedPolicy`]).
+//! * [`SupervisedClientTransport`] — delivers a frame only if it is the
+//!   next in sequence and drops anything else (after a resume the server
+//!   resends it in order), acknowledges cumulatively and late (one
+//!   [`SessionUp::Ack`] per `ack_delay` or per `ring / 8` frames, whichever
+//!   comes first), sends heartbeats while idle, and — after a link
+//!   partition — reconnects under seeded exponential [`Backoff`] and
+//!   resumes with the session token and the last delivered sequence number,
+//!   so the server resends exactly the frames the client missed.
 //!
-//! Retransmitted bytes are wire-path overhead, not protocol traffic: they
-//! are excluded from the driver's byte accounting (which therefore stays
+//! Resent bytes are wire-path overhead, not protocol traffic: they are
+//! excluded from the driver's byte accounting (which therefore stays
 //! comparable with a fault-free run) and surface in [`SessionStats`]
 //! instead, which flows through the stage profile into every report.
 //!
-//! Fault-free sessions are pass-through for the engines: no retransmit
-//! timers fire and every counter except `acks` stays zero. The *byte
-//! accounting* counts the envelopes that carry engine messages
-//! ([`SessionUp::Msg`], [`SessionDown::Seq`]) at their encoded size, header
-//! included, and leaves control frames out — the simulator models acks as
-//! free, which is not the socket's truth. On TCP an ack is a frame of its
-//! own: an encode and a `write` syscall on the client, a `read` and a
-//! decode on the server. That is why acks are
-//! cumulative *and delayed*: the cost is per ack frame, not per
-//! acknowledged frame.
+//! Fault-free sessions are pass-through for the engines: nothing is resent
+//! and every counter except `acks` stays zero. The *byte accounting* counts
+//! the envelopes that carry engine messages ([`SessionUp::Msg`],
+//! [`SessionDown::Seq`]) at their encoded size, header included, and leaves
+//! control frames out — the simulator models acks as free, which is not the
+//! socket's truth. On TCP an ack is a frame of its own: an encode and a
+//! `write` syscall on the client, a `read` and a decode on the server. That
+//! is why acks are cumulative *and delayed*: the cost is per ack frame, not
+//! per acknowledged frame.
 
 use crate::transport::{ClientEvent, ClientTransport, EgressStats, ServerEvent, ServerTransport};
 use serde::{Deserialize, Serialize};
 use seve_core::engine::ShareKey;
 use seve_world::ids::ClientId;
-use std::collections::{BTreeMap, VecDeque};
-use std::ops::Add;
+use std::collections::VecDeque;
+use std::marker::PhantomData;
 use std::time::{Duration, Instant};
 
 /// splitmix64, the same mixer the fault verdicts use: deterministic,
@@ -202,21 +206,14 @@ impl Backoff {
 pub struct SessionParams {
     /// Resend-ring high-water mark per client (unacked frames).
     pub ring: usize,
-    /// Retransmit timeout: the oldest unacked frame older than this
-    /// triggers a go-back-N retransmission of the window — provided the
-    /// supervisor was running to watch the second half of it go by.
-    pub rto: Duration,
-    /// Retransmission attempts per window before the lane is declared
-    /// unreachable and reaped.
-    pub give_up: u32,
+    /// How long a client may sit on an unsent cumulative ack.
+    pub ack_delay: Duration,
     /// Client-side idle heartbeat period.
     pub heartbeat: Duration,
-    /// How long a detached client (lost connection, no resume) keeps its
-    /// lane before the server reaps it.
+    /// How long the server waits on a client before reaping its lane: a
+    /// detached client (lost connection, no resume) for this long, and an
+    /// attached one that owes an ack and has sent nothing for this long.
     pub liveness: Duration,
-    /// Reap even *attached* clients silent for this long (heartbeats count
-    /// as activity). `None` disables the idle reaper.
-    pub idle_reap: Option<Duration>,
     /// Overload response when a resend ring crosses `ring`.
     pub shed: ShedPolicy,
     /// Reconnect backoff shape.
@@ -229,11 +226,9 @@ pub struct SessionParams {
 #[derive(Serialize, Deserialize)]
 struct SessionParamsWire {
     ring: usize,
-    rto_us: u64,
-    give_up: u32,
+    ack_delay_us: u64,
     heartbeat_us: u64,
     liveness_us: u64,
-    idle_reap_us: Option<u64>,
     shed: ShedPolicy,
     backoff: BackoffParams,
     seed: u64,
@@ -243,11 +238,9 @@ impl Serialize for SessionParams {
     fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
         SessionParamsWire {
             ring: self.ring,
-            rto_us: self.rto.as_micros() as u64,
-            give_up: self.give_up,
+            ack_delay_us: self.ack_delay.as_micros() as u64,
             heartbeat_us: self.heartbeat.as_micros() as u64,
             liveness_us: self.liveness.as_micros() as u64,
-            idle_reap_us: self.idle_reap.map(|d| d.as_micros() as u64),
             shed: self.shed,
             backoff: self.backoff,
             seed: self.seed,
@@ -261,11 +254,9 @@ impl<'de> Deserialize<'de> for SessionParams {
         let w = SessionParamsWire::deserialize(d)?;
         Ok(Self {
             ring: w.ring,
-            rto: Duration::from_micros(w.rto_us),
-            give_up: w.give_up,
+            ack_delay: Duration::from_micros(w.ack_delay_us),
             heartbeat: Duration::from_micros(w.heartbeat_us),
             liveness: Duration::from_micros(w.liveness_us),
-            idle_reap: w.idle_reap_us.map(Duration::from_micros),
             shed: w.shed,
             backoff: w.backoff,
             seed: w.seed,
@@ -277,11 +268,9 @@ impl Default for SessionParams {
     fn default() -> Self {
         Self {
             ring: 1024,
-            rto: Duration::from_millis(200),
-            give_up: 16,
+            ack_delay: Duration::from_millis(50),
             heartbeat: Duration::from_secs(1),
             liveness: Duration::from_secs(3),
-            idle_reap: None,
             shed: ShedPolicy::Evict,
             backoff: BackoffParams::default(),
             seed: 0x005E_5510,
@@ -290,15 +279,6 @@ impl Default for SessionParams {
 }
 
 impl SessionParams {
-    /// How long a client may sit on an unsent cumulative ack: a quarter of
-    /// the RTO, which leaves a client that stalls right at the deadline
-    /// three quarters of an RTO (less two link latencies) before the server
-    /// retransmits. (Linux TCP: 40 ms delayed ack against a 200 ms minimum
-    /// RTO, a fifth.)
-    pub fn ack_delay(&self) -> Duration {
-        self.rto / 4
-    }
-
     /// Unacked deliveries that force an ack before [`Self::ack_delay`] runs
     /// out: an eighth of the ring, so no burst can walk the lane of a
     /// client that keeps reading into [`ShedPolicy`].
@@ -306,10 +286,10 @@ impl SessionParams {
         (self.ring as u64 / 8).max(1)
     }
 
-    /// Parameters scaled for fast tests: short RTO, short liveness.
+    /// Parameters scaled for fast tests: short ack delay, short liveness.
     pub fn fast() -> Self {
         Self {
-            rto: Duration::from_millis(40),
+            ack_delay: Duration::from_millis(10),
             liveness: Duration::from_millis(600),
             heartbeat: Duration::from_millis(200),
             backoff: BackoffParams {
@@ -326,7 +306,7 @@ impl SessionParams {
 /// `acks`) on a clean run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SessionStats {
-    /// Frames retransmitted (RTO expiry or resume catch-up).
+    /// Frames resent to catch a resumed client up.
     pub retransmits: u64,
     /// Cumulative acknowledgements the server processed — not frames
     /// delivered. On the threaded backends that is [`SessionUp::Ack`]
@@ -342,15 +322,15 @@ pub struct SessionStats {
     pub reaps: u64,
     /// Overload responses: evicted lanes or thinned push cycles.
     pub sheds: u64,
-    /// Duplicate down-lane frames suppressed by the resequencer.
+    /// Down-lane frames the client dropped because they were not the next
+    /// in sequence: a frame past the gap a lost connection left, or one
+    /// already delivered.
     pub dups_dropped: u64,
-    /// Out-of-order frames parked in the reorder buffer.
-    pub holds: u64,
 }
 
 impl SessionStats {
-    /// The fault-coping counters — exactly zero on a clean run (acks and
-    /// resequencer bookkeeping flow even without faults).
+    /// The fault-coping counters — exactly zero on a clean run (acks flow
+    /// even without faults).
     pub fn coping(&self) -> u64 {
         self.retransmits + self.reconnects + self.reaps + self.sheds
     }
@@ -363,7 +343,6 @@ impl SessionStats {
         self.reaps += other.reaps;
         self.sheds += other.sheds;
         self.dups_dropped += other.dups_dropped;
-        self.holds += other.holds;
     }
 }
 
@@ -375,7 +354,7 @@ pub enum SessionUp<U> {
     /// Cumulative acknowledgement: every down-lane seq ≤ this arrived.
     Ack(u64),
     /// Resume after a reconnect: prove identity, report the last
-    /// contiguous seq delivered, so the server retransmits the rest.
+    /// contiguous seq delivered, so the server resends the rest.
     Resume {
         /// The session token ([`session_token`]).
         token: u64,
@@ -396,157 +375,50 @@ pub enum SessionDown<D> {
 
 // Per-client sequence numbers make otherwise-identical payloads distinct on
 // the wire, so sequenced frames never share an encoded buffer. An accepted
-// trade-off: supervision targets lossy real links, encode-once fan-out
-// still applies below the wrapper per frame sent.
+// trade-off: encode-once fan-out still applies below the wrapper per frame
+// sent.
 impl<D> ShareKey for SessionDown<D> {}
 
-/// The client side's reorder buffer: accepts `(seq, msg)` in any order,
-/// releases the contiguous prefix, and suppresses duplicates. Shared by the
-/// threaded wrapper and the simulator weave.
-#[derive(Debug)]
-pub struct Resequencer<M> {
-    next: u64,
-    buf: BTreeMap<u64, M>,
-    /// Duplicates suppressed.
-    pub dups_dropped: u64,
-    /// Frames parked out of order.
-    pub holds: u64,
-}
-
-impl<M> Default for Resequencer<M> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<M> Resequencer<M> {
-    /// An empty resequencer expecting seq 1.
-    pub fn new() -> Self {
-        Self {
-            next: 1,
-            buf: BTreeMap::new(),
-            dups_dropped: 0,
-            holds: 0,
-        }
-    }
-
-    /// Accept one frame; `out` receives every frame now deliverable, in
-    /// sequence order.
-    pub fn accept(&mut self, seq: u64, msg: M, out: &mut Vec<M>) {
-        if seq < self.next || self.buf.contains_key(&seq) {
-            self.dups_dropped += 1;
-            return;
-        }
-        if seq == self.next {
-            out.push(msg);
-            self.next += 1;
-            while let Some(m) = self.buf.remove(&self.next) {
-                out.push(m);
-                self.next += 1;
-            }
-        } else {
-            self.holds += 1;
-            self.buf.insert(seq, msg);
-        }
-    }
-
-    /// The cumulative ack: every seq ≤ this has been delivered in order.
-    pub fn cum_ack(&self) -> u64 {
-        self.next - 1
-    }
-
-    /// Frames currently parked out of order.
-    pub fn held(&self) -> usize {
-        self.buf.len()
-    }
-}
-
 /// The server side's bounded resend ring for one client: unacked frames in
-/// sequence order, with the retransmission bookkeeping. Generic over its
-/// timestamp: `Instant` on the threaded transports, `SimTime` under the
-/// simulator, which keeps its lanes' windows in this same type.
+/// sequence order. The simulator keeps its lanes' windows in this same
+/// type.
 #[derive(Debug)]
-pub struct SendWindow<M, T = Instant> {
+pub struct SendWindow<M> {
     next_seq: u64,
     ring: VecDeque<(u64, M)>,
-    attempts: u32,
-    oldest_sent: Option<T>,
 }
 
-impl<M, T: Copy> Default for SendWindow<M, T> {
+impl<M> Default for SendWindow<M> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<M, T: Copy> SendWindow<M, T> {
+impl<M> SendWindow<M> {
     /// An empty window; the first frame gets seq 1.
     pub fn new() -> Self {
         Self {
             next_seq: 1,
             ring: VecDeque::new(),
-            attempts: 0,
-            oldest_sent: None,
         }
     }
 
     /// Append one frame; returns its sequence number.
-    pub fn push(&mut self, msg: M, now: T) -> u64 {
+    pub fn push(&mut self, msg: M) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        if self.ring.is_empty() {
-            self.oldest_sent = Some(now);
-            self.attempts = 0;
-        }
         self.ring.push_back((seq, msg));
         seq
     }
 
-    /// Process a cumulative ack: drop everything ≤ `cum`.
-    pub fn ack(&mut self, cum: u64, now: T) {
+    /// Process a cumulative ack: drop everything ≤ `cum`. Returns whether
+    /// it dropped anything.
+    pub fn ack(&mut self, cum: u64) -> bool {
         let before = self.ring.len();
         while self.ring.front().is_some_and(|(s, _)| *s <= cum) {
             self.ring.pop_front();
         }
-        if self.ring.len() != before {
-            // Progress: restart the RTO clock for the new oldest frame.
-            self.oldest_sent = (!self.ring.is_empty()).then_some(now);
-            self.attempts = 0;
-        }
-    }
-
-    /// When the oldest unacked frame's RTO runs out; `None` with nothing
-    /// unacked.
-    pub fn deadline<S>(&self, rto: S) -> Option<T>
-    where
-        T: Add<S, Output = T>,
-    {
-        self.oldest_sent
-            .filter(|_| !self.ring.is_empty())
-            .map(|t| t + rto)
-    }
-
-    /// Is the RTO expired for the oldest unacked frame?
-    pub fn due<S>(&self, now: T, rto: S) -> bool
-    where
-        T: Add<S, Output = T> + PartialOrd,
-    {
-        self.deadline(rto).is_some_and(|d| now >= d)
-    }
-
-    /// Record one go-back-N retransmission of the whole window; returns
-    /// the attempt count.
-    pub fn retransmitted(&mut self, now: T) -> u32 {
-        self.attempts += 1;
-        self.oldest_sent = Some(now);
-        self.attempts
-    }
-
-    /// Go-back-N rounds (RTO resends and resume catch-ups) since the last
-    /// progress. A lane is reaped once this reaches
-    /// [`SessionParams::give_up`] and the window is due again.
-    pub fn attempts(&self) -> u32 {
-        self.attempts
+        self.ring.len() != before
     }
 
     /// Unacked frames, oldest first.
@@ -567,8 +439,6 @@ impl<M, T: Copy> SendWindow<M, T> {
     /// Drop every unacked frame (lane reaped).
     pub fn clear(&mut self) {
         self.ring.clear();
-        self.oldest_sent = None;
-        self.attempts = 0;
     }
 }
 
@@ -576,9 +446,13 @@ impl<M, T: Copy> SendWindow<M, T> {
 #[derive(Debug)]
 struct SrvLane<D> {
     win: SendWindow<D>,
-    /// The supervision pass that first found the window half an RTO old.
+    /// Since when the client has owed an answer: the later of its last
+    /// arrival and the moment its window last went from empty to
+    /// non-empty. Read only while the window is non-empty.
+    quiet_since: Instant,
+    /// The supervision pass that first found the lane half `liveness`
+    /// silent.
     overdue_since: Option<Instant>,
-    last_activity: Instant,
     detached_at: Option<Instant>,
     finished: bool,
     reaped: bool,
@@ -588,8 +462,8 @@ impl<D> SrvLane<D> {
     fn new(now: Instant) -> Self {
         Self {
             win: SendWindow::new(),
+            quiet_since: now,
             overdue_since: None,
-            last_activity: now,
             detached_at: None,
             finished: false,
             reaped: false,
@@ -601,8 +475,17 @@ impl<D> SrvLane<D> {
     }
 
     fn touch(&mut self, now: Instant) {
-        self.last_activity = now;
+        self.quiet_since = now;
         self.detached_at = None;
+    }
+
+    /// Has an attached, live client owed an answer for at least `wait`
+    /// without sending anything?
+    fn silent_for(&self, now: Instant, wait: Duration) -> bool {
+        self.live()
+            && self.detached_at.is_none()
+            && !self.win.is_empty()
+            && now.duration_since(self.quiet_since) >= wait
     }
 }
 
@@ -651,9 +534,10 @@ where
         self.lanes[c].live() && self.lanes[c].win.len() > self.params.ring
     }
 
-    /// Retransmit every unacked frame on `c`'s lane (go-back-N).
-    fn retransmit(&mut self, c: usize, now: Instant) -> Result<(), T::Error> {
-        let lane = &mut self.lanes[c];
+    /// Resend every unacked frame on `c`'s lane (go-back-N): the catch-up
+    /// after a resume.
+    fn resend(&mut self, c: usize) -> Result<(), T::Error> {
+        let lane = &self.lanes[c];
         if lane.win.is_empty() {
             return Ok(());
         }
@@ -662,10 +546,9 @@ where
         for (seq, d) in lane.win.frames() {
             self.scratch.push((dest, SessionDown::Seq(*seq, d.clone())));
         }
-        lane.win.retransmitted(now);
         self.stats.retransmits += self.scratch.len() as u64;
-        // Retransmit bytes are wire-path overhead, not protocol traffic;
-        // they are deliberately not folded into the driver's byte totals.
+        // Resent bytes are wire-path overhead, not protocol traffic; they
+        // are deliberately not folded into the driver's byte totals.
         self.inner.send_batch(&self.scratch)?;
         Ok(())
     }
@@ -689,50 +572,38 @@ where
         Ok(())
     }
 
-    /// One supervision pass: RTO retransmissions, give-up and liveness
-    /// reaping. Runs whenever the inbound queue has just been found empty
-    /// (at least once per driver cycle) — never ahead of an ack that has
-    /// already arrived.
+    /// One supervision pass: liveness reaping. Runs whenever the inbound
+    /// queue has just been found empty (at least once per driver cycle) —
+    /// never ahead of an ack that has already arrived.
     ///
-    /// The second half of the RTO has to elapse *under watch*: a window is
-    /// resent once a pass has found it `rto / 2` old and a later pass,
-    /// `rto / 2` on, finds it no further. Running normally that is the
-    /// plain RTO. But time during which this process was not running (a
-    /// descheduled thread, a frozen VM) ages every frame without any client
-    /// being late; the first pass afterwards only takes note, and the
-    /// clients get two ack intervals — one to read what was delivered while
-    /// everyone stood still, one for [`SessionParams::ack_delay`] — to say
-    /// so before anything is resent.
+    /// A detached lane is reaped `liveness` after its connection was lost.
+    /// An attached lane is reaped by the *silence rule*: it owes an ack and
+    /// nothing has arrived from its client for `liveness` — a hung client
+    /// that keeps its socket open would otherwise pin its ring and wedge a
+    /// `ThinPush` server and the end of the session. The second half of
+    /// that wait has to elapse *under watch*: a pass that finds the lane
+    /// silent for `liveness / 2` only takes note, and a later pass,
+    /// `liveness / 2` on, reaps it if it is silent still. Running normally
+    /// that is the plain deadline. But time during which this process was
+    /// not running (a descheduled thread, a frozen VM) ages every lane
+    /// without any client being late; the first pass afterwards only takes
+    /// note, and the clients get half a deadline to say so.
     fn supervise(&mut self, now: Instant) -> Result<(), T::Error> {
-        let half = self.params.rto / 2;
+        let half = self.params.liveness / 2;
         for c in 0..self.lanes.len() {
             let lane = &mut self.lanes[c];
             if lane.reaped {
                 continue;
             }
-            if let Some(at) = lane.detached_at {
-                if now.duration_since(at) >= self.params.liveness {
-                    self.reap(c)?;
-                    continue;
-                }
-            }
-            if let Some(idle) = self.params.idle_reap {
-                if lane.live() && now.duration_since(lane.last_activity) >= idle {
-                    self.reap(c)?;
-                    continue;
-                }
-            }
-            if !lane.win.due(now, half) {
+            if lane
+                .detached_at
+                .is_some_and(|at| now.duration_since(at) >= self.params.liveness)
+            {
+                self.reap(c)?;
+            } else if !lane.silent_for(now, half) {
                 lane.overdue_since = None;
             } else if now.duration_since(*lane.overdue_since.get_or_insert(now)) >= half {
-                lane.overdue_since = None;
-                if lane.win.attempts() >= self.params.give_up {
-                    // The peer is unreachable past the whole retry budget:
-                    // stop resending into the void.
-                    self.reap(c)?;
-                } else {
-                    self.retransmit(c, now)?;
-                }
+                self.reap(c)?;
             }
         }
         Ok(())
@@ -740,10 +611,10 @@ where
 
     /// Abrupt loss of `c`'s connection: hold the lane open for a resume;
     /// the liveness deadline decides when it becomes a reap.
-    fn detach(&mut self, c: ClientId) {
+    fn detach(&mut self, c: ClientId, now: Instant) {
         let lane = &mut self.lanes[c.index()];
         if lane.live() && lane.detached_at.is_none() {
-            lane.detached_at = Some(Instant::now());
+            lane.detached_at = Some(now);
         }
     }
 
@@ -763,16 +634,16 @@ where
             SessionUp::Msg(u) => Some(u),
             SessionUp::Ack(a) => {
                 self.stats.acks += 1;
-                self.lanes[i].win.ack(a, now);
+                self.lanes[i].win.ack(a);
                 None
             }
             SessionUp::Heartbeat => None,
             SessionUp::Resume { token, last_acked } => {
                 if token == session_token(self.params.seed, c) {
-                    self.lanes[i].win.ack(last_acked, now);
+                    self.lanes[i].win.ack(last_acked);
                     self.stats.reconnects += 1;
                     // Catch the client up from exactly where it left off.
-                    self.retransmit(i, now)?;
+                    self.resend(i)?;
                 }
                 None
             }
@@ -794,9 +665,11 @@ where
                 return Ok(e);
             }
             let wait = deadline.saturating_duration_since(Instant::now());
-            match self.inner.recv(wait)? {
+            let event = self.inner.recv(wait)?;
+            let now = Instant::now();
+            match event {
                 ServerEvent::Msg(c, up) => {
-                    if let Some(u) = self.handle_control(c, up, Instant::now())? {
+                    if let Some(u) = self.handle_control(c, up, now)? {
                         return Ok(ServerEvent::Msg(c, u));
                     }
                 }
@@ -808,10 +681,9 @@ where
                     lane.finished = true;
                     return Ok(ServerEvent::Done(c));
                 }
-                ServerEvent::Gone(c) => self.detach(c),
+                ServerEvent::Gone(c) => self.detach(c, now),
                 ServerEvent::Timeout => {
                     // Every ack that has arrived is applied: now judge.
-                    let now = Instant::now();
                     self.supervise(now)?;
                     if self.ready.is_empty() && now >= deadline {
                         return Ok(ServerEvent::Timeout);
@@ -830,7 +702,11 @@ where
             if lane.reaped {
                 continue;
             }
-            let seq = lane.win.push(d.clone(), now);
+            if lane.win.is_empty() {
+                // The client owes an answer from now on.
+                lane.quiet_since = now;
+            }
+            let seq = lane.win.push(d.clone());
             self.scratch.push((*dest, SessionDown::Seq(seq, d.clone())));
         }
         let mut sent = std::mem::take(&mut self.scratch);
@@ -852,23 +728,26 @@ where
     }
 
     fn stop_all(&mut self) -> Result<(), T::Error> {
-        // Graceful close: give in-flight retransmissions a bounded window
-        // to drain, so a drop right before shutdown is still recovered.
-        let grace = self.params.rto * 2 + Duration::from_millis(500);
+        // Graceful close: give the last acks (and a resume in progress) a
+        // bounded window to arrive, so a client cut right before shutdown
+        // still catches up.
+        let grace = self.params.ack_delay * 8 + Duration::from_millis(500);
         let deadline = Instant::now() + grace;
         while self.lanes.iter().any(|l| !l.reaped && !l.win.is_empty()) {
             if Instant::now() >= deadline {
                 break;
             }
-            match self.inner.recv(Duration::from_millis(10))? {
+            let event = self.inner.recv(Duration::from_millis(10))?;
+            let now = Instant::now();
+            match event {
                 ServerEvent::Msg(c, up) => {
                     // Engine traffic past the session end is dropped; acks
                     // and resumes still count.
-                    self.handle_control(c, up, Instant::now())?;
+                    self.handle_control(c, up, now)?;
                 }
                 ServerEvent::Done(c) => self.lanes[c.index()].finished = true,
-                ServerEvent::Gone(c) => self.detach(c),
-                ServerEvent::Timeout => self.supervise(Instant::now())?,
+                ServerEvent::Gone(c) => self.detach(c, now),
+                ServerEvent::Timeout => self.supervise(now)?,
                 ServerEvent::Closed => break,
             }
         }
@@ -897,14 +776,15 @@ where
     }
 }
 
-/// The client-side supervisor: resequencing, cumulative acks, heartbeats,
-/// partition buffering, and the reconnect/resume state machine.
+/// The client-side supervisor: in-sequence delivery, cumulative acks,
+/// heartbeats, partition buffering, and the reconnect/resume state machine.
 pub struct SupervisedClientTransport<T, U, D> {
     inner: T,
     params: SessionParams,
     token: u64,
-    reseq: Resequencer<D>,
-    ready: VecDeque<D>,
+    /// Every down-lane frame up to this seq has been delivered, in order;
+    /// the next one delivered is `delivered + 1`.
+    delivered: u64,
     stats: SessionStats,
     last_send: Instant,
     /// Highest cumulative ack the server has been told (by `Ack` or
@@ -916,7 +796,8 @@ pub struct SupervisedClientTransport<T, U, D> {
     partition_until: Option<Instant>,
     buffered_up: Vec<SessionUp<U>>,
     dead: bool,
-    scratch: Vec<D>,
+    /// The down-lane payload type: frames are handed on as they arrive.
+    _down: PhantomData<fn() -> D>,
 }
 
 impl<T, U, D> SupervisedClientTransport<T, U, D>
@@ -929,8 +810,7 @@ where
             inner,
             token: session_token(params.seed, id),
             params,
-            reseq: Resequencer::new(),
-            ready: VecDeque::new(),
+            delivered: 0,
             stats: SessionStats::default(),
             last_send: Instant::now(),
             acked: 0,
@@ -938,13 +818,13 @@ where
             partition_until: None,
             buffered_up: Vec::new(),
             dead: false,
-            scratch: Vec::new(),
+            _down: PhantomData,
         }
     }
 
     /// Heal a partition: reconnect the substrate under backoff, then
-    /// resume the session from the last acked seq and flush the up-lane
-    /// traffic buffered while the link was down.
+    /// resume the session from the last delivered seq and flush the
+    /// up-lane traffic buffered while the link was down.
     fn heal(&mut self) -> Result<bool, T::Error> {
         self.partition_until = None;
         let mut backoff = Backoff::new(self.params.backoff, self.params.seed ^ self.token);
@@ -963,7 +843,7 @@ where
         }
         self.stats.reconnects += 1;
         // `Resume` is itself a cumulative ack: nothing is owed after it.
-        self.acked = self.reseq.cum_ack();
+        self.acked = self.delivered;
         self.ack_due = None;
         self.inner.send(SessionUp::Resume {
             token: self.token,
@@ -992,10 +872,9 @@ where
     /// already. Callers check the link is up.
     fn send_ack(&mut self, now: Instant) -> Result<(), T::Error> {
         self.ack_due = None;
-        let cum = self.reseq.cum_ack();
-        if cum > self.acked {
-            self.acked = cum;
-            self.inner.send(SessionUp::Ack(cum))?;
+        if self.delivered > self.acked {
+            self.acked = self.delivered;
+            self.inner.send(SessionUp::Ack(self.acked))?;
             self.last_send = now;
         }
         Ok(())
@@ -1011,9 +890,6 @@ where
     fn recv(&mut self, timeout: Duration) -> Result<ClientEvent<D>, T::Error> {
         let deadline = Instant::now() + timeout;
         loop {
-            if let Some(d) = self.ready.pop_front() {
-                return Ok(ClientEvent::Msg(d));
-            }
             if self.dead {
                 return Ok(ClientEvent::Closed);
             }
@@ -1040,33 +916,32 @@ where
                     wait = wait.min(due.saturating_duration_since(now));
                 }
             }
-            match self.inner.recv(wait)? {
+            let event = self.inner.recv(wait)?;
+            let now = Instant::now();
+            match event {
                 ClientEvent::Msg(SessionDown::Seq(seq, d)) => {
-                    let now = Instant::now();
                     if self.partitioned(now) {
                         // The link is down: down-lane traffic is lost. The
                         // server's resend ring recovers it after resume.
                         continue;
                     }
-                    if seq <= self.acked {
-                        // The server resent a frame it had been told
-                        // about: that ack was lost. Owe it again (by the
-                        // deadline: a resent window is no burst to count).
-                        self.acked = seq.saturating_sub(1);
+                    if seq != self.delivered + 1 {
+                        // Past the gap a lost connection left, or already
+                        // delivered: the resume's go-back-N brings it
+                        // again, in order.
+                        self.stats.dups_dropped += 1;
+                        continue;
                     }
-                    let before = self.reseq.cum_ack();
-                    self.scratch.clear();
-                    self.reseq.accept(seq, d, &mut self.scratch);
-                    self.ready.extend(self.scratch.drain(..));
+                    self.delivered = seq;
                     // Delayed cumulative ack: one frame answers every
                     // delivery of the next `ack_delay`, or `ack_every`
                     // deliveries, whichever comes first.
-                    let cum = self.reseq.cum_ack();
-                    if cum > before && cum - self.acked >= self.params.ack_every() {
+                    if self.delivered - self.acked >= self.params.ack_every() {
                         self.send_ack(now)?;
-                    } else if cum > self.acked && self.ack_due.is_none() {
-                        self.ack_due = Some(now + self.params.ack_delay());
+                    } else if self.ack_due.is_none() {
+                        self.ack_due = Some(now + self.params.ack_delay);
                     }
+                    return Ok(ClientEvent::Msg(d));
                 }
                 ClientEvent::Stop => return Ok(ClientEvent::Stop),
                 ClientEvent::Closed => {
@@ -1084,7 +959,7 @@ where
                     return Ok(ClientEvent::Closed);
                 }
                 ClientEvent::Timeout => {
-                    if Instant::now() >= deadline {
+                    if now >= deadline {
                         return Ok(ClientEvent::Timeout);
                     }
                 }
@@ -1130,13 +1005,10 @@ where
         self.inner.partition(d)
     }
 
-    /// This side's counters: heals plus the resequencer's bookkeeping.
-    /// `acks` stays zero here — the server counts the acks it processes.
+    /// This side's counters: heals and dropped frames. `acks` stays zero
+    /// here — the server counts the acks it processes.
     fn session_stats(&self) -> SessionStats {
-        let mut s = self.stats;
-        s.dups_dropped += self.reseq.dups_dropped;
-        s.holds += self.reseq.holds;
-        s
+        self.stats
     }
 }
 
@@ -1192,51 +1064,22 @@ mod tests {
     }
 
     #[test]
-    fn resequencer_reorders_dedups_and_acks_cumulatively() {
-        let mut r: Resequencer<u32> = Resequencer::new();
-        let mut out = Vec::new();
-        r.accept(2, 20, &mut out);
-        assert!(out.is_empty(), "gap holds delivery");
-        assert_eq!(r.cum_ack(), 0);
-        r.accept(1, 10, &mut out);
-        assert_eq!(out, vec![10, 20], "contiguous prefix released in order");
-        assert_eq!(r.cum_ack(), 2);
-        out.clear();
-        r.accept(2, 20, &mut out);
-        r.accept(1, 10, &mut out);
-        assert!(out.is_empty(), "duplicates suppressed");
-        assert_eq!(r.dups_dropped, 2);
-        assert_eq!(r.holds, 1);
-        r.accept(4, 40, &mut out);
-        r.accept(4, 40, &mut out);
-        assert_eq!(r.dups_dropped, 3, "buffered duplicate suppressed too");
-        r.accept(3, 30, &mut out);
-        assert_eq!(out, vec![30, 40]);
-        assert_eq!(r.cum_ack(), 4);
-        assert_eq!(r.held(), 0);
-    }
-
-    #[test]
-    fn send_window_tracks_acks_and_rto() {
-        let t0 = Instant::now();
+    fn send_window_trims_to_cumulative_acks() {
         let mut w: SendWindow<u32> = SendWindow::new();
-        assert_eq!(w.push(10, t0), 1);
-        assert_eq!(w.push(20, t0), 2);
-        assert_eq!(w.push(30, t0), 3);
+        assert_eq!(w.push(10), 1);
+        assert_eq!(w.push(20), 2);
+        assert_eq!(w.push(30), 3);
         assert_eq!(w.len(), 3);
-        w.ack(2, t0);
+        assert!(w.ack(2));
         assert_eq!(
             w.frames().map(|(s, _)| *s).collect::<Vec<_>>(),
             vec![3],
             "cumulative ack trims the prefix"
         );
-        assert!(!w.due(t0, Duration::from_millis(10)), "clock restarted");
-        assert!(w.due(t0 + Duration::from_millis(11), Duration::from_millis(10)));
-        assert_eq!(w.retransmitted(t0), 1);
-        assert_eq!(w.retransmitted(t0), 2);
-        w.ack(3, t0);
+        assert!(!w.ack(2), "an old ack trims nothing");
+        assert!(w.ack(3));
         assert!(w.is_empty());
-        assert!(!w.due(t0 + Duration::from_secs(1), Duration::ZERO));
+        assert_eq!(w.push(40), 4, "sequence numbers never restart");
     }
 
     #[test]
@@ -1394,19 +1237,19 @@ mod tests {
     fn count_only(ring: usize) -> SessionParams {
         SessionParams {
             ring,
-            rto: Duration::from_secs(3600),
+            ack_delay: Duration::from_secs(3600),
             heartbeat: Duration::from_secs(3600),
             ..SessionParams::fast()
         }
     }
 
     #[test]
-    fn ack_cadence_derives_from_rto_and_ring() {
+    fn ack_cadence_is_ack_delay_or_an_eighth_of_the_ring() {
         let p = SessionParams::fast();
-        assert_eq!(p.ack_delay(), Duration::from_millis(10));
+        assert_eq!(p.ack_delay, Duration::from_millis(10));
         assert_eq!(p.ack_every(), 128);
         assert_eq!(
-            SessionParams::default().ack_delay(),
+            SessionParams::default().ack_delay,
             Duration::from_millis(50)
         );
         assert_eq!(count_only(4).ack_every(), 1, "never zero");
@@ -1419,7 +1262,7 @@ mod tests {
         let t0 = Instant::now();
         script_down(&link, 1..=5);
         assert_eq!(read_all(&mut t), 5);
-        if t0.elapsed() >= p.ack_delay() {
+        if t0.elapsed() >= p.ack_delay {
             // The thread was stalled past the deadline: the frames were
             // not inside one delay, so an early ack was correct.
             return;
@@ -1429,14 +1272,14 @@ mod tests {
             vec![],
             "nothing acked before the deadline"
         );
-        std::thread::sleep(p.ack_delay());
+        std::thread::sleep(p.ack_delay);
         assert_eq!(read_all(&mut t), 0);
         assert_eq!(
             link.borrow().sent,
             vec![Sent::Ack(5)],
             "one ack, carrying the highest cum"
         );
-        std::thread::sleep(p.ack_delay());
+        std::thread::sleep(p.ack_delay);
         assert_eq!(read_all(&mut t), 0);
         assert_eq!(link.borrow().sent.len(), 1, "nothing new to ack");
     }
@@ -1458,30 +1301,31 @@ mod tests {
     }
 
     #[test]
-    fn a_resent_frame_that_was_acked_is_acked_again() {
-        let p = SessionParams::fast();
-        let (link, mut t) = scripted_client(p);
-        let after_the_deadline = p.ack_delay() + Duration::from_millis(2);
-        script_down(&link, 1..=3);
-        assert_eq!(read_all(&mut t), 3);
-        std::thread::sleep(after_the_deadline);
-        assert_eq!(read_all(&mut t), 0);
-        // The ack is lost on the way; the server's RTO resends the window.
-        assert!(link.borrow_mut().up.pop_back().is_some());
-        script_down(&link, 1..=3);
-        assert_eq!(read_all(&mut t), 0, "duplicates are not delivered twice");
-        std::thread::sleep(after_the_deadline);
-        assert_eq!(read_all(&mut t), 0);
-        let sent = link.borrow().sent.clone();
-        assert_eq!(*sent.last().unwrap(), Sent::Ack(3));
-        assert!(sent.len() >= 2, "the lost ack was never repeated: {sent:?}");
+    fn only_the_next_frame_in_sequence_is_delivered() {
+        let (link, mut t) = scripted_client(count_only(64));
+        let mut deliver = |seqs| {
+            script_down(&link, seqs);
+            let mut got = Vec::new();
+            while let ClientEvent::Msg(d) = t.recv(Duration::ZERO).unwrap() {
+                got.push(d);
+            }
+            got
+        };
+        assert_eq!(deliver(1..=2), vec![1, 2]);
+        // The tail of a lost connection: 3 never came, 4 and 5 did.
+        assert_eq!(deliver(4..=5), vec![], "frames past a gap are not held");
+        assert_eq!(deliver(2..=2), vec![], "nor is a frame delivered twice");
+        // The resume's go-back-N refills the gap in order.
+        assert_eq!(deliver(3..=5), vec![3, 4, 5]);
         assert_eq!(t.session_stats().dups_dropped, 3);
+        t.finish().unwrap();
+        assert_eq!(link.borrow().sent, vec![Sent::Ack(5), Sent::Bye]);
     }
 
     #[test]
     fn a_resent_window_is_not_a_burst_to_count() {
         // ring 64: every 8th delivery forces an ack. 32 frames, all acked,
-        // all resent: the duplicates must not force one ack each.
+        // all sent again: the duplicates must not force one ack each.
         let (link, mut t) = scripted_client(count_only(64));
         script_down(&link, 1..=32);
         assert_eq!(read_all(&mut t), 32);
@@ -1489,9 +1333,10 @@ mod tests {
         script_down(&link, 1..=32);
         assert_eq!(read_all(&mut t), 0);
         assert_eq!(link.borrow().sent.len(), 4, "acks forced by duplicates");
-        // The repeat is owed all the same, and leaves with the goodbye.
+        assert_eq!(t.session_stats().dups_dropped, 32);
+        // Nothing new was delivered, so nothing is owed at the goodbye.
         t.finish().unwrap();
-        assert_eq!(link.borrow().sent[4..], [Sent::Ack(32), Sent::Bye]);
+        assert_eq!(link.borrow().sent[4..], [Sent::Bye]);
     }
 
     #[test]
@@ -1512,11 +1357,11 @@ mod tests {
         let (link, mut t) = scripted_client(p);
         script_down(&link, 1..=3);
         assert_eq!(read_all(&mut t), 3);
-        let dark = p.ack_delay() * 3;
+        let dark = p.ack_delay * 3;
         let heal_at = Instant::now() + dark;
         t.partition(dark).unwrap();
         // The ack deadline passes in the dark; frames sent meanwhile are lost.
-        std::thread::sleep(p.ack_delay() + Duration::from_millis(2));
+        std::thread::sleep(p.ack_delay + Duration::from_millis(2));
         script_down(&link, 4..=5);
         assert_eq!(read_all(&mut t), 0);
         if Instant::now() < heal_at {
@@ -1528,7 +1373,7 @@ mod tests {
         }
         std::thread::sleep(heal_at.saturating_duration_since(Instant::now()));
         assert_eq!(read_all(&mut t), 0);
-        std::thread::sleep(p.ack_delay() + Duration::from_millis(2));
+        std::thread::sleep(p.ack_delay + Duration::from_millis(2));
         assert_eq!(read_all(&mut t), 0);
         let sent = link.borrow().sent.clone();
         let acks: Vec<_> = sent.iter().filter(|s| **s != Sent::Heartbeat).collect();
@@ -1560,43 +1405,10 @@ mod tests {
         let link = link.borrow();
         assert_eq!(link.sent, vec![Sent::Ack(1)]);
         assert!(
-            link.waits[0] <= p.ack_delay(),
+            link.waits[0] <= p.ack_delay,
             "blocking wait {:?} outlasts the ack deadline",
             link.waits[0]
         );
-    }
-
-    #[test]
-    fn slowest_permitted_ack_cadence_never_trips_the_rto() {
-        // Virtual milliseconds: one frame a millisecond, 2 ms each way, a
-        // client that acks exactly `ack_delay` after its first unacked
-        // delivery and never sooner. The window never gets even half way
-        // to its RTO (where the supervisor starts watching it).
-        let p = SessionParams::fast();
-        let (delay, lat) = (p.ack_delay().as_millis() as u64, 2u64);
-        let t0 = Instant::now();
-        let at = |ms: u64| t0 + Duration::from_millis(ms);
-        let mut w: SendWindow<u64> = SendWindow::new();
-        let mut ack_leaves: Option<u64> = None;
-        let mut in_flight: VecDeque<(u64, u64)> = VecDeque::new();
-        for ms in 0..500u64 {
-            while in_flight.front().is_some_and(|(arrives, _)| *arrives <= ms) {
-                let (_, cum) = in_flight.pop_front().unwrap();
-                w.ack(cum, at(ms));
-            }
-            assert!(!w.due(at(ms), p.rto / 2), "half an RTO old at {ms} ms");
-            let seq = w.push(ms, at(ms));
-            // Frame `seq` reaches the client at `ms + lat`.
-            let delivered = seq.saturating_sub(lat);
-            if delivered > 0 && ack_leaves.is_none() {
-                ack_leaves = Some(ms + delay);
-            }
-            if ack_leaves == Some(ms) {
-                in_flight.push_back((ms + lat, delivered));
-                ack_leaves = None;
-            }
-        }
-        assert!(w.len() as u64 <= delay + 2 * lat + 1, "window {}", w.len());
     }
 
     #[test]
@@ -1626,88 +1438,155 @@ mod tests {
         );
     }
 
-    #[test]
-    fn rto_is_judged_after_queued_acks_and_only_on_watched_time() {
-        let p = SessionParams::fast();
-        let link = SharedLink::default();
-        let mut server: Server = SupervisedServerTransport::new(ScriptedServer(link.clone()), 1, p);
-        let idle = |server: &mut Server| {
-            assert!(matches!(
-                server.recv(Duration::ZERO),
-                Ok(ServerEvent::Timeout)
-            ));
+    /// A one-client server over the scripted link, reaping after 100 ms
+    /// of silence.
+    fn silence_server() -> (SharedLink, Server, SessionParams) {
+        let p = SessionParams {
+            liveness: Duration::from_millis(100),
+            ..count_only(64)
         };
-        let stall = p.rto + Duration::from_millis(5);
+        let link = SharedLink::default();
+        let server = SupervisedServerTransport::new(ScriptedServer(link.clone()), 1, p);
+        (link, server, p)
+    }
 
-        // The server stalls past the RTO with the ack already in its queue:
-        // the ack is applied before the lane is judged.
+    fn idle(server: &mut Server) {
+        assert!(matches!(
+            server.recv(Duration::ZERO),
+            Ok(ServerEvent::Timeout)
+        ));
+    }
+
+    #[test]
+    fn silence_is_judged_after_queued_acks_and_only_on_watched_time() {
+        let (link, mut server, p) = silence_server();
+        let stall = p.liveness + Duration::from_millis(5);
+
+        // The server stalls past the deadline with the ack already in its
+        // queue: the ack is applied before the lane is judged.
         server.send_batch(&[(ClientId(0), 1)]).unwrap();
         std::thread::sleep(stall);
         link.borrow_mut().up.push_back(SessionUp::Ack(1));
         idle(&mut server);
-        assert_eq!(server.stats().retransmits, 0);
-
-        // It stalls again, and this time the client (frozen with it) has
-        // yet to ack: the first pass back only takes note...
+        // So is a heartbeat, although it acks nothing.
         server.send_batch(&[(ClientId(0), 2)]).unwrap();
         std::thread::sleep(stall);
+        link.borrow_mut().up.push_back(SessionUp::Heartbeat);
         idle(&mut server);
-        assert_eq!(
-            server.stats().retransmits,
-            0,
-            "a frozen server blamed its client"
-        );
+        assert_eq!(server.stats().reaps, 0);
+
+        // It stalls again, and this time the client (frozen with it) has
+        // said nothing: the first pass back only takes note...
+        std::thread::sleep(stall);
+        idle(&mut server);
+        assert_eq!(server.stats().reaps, 0, "a frozen server blamed its client");
         // ...and the ack that lands next clears the lane for good.
         link.borrow_mut().up.push_back(SessionUp::Ack(2));
         idle(&mut server);
-        std::thread::sleep(p.rto / 2 + Duration::from_millis(2));
+        std::thread::sleep(p.liveness / 2 + Duration::from_millis(2));
         idle(&mut server);
-        assert_eq!(server.stats().retransmits, 0);
+        assert_eq!(
+            server.stats(),
+            SessionStats {
+                acks: 2,
+                ..SessionStats::default()
+            }
+        );
         assert_eq!(link.borrow().batches, 2, "nothing was resent");
-
-        // A frame that really is lost is resent half an RTO after it was
-        // first seen overdue.
-        server.send_batch(&[(ClientId(0), 3)]).unwrap();
-        std::thread::sleep(stall);
-        idle(&mut server);
-        assert_eq!(server.stats().retransmits, 0);
-        std::thread::sleep(p.rto / 2 + Duration::from_millis(2));
-        idle(&mut server);
-        assert_eq!(server.stats().retransmits, 1);
-        assert_eq!(link.borrow().batches, 4);
     }
 
     #[test]
-    fn an_unreachable_lane_is_resent_give_up_times_then_reaped() {
-        // The down link loses every frame, so nothing is ever acked. The lane
-        // gets exactly `give_up` go-back-N rounds, then one reap — the count
-        // the simulator runs too
-        // (sim::tests::an_unreachable_lane_is_resent_give_up_times_then_reaped).
-        let p = SessionParams {
-            rto: Duration::from_millis(4),
-            give_up: 3,
-            ..count_only(64)
-        };
+    fn a_silent_lane_is_reaped_once() {
+        // Nothing comes back from the client at all: half the deadline
+        // after a pass first finds the lane silent, it is reaped, and its
+        // seat ends with a synthetic goodbye.
+        let (link, mut server, p) = silence_server();
+        server.send_batch(&[(ClientId(0), 1)]).unwrap();
+        std::thread::sleep(p.liveness + Duration::from_millis(5));
+        idle(&mut server);
+        assert_eq!(server.stats().reaps, 0);
+        std::thread::sleep(p.liveness / 2 + Duration::from_millis(2));
+        assert!(matches!(
+            server.recv(Duration::ZERO),
+            Ok(ServerEvent::Done(ClientId(0)))
+        ));
+        std::thread::sleep(p.liveness);
+        idle(&mut server);
+        assert_eq!(
+            server.stats(),
+            SessionStats {
+                reaps: 1,
+                ..SessionStats::default()
+            }
+        );
+        assert_eq!(link.borrow().batches, 1, "a reaped lane is silent");
+    }
+
+    #[test]
+    fn a_resume_resends_exactly_the_unacked_tail() {
+        let p = count_only(64);
         let link = SharedLink::default();
         let mut server: Server = SupervisedServerTransport::new(ScriptedServer(link.clone()), 1, p);
-        server.send_batch(&[(ClientId(0), 1)]).unwrap();
-        let mut passes = 0;
-        while server.stats().reaps == 0 {
-            link.borrow_mut().down.clear();
-            std::thread::sleep(p.rto / 2 + Duration::from_millis(1));
-            server.recv(Duration::ZERO).unwrap();
-            passes += 1;
-            assert!(passes < 100, "never reaped: {:?}", server.stats());
-        }
-        assert_eq!(server.stats().retransmits, u64::from(p.give_up));
-        assert_eq!(link.borrow().batches, 1 + p.give_up as usize);
-        std::thread::sleep(p.rto);
-        server.recv(Duration::ZERO).unwrap();
-        assert_eq!(server.stats().reaps, 1);
+        let batch: Vec<_> = (1..=5).map(|i| (ClientId(0), i)).collect();
+        server.send_batch(&batch).unwrap();
+        let resume = |token| SessionUp::Resume {
+            token,
+            last_acked: 3,
+        };
+        let resent = |link: &SharedLink| -> Vec<u64> {
+            let link = link.borrow();
+            let seqs = link.down.iter().map(|e| match e {
+                ClientEvent::Msg(SessionDown::Seq(seq, _)) => *seq,
+                _ => 0,
+            });
+            seqs.collect()
+        };
+        // The client acked 2 and delivered 3 before its connection died
+        // with 4 and 5 in flight.
+        link.borrow_mut().up.push_back(SessionUp::Ack(2));
+        link.borrow_mut().down.clear();
+        let token = session_token(p.seed, ClientId(0));
+        link.borrow_mut().up.push_back(resume(token));
+        idle(&mut server);
+        assert_eq!(resent(&link), vec![4, 5]);
+        let stats = SessionStats {
+            retransmits: 2,
+            acks: 1,
+            reconnects: 1,
+            ..SessionStats::default()
+        };
+        assert_eq!(server.stats(), stats);
+        // A resume with another session's token is refused.
+        link.borrow_mut().down.clear();
+        link.borrow_mut().up.push_back(resume(token ^ 1));
+        idle(&mut server);
+        assert_eq!(resent(&link), vec![]);
+        assert_eq!(server.stats(), stats);
+    }
+
+    #[test]
+    fn up_faults_touch_submissions_never_acks_or_resumes() {
+        use crate::fault::{FaultPlan, FaultPolicy, FaultyClientTransport};
+        let plan = FaultPlan {
+            up: FaultPolicy {
+                drop: 1.0,
+                ..FaultPolicy::default()
+            },
+            ..FaultPlan::default()
+        };
+        let (link, client) = scripted_client(count_only(64));
+        let mut t = FaultyClientTransport::new(client, &plan, 0);
+        let t: &mut dyn ClientTransport<u32, u32, Error = _> = &mut t;
+        t.send(7).unwrap();
+        script_down(&link, 1..=3);
+        while let ClientEvent::Msg(_) = t.recv(Duration::ZERO).unwrap() {}
+        t.partition(Duration::ZERO).unwrap();
+        assert!(matches!(t.recv(Duration::ZERO), Ok(ClientEvent::Timeout)));
+        t.finish().unwrap();
         assert_eq!(
-            link.borrow().batches,
-            1 + p.give_up as usize,
-            "a reaped lane is silent"
+            link.borrow().sent,
+            vec![Sent::Resume(3), Sent::Bye],
+            "the submission is dropped, the resume is not"
         );
     }
 
@@ -1742,6 +1621,6 @@ mod tests {
     fn default_params_are_supervised() {
         let p = SessionParams::default();
         assert_eq!(p.shed, ShedPolicy::Evict);
-        assert!(SessionParams::fast().rto < p.rto);
+        assert!(SessionParams::fast().ack_delay < p.ack_delay);
     }
 }

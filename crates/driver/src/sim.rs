@@ -19,15 +19,15 @@
 //! handles its kind, and collects. A message reaching a node joins its inbox
 //! and the node serves; a wake only serves. Every machine, the server and
 //! each client alike, files at most one wake per instant. Its timers are
-//! [`crate::timer`]'s *nominal* discipline, its links accept the same
-//! [`FaultPlan`] the threaded backends do, and its session halves are the
-//! threaded supervisor's own [`SendWindow`] and [`Resequencer`]. A run is a
-//! deterministic function of its configuration, pinned by the golden
+//! [`crate::timer`]'s *nominal* discipline, it takes the same [`FaultPlan`]
+//! the threaded backends do, and its session halves are the threaded
+//! supervisor's own [`SendWindow`] and its in-sequence delivery rule. A run
+//! is a deterministic function of its configuration, pinned by the golden
 //! digests in `tests/golden_equivalence.rs`.
 
 use crate::fault::{FaultPlan, FaultyLink, LinkPartition};
 use crate::machine::Machine;
-use crate::session::{Resequencer, SendWindow, SessionParams, SessionStats};
+use crate::session::{SendWindow, SessionParams, SessionStats};
 use crate::timer::{MoveTimer, PeriodicTimer, Timer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -75,14 +75,14 @@ pub struct SimConfig {
     /// two forks at the same tick").
     pub stagger: bool,
     /// Session supervision (acked resume protocol). The simulator reads
-    /// `rto`, `liveness` and `give_up`, and ignores `ring`, `shed`,
-    /// `heartbeat`, `idle_reap`, `backoff` and `seed`: acks are
-    /// instantaneous (the window trims the moment the client accepts a
-    /// frame in order), so no ring fills and no heartbeat is needed, and a
-    /// partition heals on its schedule rather than by redialing. Retransmit
-    /// watchdogs are armed only on lanes that can actually lose or
-    /// partition — so a fault-free run schedules not one extra event and
-    /// stays bit-identical to the golden digests.
+    /// only `liveness`, the time a crashed client's lane waits for a resume
+    /// before it is reaped. It ignores `ring`, `ack_delay`, `shed`,
+    /// `heartbeat`, `backoff` and `seed`: acks are instantaneous (the window
+    /// trims the moment the client accepts a frame in order), so no ring
+    /// fills, no client goes silent and no heartbeat is needed, and a
+    /// partition heals on its schedule rather than by redialing. Frames are
+    /// resent only at a heal, so a fault-free run schedules not one session
+    /// event and stays bit-identical to the golden digests.
     pub session: SessionParams,
 }
 
@@ -196,9 +196,6 @@ enum Ev<U, D> {
     WakeClient(usize),
     /// One of the server's periodic cycles is due.
     Cycle(Cycle),
-    /// Retransmit watchdog for client `.0`'s resend window (armed only on
-    /// lanes that can fault — never filed on a clean run).
-    Retransmit(usize),
     /// End of client `.0`'s link partition: reconnect, resume, flush.
     Heal(usize),
     /// Liveness deadline for crashed client `.0`: reap its lane.
@@ -237,28 +234,34 @@ impl<U, D> Queue<U, D> {
         }
     }
 
-    /// Put `msg` on `link` at `at`, charged its encoded length, and file
-    /// `ev(msg)` at each faulted arrival: none for a drop, two for a
-    /// duplicate. The single-arrival path (always taken with no faults)
-    /// moves the message without cloning, so the schedule is exactly the
-    /// pre-fault harness's.
-    fn transmit<M>(
-        &mut self,
-        link: &mut FaultyLink,
-        at: SimTime,
-        msg: M,
-        ev: impl Fn(M) -> Ev<U, D>,
-    ) where
-        M: serde::Serialize + Clone,
+    /// Put up-lane `msg` from client `c` on `link` at `at`, charged its
+    /// encoded length, and file its arrival at each faulted arrival time:
+    /// none for a drop, two for a duplicate. The single-arrival path
+    /// (always taken with no faults) moves the message without cloning, so
+    /// the schedule is exactly the pre-fault harness's.
+    fn transmit_up(&mut self, link: &mut FaultyLink, at: SimTime, c: usize, msg: U)
+    where
+        U: serde::Serialize + Clone,
     {
         link.send(at, wire::encoded_len(&msg), &mut self.arrivals);
         if let [t] = self.arrivals[..] {
-            self.events.schedule(t, ev(msg));
+            self.events.schedule(t, Ev::Up(c, msg));
         } else {
             for &t in &self.arrivals {
-                self.events.schedule(t, ev(msg.clone()));
+                self.events.schedule(t, Ev::Up(c, msg.clone()));
             }
         }
+    }
+
+    /// Put down-lane frame `seq` for client `c` on `link` at `at`, charged
+    /// its encoded length. A live down lane neither loses, duplicates nor
+    /// reorders.
+    fn transmit_down(&mut self, link: &mut Link, at: SimTime, c: usize, seq: u64, msg: D)
+    where
+        D: serde::Serialize,
+    {
+        let arrives = link.send(at, wire::encoded_len(&msg));
+        self.events.schedule(arrives, Ev::Down(c, seq, msg));
     }
 }
 
@@ -269,24 +272,20 @@ struct Lane<C, U, D> {
     mach: Machine,
     moves: MoveTimer,
     up: FaultyLink,
-    down: FaultyLink,
-    /// Down frames released in lane order, waiting for the machine.
+    down: Link,
+    /// Down frames delivered in sequence, waiting for the machine.
     inbox: VecDeque<D>,
     /// The instant of the `WakeClient` filed and not yet popped, if any.
     wake: Option<SimTime>,
     /// The server's resend ring for this lane. Acks are instantaneous
     /// (both halves live in this address space): the ring trims the moment
-    /// the resequencer releases a frame, at zero bytes, events and time.
-    window: SendWindow<D, SimTime>,
-    /// The client's reorder buffer.
-    reseq: Resequencer<D>,
+    /// the client delivers a frame, at zero bytes, events and time.
+    window: SendWindow<D>,
+    /// The client's last delivered sequence number: it delivers only
+    /// `delivered + 1`.
+    delivered: u64,
     /// Ups produced while the link is dark; they cross (and count) at heal.
     held_up: Vec<U>,
-    /// The down lane can lose frames (down faults or a partition): the only
-    /// lanes a retransmit watchdog is ever armed on.
-    watched: bool,
-    /// A `Retransmit` is filed and has not popped.
-    armed: bool,
     crash_after: Option<u32>,
     partition: Option<LinkPartition>,
     /// End of the current partition, while the link is dark.
@@ -310,16 +309,13 @@ struct Run<'a, W: GameWorld, P: ProtocolSuite<W>> {
     tick: PeriodicTimer,
     push: Option<PeriodicTimer>,
     lanes: Vec<Lane<P::Client, P::Up, P::Down>>,
-    rto: SimDuration,
     liveness: SimDuration,
-    give_up: u32,
     stats: SessionStats,
     events: u64,
     end_time: SimTime,
     // Scratch buffers, reused by every step.
     up_out: Vec<P::Up>,
     down_out: Vec<(ClientId, P::Down)>,
-    released: Vec<P::Down>,
 }
 
 impl<'a, W: GameWorld, P: ProtocolSuite<W>> Run<'a, W, P> {
@@ -357,22 +353,19 @@ impl<'a, W: GameWorld, P: ProtocolSuite<W>> Run<'a, W, P> {
             .enumerate()
             .map(|(i, (node, first))| {
                 let id = ClientId(i as u16);
-                let partition = faults.partition_for(id);
                 Lane {
                     node,
                     mach: Machine::new(),
                     moves: MoveTimer::new(first, cfg.move_period, cfg.moves_per_client),
                     up: FaultyLink::new(link(), faults.up.clone(), FaultPlan::up_stream(i)),
-                    down: FaultyLink::new(link(), faults.down.clone(), FaultPlan::down_stream(i)),
+                    down: link(),
                     inbox: VecDeque::new(),
                     wake: None,
                     window: SendWindow::new(),
-                    reseq: Resequencer::new(),
+                    delivered: 0,
                     held_up: Vec::new(),
-                    watched: !faults.down.is_none() || partition.is_some(),
-                    armed: false,
                     crash_after: faults.crash_for(id),
-                    partition,
+                    partition: faults.partition_for(id),
                     dark_until: None,
                     crashed: false,
                     reaped: false,
@@ -397,7 +390,6 @@ impl<'a, W: GameWorld, P: ProtocolSuite<W>> Run<'a, W, P> {
             queue.schedule(SimTime::ZERO + p.period(), Ev::Cycle(Cycle::Push));
         }
 
-        let sim_duration = |d: std::time::Duration| SimDuration::from_micros(d.as_micros() as u64);
         Self {
             workload,
             queue,
@@ -408,15 +400,12 @@ impl<'a, W: GameWorld, P: ProtocolSuite<W>> Run<'a, W, P> {
             tick,
             push,
             lanes,
-            rto: sim_duration(cfg.session.rto),
-            liveness: sim_duration(cfg.session.liveness),
-            give_up: cfg.session.give_up,
+            liveness: SimDuration::from_micros(cfg.session.liveness.as_micros() as u64),
             stats: SessionStats::default(),
             events: 0,
             end_time: SimTime::ZERO,
             up_out: Vec::new(),
             down_out: Vec::new(),
-            released: Vec::new(),
         }
     }
 
@@ -471,16 +460,14 @@ impl<'a, W: GameWorld, P: ProtocolSuite<W>> Run<'a, W, P> {
             if lane.dark_until.is_some() {
                 lane.held_up.push(msg);
             } else {
-                self.queue
-                    .transmit(&mut lane.up, done, msg, |msg| Ev::Up(c, msg));
+                self.queue.transmit_up(&mut lane.up, done, c, msg);
             }
         }
     }
 
     /// Send `out` (drained) down its lanes at `done`: each frame takes the
-    /// lane's next sequence number and a slot in its resend window, and a
-    /// watched lane's retransmit watchdog is armed. A reaped lane is gone:
-    /// nothing is sent, nothing buffers.
+    /// lane's next sequence number and a slot in its resend window. A
+    /// reaped lane is gone: nothing is sent, nothing buffers.
     fn send_down(&mut self, out: &mut Vec<(ClientId, P::Down)>, done: SimTime) {
         for (dest, msg) in out.drain(..) {
             let c = dest.index();
@@ -488,13 +475,8 @@ impl<'a, W: GameWorld, P: ProtocolSuite<W>> Run<'a, W, P> {
             if lane.reaped {
                 continue;
             }
-            let seq = lane.window.push(msg.clone(), done);
-            self.queue
-                .transmit(&mut lane.down, done, msg, |msg| Ev::Down(c, seq, msg));
-            if lane.watched && !lane.armed {
-                lane.armed = true;
-                self.queue.schedule(done + self.rto, Ev::Retransmit(c));
-            }
+            let seq = lane.window.push(msg.clone());
+            self.queue.transmit_down(&mut lane.down, done, c, seq, msg);
         }
     }
 
@@ -532,8 +514,8 @@ impl<'a, W: GameWorld, P: ProtocolSuite<W>> Run<'a, W, P> {
         }
     }
 
-    /// A down frame reaches client `c`: resequence it, trim the resend
-    /// window to the client's cumulative ack, and serve what it released.
+    /// A down frame reaches client `c`: deliver it if it is the next in
+    /// sequence, trim the resend window to it, and serve it.
     fn on_down(&mut self, c: usize, seq: u64, msg: P::Down, now: SimTime) {
         let lane = &mut self.lanes[c];
         if lane.crashed || lane.reaped || lane.dark_until.is_some_and(|t| now < t) {
@@ -541,16 +523,16 @@ impl<'a, W: GameWorld, P: ProtocolSuite<W>> Run<'a, W, P> {
             // resends it.
             return;
         }
-        let queued = lane.inbox.len();
-        lane.reseq.accept(seq, msg, &mut self.released);
-        lane.inbox.extend(self.released.drain(..));
-        let unacked = lane.window.len();
-        lane.window.ack(lane.reseq.cum_ack(), now);
-        self.stats.acks += u64::from(lane.window.len() < unacked);
-        // Held out of order, or a duplicate: nothing newly deliverable.
-        if lane.inbox.len() > queued {
-            self.serve_client(c, now);
+        if seq != lane.delivered + 1 {
+            // Past the gap a partition left, or already delivered: the
+            // resume's go-back-N brings it again, in order.
+            self.stats.dups_dropped += 1;
+            return;
         }
+        lane.delivered = seq;
+        self.stats.acks += u64::from(lane.window.ack(seq));
+        lane.inbox.push_back(msg);
+        self.serve_client(c, now);
     }
 
     /// Deliver client `c`'s inbox head if its machine is free, and make
@@ -602,47 +584,14 @@ impl<'a, W: GameWorld, P: ProtocolSuite<W>> Run<'a, W, P> {
         }
     }
 
-    /// The retransmit watchdog: once the oldest unacked frame is an RTO
-    /// old, resend the window — or, after `give_up` unanswered rounds, reap
-    /// the lane. A dark link waits for its heal, which resends anyway.
-    fn on_retransmit(&mut self, c: usize, now: SimTime) {
-        let lane = &mut self.lanes[c];
-        lane.armed = false;
-        if lane.reaped || lane.window.is_empty() {
-            return;
-        }
-        let due = match lane.dark_until {
-            Some(_) => now + self.rto,
-            None => lane.window.deadline(self.rto).expect("non-empty window"),
-        };
-        if now < due {
-            lane.armed = true;
-            self.queue.schedule(due, Ev::Retransmit(c));
-            return;
-        }
-        if lane.window.attempts() >= self.give_up {
-            self.reap(c);
-            return;
-        }
-        self.resend_window(c, now);
-        self.lanes[c].armed = true;
-        self.queue.schedule(now + self.rto, Ev::Retransmit(c));
-    }
-
-    /// Go-back-N: resend every unacked frame on `c`'s lane. The faulty link
-    /// re-rolls its verdicts per transmission, so repeated rounds converge.
+    /// Go-back-N: resend every unacked frame on `c`'s lane.
     fn resend_window(&mut self, c: usize, now: SimTime) {
         let lane = &mut self.lanes[c];
-        if lane.window.is_empty() {
-            return;
-        }
         self.stats.retransmits += lane.window.len() as u64;
         for (seq, msg) in lane.window.frames() {
-            let (seq, msg) = (*seq, msg.clone());
             self.queue
-                .transmit(&mut lane.down, now, msg, |msg| Ev::Down(c, seq, msg));
+                .transmit_down(&mut lane.down, now, c, *seq, msg.clone());
         }
-        lane.window.retransmitted(now);
     }
 
     /// A partition ends: the client resumes from its cumulative ack (the
@@ -660,8 +609,8 @@ impl<'a, W: GameWorld, P: ProtocolSuite<W>> Run<'a, W, P> {
         self.send_up(c, &mut held, now);
     }
 
-    /// Release lane `c` and every buffer it pins: liveness expired with no
-    /// resume, or the window went unanswered past `give_up`.
+    /// Release lane `c` and every buffer it pins: a crashed client's
+    /// liveness deadline expired with no resume.
     fn reap(&mut self, c: usize) {
         let lane = &mut self.lanes[c];
         if lane.reaped {
@@ -713,10 +662,8 @@ impl<'a, W: GameWorld, P: ProtocolSuite<W>> Run<'a, W, P> {
                 oracle.observe(&rec);
             }
             r.server_up_bytes += lane.up.link().bytes_sent();
-            r.server_down_bytes += lane.down.link().bytes_sent();
-            r.total_msgs += lane.up.link().msgs_sent() + lane.down.link().msgs_sent();
-            self.stats.dups_dropped += lane.reseq.dups_dropped;
-            self.stats.holds += lane.reseq.holds;
+            r.server_down_bytes += lane.down.bytes_sent();
+            r.total_msgs += lane.up.link().msgs_sent() + lane.down.msgs_sent();
         }
         r.total_bytes = r.server_up_bytes + r.server_down_bytes;
         r.violations = oracle.violations().len();
@@ -779,7 +726,6 @@ impl<'a, W: GameWorld, P: ProtocolSuite<W>> Simulation<'a, W, P> {
                     run.serve_client(c, now);
                 }
                 Ev::Cycle(cycle) => run.on_cycle(cycle, now),
-                Ev::Retransmit(c) => run.on_retransmit(c, now),
                 Ev::Heal(c) => run.on_heal(c, now),
                 Ev::Reap(c) => run.reap(c),
             }
@@ -852,7 +798,7 @@ mod tests {
     use seve_core::config::{ProtocolConfig, ServerMode};
     use seve_core::server::SeveSuite;
     use seve_world::worlds::dining::{DiningConfig, DiningWorkload, DiningWorld};
-    use seve_world::worlds::manhattan::{ManhattanConfig, ManhattanWorkload, ManhattanWorld};
+    use std::time::Duration;
 
     fn small_cfg(moves: u32) -> SimConfig {
         SimConfig {
@@ -1070,11 +1016,11 @@ mod tests {
 
     #[test]
     fn absorbed_faults_preserve_consistency_and_convergence() {
-        // The protocol absorbs: any disorder on the up lane (arrival order
+        // The protocol absorbs any disorder on the up lane (arrival order
         // *is* serialization order, submissions dedup by action id,
-        // completions are idempotent), and duplication on the down lane
-        // (pushes dedup by queue position). Nothing is dropped, so
-        // Theorem 1 and complete-world convergence must both survive.
+        // completions are idempotent), and the session recovers a
+        // connection cut. Nothing is dropped, so Theorem 1 and
+        // complete-world convergence must both survive.
         let world = Arc::new(DiningWorld::new(DiningConfig {
             philosophers: 6,
             ..DiningConfig::default()
@@ -1088,10 +1034,7 @@ mod tests {
                 delay: 0.2,
                 ..FaultPolicy::default()
             },
-            down: FaultPolicy {
-                duplicate: 0.2,
-                ..FaultPolicy::default()
-            },
+            partitions: vec![cut(3, 4)],
             ..FaultPlan::default()
         };
         let r = Simulation::new(Arc::clone(&world), &suite, small_cfg(10))
@@ -1136,64 +1079,33 @@ mod tests {
         );
     }
 
-    #[test]
-    fn an_unreachable_lane_is_resent_give_up_times_then_reaped() {
-        // One client, one move, a down link that loses every frame: the
-        // Basic server sends the submitter one frame, which is never acked.
-        // The lane gets exactly `give_up` go-back-N rounds of that frame and
-        // is reaped on the next RTO, as `SupervisedServerTransport` does
-        // (session::tests::an_unreachable_lane_is_resent_give_up_times_then_reaped).
-        let world = Arc::new(ManhattanWorld::new(ManhattanConfig {
-            clients: 1,
-            walls: 10,
-            ..ManhattanConfig::default()
-        }));
-        let suite = SeveSuite::new(ProtocolConfig::with_mode(ServerMode::Basic));
-        let mut wl = ManhattanWorkload::new(&world);
-        let give_up = 4;
-        let cfg = SimConfig {
-            session: SessionParams {
-                give_up,
-                ..SessionParams::default()
-            },
-            ..small_cfg(1)
-        };
-        let plan = FaultPlan {
-            down: FaultPolicy {
-                drop: 1.0,
-                ..FaultPolicy::default()
-            },
-            ..FaultPlan::default()
-        };
-        let r = Simulation::new(world, &suite, cfg)
-            .with_faults(plan)
-            .run(&mut wl);
-        assert_eq!(r.session.retransmits, u64::from(give_up));
-        assert_eq!(r.session.reaps, 1);
-        assert_eq!(
-            r.total_msgs,
-            2 + u64::from(give_up),
-            "one submission up, one frame down, then only the resends"
-        );
+    /// A connection cut: client `c`'s link goes dark for 60 ms, half a
+    /// one-way latency, after its `after`-th submission. Frames sent just
+    /// before it start arriving again after the heal, past the gap the cut
+    /// left.
+    fn cut(c: u16, after: u32) -> LinkPartition {
+        LinkPartition {
+            client: ClientId(c),
+            after_submissions: after,
+            duration: Duration::from_millis(60),
+        }
     }
 
     #[test]
     fn supervised_down_lane_reordering_is_recovered() {
         // Down-lane FIFO is load-bearing: the closure property guarantees
-        // an action's support is *sent* before its dependents. Under a
-        // reordering down lane the resequencer restores FIFO before the
-        // replica sees a single frame, so no evaluation runs on support
-        // that arrived late.
+        // an action's support is *sent* before its dependents. A cut loses
+        // frames while later ones are still in flight, so those arrive out
+        // of order, past the gap. The client drops them until the resume's
+        // go-back-N refills the gap, so no evaluation runs on support that
+        // arrived late.
         let world = Arc::new(DiningWorld::new(DiningConfig {
             philosophers: 6,
             ..DiningConfig::default()
         }));
         let suite = SeveSuite::new(ProtocolConfig::with_mode(ServerMode::Basic));
         let plan = FaultPlan {
-            down: FaultPolicy {
-                reorder: 0.3,
-                ..FaultPolicy::default()
-            },
+            partitions: vec![cut(1, 3), cut(4, 6)],
             ..FaultPlan::default()
         };
         let mut wl_clean = DiningWorkload::new(&world);
@@ -1202,7 +1114,7 @@ mod tests {
         let r = Simulation::new(Arc::clone(&world), &suite, small_cfg(10))
             .with_faults(plan)
             .run(&mut wl);
-        assert_eq!(r.violations, 0, "supervision must absorb the reordering");
+        assert_eq!(r.violations, 0, "supervision must recover the cuts");
         assert_eq!(r.replay_divergences, 0);
         // Dining submissions are timing-sensitive (delayed deliveries shift
         // what each philosopher tries next), so the faulted run is a
@@ -1214,9 +1126,10 @@ mod tests {
             "replicas must converge despite down-lane reordering"
         );
         assert!(
-            r.session.holds > 0,
-            "the plan must actually reorder something"
+            r.session.dups_dropped > 0,
+            "the cuts must leave frames arriving past a gap"
         );
+        assert_eq!(r.session.reconnects, 2);
         assert_eq!(clean.session.coping(), 0, "clean runs cope with nothing");
     }
 }

@@ -10,7 +10,10 @@
 //! The transport is reconnectable: [`ClientTransport::reconnect`] dials
 //! the server again and re-presents the hello (with the session token), so
 //! a [`SupervisedClientTransport`] stacked on top can heal a lost link and
-//! resume the session mid-run.
+//! resume the session mid-run. That is the only recovery the supervisor
+//! needs here: a TCP connection neither loses, duplicates nor reorders a
+//! frame while it lives, and what it loses when it dies — the unacked
+//! tail — the server resends after the resume.
 
 use crate::frame::{write_msg, FrameError};
 use crate::lane::{encode, wait, Lane};
@@ -214,12 +217,13 @@ impl<U: Serialize, D: DeserializeOwned> ClientTransport<U, D> for TcpClientTrans
 /// Connect to `addr` as `id`, submit `moves` workload actions at `period`,
 /// drain, and return the observations.
 ///
-/// The transport stack is `Supervised{Faulty{Tcp}}`: sequence-numbered
-/// envelopes, resequencing, acks, and reconnect-with-backoff after a
-/// partition, under `session` ([`SessionParams::default`] for a plain
-/// run). The client's entries in `faults` — crash schedule, partition
-/// window, lane policies — are applied here; [`FaultPlan::none`] injects
-/// none.
+/// The transport stack is `Faulty{Supervised{Tcp}}`: sequence-numbered
+/// envelopes delivered strictly in order, delayed cumulative acks, and
+/// reconnect-with-backoff and resume after a partition, under `session`
+/// ([`SessionParams::default`] for a plain run), with the fault decorator
+/// perturbing what the engine submits on top. The client's entries in
+/// `faults` — crash schedule, partition window, up-lane policy — are
+/// applied here; [`FaultPlan::none`] injects none.
 #[allow(clippy::too_many_arguments)]
 pub fn run_client_with<W>(
     world: Arc<W>,
@@ -247,8 +251,8 @@ where
     let token = session_token(session.seed, id);
     let inner = TcpClientTransport::connect(addr, id, world_digest, token)?;
     let hello = inner.handshake_bytes();
-    let faulty = FaultyClientTransport::new(inner, faults, id.index());
-    let mut transport = SupervisedClientTransport::new(faulty, id, session);
+    let supervised = SupervisedClientTransport::new(inner, id, session);
+    let mut transport = FaultyClientTransport::new(supervised, faults, id.index());
     let mut report = driver.run_client(engine, workload, &mut transport)?;
     report.bytes_out += hello.load(Ordering::Relaxed);
     Ok(report)

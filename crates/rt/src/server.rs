@@ -8,6 +8,12 @@
 //! [`Lane`] per client). The engine loop — wall-clock tick (τ) and push
 //! (ω·RTT) timers interleaved with message dispatch — is the driver
 //! layer's [`NodeDriver::run_server`], shared with the in-process backend.
+//!
+//! A socket that breaks surfaces as one `Gone` for its seat. The
+//! [`SupervisedServerTransport`] stacked on top holds the seat for a
+//! resume, resends the unacked tail when the client's new connection
+//! presents its token, and reaps the seat if none comes; inside a live
+//! connection TCP already orders and retransmits, and nothing is resent.
 
 use crate::frame::{FrameError, FrameReader};
 use crate::lane::{encode, recycle, wait, Lane};
@@ -467,10 +473,11 @@ fn handshake<S: Read + Write, U: DeserializeOwned>(
 ///
 /// The TCP transport carries sequence-numbered session envelopes and is
 /// wrapped in a [`SupervisedServerTransport`] under `session`
-/// ([`SessionParams::default`] for a plain run): down-lane frames are
-/// resent past the client's last cumulative ack on RTO, crashed clients
-/// are reaped after the liveness deadline, and a reconnecting client may
-/// reclaim its seat mid-run by presenting its session token.
+/// ([`SessionParams::default`] for a plain run): a reconnecting client may
+/// reclaim its seat mid-run by presenting its session token, and is then
+/// resent every down-lane frame past its last cumulative ack; a crashed
+/// client is reaped after the liveness deadline, and so is one that owes
+/// an ack and has sent nothing for as long.
 pub fn run_server_with<W, S>(
     engine: S,
     listener: TcpListener,

@@ -1,10 +1,13 @@
 //! SEVE over real transports — the "real experiments" half of Section V.
 //!
 //! ```text
-//! cargo run --release -p seve --example realnet -- [clients] [moves] [backend]
+//! cargo run --release -p seve --example realnet -- [--clients N] [--moves N] [--backend tcp|inproc]
 //! ```
 //!
-//! `backend` selects the threaded substrate under the shared node driver:
+//! Defaults: 6 clients, 30 moves each, `tcp`. `--help` prints the usage and
+//! exits 0; any other argument, or a value that does not parse, exits 2
+//! before anything is started. `--backend` selects the threaded substrate
+//! under the shared node driver:
 //!
 //! * `tcp` (default) — loopback sockets with the binary wire protocol,
 //! * `inproc` — OS threads wired by in-process channels (no sockets).
@@ -18,16 +21,33 @@ use seve::core::consistency::ConsistencyOracle;
 use seve::core::pipeline::PipelineServer;
 use seve::driver::{run_inproc_session, SessionConfig};
 use seve::prelude::*;
+use seve::rt::cli::{exit_usage, value, ArgError};
 use seve::rt::{run_client_with, run_server_with};
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
 
+const USAGE: &str = "usage: realnet [--clients N] [--moves N] [--backend tcp|inproc]";
+
 fn main() {
+    let (mut n, mut moves, mut backend) = (6usize, 30u32, "tcp".to_string());
     let mut args = std::env::args().skip(1);
-    let n: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(6);
-    let moves: u32 = args.next().and_then(|a| a.parse().ok()).unwrap_or(30);
-    let backend = args.next().unwrap_or_else(|| "tcp".to_string());
+    while let Some(arg) = args.next() {
+        let parsed = match arg.as_str() {
+            "--clients" => value("--clients", &mut args).map(|v| n = v),
+            "--moves" => value("--moves", &mut args).map(|v| moves = v),
+            "--backend" => value("--backend", &mut args).and_then(|v: String| {
+                if v != "tcp" && v != "inproc" {
+                    return Err(ArgError::Bad(format!("unknown backend '{v}'")));
+                }
+                backend = v;
+                Ok(())
+            }),
+            "--help" | "-h" => Err(ArgError::Help),
+            other => Err(ArgError::Bad(format!("unknown argument '{other}'"))),
+        };
+        parsed.unwrap_or_else(|e| exit_usage(USAGE, e));
+    }
 
     let world = Arc::new(ManhattanWorld::new(ManhattanConfig {
         clients: n,
@@ -43,13 +63,10 @@ fn main() {
     cfg.rtt = SimDuration::from_ms(20);
     cfg.tick = SimDuration::from_ms(5);
 
-    match backend.as_str() {
-        "tcp" => run_tcp(world, cfg, n, moves),
-        "inproc" => run_inproc(world, cfg, n, moves),
-        other => {
-            eprintln!("unknown backend {other:?}: expected \"tcp\" or \"inproc\"");
-            std::process::exit(2);
-        }
+    if backend == "tcp" {
+        run_tcp(world, cfg, n, moves);
+    } else {
+        run_inproc(world, cfg, n, moves);
     }
 }
 

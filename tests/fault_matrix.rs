@@ -1,23 +1,29 @@
-//! The fault-injection matrix: drop / duplicate / reorder / delay /
-//! mid-run crash / link partition, crossed over the three fault-capable
-//! backends (the deterministic simulator, the threaded in-process runtime,
-//! and the real-TCP runtime).
+//! The fault-injection matrix: up-lane drop / duplicate / reorder /
+//! delay, connection cut, mid-run crash and link partition, crossed over
+//! the three fault-capable backends (the deterministic simulator, the
+//! threaded in-process runtime, and the real-TCP runtime).
 //!
-//! What each cell must show follows from the protocol's tolerance
-//! envelope, which the session-supervision layer widened:
+//! The fault model is a stream's (DESIGN.md §16.0): a live connection
+//! neither loses, duplicates nor reorders a frame, and a connection that
+//! dies loses its unacked tail. What each cell must show follows from the
+//! protocol's tolerance envelope and the session layer's recovery:
 //!
-//! * **Up lane — disorder and duplication absorbed.** Arrival order *is*
+//! * **Up lane — disorder and duplication absorbed.** What a broken or
+//!   hostile client does to its own submissions. Arrival order *is*
 //!   serialization order (Algorithm 2 timestamps on receipt), the server
 //!   dedups submissions by action id, and completions are idempotent. Any
 //!   lossless up-lane fault leaves Theorem 1 and complete-world
 //!   convergence intact.
 //! * **Up drops.** An up-lane drop silently unsubmits an action (it never
 //!   serializes; the session just resolves fewer actions, consistently).
-//! * **Down lane — supervised sessions *recover*.** Down-lane frames are
-//!   sequence-numbered, resequenced at the client, and retransmitted past
-//!   the last cumulative ack on RTO. Drop, duplication, and reordering are
-//!   repaired before evaluation, so the oracle stays quiet and replicas
-//!   converge — the faults leave traces only in [`SessionStats`].
+//! * **Down lane — a cut is *recovered* by resume.** A connection cut is a
+//!   short [`LinkPartition`]: the client goes dark with down frames in
+//!   flight, and those are lost. Frames sent before the cut can still
+//!   arrive after it, past the gap. The client delivers only the next
+//!   frame in sequence and drops the rest; on resume the server resends
+//!   everything past the client's last ack, in order. The cut is repaired
+//!   before evaluation, so the oracle stays quiet and replicas converge —
+//!   it leaves traces only in [`SessionStats`].
 //! * **The oracle keeps its teeth.** Sessions are always supervised, so no
 //!   cell here can show the consistency oracle detecting a broken closure
 //!   premise. That power is pinned elsewhere:
@@ -25,15 +31,15 @@
 //!   `trade_conservation::broadcast_duplicates_items_under_contention` both
 //!   require the oracle to report violations for a protocol that really
 //!   diverges. That the injected faults really fire is asserted by the
-//!   recovery cells below (`retransmits > 0`, `holds > 0`,
+//!   recovery cells below (`retransmits > 0`, `dups_dropped > 0`,
 //!   `session_retransmits > 0`).
 //! * **Crash.** Section III-C: a mid-run client disappearance must leave
 //!   the survivors' session fully consistent; the liveness supervisor
 //!   reaps the dead lane (synthetic goodbye) instead of stranding it.
 //! * **Partition.** A supervised client buffers its up-traffic through the
 //!   dark window, reconnects under seeded backoff, presents its session
-//!   token, and resumes from its last-acked frame — no delivered frame is
-//!   replayed, no undelivered frame is lost.
+//!   token, and resumes from its last-delivered frame — no delivered frame
+//!   is replayed, no undelivered frame is lost.
 //!
 //! [`SessionStats`]: seve::driver::SessionStats
 
@@ -102,22 +108,21 @@ fn sim_dining_run(clients: usize, moves: u32, plan: FaultPlan) -> seve::sim::Run
         .run(&mut wl)
 }
 
-fn down_drop_plan(drop: f64) -> FaultPlan {
-    FaultPlan {
-        down: FaultPolicy {
-            drop,
-            ..FaultPolicy::default()
-        },
-        ..FaultPlan::default()
+/// A connection cut: client `c`'s link goes dark for `ms` right after its
+/// `after`-th submission, with whatever the server had sent it in flight,
+/// and the client then resumes.
+fn cut(c: u16, after: u32, ms: u64) -> LinkPartition {
+    LinkPartition {
+        client: ClientId(c),
+        after_submissions: after,
+        duration: Duration::from_millis(ms),
     }
 }
 
-fn down_reorder_plan(reorder: f64) -> FaultPlan {
+/// A cut of every one of `clients`, each after a different submission.
+fn cuts_plan(clients: u16, ms: u64) -> FaultPlan {
     FaultPlan {
-        down: FaultPolicy {
-            reorder,
-            ..FaultPolicy::default()
-        },
+        partitions: (0..clients).map(|c| cut(c, 2 + u32::from(c), ms)).collect(),
         ..FaultPlan::default()
     }
 }
@@ -131,10 +136,7 @@ fn sim_up_disorder_and_duplication_are_absorbed() {
             delay: 0.25,
             ..FaultPolicy::default()
         },
-        down: FaultPolicy {
-            duplicate: 0.25,
-            ..FaultPolicy::default()
-        },
+        partitions: vec![cut(3, 5, 150)],
         ..FaultPlan::default()
     };
     let r = sim_run(ServerMode::Basic, 6, 10, plan);
@@ -171,11 +173,16 @@ fn sim_up_drop_unsubmits_actions_consistently() {
 
 #[test]
 fn sim_down_drop_is_recovered_by_supervision() {
-    let r = sim_run(ServerMode::Basic, 6, 10, down_drop_plan(0.3));
-    // The go-back-N window refills every hole before evaluation: no
-    // violation, no divergence, full convergence — and a non-zero
-    // retransmit count proving the faults actually happened.
-    assert_eq!(r.violations, 0, "supervised down-lane drops are repaired");
+    // Every client is cut once, each at a different point of its
+    // workload, for longer than a one-way latency.
+    let r = sim_run(ServerMode::Basic, 6, 10, cuts_plan(6, 150));
+    // The go-back-N resend at each resume refills every hole before
+    // evaluation: no violation, no divergence, full convergence — and a
+    // non-zero retransmit count proving the cuts actually lost frames.
+    assert_eq!(
+        r.violations, 0,
+        "down-lane frames lost in a cut are repaired"
+    );
     assert_eq!(r.replay_divergences, 0);
     assert!(
         r.stable_digests.windows(2).all(|w| w[0] == w[1]),
@@ -190,12 +197,14 @@ fn sim_down_drop_is_recovered_by_supervision() {
 #[test]
 fn sim_down_reordering_is_recovered_by_supervision() {
     // The dining table makes every action contend on shared forks, so an
-    // inverted prefix that slipped through would shift evaluations. The
-    // resequencer must hold early frames until the gap fills instead.
-    let r = sim_dining_run(8, 12, down_reorder_plan(0.3));
+    // inverted prefix that slipped through would shift evaluations. Cuts
+    // shorter than a one-way latency let frames sent before them arrive
+    // after them, past the gap: the client must drop those until the
+    // resume's go-back-N refills the gap in order.
+    let r = sim_dining_run(8, 12, cuts_plan(8, 60));
     assert_eq!(
         r.violations, 0,
-        "supervised reordering is resequenced before evaluation"
+        "frames past a gap are never evaluated out of order"
     );
     assert_eq!(r.replay_divergences, 0);
     assert!(
@@ -203,8 +212,8 @@ fn sim_down_reordering_is_recovered_by_supervision() {
         "replicas must converge under recovered reordering"
     );
     assert!(
-        r.session.holds > 0,
-        "the resequencer must have parked out-of-order frames"
+        r.session.dups_dropped > 0,
+        "the client must have dropped frames that arrived past a gap"
     );
 }
 
@@ -233,29 +242,21 @@ fn sim_midrun_crash_leaves_survivors_consistent() {
 
 #[test]
 fn sim_faulted_run_is_pinned_bit_for_bit() {
-    // Every supervision path of the simulator in one run: a down lane that
-    // drops, duplicates and reorders (retransmit, resequence), one partition
-    // that heals (resume catch-up, buffered ups), one crash (liveness
-    // reap). No lane comes near `give_up`, so the only reap is the crash's.
-    // The constants were recorded at commit 686ebf2, before the event loop
-    // was split into per-event steps over `SendWindow`; a change to how the
-    // loop weaves links, windows, resequencers and machines moves them.
-    // `total_bytes` alone was re-pinned since, when links began charging
-    // the bytes the codec writes.
+    // Every supervision path of the simulator in one run: short cuts that
+    // lose frames while later ones are in flight (resume catch-up, frames
+    // past the gap dropped), one long partition that heals (resume
+    // catch-up, buffered ups), one crash (liveness reap). A change to how
+    // the loop weaves links, windows, the in-sequence rule and machines
+    // moves the constants.
     let plan = FaultPlan {
-        down: FaultPolicy {
-            seed: 5,
-            drop: 0.1,
-            duplicate: 0.1,
-            reorder: 0.1,
-            ..FaultPolicy::default()
-        },
         crashes: vec![(ClientId(4), 6)],
-        partitions: vec![LinkPartition {
-            client: ClientId(2),
-            after_submissions: 3,
-            duration: Duration::from_millis(700),
-        }],
+        partitions: vec![
+            cut(0, 2, 60),
+            cut(1, 5, 150),
+            cut(2, 3, 700),
+            cut(3, 8, 60),
+            cut(5, 4, 150),
+        ],
         ..FaultPlan::default()
     };
     let r = sim_run(ServerMode::InfoBound, 6, 12, plan);
@@ -271,47 +272,39 @@ fn sim_faulted_run_is_pinned_bit_for_bit() {
         (
             0x6166_4d4b_f6a2_2959,
             Some(0x9ca2_de61_7b73_e30c),
-            80_721,
-            738
+            36_931,
+            371
         )
     );
     assert_eq!(
         r.session,
         SessionStats {
-            retransmits: 325,
-            acks: 149,
-            reconnects: 1,
+            retransmits: 18,
+            acks: 200,
+            reconnects: 5,
             reaps: 1,
             sheds: 0,
-            dups_dropped: 94,
-            holds: 51,
+            dups_dropped: 3,
         }
     );
 }
 
 #[test]
 fn sim_chaos_soak_converges_across_seeds() {
-    // Seeded chaos: both lanes dropping, duplicating, reordering, and
-    // delaying at once, across several fault seeds. Every run must end
-    // with a quiet oracle and converged replicas, and the supervision
-    // layer must actually have coped (the faults were real).
-    for seed in [1, 7, 42] {
+    // Seeded chaos: the up lane duplicating, reordering, and delaying
+    // while two clients a seed are cut, across several fault seeds. Every
+    // run must end with a quiet oracle and converged replicas, and the
+    // supervision layer must actually have coped (the faults were real).
+    for seed in [1u16, 7, 42] {
         let plan = FaultPlan {
             up: FaultPolicy {
-                seed,
+                seed: u64::from(seed),
                 duplicate: 0.1,
                 reorder: 0.1,
                 delay: 0.1,
                 ..FaultPolicy::default()
             },
-            down: FaultPolicy {
-                seed: seed ^ 0xD0,
-                drop: 0.15,
-                duplicate: 0.1,
-                reorder: 0.15,
-                delay: 0.1,
-                ..FaultPolicy::default()
-            },
+            partitions: vec![cut(seed % 6, 3, 60), cut((seed + 3) % 6, 6, 150)],
             ..FaultPlan::default()
         };
         let r = sim_dining_run(6, 10, plan);
@@ -321,8 +314,9 @@ fn sim_chaos_soak_converges_across_seeds() {
             r.stable_digests.windows(2).all(|w| w[0] == w[1]),
             "seed {seed}: replicas must converge under chaos"
         );
+        assert_eq!(r.session.reconnects, 2, "seed {seed}: both cuts resumed");
         assert!(
-            r.session.retransmits > 0 || r.session.dups_dropped > 0 || r.session.holds > 0,
+            r.session.retransmits > 0,
             "seed {seed}: the session layer must have seen the chaos"
         );
     }
@@ -352,10 +346,7 @@ fn inproc_absorbed_faults_preserve_consistency() {
             delay: 0.2,
             ..FaultPolicy::default()
         },
-        down: FaultPolicy {
-            duplicate: 0.2,
-            ..FaultPolicy::default()
-        },
+        partitions: vec![cut(1, 5, 60)],
         ..FaultPlan::default()
     };
     let mut report =
@@ -421,18 +412,20 @@ fn inproc_down_loss_is_recovered_by_supervision() {
     const MOVES: u32 = 10;
     let world = dining(N);
     let suite = SeveSuite::new(ProtocolConfig::with_mode(ServerMode::Basic));
+    // Every client is cut once, each at a different point of its workload.
     let mut report = run_inproc_session(
         Arc::clone(&world),
         &suite,
-        &inproc_cfg(MOVES, down_drop_plan(0.3)),
+        &inproc_cfg(MOVES, cuts_plan(N as u16, 60)),
         |_| Box::new(DiningWorkload::new(&world)),
     );
     assert_eq!(report.submitted(), (N as u64) * (MOVES as u64));
     let (records, violations) = report.cross_check();
     assert!(records > 0);
-    // 30% down-lane loss, zero visible damage: every hole is refilled by
-    // retransmission before the replica evaluates past it.
-    assert_eq!(violations, 0, "supervised threaded loss is repaired");
+    // Every client lost frames in a cut, zero visible damage: every hole
+    // is refilled by the resume's resend before the replica evaluates past
+    // it.
+    assert_eq!(violations, 0, "threaded loss in a cut is repaired");
     let digests: Vec<u64> = report.clients.iter().map(|c| c.stable_digest).collect();
     assert!(
         digests.windows(2).all(|w| w[0] == w[1]),
@@ -548,14 +541,11 @@ fn tcp_session(
 fn tcp_down_faults_are_recovered_digest_identical() {
     // One client makes the serialization order deterministic (its own
     // submission order), so the final stable digest must be bit-identical
-    // between a faulted-but-recovered run and a clean one.
+    // between a run cut mid-way and recovered, and a clean one. The cut
+    // comes right after a submission, so the reply to it is in flight and
+    // dies with the socket.
     let plan = FaultPlan {
-        down: FaultPolicy {
-            drop: 0.2,
-            reorder: 0.2,
-            duplicate: 0.1,
-            ..FaultPolicy::default()
-        },
+        partitions: vec![cut(0, 5, 60)],
         ..FaultPlan::default()
     };
     let (srv, faulted) = tcp_session(1, 15, plan, SessionParams::fast());
@@ -565,10 +555,11 @@ fn tcp_down_faults_are_recovered_digest_identical() {
         faulted[0].stable_digest, clean[0].stable_digest,
         "recovered run must end bit-identical to the clean run"
     );
-    let coping = srv.metrics.stage.session_retransmits
-        + faulted[0].session.dups_dropped
-        + faulted[0].session.holds;
-    assert!(coping > 0, "the faults must actually have been exercised");
+    assert_eq!(faulted[0].session.reconnects, 1, "the client must resume");
+    assert!(
+        srv.metrics.stage.session_retransmits > 0,
+        "the cut must actually have lost frames"
+    );
     assert_eq!(
         srv.metrics.stage.pool_outstanding, 0,
         "every pooled egress buffer must be back after shutdown"
@@ -641,22 +632,16 @@ fn tcp_crashed_client_is_reaped_not_stranded() {
 #[test]
 fn tcp_chaos_soak_stays_consistent_and_leaks_nothing() {
     use seve::core::consistency::ConsistencyOracle;
-    for seed in [3, 9] {
+    for seed in [3u16, 9] {
         let plan = FaultPlan {
             up: FaultPolicy {
-                seed,
+                seed: u64::from(seed),
                 drop: 0.05,
                 duplicate: 0.1,
                 reorder: 0.1,
                 ..FaultPolicy::default()
             },
-            down: FaultPolicy {
-                seed: seed ^ 0xD0,
-                drop: 0.1,
-                duplicate: 0.1,
-                reorder: 0.1,
-                ..FaultPolicy::default()
-            },
+            partitions: vec![cut(seed % 3, 2, 60), cut((seed + 1) % 3, 5, 60)],
             ..FaultPlan::default()
         };
         let (srv, mut reports) = tcp_session(3, 8, plan, SessionParams::fast());
@@ -672,13 +657,13 @@ fn tcp_chaos_soak_stays_consistent_and_leaks_nothing() {
             "seed {seed}: Theorem 1 under chaos: {:?}",
             oracle.violations().first()
         );
-        let coping: u64 = srv.metrics.stage.session_retransmits
-            + reports
-                .iter()
-                .map(|r| r.session.retransmits + r.session.dups_dropped + r.session.holds)
-                .sum::<u64>();
+        assert_eq!(
+            reports.iter().map(|r| r.session.reconnects).sum::<u64>(),
+            2,
+            "seed {seed}: both cut clients must resume"
+        );
         assert!(
-            coping > 0,
+            srv.metrics.stage.session_reconnects >= 2,
             "seed {seed}: the session layer must have seen the chaos"
         );
         assert_eq!(
@@ -697,7 +682,6 @@ fn clean_runs_have_zero_coping_counters() {
     let r = sim_run(ServerMode::Basic, 4, 8, FaultPlan::none());
     assert_eq!(r.session.coping(), 0, "sim: clean runs cope with nothing");
     assert_eq!(r.session.dups_dropped, 0);
-    assert_eq!(r.session.holds, 0);
 
     let world = dining(3);
     let suite = SeveSuite::new(ProtocolConfig::with_mode(ServerMode::Basic));
@@ -718,9 +702,11 @@ fn clean_runs_have_zero_coping_counters() {
     );
     for c in &report.clients {
         assert_eq!(c.session.coping(), 0);
-        assert_eq!(c.session.dups_dropped + c.session.holds, 0);
+        assert_eq!(c.session.dups_dropped, 0);
     }
 
+    // The benchmark's `loopback` session gate at test scale: default
+    // parameters, the benchmark's.
     let (srv, reports) = tcp_session(2, 6, FaultPlan::none(), SessionParams::default());
     let stage = &srv.metrics.stage;
     assert_eq!(
@@ -733,7 +719,8 @@ fn clean_runs_have_zero_coping_counters() {
     );
     for r in &reports {
         assert_eq!(r.session.coping(), 0);
-        assert_eq!(r.session.dups_dropped + r.session.holds, 0);
+        assert_eq!(r.session.dups_dropped, 0);
     }
+    assert!(stage.session_acks > 0, "tcp: the session layer ran");
     assert_eq!(stage.pool_outstanding, 0);
 }
