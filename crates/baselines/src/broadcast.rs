@@ -20,6 +20,7 @@
 //! reconciles, replicas can evaluate the same action differently; the
 //! consistency oracle counts those divergences.
 
+use seve_core::cost::Meter;
 use seve_core::engine::{ClientNode, ProtocolSuite, ServerNode};
 use seve_core::metrics::{ClientMetrics, EvalRecord, ServerMetrics};
 use seve_net::time::{SimDuration, SimTime};
@@ -72,6 +73,7 @@ pub struct BroadcastClient<W: GameWorld> {
     next_seq: u32,
     submit_times: BTreeMap<u32, SimTime>,
     metrics: ClientMetrics,
+    meter: Meter,
 }
 
 impl<W: GameWorld> ClientNode<W> for BroadcastClient<W> {
@@ -101,7 +103,7 @@ impl<W: GameWorld> ClientNode<W> for BroadcastClient<W> {
         // Execute locally, immediately, with no rollback path.
         let outcome = action.evaluate(self.world.env(), &self.state);
         self.state.apply_writes(&outcome.writes);
-        let cost = self.world.eval_cost_micros(&action);
+        let cost = self.meter.evaluated(self.world.as_ref(), &action);
         self.metrics.evaluations += 1;
         self.metrics.compute_us += cost;
         self.submit_times.insert(action.id().seq, now);
@@ -139,7 +141,7 @@ impl<W: GameWorld> ClientNode<W> for BroadcastClient<W> {
             missing_reads: missing,
         });
         self.state.apply_writes(&outcome.writes);
-        let cost = self.world.eval_cost_micros(&action);
+        let cost = self.meter.evaluated(self.world.as_ref(), &action);
         self.metrics.evaluations += 1;
         self.metrics.compute_us += cost;
         cost
@@ -151,6 +153,10 @@ impl<W: GameWorld> ClientNode<W> for BroadcastClient<W> {
 
     fn metrics(&self) -> &ClientMetrics {
         &self.metrics
+    }
+
+    fn install_meter(&mut self, meter: Meter) {
+        self.meter = meter;
     }
 }
 
@@ -243,6 +249,7 @@ impl<W: GameWorld> ProtocolSuite<W> for BroadcastSuite {
                 next_seq: 0,
                 submit_times: BTreeMap::new(),
                 metrics: ClientMetrics::default(),
+                meter: Meter::default(),
             })
             .collect();
         let server = BroadcastServer {
@@ -258,6 +265,7 @@ impl<W: GameWorld> ProtocolSuite<W> for BroadcastSuite {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use seve_core::cost::CostModel;
     use seve_world::worlds::dining::{DiningConfig, DiningWorld};
 
     fn setup(
@@ -272,8 +280,11 @@ mod tests {
             ..DiningConfig::default()
         }));
         let suite = BroadcastSuite::default();
-        let (s, c) =
-            <BroadcastSuite as ProtocolSuite<DiningWorld>>::build(&suite, Arc::clone(&world));
+        let (s, c) = <BroadcastSuite as ProtocolSuite<DiningWorld>>::build_metered(
+            &suite,
+            Arc::clone(&world),
+            Meter::priced(CostModel::default()),
+        );
         (world, s, c)
     }
 

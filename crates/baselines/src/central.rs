@@ -13,6 +13,7 @@
 //! the server queue — and with it every response time — grows without
 //! bound.
 
+use seve_core::cost::Meter;
 use seve_core::engine::{ClientNode, ProtocolSuite, ServerNode};
 use seve_core::metrics::{ClientMetrics, ServerMetrics};
 use seve_net::time::{SimDuration, SimTime};
@@ -141,6 +142,7 @@ pub struct CentralServer<W: GameWorld> {
     state: WorldState,
     next_pos: QueuePos,
     metrics: ServerMetrics,
+    meter: Meter,
 }
 
 impl<W: GameWorld> ServerNode<W> for CentralServer<W> {
@@ -188,7 +190,7 @@ impl<W: GameWorld> ServerNode<W> for CentralServer<W> {
         }
         self.metrics.batch_items.record(receivers as f64);
         let cost = self.cfg.msg_cost_us
-            + self.world.eval_cost_micros(&action)
+            + self.meter.evaluated(self.world.as_ref(), &action)
             + self.cfg.per_send_cost_us * receivers as u64;
         self.metrics.compute_us += cost;
         cost
@@ -216,6 +218,10 @@ impl<W: GameWorld> ServerNode<W> for CentralServer<W> {
 
     fn committed(&self) -> Option<&WorldState> {
         Some(&self.state)
+    }
+
+    fn install_meter(&mut self, meter: Meter) {
+        self.meter = meter;
     }
 }
 
@@ -265,6 +271,7 @@ impl<W: GameWorld> ProtocolSuite<W> for CentralSuite {
             cfg: self.cfg.clone(),
             next_pos: 1,
             metrics: ServerMetrics::default(),
+            meter: Meter::default(),
             world,
         };
         (server, clients)
@@ -274,6 +281,7 @@ impl<W: GameWorld> ProtocolSuite<W> for CentralSuite {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use seve_core::cost::CostModel;
     use seve_world::worlds::manhattan::{
         ManhattanConfig, ManhattanWorkload, ManhattanWorld, SpawnPattern,
     };
@@ -293,8 +301,11 @@ mod tests {
             ..ManhattanConfig::default()
         }));
         let suite = CentralSuite::default();
-        let (server, clients) =
-            <CentralSuite as ProtocolSuite<ManhattanWorld>>::build(&suite, Arc::clone(&world));
+        let (server, clients) = <CentralSuite as ProtocolSuite<ManhattanWorld>>::build_metered(
+            &suite,
+            Arc::clone(&world),
+            Meter::priced(CostModel::default()),
+        );
         (world, server, clients)
     }
 

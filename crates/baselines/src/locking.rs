@@ -20,6 +20,7 @@
 //! waiter conflicts with it), so the protocol is deadlock- and
 //! starvation-free.
 
+use seve_core::cost::Meter;
 use seve_core::engine::{ClientNode, ProtocolSuite, ServerNode};
 use seve_core::metrics::{ClientMetrics, ServerMetrics};
 use seve_net::time::{SimDuration, SimTime};
@@ -243,6 +244,7 @@ pub struct LockingClient<W: GameWorld> {
     pending: HashMap<ActionId, W::Action>,
     submit_times: BTreeMap<u32, SimTime>,
     metrics: ClientMetrics,
+    meter: Meter,
 }
 
 impl<W: GameWorld> ClientNode<W> for LockingClient<W> {
@@ -294,7 +296,7 @@ impl<W: GameWorld> ClientNode<W> for LockingClient<W> {
                     self.metrics.response_ms.record((now - t).as_ms_f64());
                 }
                 self.metrics.evaluations += 1;
-                let cost = self.world.eval_cost_micros(&action);
+                let cost = self.meter.evaluated(self.world.as_ref(), &action);
                 self.metrics.compute_us += cost;
                 out.push(LockUp::Effect {
                     pos,
@@ -321,6 +323,10 @@ impl<W: GameWorld> ClientNode<W> for LockingClient<W> {
 
     fn metrics(&self) -> &ClientMetrics {
         &self.metrics
+    }
+
+    fn install_meter(&mut self, meter: Meter) {
+        self.meter = meter;
     }
 }
 
@@ -352,6 +358,7 @@ impl<W: GameWorld> ProtocolSuite<W> for LockingSuite {
                 pending: HashMap::new(),
                 submit_times: BTreeMap::new(),
                 metrics: ClientMetrics::default(),
+                meter: Meter::default(),
             })
             .collect();
         let server = LockingServer {

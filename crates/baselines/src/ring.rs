@@ -17,6 +17,7 @@
 
 use seve_core::client::SeveClient;
 use seve_core::config::{ProtocolConfig, ServerMode};
+use seve_core::cost::Meter;
 use seve_core::engine::{ProtocolSuite, ServerNode};
 use seve_core::metrics::ServerMetrics;
 use seve_core::msg::{Item, ToClient, ToServer};
@@ -74,7 +75,7 @@ impl<W: GameWorld> ServerNode<W> for RingServer<W> {
             ToServer::Submit { action } => {
                 self.client_pos[from.index()] = action.influence().center;
                 ingress::admit(&mut self.base, now, action);
-                let cost = self.base.cfg.msg_cost_us;
+                let cost = self.base.meter.message();
                 self.base.metrics.compute_us += cost;
                 cost
             }
@@ -86,7 +87,7 @@ impl<W: GameWorld> ServerNode<W> for RingServer<W> {
             } => {
                 serialize::on_completion(&mut self.base, pos, writes, aborted);
                 serialize::maybe_gc_notice(&mut self.base, out);
-                let cost = self.base.cfg.msg_cost_us;
+                let cost = self.base.meter.message();
                 self.base.metrics.compute_us += cost;
                 cost
             }
@@ -133,7 +134,7 @@ impl<W: GameWorld> ServerNode<W> for RingServer<W> {
             self.last_push_pos[i] = horizon;
             if !items.is_empty() {
                 self.base.metrics.batch_items.record(items.len() as f64);
-                cost += self.base.cfg.msg_cost_us + self.base.scan_cost(scanned);
+                cost += self.base.meter.message() + self.base.meter.scanned(scanned);
                 // Per-client visibility makes every batch its own frame.
                 self.base.metrics.stage.frames_encoded += 1;
                 out.push((
@@ -162,6 +163,10 @@ impl<W: GameWorld> ServerNode<W> for RingServer<W> {
 
     fn committed(&self) -> Option<&WorldState> {
         Some(&self.base.zeta_s)
+    }
+
+    fn install_meter(&mut self, meter: Meter) {
+        self.base.meter = meter;
     }
 }
 

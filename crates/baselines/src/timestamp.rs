@@ -11,6 +11,7 @@
 //! moving, would potentially cause the transaction to abort", which is why
 //! contention makes this protocol unusable for fast-paced worlds.
 
+use seve_core::cost::Meter;
 use seve_core::engine::{ClientNode, ProtocolSuite, ServerNode};
 use seve_core::metrics::{ClientMetrics, ServerMetrics};
 use seve_net::time::{SimDuration, SimTime};
@@ -211,6 +212,7 @@ pub struct TimestampClient<W: GameWorld> {
     pending: HashMap<ActionId, W::Action>,
     submit_times: BTreeMap<u32, SimTime>,
     metrics: ClientMetrics,
+    meter: Meter,
 }
 
 impl<W: GameWorld> TimestampClient<W> {
@@ -223,7 +225,7 @@ impl<W: GameWorld> TimestampClient<W> {
             .map(|o| (o, self.versions.get(&o).copied().unwrap_or(0)))
             .collect();
         self.metrics.evaluations += 1;
-        let cost = self.world.eval_cost_micros(action);
+        let cost = self.meter.evaluated(self.world.as_ref(), action);
         self.metrics.compute_us += cost;
         (
             TsUp {
@@ -334,6 +336,10 @@ impl<W: GameWorld> ClientNode<W> for TimestampClient<W> {
     fn metrics(&self) -> &ClientMetrics {
         &self.metrics
     }
+
+    fn install_meter(&mut self, meter: Meter) {
+        self.meter = meter;
+    }
 }
 
 /// Suite for the optimistic timestamp-ordering baseline.
@@ -365,6 +371,7 @@ impl<W: GameWorld> ProtocolSuite<W> for TimestampSuite {
                 pending: HashMap::new(),
                 submit_times: BTreeMap::new(),
                 metrics: ClientMetrics::default(),
+                meter: Meter::default(),
             })
             .collect();
         let server = TimestampServer {

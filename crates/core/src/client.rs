@@ -18,6 +18,7 @@
 //!    server, which installs the values into ζ_S.
 
 use crate::config::{ProtocolConfig, ServerMode};
+use crate::cost::Meter;
 use crate::engine::ClientNode;
 use crate::metrics::{ClientMetrics, EvalRecord};
 use crate::msg::{Payload, ToClient, ToServer};
@@ -45,6 +46,9 @@ pub struct SeveClient<W: GameWorld> {
     pending: PendingQueue<W::Action>,
     next_seq: u32,
     metrics: ClientMetrics,
+    /// Prices each evaluation (unpriced unless the simulator installed its
+    /// cost model).
+    meter: Meter,
 }
 
 impl<W: GameWorld> SeveClient<W> {
@@ -66,6 +70,7 @@ impl<W: GameWorld> SeveClient<W> {
             pending: PendingQueue::new(),
             next_seq: 0,
             metrics,
+            meter: Meter::default(),
             world,
         }
     }
@@ -94,6 +99,7 @@ impl<W: GameWorld> SeveClient<W> {
     #[allow(clippy::too_many_arguments)]
     fn eval_for_replay(
         world: &W,
+        meter: &Meter,
         metrics: &mut ClientMetrics,
         cost_us: &mut u64,
         pos: QueuePos,
@@ -103,7 +109,7 @@ impl<W: GameWorld> SeveClient<W> {
     ) -> Outcome {
         let outcome = action.evaluate(world.env(), state);
         metrics.evaluations += 1;
-        *cost_us += world.eval_cost_micros(action);
+        *cost_us += meter.evaluated(world, action);
         if first_time {
             // The oracle's view of the inputs: only a first evaluation is
             // recorded, so only it pays the read-set fold.
@@ -130,12 +136,12 @@ impl<W: GameWorld> SeveClient<W> {
     /// the stored optimistic outcomes. Returns the compute cost.
     fn reapply_pending(&mut self) -> u64 {
         let mut cost = 0u64;
-        let world = &self.world;
+        let (world, meter) = (&self.world, &self.meter);
         let zeta_co = &mut self.zeta_co;
         self.pending.reapply(|a| {
             let o = a.evaluate(world.env(), zeta_co);
             zeta_co.apply_writes(&o.writes);
-            cost += world.eval_cost_micros(a);
+            cost += meter.evaluated(world.as_ref(), a);
             o
         });
         self.metrics.evaluations += self.pending.len() as u64;
@@ -203,7 +209,7 @@ impl<W: GameWorld> ClientNode<W> for SeveClient<W> {
         // Optimistic evaluation against ζ_CO (Algorithm 1 step 2).
         let optimistic = action.evaluate(self.world.env(), &self.zeta_co);
         self.zeta_co.apply_writes(&optimistic.writes);
-        let cost = self.world.eval_cost_micros(&action);
+        let cost = self.meter.evaluated(self.world.as_ref(), &action);
         self.metrics.evaluations += 1;
         self.metrics.submitted += 1;
         self.pending.push(action.clone(), optimistic, now);
@@ -220,12 +226,12 @@ impl<W: GameWorld> ClientNode<W> for SeveClient<W> {
                 for item in items.iter() {
                     match &item.payload {
                         Payload::Blind(snap) => {
-                            let world = &self.world;
+                            let (world, meter) = (&self.world, &self.meter);
                             let metrics = &mut self.metrics;
                             let ins = self.replay.insert_blind(item.pos, snap, {
                                 let cost = &mut cost;
                                 move |p, a, s, f| {
-                                    Self::eval_for_replay(world, metrics, cost, p, a, s, f)
+                                    Self::eval_for_replay(world, meter, metrics, cost, p, a, s, f)
                                 }
                             });
                             if ins.rebuilt {
@@ -256,12 +262,12 @@ impl<W: GameWorld> ClientNode<W> for SeveClient<W> {
                             let id = action.id();
                             let completes =
                                 self.sends_completions() && (own || self.redundant_completions);
-                            let world = &self.world;
+                            let (world, meter) = (&self.world, &self.meter);
                             let metrics = &mut self.metrics;
                             let ins = self.replay.insert_action(item.pos, action.clone(), {
                                 let cost = &mut cost;
                                 move |p, a, s, f| {
-                                    Self::eval_for_replay(world, metrics, cost, p, a, s, f)
+                                    Self::eval_for_replay(world, meter, metrics, cost, p, a, s, f)
                                 }
                             });
                             let rebuilt = ins.rebuilt;
@@ -339,5 +345,9 @@ impl<W: GameWorld> ClientNode<W> for SeveClient<W> {
 
     fn metrics(&self) -> &ClientMetrics {
         &self.metrics
+    }
+
+    fn install_meter(&mut self, meter: Meter) {
+        self.meter = meter;
     }
 }

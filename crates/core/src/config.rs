@@ -89,12 +89,6 @@ pub struct ProtocolConfig {
     /// Notify clients of the last installed position (enabling garbage
     /// collection of their replay logs) every this-many installed actions.
     pub gc_every: u64,
-    /// Server-side cost model: microseconds charged per queue entry touched
-    /// during closure scans and Algorithm 7 analysis. Calibrated so a
-    /// single-move closure costs the paper's measured 0.04 ms.
-    pub scan_cost_us_per_entry: f64,
-    /// Server-side cost model: fixed microseconds per message handled.
-    pub msg_cost_us: u64,
     /// Unused: the server runs Algorithm 7 and push selection on its own
     /// thread, and nothing in the protocol crates reads this field. It
     /// exists only because the end-to-end benchmark (`bench/src`) still
@@ -118,8 +112,6 @@ impl Default for ProtocolConfig {
             interest_radius_override: None,
             verify_rebuilds: false,
             gc_every: 64,
-            scan_cost_us_per_entry: 0.5,
-            msg_cost_us: 15,
             analyze_threads: None,
             exec_threads: None,
         }

@@ -6,7 +6,13 @@
 //! receipt in simulated microseconds that the harness charges to the
 //! hosting machine (this is what makes Central and Broadcast saturate in
 //! Figure 6 while SEVE stays flat).
+//!
+//! The receipt is priced by a [`CostModel`](crate::cost::CostModel) that
+//! only the simulator hands out ([`ProtocolSuite::build_metered`]): a real
+//! runtime has a real clock, so the engines it builds carry an unpriced
+//! [`Meter`], charge 0, and never run the world's cost query.
 
+use crate::cost::Meter;
 use crate::metrics::{ClientMetrics, ServerMetrics};
 use seve_net::time::{SimDuration, SimTime};
 use seve_world::ids::ClientId;
@@ -81,6 +87,13 @@ pub trait ClientNode<W: GameWorld>: Send {
     fn pending_len(&self) -> usize {
         0
     }
+
+    /// Report this engine's evaluations to `meter` from now on. An engine
+    /// that prices nothing from the model keeps the default, which ignores
+    /// it. Harnesses install through [`ProtocolSuite::build_metered`].
+    fn install_meter(&mut self, meter: Meter) {
+        let _ = meter;
+    }
 }
 
 /// A server-side protocol engine.
@@ -122,6 +135,14 @@ pub trait ServerNode<W: GameWorld>: Send {
 
     /// The authoritative committed state ζ_S, for servers that maintain one.
     fn committed(&self) -> Option<&WorldState>;
+
+    /// Report this engine's evaluations, messages and scans to `meter`
+    /// from now on. An engine that prices nothing from the model keeps the
+    /// default, which ignores it. Harnesses install through
+    /// [`ProtocolSuite::build_metered`].
+    fn install_meter(&mut self, meter: Meter) {
+        let _ = meter;
+    }
 }
 
 /// A protocol family: how to build a matched server + client set over a
@@ -140,5 +161,18 @@ pub trait ProtocolSuite<W: GameWorld> {
     fn name(&self) -> &'static str;
 
     /// Instantiate the server and one client engine per world participant.
+    /// Their meters are unpriced: they charge 0 for everything.
     fn build(&self, world: Arc<W>) -> (Self::Server, Vec<Self::Client>);
+
+    /// [`build`](ProtocolSuite::build), then install `meter` on every
+    /// engine built. The simulator builds this way, with its cost model;
+    /// every other harness calls `build`.
+    fn build_metered(&self, world: Arc<W>, meter: Meter) -> (Self::Server, Vec<Self::Client>) {
+        let (mut server, mut clients) = self.build(world);
+        server.install_meter(meter);
+        for client in &mut clients {
+            client.install_meter(meter);
+        }
+        (server, clients)
+    }
 }

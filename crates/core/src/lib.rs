@@ -44,6 +44,7 @@ pub mod client;
 pub mod closure;
 pub mod config;
 pub mod consistency;
+pub mod cost;
 pub mod engine;
 pub mod metrics;
 pub mod msg;
@@ -54,6 +55,7 @@ pub mod server;
 
 pub use client::SeveClient;
 pub use config::{ProtocolConfig, ServerMode};
+pub use cost::{CostModel, Meter};
 pub use engine::{ClientNode, ProtocolSuite, ServerNode};
 pub use metrics::{ClientMetrics, ServerMetrics};
 pub use msg::{Item, Payload, ToClient, ToServer};

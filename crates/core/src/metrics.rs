@@ -49,7 +49,10 @@ pub struct ClientMetrics {
     /// Stable evaluations performed (including re-evaluations on replay
     /// rebuilds).
     pub evaluations: u64,
-    /// Total simulated compute charged, microseconds.
+    /// Total simulated compute charged, microseconds: each evaluation at
+    /// the simulator's [`CostModel`](crate::cost::CostModel) price. Only
+    /// the simulator installs that model, so a client any other harness
+    /// runs (threads, sockets, the benchmark) reads 0 here.
     pub compute_us: u64,
     /// Optimistic/stable mismatches that triggered Algorithm 3.
     pub reconciliations: u64,
@@ -228,7 +231,11 @@ pub struct ServerMetrics {
     /// Conflict-chain length observed per Algorithm 7 analysis; count, sum,
     /// minimum and maximum kept (one sample per analyzed action).
     pub chain_len: RunningSummary,
-    /// Total simulated compute charged, microseconds.
+    /// Total simulated compute charged, microseconds: the messages handled,
+    /// queue entries scanned and (for a Central server) evaluations made,
+    /// at the simulator's [`CostModel`](crate::cost::CostModel) prices. A
+    /// server any other harness runs reads 0 here, except for the
+    /// baselines' own per-message and per-send constants.
     pub compute_us: u64,
     /// High-water mark of the uncommitted action queue.
     pub max_queue_len: usize,

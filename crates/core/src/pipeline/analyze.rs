@@ -151,7 +151,7 @@ impl<W: GameWorld> DropPolicy<W> for ChainBreak {
             serialize::maybe_gc_notice(st, out);
         }
         self.analyzed_upto = st.queue.last_pos().unwrap_or(self.analyzed_upto);
-        st.scan_cost(analysis.scanned)
+        st.meter.scanned(analysis.scanned)
     }
 
     fn horizon(&self, _st: &PipelineState<W>) -> QueuePos {

@@ -99,6 +99,7 @@ impl AdmissionLedger {
 mod tests {
     use super::*;
     use crate::config::{ProtocolConfig, ServerMode};
+    use crate::cost::{CostModel, Meter};
     use crate::engine::ServerNode;
     use crate::msg::ToServer;
     use crate::pipeline::PipelineServer;
@@ -168,7 +169,8 @@ mod tests {
             ..DiningConfig::default()
         }));
         let cfg = ProtocolConfig::with_mode(ServerMode::Incomplete);
-        let server = PipelineServer::new(Arc::clone(&world), cfg);
+        let mut server = PipelineServer::new(Arc::clone(&world), cfg);
+        server.install_meter(Meter::priced(CostModel::default()));
         (world, server)
     }
 
@@ -190,7 +192,7 @@ mod tests {
             ToServer::Submit { action: a },
             &mut out,
         );
-        let cost = s.state().cfg.msg_cost_us;
+        let cost = CostModel::default().msg_cost_us;
         assert!(first >= cost);
         assert_eq!(again, cost, "a redelivery costs one message");
         assert_eq!(out.len(), replies, "and is not answered");

@@ -56,6 +56,7 @@ pub use route::{BroadcastRouting, ClosureRouting, RoutingPolicy, SphereRouting};
 pub use state::PipelineState;
 
 use crate::config::{ProtocolConfig, ServerMode};
+use crate::cost::Meter;
 use crate::engine::ServerNode;
 use crate::metrics::ServerMetrics;
 use crate::msg::{ToClient, ToServer};
@@ -172,7 +173,7 @@ impl<W: GameWorld> ServerNode<W> for PipelineServer<W> {
                     // the first copy already holds its queue position, so a
                     // second admit would serialize the same action twice.
                     Admission::Redelivered => {
-                        let cost = self.state.cfg.msg_cost_us;
+                        let cost = self.state.meter.message();
                         self.state.metrics.compute_us += cost;
                         return cost;
                     }
@@ -184,7 +185,7 @@ impl<W: GameWorld> ServerNode<W> for PipelineServer<W> {
                 st.laps.lap(&mut st.metrics.stage.ingress);
                 let extra = self.routing.on_submit(st, now, from, pos, out);
                 st.laps.lap(&mut st.metrics.stage.route);
-                let cost = st.cfg.msg_cost_us + extra;
+                let cost = st.meter.message() + extra;
                 st.metrics.compute_us += cost;
                 cost
             }
@@ -207,7 +208,7 @@ impl<W: GameWorld> ServerNode<W> for PipelineServer<W> {
                 serialize::on_completion(st, pos, writes, aborted);
                 serialize::maybe_gc_notice(st, out);
                 st.laps.lap(&mut st.metrics.stage.serialize);
-                let cost = st.cfg.msg_cost_us;
+                let cost = st.meter.message();
                 st.metrics.compute_us += cost;
                 cost
             }
@@ -253,5 +254,9 @@ impl<W: GameWorld> ServerNode<W> for PipelineServer<W> {
         } else {
             None
         }
+    }
+
+    fn install_meter(&mut self, meter: Meter) {
+        self.state.meter = meter;
     }
 }

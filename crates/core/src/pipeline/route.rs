@@ -159,7 +159,7 @@ impl<W: GameWorld> RoutingPolicy<W> for BroadcastRouting {
         st.laps.lap(&mut st.metrics.stage.egress);
         self.advance(from.index(), pos);
         self.trim_delivered(st);
-        st.scan_cost(n_items)
+        st.meter.scanned(n_items)
     }
 
     fn on_tick(
@@ -190,7 +190,7 @@ impl<W: GameWorld> RoutingPolicy<W> for BroadcastRouting {
             let n_items =
                 egress::emit_span_cached(st, ClientId(i as u16), lo, last, &mut spans, out);
             if n_items > 0 {
-                cost += st.cfg.msg_cost_us + st.scan_cost(n_items);
+                cost += st.meter.message() + st.meter.scanned(n_items);
             }
         }
         st.laps.lap(&mut st.metrics.stage.egress);
@@ -221,7 +221,7 @@ impl<W: GameWorld> RoutingPolicy<W> for ClosureRouting {
         st.laps.lap(&mut st.metrics.stage.analyze);
         egress::emit_closure_batch(st, from, &result, out);
         st.laps.lap(&mut st.metrics.stage.egress);
-        st.scan_cost(result.scanned)
+        st.meter.scanned(result.scanned)
     }
 }
 
@@ -479,7 +479,7 @@ impl SphereRouting {
             let client = ClientId(i as u16);
             let result = analyze::closure_support(st, client, candidates);
             st.laps.lap(&mut st.metrics.stage.analyze);
-            cost += st.cfg.msg_cost_us + st.scan_cost(result.scanned);
+            cost += st.meter.message() + st.meter.scanned(result.scanned);
             egress::emit_closure_batch(st, client, &result, out);
             st.laps.lap(&mut st.metrics.stage.egress);
         }
@@ -541,7 +541,7 @@ impl<W: GameWorld> RoutingPolicy<W> for SphereRouting {
             if cands[i].is_empty() {
                 continue;
             }
-            cost += st.cfg.msg_cost_us + st.scan_cost(result.scanned);
+            cost += st.meter.message() + st.meter.scanned(result.scanned);
             egress::emit_closure_batch(st, ClientId(i as u16), result, out);
         }
         st.laps.lap(&mut st.metrics.stage.egress);

@@ -10,6 +10,7 @@
 
 use crate::closure::{ActionQueue, AnalyzeScratch, ObjectIdMap};
 use crate::config::ProtocolConfig;
+use crate::cost::Meter;
 use crate::metrics::{ServerMetrics, StageProfile};
 use crate::pipeline::ingress::AdmissionLedger;
 use seve_world::ids::QueuePos;
@@ -25,6 +26,9 @@ pub struct PipelineState<W: GameWorld> {
     pub world: Arc<W>,
     /// The protocol configuration.
     pub cfg: ProtocolConfig,
+    /// Prices the messages and queue scans the stages report (unpriced
+    /// unless the simulator installed its cost model).
+    pub meter: Meter,
     /// ζ_S — the authoritative committed state (Algorithm 5 step 1).
     pub zeta_s: WorldState,
     /// The last position installed into ζ_S.
@@ -113,6 +117,7 @@ impl<W: GameWorld> PipelineState<W> {
             laps: Laps::new(),
             world,
             cfg,
+            meter: Meter::default(),
         }
     }
 
@@ -127,10 +132,5 @@ impl<W: GameWorld> PipelineState<W> {
         set.as_slice()
             .last()
             .is_none_or(|o| o.index() < self.object_bound)
-    }
-
-    /// Charge the scan-cost model for `entries` queue entries examined.
-    pub fn scan_cost(&self, entries: usize) -> u64 {
-        (self.cfg.scan_cost_us_per_entry * entries as f64) as u64
     }
 }

@@ -430,6 +430,7 @@ fn push_period_comes_from_omega() {
 /// and its final metrics.
 fn combat_push_stream(per_client_oracle: bool) -> (Vec<String>, ServerMetrics) {
     use crate::client::SeveClient;
+    use crate::cost::{CostModel, Meter};
     use crate::engine::ClientNode;
     use seve_world::worlds::combat::{CombatConfig, CombatWorkload, CombatWorld};
     use seve_world::worlds::Workload;
@@ -459,6 +460,7 @@ fn combat_push_stream(per_client_oracle: bool) -> (Vec<String>, ServerMetrics) {
         Box::new(ChainBreak::new()),
         Box::new(OmegaRtt),
     );
+    server.install_meter(Meter::priced(CostModel::default()));
     let mut clients: Vec<SeveClient<CombatWorld>> = (0..CLIENTS)
         .map(|c| SeveClient::new(ClientId(c as u16), Arc::clone(&world), &cfg))
         .collect();

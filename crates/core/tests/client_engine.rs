@@ -3,6 +3,7 @@
 
 use seve_core::client::SeveClient;
 use seve_core::config::{ProtocolConfig, ServerMode};
+use seve_core::cost::{CostModel, Meter};
 use seve_core::engine::ClientNode;
 use seve_core::msg::{Item, Payload, ToClient, ToServer};
 use seve_net::time::SimTime;
@@ -37,6 +38,7 @@ fn batch(items: Vec<Item<<DiningWorld as GameWorld>::Action>>) -> Down {
 #[test]
 fn submit_applies_optimistically_and_sends() {
     let (world, mut c) = setup(ServerMode::Incomplete);
+    c.install_meter(Meter::priced(CostModel::default()));
     let mut out = Vec::new();
     let grab = world.grab(ClientId(1), 0);
     let cost = c.submit(SimTime::ZERO, grab, &mut out);

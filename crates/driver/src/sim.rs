@@ -11,7 +11,9 @@
 //!
 //! The harness is generic over [`ProtocolSuite`]: SEVE's four variants and
 //! every baseline run under the identical workload, network, and cost
-//! model — the apples-to-apples requirement of the evaluation.
+//! model — the apples-to-apples requirement of the evaluation. It builds
+//! every engine with [`ProtocolSuite::build_metered`] and
+//! [`SimConfig::cost`]: the simulator is the one harness that prices work.
 //!
 //! This loop is the simulator substrate of the unified driver layer.
 //! [`Simulation::run`] sets up, pops every event in time order (events for
@@ -32,6 +34,7 @@ use crate::timer::{MoveTimer, PeriodicTimer, Timer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use seve_core::consistency::ConsistencyOracle;
+use seve_core::cost::{CostModel, Meter};
 use seve_core::engine::{ClientNode, ProtocolSuite, ServerNode};
 use seve_core::metrics::ServerMetrics;
 use seve_net::event::EventQueue;
@@ -45,7 +48,8 @@ use seve_world::GameWorld;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// Testbed parameters. Defaults are Table I.
+/// Testbed parameters. Defaults are Table I, and [`CostModel`]'s
+/// calibration for what the simulated machines' work costs.
 #[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct SimConfig {
     /// One-way link latency. Table I reports 238 ms *average latency*
@@ -69,6 +73,11 @@ pub struct SimConfig {
     pub drain: SimDuration,
     /// Seed for move-timer staggering.
     pub seed: u64,
+    /// What the simulated machines' work costs. The simulator installs it
+    /// on every engine it builds; it is the only harness that prices work,
+    /// so `client_compute_us` and `server_compute_us` are 0 everywhere
+    /// else.
+    pub cost: CostModel,
     /// Stagger the clients' move timers (the realistic default). `false`
     /// fires every client on the same instants — the synchronized-tick
     /// adversary of Section III-E ("if each of them tries to pick up the
@@ -96,6 +105,7 @@ impl Default for SimConfig {
             tick: SimDuration::from_ms(50),
             drain: SimDuration::from_secs(5),
             seed: 0x51_4E5E,
+            cost: CostModel::default(),
             stagger: true,
             session: SessionParams::default(),
         }
@@ -143,6 +153,9 @@ pub struct RunResult {
     pub replay_commute_hits: u64,
     /// Total evaluation records cross-checked.
     pub evals_checked: u64,
+    /// Total evaluations across every client replica, re-evaluations
+    /// included: what the cost model priced on the clients.
+    pub evaluations: u64,
     /// Total client compute, µs.
     pub client_compute_us: u64,
     /// Total server compute, µs.
@@ -322,7 +335,9 @@ impl<'a, W: GameWorld, P: ProtocolSuite<W>> Run<'a, W, P> {
     fn new(sim: &Simulation<'_, W, P>, workload: &'a mut dyn Workload<W>) -> Self {
         let (cfg, faults) = (&sim.cfg, &sim.faults);
         let n = sim.world.num_clients();
-        let (server, clients) = sim.suite.build(Arc::clone(&sim.world));
+        let (server, clients) = sim
+            .suite
+            .build_metered(Arc::clone(&sim.world), Meter::priced(cfg.cost));
         assert_eq!(clients.len(), n);
 
         // Stagger the move timers: clients are not synchronized, and "the
@@ -652,6 +667,7 @@ impl<'a, W: GameWorld, P: ProtocolSuite<W>> Run<'a, W, P> {
             r.submitted += m.submitted;
             r.dropped += m.dropped;
             r.client_compute_us += m.compute_us;
+            r.evaluations += m.evaluations;
             r.replay_divergences += m.replay_divergences;
             r.replay_rebuilds += m.replay_rebuilds;
             r.replay_entries_replayed += m.replay_entries_replayed;
@@ -1059,11 +1075,11 @@ mod tests {
             philosophers: 24,
             ..DiningConfig::default()
         }));
-        let mut cfg = ProtocolConfig::with_mode(ServerMode::InfoBound);
-        cfg.msg_cost_us = 20_000;
-        let suite = SeveSuite::new(cfg);
+        let suite = SeveSuite::new(ProtocolConfig::with_mode(ServerMode::InfoBound));
         let mut wl = DiningWorkload::new(&world);
-        let r = Simulation::new(world, &suite, small_cfg(20)).run(&mut wl);
+        let mut sim = small_cfg(20);
+        sim.cost.msg_cost_us = 20_000;
+        let r = Simulation::new(world, &suite, sim).run(&mut wl);
         assert!(
             r.server_utilization > 0.9,
             "the server must be saturated: {}",

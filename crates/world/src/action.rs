@@ -172,6 +172,9 @@ pub trait GameWorld: Send + Sync + 'static {
     /// Evaluation cost of `action` in microseconds of (simulated) machine
     /// time. This is the calibrated substitute for the paper's measured
     /// per-move times (7.44 ms/move at 100 000 walls on the EMULab nodes).
+    /// Only the simulator's cost model asks (`seve_core::cost::CostModel`);
+    /// engines outside the simulator never do, so an implementation may be
+    /// as dear as a spatial query.
     fn eval_cost_micros(&self, action: &Self::Action) -> u64;
 
     /// The interest subscription of `client` (Section IV-A). Defaults to

@@ -34,6 +34,19 @@ cargo test -q -p seve --release --test driver_equivalence
 echo "== no env probes in the library crates =="
 if grep -rn 'env::var' crates/*/src; then exit 1; fi
 
+echo "== only the cost model prices evaluations =="
+# The simulator's CostModel (crates/core/src/cost.rs) is the one caller of
+# GameWorld::eval_cost_micros: engines report evaluations to their meter
+# and never price them themselves. Test modules (from `mod tests` on, and
+# `tests.rs` files) may call it.
+if awk 'FNR == 1 { live = 1 } /^mod tests/ { live = 0 }
+        live && /eval_cost_micros\(/ && !/fn eval_cost_micros\(/ {
+            print FILENAME ":" FNR ": " $0; found = 1 }
+        END { exit !found }' \
+    $(find crates/*/src -name '*.rs' ! -name tests.rs ! -path crates/core/src/cost.rs); then
+  exit 1
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --check
 
