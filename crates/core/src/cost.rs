@@ -46,13 +46,13 @@ impl CostModel {
     /// Manhattan move at the paper's wall density). The only caller of
     /// [`GameWorld::eval_cost_micros`].
     #[inline]
-    pub fn eval<W: GameWorld>(&self, world: &W, action: &W::Action) -> u64 {
+    fn eval<W: GameWorld>(&self, world: &W, action: &W::Action) -> u64 {
         world.eval_cost_micros(action)
     }
 
     /// `entries` queue entries scanned.
     #[inline]
-    pub fn scan(&self, entries: usize) -> u64 {
+    fn scan(&self, entries: usize) -> u64 {
         (self.scan_cost_us_per_entry * entries as f64) as u64
     }
 }
@@ -67,7 +67,7 @@ impl CostModel {
 /// holds none and returns 0 without looking at the action. Only
 /// [`ProtocolSuite::build_metered`](crate::engine::ProtocolSuite::build_metered)
 /// installs a priced one.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct Meter {
     model: Option<CostModel>,
 }

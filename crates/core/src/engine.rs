@@ -91,9 +91,7 @@ pub trait ClientNode<W: GameWorld>: Send {
     /// Report this engine's evaluations to `meter` from now on. An engine
     /// that prices nothing from the model keeps the default, which ignores
     /// it. Harnesses install through [`ProtocolSuite::build_metered`].
-    fn install_meter(&mut self, meter: Meter) {
-        let _ = meter;
-    }
+    fn install_meter(&mut self, _meter: Meter) {}
 }
 
 /// A server-side protocol engine.
@@ -140,9 +138,7 @@ pub trait ServerNode<W: GameWorld>: Send {
     /// from now on. An engine that prices nothing from the model keeps the
     /// default, which ignores it. Harnesses install through
     /// [`ProtocolSuite::build_metered`].
-    fn install_meter(&mut self, meter: Meter) {
-        let _ = meter;
-    }
+    fn install_meter(&mut self, _meter: Meter) {}
 }
 
 /// A protocol family: how to build a matched server + client set over a
@@ -161,7 +157,7 @@ pub trait ProtocolSuite<W: GameWorld> {
     fn name(&self) -> &'static str;
 
     /// Instantiate the server and one client engine per world participant.
-    /// Their meters are unpriced: they charge 0 for everything.
+    /// Their meters are empty and price nothing.
     fn build(&self, world: Arc<W>) -> (Self::Server, Vec<Self::Client>);
 
     /// [`build`](ProtocolSuite::build), then install `meter` on every

@@ -55,7 +55,6 @@ pub mod server;
 
 pub use client::SeveClient;
 pub use config::{ProtocolConfig, ServerMode};
-pub use cost::{CostModel, Meter};
 pub use engine::{ClientNode, ProtocolSuite, ServerNode};
 pub use metrics::{ClientMetrics, ServerMetrics};
 pub use msg::{Item, Payload, ToClient, ToServer};

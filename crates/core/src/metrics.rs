@@ -46,8 +46,9 @@ pub struct ClientMetrics {
     pub submitted: u64,
     /// Own actions dropped by the server (Algorithm 7).
     pub dropped: u64,
-    /// Stable evaluations performed (including re-evaluations on replay
-    /// rebuilds).
+    /// Evaluations performed: optimistic ones (a submission, Algorithm 3's
+    /// re-application of Q) and stable ones, re-evaluations on replay
+    /// rebuilds included.
     pub evaluations: u64,
     /// Total simulated compute charged, microseconds: each evaluation at
     /// the simulator's [`CostModel`](crate::cost::CostModel) price. Only
