@@ -10,7 +10,7 @@
 //! * [`clock`], [`timer`] — time sources and the two catch-up disciplines
 //!   (nominal grid for the simulator, clamped for wall-clock servers).
 //! * [`transport`] — how a driven node exchanges messages; implemented by
-//!   the TCP runtime (`seve-rt`) and the in-process backend ([`inproc`]).
+//!   `seve-rt`'s framed streams, over TCP or in-memory pipes.
 //! * [`node`] — the [`node::NodeDriver`] loops: server τ-tick + ω·RTT push
 //!   cycles, client move/drain/linger phases, shared by every threaded
 //!   backend.
@@ -31,7 +31,6 @@
 
 pub mod clock;
 pub mod fault;
-pub mod inproc;
 pub mod machine;
 pub mod node;
 pub mod report;
@@ -42,7 +41,6 @@ pub mod transport;
 
 pub use clock::{Clock, VirtualClock, WallClock};
 pub use fault::{FaultPlan, FaultPolicy, FaultyClientTransport, FaultyLink, LinkPartition};
-pub use inproc::{run_inproc_session, SessionConfig};
 pub use machine::Machine;
 pub use node::NodeDriver;
 pub use report::{ClientReport, ReplayWork, ServerReport, SessionReport};

@@ -75,8 +75,8 @@ impl ClientReport {
     }
 }
 
-/// Everything one in-process (or otherwise locally joined) session
-/// produced: the server report plus every client's.
+/// Everything one in-process session produced: the server report plus
+/// every client's.
 #[derive(Debug)]
 pub struct SessionReport {
     /// The server's observations.
@@ -109,19 +109,6 @@ impl SessionReport {
     /// Total actions submitted across clients.
     pub fn submitted(&self) -> u64 {
         self.clients.iter().map(|c| c.metrics.submitted).sum()
-    }
-
-    /// Aggregate replay work across clients.
-    pub fn replay_work(&self) -> ReplayWork {
-        let mut w = ReplayWork::default();
-        for c in &self.clients {
-            let cw = c.replay_work();
-            w.rebuilds += cw.rebuilds;
-            w.entries_replayed += cw.entries_replayed;
-            w.checkpoint_hits += cw.checkpoint_hits;
-            w.commute_hits += cw.commute_hits;
-        }
-        w
     }
 }
 

@@ -1,28 +1,29 @@
-//! The TCP client driver.
+//! The client driver.
 //!
 //! Drives a [`SeveClient`] engine — the same one the simulator uses — over
-//! a real socket. This module owns only the socket plumbing (connect +
-//! hello handshake, then one nonblocking [`Lane`] that the calling thread
-//! flushes and reads), packaged as a [`TcpClientTransport`]; the
-//! move/drain/linger phases are the driver layer's
-//! [`NodeDriver::run_client`], shared with the in-process backend.
+//! a real socket or an in-memory pipe. This module owns only the stream
+//! plumbing (dial + hello handshake, then one nonblocking [`Lane`] that the
+//! calling thread flushes and reads), packaged as a
+//! [`StreamClientTransport`]; the move/drain/linger phases are the driver
+//! layer's [`NodeDriver::run_client`].
 //!
 //! The transport is reconnectable: [`ClientTransport::reconnect`] dials
 //! the server again and re-presents the hello (with the session token), so
 //! a [`SupervisedClientTransport`] stacked on top can heal a lost link and
 //! resume the session mid-run. That is the only recovery the supervisor
-//! needs here: a TCP connection neither loses, duplicates nor reorders a
-//! frame while it lives, and what it loses when it dies — the unacked
-//! tail — the server resends after the resume.
+//! needs here: a connection neither loses, duplicates nor reorders a frame
+//! while it lives, and what it loses when it dies — the unacked tail — the
+//! server resends after the resume.
 
 use crate::frame::{write_msg, FrameError};
-use crate::lane::{encode, wait, Lane};
+use crate::lane::{encode, wait, Lane, Stream};
 use crate::server::{RtDown, RtUp};
 use crate::wire::{self, BufferPool};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 use seve_core::client::SeveClient;
 use seve_core::config::ProtocolConfig;
+use seve_core::engine::ClientNode;
 use seve_driver::{
     session_token, ClientEvent, ClientTransport, FaultPlan, FaultyClientTransport, NodeDriver,
     SessionParams, SupervisedClientTransport,
@@ -40,21 +41,22 @@ use std::time::Duration;
 
 pub use seve_driver::ClientReport;
 
-/// A client's side of a framed-TCP session, driven from the calling thread.
+/// A client's side of a framed session over TCP or a pipe, driven from the
+/// calling thread.
 ///
 /// `recv` returns queued events first. With none queued it flushes the
-/// lane and reads it until the socket would block, queueing whole frames,
+/// lane and reads it until the stream would block, queueing whole frames,
 /// and naps at most `IDLE_NAP` before it tries again. `send` and
 /// `finish` queue a frame and flush; only `partition`, `reconnect` and the
 /// drop wait on the server.
-pub struct TcpClientTransport<U, D> {
-    addr: SocketAddr,
+pub struct StreamClientTransport<U, D, S: Stream = TcpStream> {
+    addr: S::Addr,
     id: ClientId,
     world_digest: u64,
     token: u64,
     /// `None` while the link is down (after a partition or a lost
     /// server); [`ClientTransport::reconnect`] dials again.
-    lane: Option<Lane<TcpStream>>,
+    lane: Option<Lane<S>>,
     events: VecDeque<ClientEvent<D>>,
     /// Recycled encode buffers: after warm-up, framing a message allocates
     /// nothing.
@@ -109,10 +111,10 @@ fn pump<S: Read + Write, D: DeserializeOwned>(
     }
 }
 
-impl<U: Serialize, D: DeserializeOwned> TcpClientTransport<U, D> {
+impl<U: Serialize, D: DeserializeOwned, S: Stream> StreamClientTransport<U, D, S> {
     /// Dial `addr` and present the hello for `id`.
     pub fn connect(
-        addr: SocketAddr,
+        addr: S::Addr,
         id: ClientId,
         world_digest: u64,
         token: u64,
@@ -139,9 +141,9 @@ impl<U: Serialize, D: DeserializeOwned> TcpClientTransport<U, D> {
     }
 }
 
-impl<U, D> TcpClientTransport<U, D> {
+impl<U, D, S: Stream> StreamClientTransport<U, D, S> {
     /// Take the link down. What `send` and `finish` queued is written
-    /// first, blocking as the socket's `write_all` would: an up-lane frame
+    /// first, blocking as a socket's `write_all` would: an up-lane frame
     /// has no resend, so one left in the tail would be a lost submission.
     fn close(&mut self) {
         if let Some(mut lane) = self.lane.take() {
@@ -153,13 +155,15 @@ impl<U, D> TcpClientTransport<U, D> {
     }
 }
 
-impl<U, D> Drop for TcpClientTransport<U, D> {
+impl<U, D, S: Stream> Drop for StreamClientTransport<U, D, S> {
     fn drop(&mut self) {
         self.close();
     }
 }
 
-impl<U: Serialize, D: DeserializeOwned> ClientTransport<U, D> for TcpClientTransport<U, D> {
+impl<U: Serialize, D: DeserializeOwned, S: Stream> ClientTransport<U, D>
+    for StreamClientTransport<U, D, S>
+{
     type Error = FrameError;
 
     fn recv(&mut self, timeout: Duration) -> Result<ClientEvent<D>, FrameError> {
@@ -185,8 +189,7 @@ impl<U: Serialize, D: DeserializeOwned> ClientTransport<U, D> for TcpClientTrans
     }
 
     fn reconnect(&mut self) -> Result<bool, FrameError> {
-        let mut stream = TcpStream::connect(self.addr)?;
-        stream.set_nodelay(true)?;
+        let mut stream = S::dial(&self.addr)?;
         let hello = write_msg(
             &mut stream,
             &RtUp::<U>::Hello {
@@ -206,7 +209,7 @@ impl<U: Serialize, D: DeserializeOwned> ClientTransport<U, D> for TcpClientTrans
     }
 
     fn partition(&mut self, _d: Duration) -> Result<(), FrameError> {
-        // A real outage: close the socket. The server observes the loss;
+        // A real outage: close the stream. The server observes the loss;
         // the supervised wrapper above models the dark window and
         // schedules the heal.
         self.close();
@@ -217,7 +220,7 @@ impl<U: Serialize, D: DeserializeOwned> ClientTransport<U, D> for TcpClientTrans
 /// Connect to `addr` as `id`, submit `moves` workload actions at `period`,
 /// drain, and return the observations.
 ///
-/// The transport stack is `Faulty{Supervised{Tcp}}`: sequence-numbered
+/// The transport stack is `Faulty{Supervised{Stream}}`: sequence-numbered
 /// envelopes delivered strictly in order, delayed cumulative acks, and
 /// reconnect-with-backoff and resume after a partition, under `session`
 /// ([`SessionParams::default`] for a plain run), with the fault decorator
@@ -240,16 +243,37 @@ where
     W: GameWorld,
     W::Action: Serialize + DeserializeOwned,
 {
-    let world_digest = world.initial_state().digest();
+    let digest = world.initial_state().digest();
     let engine: SeveClient<W> = SeveClient::new(id, world, cfg);
-    let mut driver = NodeDriver::client(moves, period);
+    let driver = NodeDriver::client(moves, period);
+    drive_client::<W, _, TcpStream>(engine, addr, digest, workload, driver, faults, session)
+}
+
+/// [`run_client_with`] for any engine, on any [`Stream`].
+pub(crate) fn drive_client<W, C, S>(
+    engine: C,
+    addr: S::Addr,
+    world_digest: u64,
+    workload: &mut dyn Workload<W>,
+    mut driver: NodeDriver,
+    faults: &FaultPlan,
+    session: SessionParams,
+) -> Result<ClientReport, FrameError>
+where
+    W: GameWorld,
+    C: ClientNode<W>,
+    C::Up: Serialize,
+    C::Down: DeserializeOwned,
+    S: Stream,
+{
+    let id = engine.id();
     driver.crash_after_moves = faults.crash_for(id);
     driver.partition_after_moves = faults
         .partition_for(id)
         .map(|p| (p.after_submissions, p.duration));
 
     let token = session_token(session.seed, id);
-    let inner = TcpClientTransport::connect(addr, id, world_digest, token)?;
+    let inner = StreamClientTransport::<_, _, S>::connect(addr, id, world_digest, token)?;
     let hello = inner.handshake_bytes();
     let supervised = SupervisedClientTransport::new(inner, id, session);
     let mut transport = FaultyClientTransport::new(supervised, faults, id.index());

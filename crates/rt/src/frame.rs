@@ -1,4 +1,4 @@
-//! Length-prefixed framing over TCP.
+//! Length-prefixed framing over a byte stream.
 //!
 //! Each frame is a `u32` little-endian payload length followed by the
 //! payload (a [`crate::wire`]-encoded message). Frames are capped to keep a
@@ -8,7 +8,6 @@ use crate::wire::{self, WireError};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
 
 /// Maximum accepted frame payload, bytes.
 pub const MAX_FRAME: usize = 16 * 1024 * 1024;
@@ -70,7 +69,7 @@ pub fn encode_frame_into<T: Serialize>(msg: &T, buf: &mut Vec<u8>) -> Result<(),
 }
 
 /// Write one message as a frame. Returns the frame's size on the wire.
-pub fn write_msg<T: Serialize>(stream: &mut TcpStream, msg: &T) -> Result<usize, FrameError> {
+pub fn write_msg<T: Serialize>(stream: &mut impl Write, msg: &T) -> Result<usize, FrameError> {
     let mut frame = Vec::new();
     encode_frame_into(msg, &mut frame)?;
     stream.write_all(&frame)?;
@@ -79,7 +78,7 @@ pub fn write_msg<T: Serialize>(stream: &mut TcpStream, msg: &T) -> Result<usize,
 }
 
 /// A buffered frame reader over a blocking stream.
-pub struct FrameReader<S = TcpStream> {
+pub struct FrameReader<S> {
     stream: S,
     /// Unconsumed bytes; `start` indexes the first live byte so each frame
     /// doesn't shift the whole buffer.
@@ -148,7 +147,7 @@ impl<S: Read> FrameReader<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
+    use std::net::{TcpListener, TcpStream};
 
     #[test]
     fn frames_roundtrip_over_loopback() {

@@ -11,27 +11,28 @@
 //!   encodings). No wire-format crate is among the project's allowed
 //!   dependencies, so the format is implemented in-repo; anything with a
 //!   serde derive encodes.
-//! * [`frame`] — length-prefixed framing over `TcpStream` (a fixed `u32`
+//! * [`frame`] — length-prefixed framing over a byte stream (a fixed `u32`
 //!   prefix, so a reader can size a frame from four bytes).
-//! * [`lane`] — one nonblocking socket's framed traffic, the [`Lane`]
-//!   both ends drive.
+//! * [`lane`] — one nonblocking stream's framed traffic, the [`Lane`]
+//!   both ends drive, over TCP or an in-memory [`pipe`].
 //! * [`server`] — a server hosting any [`seve_core::ServerNode`], its
 //!   sockets nonblocking and owned by the engine thread.
 //! * [`client`] — a client driving a [`seve_core::SeveClient`] with a
 //!   workload at a fixed move cadence, its one socket a lane on the
 //!   client's own thread.
+//! * [`inproc`] — a whole session in one process, over pipes.
 //!
 //! The engine loops themselves live in the driver layer (`seve-driver`):
-//! this crate contributes [`server::TcpServerTransport`] and
-//! [`client::TcpClientTransport`], the framed-socket implementations of
+//! this crate contributes [`server::StreamServerTransport`] and
+//! [`client::StreamClientTransport`], the framed-stream implementations of
 //! the driver's transport traits, and thin entry points that wire them to
 //! [`seve_driver::NodeDriver`]. Reports are the driver's shared
 //! [`ServerReport`]/[`ClientReport`] types, so the pipeline stage profile
 //! and replay-work counters are available here exactly as in the
 //! simulator.
 //!
-//! The loopback integration test runs a full Manhattan People session over
-//! real sockets and checks the same Theorem 1 oracle the simulator uses.
+//! The loopback integration tests run full Manhattan People sessions over
+//! sockets and pipes and check the same Theorem 1 oracle the simulator uses.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,10 +40,13 @@
 pub mod cli;
 pub mod client;
 pub mod frame;
+pub mod inproc;
 pub mod lane;
+pub mod pipe;
 pub mod server;
 pub use seve_net::wire;
 
-pub use client::{run_client_with, ClientReport, TcpClientTransport};
+pub use client::{run_client_with, ClientReport, StreamClientTransport};
+pub use inproc::{run_inproc_session, SessionConfig};
 pub use lane::Lane;
-pub use server::{fan_out, run_server_with, ServerReport, TcpServerTransport};
+pub use server::{fan_out, run_server_with, ServerReport, StreamServerTransport};

@@ -1,13 +1,13 @@
-//! The TCP server host.
+//! The server host.
 //!
 //! Hosts any [`ServerNode`] engine — the exact state machines the
-//! simulator drives — over real sockets, packaged as a
-//! [`TcpServerTransport`]. One background thread accepts connections and
-//! checks each hello; every seated socket is then nonblocking and belongs
+//! simulator drives — over real sockets or in-memory pipes, packaged as a
+//! [`StreamServerTransport`]. One background thread accepts connections and
+//! checks each hello; every seated stream is then nonblocking and belongs
 //! to the engine thread, which reads and writes all of them itself (one
 //! [`Lane`] per client). The engine loop — wall-clock tick (τ) and push
 //! (ω·RTT) timers interleaved with message dispatch — is the driver
-//! layer's [`NodeDriver::run_server`], shared with the in-process backend.
+//! layer's [`NodeDriver::run_server`].
 //!
 //! A socket that breaks surfaces as one `Gone` for its seat. The
 //! [`SupervisedServerTransport`] stacked on top holds the seat for a
@@ -16,7 +16,7 @@
 //! connection TCP already orders and retransmits, and nothing is resent.
 
 use crate::frame::{FrameError, FrameReader};
-use crate::lane::{encode, recycle, wait, Lane};
+use crate::lane::{encode, recycle, wait, Lane, Stream};
 use crate::wire::{self, BufferPool};
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
@@ -84,7 +84,7 @@ impl<M: Serialize> Serialize for RtDownMsgRef<'_, M> {
     }
 }
 
-/// How long [`TcpServerTransport`]'s `stop_all` keeps flushing the `Stop`
+/// How long [`StreamServerTransport`]'s `stop_all` keeps flushing the `Stop`
 /// frames before it retires the lanes whose peer stopped reading.
 const STOP_GRACE: Duration = Duration::from_millis(100);
 
@@ -211,10 +211,10 @@ fn encode_batch<S: Read + Write, M: Serialize>(
     Ok(())
 }
 
-/// The server's side of a framed-TCP session, driven entirely from the
-/// engine thread: one [`Lane`] per seated client. Implements
-/// [`ServerTransport`] so [`NodeDriver::run_server`] can drive any engine
-/// over it.
+/// The server's side of a framed session over TCP or pipes, driven
+/// entirely from the engine thread: one [`Lane`] per seated client.
+/// Implements [`ServerTransport`] so [`NodeDriver::run_server`] can drive
+/// any engine over it.
 ///
 /// `recv` returns queued events first. With none queued it *sweeps*: it
 /// installs the connections the acceptor has seated since (a resume
@@ -222,10 +222,10 @@ fn encode_batch<S: Read + Write, M: Serialize>(
 /// tail and reads it until the socket would block, queueing whole frames.
 /// A lane that breaks is unseated and reported [`ServerEvent::Gone`]
 /// exactly once. `send_batch` is [`fan_out`]. No call waits on a client.
-pub struct TcpServerTransport<U, D> {
-    lanes: Vec<Option<Lane<TcpStream>>>,
+pub struct StreamServerTransport<U, D, S: Stream = TcpStream> {
+    lanes: Vec<Option<Lane<S>>>,
     /// Connections that passed the handshake, from the acceptor thread.
-    seats: Receiver<(ClientId, Lane<TcpStream>)>,
+    seats: Receiver<(ClientId, Lane<S>)>,
     events: VecDeque<ServerEvent<U>>,
     /// The lane the last sweep started at.
     first: usize,
@@ -238,9 +238,10 @@ pub struct TcpServerTransport<U, D> {
     _down: PhantomData<D>,
 }
 
-impl<U, D> TcpServerTransport<U, D>
+impl<U, D, S> StreamServerTransport<U, D, S>
 where
     U: DeserializeOwned + Send + 'static,
+    S: Stream,
 {
     /// Accept connections on `listener` for a session with one seat per
     /// token, and return once every seat is taken.
@@ -250,11 +251,12 @@ where
     /// its seat's (see [`session_token`]). It takes the seat even when the
     /// seat is occupied — a mid-run resume — and any other connection is
     /// refused. The thread runs until the transport is dropped.
-    pub fn accept(listener: TcpListener, world_digest: u64, tokens: Vec<u64>) -> io::Result<Self> {
+    pub fn accept(listener: S::Listener, world_digest: u64, tokens: Vec<u64>) -> io::Result<Self> {
         let n = tokens.len();
         let (tx, seats) = mpsc::channel();
         let stop = Arc::new(AtomicBool::new(false));
-        let acceptor = spawn_acceptor::<U>(listener, world_digest, tokens, tx, Arc::clone(&stop))?;
+        let acceptor =
+            spawn_acceptor::<U, S>(listener, world_digest, tokens, tx, Arc::clone(&stop))?;
         let mut t = Self {
             lanes: (0..n).map(|_| None).collect(),
             seats,
@@ -277,9 +279,9 @@ where
     }
 }
 
-impl<U: DeserializeOwned, D> TcpServerTransport<U, D> {
+impl<U: DeserializeOwned, D, S: Stream> StreamServerTransport<U, D, S> {
     /// Seat `lane` as client `c`'s, retiring the lane it replaces.
-    fn install(&mut self, c: ClientId, lane: Lane<TcpStream>) {
+    fn install(&mut self, c: ClientId, lane: Lane<S>) {
         if let Some(old) = self.lanes[c.index()].replace(lane) {
             old.retire(&mut self.pool);
         }
@@ -305,8 +307,8 @@ impl<U: DeserializeOwned, D> TcpServerTransport<U, D> {
     }
 }
 
-impl<U: DeserializeOwned, D: Serialize + ShareKey> ServerTransport<U, D>
-    for TcpServerTransport<U, D>
+impl<U: DeserializeOwned, D: Serialize + ShareKey, S: Stream> ServerTransport<U, D>
+    for StreamServerTransport<U, D, S>
 {
     type Error = FrameError;
 
@@ -365,7 +367,7 @@ impl<U: DeserializeOwned, D: Serialize + ShareKey> ServerTransport<U, D>
     }
 }
 
-impl<U, D> Drop for TcpServerTransport<U, D> {
+impl<U, D, S: Stream> Drop for StreamServerTransport<U, D, S> {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(h) = self.acceptor.take() {
@@ -377,24 +379,25 @@ impl<U, D> Drop for TcpServerTransport<U, D> {
 /// Spawn the accept/handshake thread. It outlives the initial seating
 /// round so clients that lose their connection mid-run can reconnect and
 /// resume their session, and it ends once `stop` is set.
-fn spawn_acceptor<U>(
-    listener: TcpListener,
+fn spawn_acceptor<U, S>(
+    listener: S::Listener,
     world_digest: u64,
     tokens: Vec<u64>,
-    seats: Sender<(ClientId, Lane<TcpStream>)>,
+    seats: Sender<(ClientId, Lane<S>)>,
     stop: Arc<AtomicBool>,
 ) -> io::Result<JoinHandle<()>>
 where
     U: DeserializeOwned + 'static,
+    S: Stream,
 {
     // Nonblocking accept so the thread can notice the stop flag; accepted
     // streams are blocking for the handshake.
-    listener.set_nonblocking(true)?;
+    S::listen(&listener)?;
     Ok(std::thread::spawn(move || {
         while !stop.load(Ordering::Relaxed) {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    if let Some(seat) = seat::<U>(stream, world_digest, &tokens) {
+            match S::accept(&listener) {
+                Ok(stream) => {
+                    if let Some(seat) = seat::<_, U>(stream, world_digest, &tokens) {
                         if seats.send(seat).is_err() {
                             return;
                         }
@@ -408,13 +411,12 @@ where
 
 /// [`handshake`] a freshly accepted connection, and hand its lane over
 /// nonblocking.
-fn seat<U: DeserializeOwned>(
-    stream: TcpStream,
+fn seat<S: Stream, U: DeserializeOwned>(
+    stream: S,
     world_digest: u64,
     tokens: &[u64],
-) -> Option<(ClientId, Lane)> {
+) -> Option<(ClientId, Lane<S>)> {
     stream.set_nonblocking(false).ok()?;
-    stream.set_nodelay(true).ok()?;
     // A peer that connects but never completes its hello must not wedge
     // the acceptor — bound the handshake read.
     stream.set_read_timeout(Some(Duration::from_secs(1))).ok()?;
@@ -471,7 +473,7 @@ fn handshake<S: Read + Write, U: DeserializeOwned>(
 /// the initial world state; clients presenting a different digest are
 /// rejected (their replicas could never converge).
 ///
-/// The TCP transport carries sequence-numbered session envelopes and is
+/// The transport carries sequence-numbered session envelopes and is
 /// wrapped in a [`SupervisedServerTransport`] under `session`
 /// ([`SessionParams::default`] for a plain run): a reconnecting client may
 /// reclaim its seat mid-run by presenting its session token, and is then
@@ -493,10 +495,30 @@ where
     S::Up: DeserializeOwned + Send + 'static,
     S::Down: Serialize + ShareKey + Sync + Clone,
 {
+    serve::<W, S, TcpStream>(engine, listener, n, tick, push, world_digest, session)
+}
+
+/// [`run_server_with`] on any [`Stream`].
+pub(crate) fn serve<W, E, S>(
+    engine: E,
+    listener: S::Listener,
+    n: usize,
+    tick: Duration,
+    push: Duration,
+    world_digest: u64,
+    session: SessionParams,
+) -> Result<ServerReport, FrameError>
+where
+    W: GameWorld,
+    E: ServerNode<W>,
+    E::Up: DeserializeOwned + Send + 'static,
+    E::Down: Serialize + ShareKey + Sync + Clone,
+    S: Stream,
+{
     let tokens = (0..n as u16)
         .map(|c| session_token(session.seed, ClientId(c)))
         .collect();
-    let inner = TcpServerTransport::accept(listener, world_digest, tokens)?;
+    let inner = StreamServerTransport::<_, _, S>::accept(listener, world_digest, tokens)?;
     let mut transport = SupervisedServerTransport::new(inner, n, session);
     NodeDriver::server(tick, push).run_server(engine, &mut transport, n)
 }
@@ -506,7 +528,9 @@ mod tests {
     use super::*;
     use crate::lane::scripted::{check_seed, frame_of, payload, Caller, Got, ScriptedStream};
     use crate::lane::scripted::{SplitMix64, SCALE_SEEDS, SEEDS, UNDECODABLE};
+    use crate::pipe::Pipe;
     use crate::wire;
+    use std::time::Instant;
 
     const DIGEST: u64 = 0x5EED;
     const TOKEN: u64 = 77;
@@ -588,6 +612,35 @@ mod tests {
         for seed in 0..SCALE_SEEDS {
             check_seed(&ServerSide, seed);
         }
+    }
+
+    /// The pipe's version of `seat`'s one-second bound on a hello over
+    /// TCP: a dial that never sends its hello is dropped after the bound,
+    /// and the acceptor goes on to seat the next.
+    #[test]
+    fn a_silent_dial_does_not_wedge_the_acceptor() {
+        let (dialer, listener) = mpsc::channel::<Pipe>();
+        let mut silent = Pipe::dial(&dialer).expect("dial");
+        let mut valid = Pipe::dial(&dialer).expect("dial");
+        valid.write_all(&ServerSide.hello()).expect("hello");
+        let (seated, rx) = mpsc::channel();
+        let start = Instant::now();
+        let acceptor = std::thread::spawn(move || {
+            let t = StreamServerTransport::<u64, u64, Pipe>::accept(listener, DIGEST, vec![TOKEN]);
+            seated.send(t.is_ok()).expect("the test waits");
+        });
+        let got = rx.recv_timeout(Duration::from_secs(10));
+        assert_eq!(got, Ok(true), "the valid dial is seated");
+        assert!(
+            start.elapsed() >= Duration::from_secs(1),
+            "after the silent one's bound"
+        );
+        assert_eq!(
+            silent.read(&mut [0; 1]).expect("read"),
+            0,
+            "the silent dial is closed"
+        );
+        acceptor.join().expect("acceptor");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use seve_driver::ClientTransport;
 use seve_rt::frame::FrameReader;
 use seve_rt::server::RtUp;
-use seve_rt::TcpClientTransport;
+use seve_rt::StreamClientTransport;
 use seve_world::ids::ClientId;
 use std::net::TcpListener;
 use std::sync::mpsc;
@@ -20,7 +20,7 @@ fn frames_sent_before_the_drop_all_reach_the_server() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().unwrap();
     let mut t =
-        TcpClientTransport::<String, u64>::connect(addr, ClientId(0), 1, 2).expect("connect");
+        StreamClientTransport::<String, u64>::connect(addr, ClientId(0), 1, 2).expect("connect");
     for i in 0..FRAMES {
         t.send(format!("{i:02}").repeat(FRAME_BYTES / 2))
             .expect("send");

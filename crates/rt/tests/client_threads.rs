@@ -4,7 +4,7 @@
 #![cfg(target_os = "linux")]
 
 use seve_driver::ClientTransport;
-use seve_rt::TcpClientTransport;
+use seve_rt::StreamClientTransport;
 use seve_world::ids::ClientId;
 use std::net::TcpListener;
 
@@ -21,7 +21,8 @@ fn connect_and_reconnect_start_no_thread() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().unwrap();
     let before = threads();
-    let mut t = TcpClientTransport::<u64, u64>::connect(addr, ClientId(0), 1, 2).expect("connect");
+    let mut t =
+        StreamClientTransport::<u64, u64>::connect(addr, ClientId(0), 1, 2).expect("connect");
     assert_eq!(threads(), before, "connect started a thread");
     t.reconnect().expect("reconnect");
     assert_eq!(threads(), before, "reconnect started a thread");

@@ -6,7 +6,7 @@ use serde::Serialize;
 use seve_core::engine::ShareKey;
 use seve_driver::{ServerEvent, ServerTransport, SessionDown};
 use seve_rt::frame::{encode_frame_into, FrameReader};
-use seve_rt::server::{RtDown, RtUp, TcpServerTransport};
+use seve_rt::server::{RtDown, RtUp, StreamServerTransport};
 use seve_rt::wire;
 use seve_world::ids::ClientId;
 use std::io::{ErrorKind, Read, Write};
@@ -35,7 +35,10 @@ fn hello(c: u16) -> Vec<u8> {
 
 /// Connect `n` clients, each having written its hello followed by
 /// `extra(c)`, and return them with the transport that seated them all.
-fn seat<D>(n: u16, extra: impl Fn(u16) -> Vec<u8>) -> (Vec<TcpStream>, TcpServerTransport<u64, D>) {
+fn seat<D>(
+    n: u16,
+    extra: impl Fn(u16) -> Vec<u8>,
+) -> (Vec<TcpStream>, StreamServerTransport<u64, D>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr: SocketAddr = listener.local_addr().unwrap();
     let clients: Vec<TcpStream> = (0..n)
@@ -49,13 +52,13 @@ fn seat<D>(n: u16, extra: impl Fn(u16) -> Vec<u8>) -> (Vec<TcpStream>, TcpServer
         .collect();
     let tokens = (0..n).map(token).collect();
     let transport =
-        TcpServerTransport::accept(listener, DIGEST, tokens).expect("seat every client");
+        StreamServerTransport::accept(listener, DIGEST, tokens).expect("seat every client");
     (clients, transport)
 }
 
 /// Every event `recv` returns within `window`.
 fn events<D: Serialize + ShareKey>(
-    t: &mut TcpServerTransport<u64, D>,
+    t: &mut StreamServerTransport<u64, D>,
     window: Duration,
 ) -> Vec<ServerEvent<u64>> {
     let end = Instant::now() + window;

@@ -14,9 +14,9 @@
 //! | [`net`] | `seve-net` | discrete-event kernel, links, statistics |
 //! | [`core`] | `seve-core` | the four action-protocol variants, closure & bound machinery |
 //! | [`baselines`] | `seve-baselines` | Central, Broadcast, RING, locking, timestamp ordering |
-//! | [`driver`] | `seve-driver` | the transport-agnostic node driver: clocks, timers, transports, fault injection, the sim and in-process backends |
+//! | [`driver`] | `seve-driver` | the transport-agnostic node driver: clocks, timers, transports, fault injection, the sim backend |
 //! | [`sim`] | `seve-sim` | the EMULab-substitute harness and every paper experiment |
-//! | [`rt`] | `seve-rt` | the real-TCP runtime with its binary wire format |
+//! | [`rt`] | `seve-rt` | the threaded runtime with its binary wire format, over TCP or in-process pipes |
 //!
 //! ## Quickstart
 //!
@@ -64,11 +64,11 @@ pub mod prelude {
     pub use seve_core::server::SeveSuite;
     pub use seve_core::SeveClient;
     pub use seve_driver::{
-        run_inproc_session, FaultPlan, FaultPolicy, LinkPartition, NodeDriver, SessionConfig,
-        SessionParams, SessionStats, ShedPolicy,
+        FaultPlan, FaultPolicy, LinkPartition, NodeDriver, SessionParams, SessionStats, ShedPolicy,
     };
     pub use seve_net::stats::Summary;
     pub use seve_net::time::{SimDuration, SimTime};
+    pub use seve_rt::{run_inproc_session, SessionConfig};
     pub use seve_sim::{RunResult, SimConfig, Simulation};
     pub use seve_world::worlds::combat::{CombatConfig, CombatWorkload, CombatWorld};
     pub use seve_world::worlds::dining::{DiningConfig, DiningWorkload, DiningWorld};

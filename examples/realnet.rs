@@ -10,7 +10,8 @@
 //! under the shared node driver:
 //!
 //! * `tcp` (default) — loopback sockets with the binary wire protocol,
-//! * `inproc` — OS threads wired by in-process channels (no sockets).
+//! * `inproc` — the same stacks in one process, each connection an
+//!   in-memory pipe (no sockets).
 //!
 //! Either way the example boots the Information Bound server and N client
 //! nodes, runs a Manhattan People session, and cross-checks every replica's
@@ -19,7 +20,6 @@
 
 use seve::core::consistency::ConsistencyOracle;
 use seve::core::pipeline::PipelineServer;
-use seve::driver::{run_inproc_session, SessionConfig};
 use seve::prelude::*;
 use seve::rt::cli::{exit_usage, value, ArgError};
 use seve::rt::{run_client_with, run_server_with};
@@ -137,7 +137,7 @@ fn run_tcp(world: Arc<ManhattanWorld>, cfg: ProtocolConfig, n: usize, moves: u32
 }
 
 fn run_inproc(world: Arc<ManhattanWorld>, cfg: ProtocolConfig, n: usize, moves: u32) {
-    println!("SEVE in-process session — {n} clients × {moves} moves over channels\n");
+    println!("SEVE in-process session — {n} clients × {moves} moves over pipes\n");
     let suite = SeveSuite::new(cfg);
     let session = SessionConfig::fast(moves, Duration::from_millis(30), Duration::from_millis(5));
     let mut report = run_inproc_session(Arc::clone(&world), &suite, &session, |_| {

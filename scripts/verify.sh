@@ -34,6 +34,24 @@ cargo test -q -p seve --release --test driver_equivalence
 echo "== no env probes in the library crates =="
 if grep -rn 'env::var' crates/*/src; then exit 1; fi
 
+echo "== no channel transport =="
+# Every threaded backend runs rt's lanes, over TCP or in-memory pipes.
+if grep -rn 'crossbeam::' crates/*/src; then exit 1; fi
+
+echo "== DESIGN.md test citations resolve =="
+# Each `module::fn` named after "test:" or "tests:" in DESIGN.md must be a
+# fn under crates/ or tests/, and a bare name a test binary's file.
+cited=$(tr '\n' ' ' < DESIGN.md | grep -oE 'tests?: *(`[^`]+`[,;]? *(and )?)+' |
+  grep -oE '`[a-z0-9_:]+`' | tr -d '`' | sort -u)
+unresolved=0
+for c in $cited; do
+  case $c in
+    *::*) grep -rqE "fn ${c##*::}\b" crates tests ;;
+    *) compgen -G "tests/$c.rs" > /dev/null || compgen -G "crates/*/tests/$c.rs" > /dev/null ;;
+  esac || { echo "DESIGN.md cites a missing test: $c"; unresolved=1; }
+done
+[ "$unresolved" == 0 ]
+
 echo "== only the cost model prices evaluations =="
 # The simulator's CostModel (crates/core/src/cost.rs) is the one caller of
 # GameWorld::eval_cost_micros: engines report evaluations to their meter

@@ -17,7 +17,8 @@
 
 use seve::core::config::{ProtocolConfig, ServerMode};
 use seve::core::server::SeveSuite;
-use seve::driver::{run_inproc_session, SessionConfig, SimConfig, Simulation};
+use seve::driver::{SimConfig, Simulation};
+use seve::rt::{run_inproc_session, SessionConfig};
 use seve::world::worlds::manhattan::{
     ManhattanConfig, ManhattanWorkload, ManhattanWorld, SpawnPattern,
 };

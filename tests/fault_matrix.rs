@@ -47,10 +47,11 @@ use seve::core::config::{ProtocolConfig, ServerMode};
 use seve::core::pipeline::PipelineServer;
 use seve::core::server::SeveSuite;
 use seve::driver::{
-    run_inproc_session, FaultPlan, FaultPolicy, LinkPartition, SessionConfig, SessionParams,
-    SessionStats, SimConfig, Simulation,
+    FaultPlan, FaultPolicy, LinkPartition, SessionParams, SessionStats, SimConfig, Simulation,
 };
-use seve::rt::{run_client_with, run_server_with, ClientReport, ServerReport};
+use seve::rt::{
+    run_client_with, run_inproc_session, run_server_with, ClientReport, ServerReport, SessionConfig,
+};
 use seve::world::ids::ClientId;
 use seve::world::worlds::dining::{DiningConfig, DiningWorkload, DiningWorld};
 use seve::world::worlds::manhattan::{
@@ -392,7 +393,7 @@ fn inproc_midrun_crash_is_reaped_and_tolerated() {
         "the crashed client's lane must be reaped"
     );
     // Complete-world survivors see the whole serialization before Stop
-    // (channels are FIFO), so their replicas agree exactly.
+    // (lanes are FIFO), so their replicas agree exactly.
     let survivors: Vec<u64> = report
         .clients
         .iter()

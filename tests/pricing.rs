@@ -12,10 +12,8 @@ use seve::core::config::{ProtocolConfig, ServerMode};
 use seve::core::engine::ProtocolSuite;
 use seve::core::msg::{Item, ToClient, ToServer};
 use seve::core::server::SeveSuite;
-use seve::driver::{
-    run_inproc_session, ClientEvent, ClientTransport, NodeDriver, SessionConfig, SimConfig,
-    Simulation,
-};
+use seve::driver::{ClientEvent, ClientTransport, NodeDriver, SimConfig, Simulation};
+use seve::rt::{run_inproc_session, SessionConfig};
 use seve::world::geometry::Vec2;
 use seve::world::ids::{ClientId, ObjectId};
 use seve::world::semantics::Semantics;
