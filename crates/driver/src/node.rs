@@ -142,7 +142,7 @@ impl NodeDriver {
         let mut bytes_out = 0u64;
         let mut out: Vec<(seve_world::ids::ClientId, S::Down)> = Vec::new();
 
-        'session: while done < n {
+        while done < n {
             // Wait.
             let tick_next = tick_t.next_deadline().expect("clamped timers never end");
             let deadline = if pushes {
@@ -176,7 +176,6 @@ impl NodeDriver {
                     // seat; a bare transport's `Gone` retires the seat too.
                     ServerEvent::Done(_) | ServerEvent::Gone(_) => done += 1,
                     ServerEvent::Timeout => break,
-                    ServerEvent::Closed => break 'session,
                 }
                 event = transport.recv(Duration::ZERO)?;
             }
@@ -439,7 +438,7 @@ mod tests {
 
     /// Inbound traffic in bursts: one burst is what one drain finds. A
     /// `recv` past the burst's end answers `Timeout` and arms the next
-    /// burst; past the last burst the transport is `Closed`.
+    /// burst. Every script ends in each client's goodbye.
     struct ScriptedTransport {
         bursts: VecDeque<VecDeque<ServerEvent<M>>>,
         log: Log,
@@ -489,9 +488,7 @@ mod tests {
                 // Fall through to the script: the goodbye.
                 self.flood_until_ticks = None;
             }
-            let Some(burst) = self.bursts.front_mut() else {
-                return Ok(ServerEvent::Closed);
-            };
+            let burst = self.bursts.front_mut().expect("a goodbye ends the script");
             Ok(burst.pop_front().unwrap_or_else(|| {
                 self.bursts.pop_front();
                 ServerEvent::Timeout
