@@ -20,6 +20,7 @@
 //! reconciles, replicas can evaluate the same action differently; the
 //! consistency oracle counts those divergences.
 
+use seve_core::config::TABLE_I_TICK;
 use seve_core::cost::Meter;
 use seve_core::engine::{ClientNode, ProtocolSuite, ServerNode};
 use seve_core::metrics::{ClientMetrics, EvalRecord, ServerMetrics};
@@ -31,23 +32,10 @@ use seve_world::GameWorld;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Broadcast tuning.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct BroadcastConfig {
-    /// Relay cost per message at the server, µs.
-    pub msg_cost_us: u64,
-    /// Relay cost per broadcast receiver, µs.
-    pub per_send_cost_us: u64,
-}
-
-impl Default for BroadcastConfig {
-    fn default() -> Self {
-        Self {
-            msg_cost_us: 10,
-            per_send_cost_us: 8,
-        }
-    }
-}
+/// Relay price per message at the server, µs.
+const MSG_COST_US: u64 = 10;
+/// Relay price per broadcast receiver, µs.
+const PER_SEND_COST_US: u64 = 8;
 
 /// Client → server: an executed action to broadcast.
 #[derive(Clone, Debug, serde::Serialize)]
@@ -163,9 +151,9 @@ impl<W: GameWorld> ClientNode<W> for BroadcastClient<W> {
 /// The pure relay server.
 pub struct BroadcastServer<W: GameWorld> {
     world: Arc<W>,
-    cfg: BroadcastConfig,
     next_pos: QueuePos,
     metrics: ServerMetrics,
+    meter: Meter,
 }
 
 impl<W: GameWorld> ServerNode<W> for BroadcastServer<W> {
@@ -193,7 +181,7 @@ impl<W: GameWorld> ServerNode<W> for BroadcastServer<W> {
             ));
         }
         self.metrics.batch_items.record(n as f64);
-        let cost = self.cfg.msg_cost_us + self.cfg.per_send_cost_us * n as u64;
+        let cost = self.meter.fixed(MSG_COST_US + PER_SEND_COST_US * n as u64);
         self.metrics.compute_us += cost;
         cost
     }
@@ -204,6 +192,10 @@ impl<W: GameWorld> ServerNode<W> for BroadcastServer<W> {
 
     fn push_tick(&mut self, _now: SimTime, _out: &mut Vec<(ClientId, Self::Down)>) -> u64 {
         0
+    }
+
+    fn tick_period(&self) -> SimDuration {
+        TABLE_I_TICK
     }
 
     fn push_period(&self) -> Option<SimDuration> {
@@ -221,14 +213,15 @@ impl<W: GameWorld> ServerNode<W> for BroadcastServer<W> {
     fn committed(&self) -> Option<&WorldState> {
         None
     }
+
+    fn install_meter(&mut self, meter: Meter) {
+        self.meter = meter;
+    }
 }
 
 /// Suite for the Broadcast baseline.
 #[derive(Clone, Debug, Default)]
-pub struct BroadcastSuite {
-    /// Tuning knobs.
-    pub cfg: BroadcastConfig,
-}
+pub struct BroadcastSuite;
 
 impl<W: GameWorld> ProtocolSuite<W> for BroadcastSuite {
     type Up = BcastUp<W::Action>;
@@ -253,9 +246,9 @@ impl<W: GameWorld> ProtocolSuite<W> for BroadcastSuite {
             })
             .collect();
         let server = BroadcastServer {
-            cfg: self.cfg.clone(),
             next_pos: 1,
             metrics: ServerMetrics::default(),
+            meter: Meter::default(),
             world,
         };
         (server, clients)
@@ -279,7 +272,7 @@ mod tests {
             philosophers: n,
             ..DiningConfig::default()
         }));
-        let suite = BroadcastSuite::default();
+        let suite = BroadcastSuite;
         let (s, c) = <BroadcastSuite as ProtocolSuite<DiningWorld>>::build_metered(
             &suite,
             Arc::clone(&world),

@@ -13,6 +13,7 @@
 //! the server queue — and with it every response time — grows without
 //! bound.
 
+use seve_core::config::TABLE_I_TICK;
 use seve_core::cost::Meter;
 use seve_core::engine::{ClientNode, ProtocolSuite, ServerNode};
 use seve_core::metrics::{ClientMetrics, ServerMetrics};
@@ -24,30 +25,29 @@ use seve_world::GameWorld;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+/// Fixed server price per message, µs.
+const MSG_COST_US: u64 = 15;
+/// Server price per update receiver, µs — the synchronization and
+/// networking overhead the paper attributes ~60 ms per round to at 32
+/// clients.
+const PER_SEND_COST_US: u64 = 240;
+/// Client price to package a command or render/apply an incoming update,
+/// µs.
+const APPLY_COST_US: u64 = 30;
+
 /// Central-baseline tuning.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CentralConfig {
     /// Radius around an action's influence center within which clients
     /// receive the resulting update (the zone/visibility scoping real MMOs
     /// apply; Table I visibility: 30).
     pub interest_radius: f64,
-    /// Fixed server cost per message, µs.
-    pub msg_cost_us: u64,
-    /// Server cost per update receiver, µs — the synchronization and
-    /// networking overhead the paper attributes ~60 ms per round to at 32
-    /// clients.
-    pub per_send_cost_us: u64,
-    /// Client cost to render/apply an incoming update, µs.
-    pub apply_cost_us: u64,
 }
 
 impl Default for CentralConfig {
     fn default() -> Self {
         Self {
             interest_radius: 30.0,
-            msg_cost_us: 15,
-            per_send_cost_us: 240,
-            apply_cost_us: 30,
         }
     }
 }
@@ -77,11 +77,11 @@ pub struct CentralClient<W: GameWorld> {
     id: ClientId,
     #[allow(dead_code)]
     world: Arc<W>,
-    cfg: CentralConfig,
     view: WorldState,
     next_seq: u32,
     submit_times: BTreeMap<u32, SimTime>,
     metrics: ClientMetrics,
+    meter: Meter,
 }
 
 impl<W: GameWorld> ClientNode<W> for CentralClient<W> {
@@ -111,7 +111,7 @@ impl<W: GameWorld> ClientNode<W> for CentralClient<W> {
         self.submit_times.insert(action.id().seq, now);
         out.push(CentralUp { action });
         // Thin client: packaging the command is trivial.
-        self.cfg.apply_cost_us
+        self.meter.fixed(APPLY_COST_US)
     }
 
     fn deliver(&mut self, now: SimTime, msg: Self::Down, _out: &mut Vec<Self::Up>) -> u64 {
@@ -122,8 +122,9 @@ impl<W: GameWorld> ClientNode<W> for CentralClient<W> {
                 self.metrics.response_ms.record((now - t).as_ms_f64());
             }
         }
-        self.metrics.compute_us += self.cfg.apply_cost_us;
-        self.cfg.apply_cost_us
+        let cost = self.meter.fixed(APPLY_COST_US);
+        self.metrics.compute_us += cost;
+        cost
     }
 
     fn metrics_mut(&mut self) -> &mut ClientMetrics {
@@ -132,6 +133,10 @@ impl<W: GameWorld> ClientNode<W> for CentralClient<W> {
 
     fn metrics(&self) -> &ClientMetrics {
         &self.metrics
+    }
+
+    fn install_meter(&mut self, meter: Meter) {
+        self.meter = meter;
     }
 }
 
@@ -189,9 +194,9 @@ impl<W: GameWorld> ServerNode<W> for CentralServer<W> {
             }
         }
         self.metrics.batch_items.record(receivers as f64);
-        let cost = self.cfg.msg_cost_us
+        let cost = self.meter.fixed(MSG_COST_US)
             + self.meter.evaluated(self.world.as_ref(), &action)
-            + self.cfg.per_send_cost_us * receivers as u64;
+            + self.meter.fixed(PER_SEND_COST_US * receivers as u64);
         self.metrics.compute_us += cost;
         cost
     }
@@ -202,6 +207,10 @@ impl<W: GameWorld> ServerNode<W> for CentralServer<W> {
 
     fn push_tick(&mut self, _now: SimTime, _out: &mut Vec<(ClientId, Self::Down)>) -> u64 {
         0
+    }
+
+    fn tick_period(&self) -> SimDuration {
+        TABLE_I_TICK
     }
 
     fn push_period(&self) -> Option<SimDuration> {
@@ -238,7 +247,6 @@ impl CentralSuite {
         Self {
             cfg: CentralConfig {
                 interest_radius: radius,
-                ..CentralConfig::default()
             },
         }
     }
@@ -259,11 +267,11 @@ impl<W: GameWorld> ProtocolSuite<W> for CentralSuite {
             .map(|i| CentralClient {
                 id: ClientId(i as u16),
                 world: Arc::clone(&world),
-                cfg: self.cfg.clone(),
                 view: world.initial_state(),
                 next_seq: 0,
                 submit_times: BTreeMap::new(),
                 metrics: ClientMetrics::default(),
+                meter: Meter::default(),
             })
             .collect();
         let server = CentralServer {

@@ -20,6 +20,7 @@
 //! waiter conflicts with it), so the protocol is deadlock- and
 //! starvation-free.
 
+use seve_core::config::TABLE_I_TICK;
 use seve_core::cost::Meter;
 use seve_core::engine::{ClientNode, ProtocolSuite, ServerNode};
 use seve_core::metrics::{ClientMetrics, ServerMetrics};
@@ -32,23 +33,10 @@ use seve_world::GameWorld;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-/// Locking-baseline tuning.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct LockingConfig {
-    /// Server cost per message, µs.
-    pub msg_cost_us: u64,
-    /// Client cost to apply a remote effect, µs.
-    pub apply_cost_us: u64,
-}
-
-impl Default for LockingConfig {
-    fn default() -> Self {
-        Self {
-            msg_cost_us: 15,
-            apply_cost_us: 30,
-        }
-    }
-}
+/// Server price per message, µs.
+const MSG_COST_US: u64 = 15;
+/// Client price to send a request or apply a remote effect, µs.
+const APPLY_COST_US: u64 = 30;
 
 /// Client → server messages.
 #[derive(Clone, Debug, serde::Serialize)]
@@ -104,12 +92,12 @@ struct WaitingTxn {
 /// The lock-manager server.
 pub struct LockingServer<W: GameWorld> {
     world: Arc<W>,
-    cfg: LockingConfig,
     state: WorldState,
     next_pos: QueuePos,
     waiting: BTreeMap<QueuePos, WaitingTxn>,
     held: HashMap<ObjectId, QueuePos>,
     metrics: ServerMetrics,
+    meter: Meter,
 }
 
 impl<W: GameWorld> LockingServer<W> {
@@ -167,7 +155,7 @@ impl<W: GameWorld> ServerNode<W> for LockingServer<W> {
                 );
                 self.metrics.max_queue_len = self.metrics.max_queue_len.max(self.waiting.len());
                 self.try_grant(out);
-                let cost = self.cfg.msg_cost_us;
+                let cost = self.meter.fixed(MSG_COST_US);
                 self.metrics.compute_us += cost;
                 cost
             }
@@ -202,7 +190,7 @@ impl<W: GameWorld> ServerNode<W> for LockingServer<W> {
                     ));
                 }
                 self.try_grant(out);
-                let cost = self.cfg.msg_cost_us;
+                let cost = self.meter.fixed(MSG_COST_US);
                 self.metrics.compute_us += cost;
                 cost
             }
@@ -215,6 +203,10 @@ impl<W: GameWorld> ServerNode<W> for LockingServer<W> {
 
     fn push_tick(&mut self, _now: SimTime, _out: &mut Vec<(ClientId, Self::Down)>) -> u64 {
         0
+    }
+
+    fn tick_period(&self) -> SimDuration {
+        TABLE_I_TICK
     }
 
     fn push_period(&self) -> Option<SimDuration> {
@@ -232,13 +224,16 @@ impl<W: GameWorld> ServerNode<W> for LockingServer<W> {
     fn committed(&self) -> Option<&WorldState> {
         Some(&self.state)
     }
+
+    fn install_meter(&mut self, meter: Meter) {
+        self.meter = meter;
+    }
 }
 
 /// The locking client: request, await grant, execute, publish.
 pub struct LockingClient<W: GameWorld> {
     id: ClientId,
     world: Arc<W>,
-    cfg: LockingConfig,
     state: WorldState,
     next_seq: u32,
     pending: HashMap<ActionId, W::Action>,
@@ -278,7 +273,7 @@ impl<W: GameWorld> ClientNode<W> for LockingClient<W> {
         self.submit_times.insert(action.id().seq, now);
         self.pending.insert(action.id(), action.clone());
         out.push(LockUp::Request { action });
-        self.cfg.apply_cost_us
+        self.meter.fixed(APPLY_COST_US)
     }
 
     fn deliver(&mut self, now: SimTime, msg: Self::Down, out: &mut Vec<Self::Up>) -> u64 {
@@ -311,8 +306,9 @@ impl<W: GameWorld> ClientNode<W> for LockingClient<W> {
                 if cause.client != self.id {
                     self.state.apply_writes(&writes);
                 }
-                self.metrics.compute_us += self.cfg.apply_cost_us;
-                self.cfg.apply_cost_us
+                let cost = self.meter.fixed(APPLY_COST_US);
+                self.metrics.compute_us += cost;
+                cost
             }
         }
     }
@@ -332,10 +328,7 @@ impl<W: GameWorld> ClientNode<W> for LockingClient<W> {
 
 /// Suite for the lock-based baseline.
 #[derive(Clone, Debug, Default)]
-pub struct LockingSuite {
-    /// Tuning knobs.
-    pub cfg: LockingConfig,
-}
+pub struct LockingSuite;
 
 impl<W: GameWorld> ProtocolSuite<W> for LockingSuite {
     type Up = LockUp<W::Action>;
@@ -352,7 +345,6 @@ impl<W: GameWorld> ProtocolSuite<W> for LockingSuite {
             .map(|i| LockingClient {
                 id: ClientId(i as u16),
                 world: Arc::clone(&world),
-                cfg: self.cfg.clone(),
                 state: world.initial_state(),
                 next_seq: 0,
                 pending: HashMap::new(),
@@ -363,11 +355,11 @@ impl<W: GameWorld> ProtocolSuite<W> for LockingSuite {
             .collect();
         let server = LockingServer {
             state: world.initial_state(),
-            cfg: self.cfg.clone(),
             next_pos: 1,
             waiting: BTreeMap::new(),
             held: HashMap::new(),
             metrics: ServerMetrics::default(),
+            meter: Meter::default(),
             world,
         };
         (server, clients)
@@ -390,7 +382,7 @@ mod tests {
             philosophers: n,
             ..DiningConfig::default()
         }));
-        let suite = LockingSuite::default();
+        let suite = LockingSuite;
         let (s, c) =
             <LockingSuite as ProtocolSuite<DiningWorld>>::build(&suite, Arc::clone(&world));
         (world, s, c)

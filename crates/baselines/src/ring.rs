@@ -149,6 +149,10 @@ impl<W: GameWorld> ServerNode<W> for RingServer<W> {
         cost
     }
 
+    fn tick_period(&self) -> SimDuration {
+        self.base.cfg.tick
+    }
+
     fn push_period(&self) -> Option<SimDuration> {
         Some(self.base.cfg.push_period())
     }

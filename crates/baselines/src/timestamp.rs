@@ -11,6 +11,7 @@
 //! moving, would potentially cause the transaction to abort", which is why
 //! contention makes this protocol unusable for fast-paced worlds.
 
+use seve_core::config::TABLE_I_TICK;
 use seve_core::cost::Meter;
 use seve_core::engine::{ClientNode, ProtocolSuite, ServerNode};
 use seve_core::metrics::{ClientMetrics, ServerMetrics};
@@ -22,26 +23,12 @@ use seve_world::GameWorld;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-/// Timestamp-ordering tuning.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct TimestampConfig {
-    /// Server cost per certification, µs.
-    pub msg_cost_us: u64,
-    /// Client cost to apply a remote update, µs.
-    pub apply_cost_us: u64,
-    /// Give up after this many aborts of the same transaction.
-    pub max_retries: u32,
-}
-
-impl Default for TimestampConfig {
-    fn default() -> Self {
-        Self {
-            msg_cost_us: 20,
-            apply_cost_us: 30,
-            max_retries: 8,
-        }
-    }
-}
+/// Server price per certification, µs.
+const MSG_COST_US: u64 = 20;
+/// Client price to apply a remote update or give a transaction up, µs.
+const APPLY_COST_US: u64 = 30;
+/// A client gives a transaction up after this many aborts of it.
+const MAX_RETRIES: u32 = 8;
 
 /// Client → server: a tentatively executed transaction for certification.
 #[derive(Clone, Debug, serde::Serialize)]
@@ -97,11 +84,11 @@ pub enum TsDown {
 /// The certifying server.
 pub struct TimestampServer<W: GameWorld> {
     world: Arc<W>,
-    cfg: TimestampConfig,
     state: WorldState,
     versions: HashMap<ObjectId, u64>,
     next_pos: QueuePos,
     metrics: ServerMetrics,
+    meter: Meter,
 }
 
 impl<W: GameWorld> ServerNode<W> for TimestampServer<W> {
@@ -123,7 +110,7 @@ impl<W: GameWorld> ServerNode<W> for TimestampServer<W> {
             .filter(|(o, v)| self.versions.get(o).copied().unwrap_or(0) != *v)
             .map(|&(o, _)| (o, self.versions.get(&o).copied().unwrap_or(0)))
             .collect();
-        let cost = self.cfg.msg_cost_us;
+        let cost = self.meter.fixed(MSG_COST_US);
         self.metrics.compute_us += cost;
         if stale.is_empty() {
             let pos = self.next_pos;
@@ -184,6 +171,10 @@ impl<W: GameWorld> ServerNode<W> for TimestampServer<W> {
         0
     }
 
+    fn tick_period(&self) -> SimDuration {
+        TABLE_I_TICK
+    }
+
     fn push_period(&self) -> Option<SimDuration> {
         None
     }
@@ -199,13 +190,16 @@ impl<W: GameWorld> ServerNode<W> for TimestampServer<W> {
     fn committed(&self) -> Option<&WorldState> {
         Some(&self.state)
     }
+
+    fn install_meter(&mut self, meter: Meter) {
+        self.meter = meter;
+    }
 }
 
 /// The optimistic client.
 pub struct TimestampClient<W: GameWorld> {
     id: ClientId,
     world: Arc<W>,
-    cfg: TimestampConfig,
     state: WorldState,
     versions: HashMap<ObjectId, u64>,
     next_seq: u32,
@@ -297,12 +291,12 @@ impl<W: GameWorld> ClientNode<W> for TimestampClient<W> {
                 for (o, v) in versions {
                     self.versions.insert(o, v);
                 }
-                if attempt + 1 > self.cfg.max_retries {
+                if attempt + 1 > MAX_RETRIES {
                     // Give up: count as dropped.
                     self.pending.remove(&cause);
                     self.submit_times.remove(&cause.seq);
                     self.metrics.dropped += 1;
-                    return self.cfg.apply_cost_us;
+                    return self.meter.fixed(APPLY_COST_US);
                 }
                 let Some(action) = self.pending.get(&cause).cloned() else {
                     return 0;
@@ -323,8 +317,9 @@ impl<W: GameWorld> ClientNode<W> for TimestampClient<W> {
                 for (o, v) in versions {
                     self.versions.insert(o, v);
                 }
-                self.metrics.compute_us += self.cfg.apply_cost_us;
-                self.cfg.apply_cost_us
+                let cost = self.meter.fixed(APPLY_COST_US);
+                self.metrics.compute_us += cost;
+                cost
             }
         }
     }
@@ -344,10 +339,7 @@ impl<W: GameWorld> ClientNode<W> for TimestampClient<W> {
 
 /// Suite for the optimistic timestamp-ordering baseline.
 #[derive(Clone, Debug, Default)]
-pub struct TimestampSuite {
-    /// Tuning knobs.
-    pub cfg: TimestampConfig,
-}
+pub struct TimestampSuite;
 
 impl<W: GameWorld> ProtocolSuite<W> for TimestampSuite {
     type Up = TsUp<W::Action>;
@@ -364,7 +356,6 @@ impl<W: GameWorld> ProtocolSuite<W> for TimestampSuite {
             .map(|i| TimestampClient {
                 id: ClientId(i as u16),
                 world: Arc::clone(&world),
-                cfg: self.cfg.clone(),
                 state: world.initial_state(),
                 versions: HashMap::new(),
                 next_seq: 0,
@@ -376,10 +367,10 @@ impl<W: GameWorld> ProtocolSuite<W> for TimestampSuite {
             .collect();
         let server = TimestampServer {
             state: world.initial_state(),
-            cfg: self.cfg.clone(),
             versions: HashMap::new(),
             next_pos: 1,
             metrics: ServerMetrics::default(),
+            meter: Meter::default(),
             world,
         };
         (server, clients)
@@ -402,7 +393,7 @@ mod tests {
             philosophers: n,
             ..DiningConfig::default()
         }));
-        let suite = TimestampSuite::default();
+        let suite = TimestampSuite;
         let (s, c) =
             <TimestampSuite as ProtocolSuite<DiningWorld>>::build(&suite, Arc::clone(&world));
         (world, s, c)
@@ -462,17 +453,7 @@ mod tests {
 
     #[test]
     fn max_retries_gives_up() {
-        let cfg = TimestampConfig {
-            max_retries: 0,
-            ..TimestampConfig::default()
-        };
-        let world = Arc::new(DiningWorld::new(DiningConfig {
-            philosophers: 4,
-            ..DiningConfig::default()
-        }));
-        let suite = TimestampSuite { cfg };
-        let (mut server, mut clients) =
-            <TimestampSuite as ProtocolSuite<DiningWorld>>::build(&suite, Arc::clone(&world));
+        let (world, mut server, mut clients) = setup(4);
         let mut up0 = Vec::new();
         let mut up1 = Vec::new();
         clients[0].submit(SimTime::ZERO, world.grab(ClientId(0), 0), &mut up0);
@@ -481,9 +462,30 @@ mod tests {
         server.deliver(SimTime::ZERO, ClientId(0), up0.pop().unwrap(), &mut down);
         down.clear();
         server.deliver(SimTime::ZERO, ClientId(1), up1.pop().unwrap(), &mut down);
-        let (_, abort) = down.pop().unwrap();
+        // Hand client 1 the same abort as its attempt `attempt`.
+        let (
+            _,
+            TsDown::Abort {
+                cause,
+                fresh,
+                versions,
+                ..
+            },
+        ) = down.pop().unwrap()
+        else {
+            panic!("a stale read aborts");
+        };
+        let abort = |attempt| TsDown::Abort {
+            cause,
+            attempt,
+            fresh: fresh.clone(),
+            versions: versions.clone(),
+        };
         let mut retry = Vec::new();
-        clients[1].deliver(SimTime::from_ms(238), abort, &mut retry);
+        clients[1].deliver(SimTime::from_ms(238), abort(MAX_RETRIES - 1), &mut retry);
+        assert_eq!(retry.len(), 1, "the last retry in the budget");
+        retry.clear();
+        clients[1].deliver(SimTime::from_ms(476), abort(MAX_RETRIES), &mut retry);
         assert!(retry.is_empty(), "no retry budget");
         assert_eq!(clients[1].metrics().dropped, 1);
     }

@@ -32,7 +32,7 @@ proptest! {
     ) {
         let n = 8;
         let world = ring(n);
-        let suite = LockingSuite::default();
+        let suite = LockingSuite;
         let (mut server, mut clients) =
             <LockingSuite as ProtocolSuite<DiningWorld>>::build(&suite, Arc::clone(&world));
 
@@ -112,7 +112,7 @@ proptest! {
     ) {
         let n = 6;
         let world = ring(n);
-        let suite = TimestampSuite::default();
+        let suite = TimestampSuite;
         let (mut server, mut clients) =
             <TimestampSuite as ProtocolSuite<DiningWorld>>::build(&suite, Arc::clone(&world));
         let mut seqs = vec![0u32; n];

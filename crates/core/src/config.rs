@@ -6,6 +6,10 @@
 
 use seve_net::time::SimDuration;
 
+/// The simulation tick τ of Table I. [`ProtocolConfig::default`] takes it,
+/// and so do the baselines whose engines have no tick work of their own.
+pub const TABLE_I_TICK: SimDuration = SimDuration::from_ms(50);
+
 /// Which server algorithm to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum ServerMode {
@@ -59,7 +63,8 @@ pub struct ProtocolConfig {
     /// This is `RTT_max` when client latencies vary.
     pub rtt: SimDuration,
     /// The simulation tick τ — the interval of Algorithm 7's
-    /// `onNextTick` analysis.
+    /// `onNextTick` analysis. Backends read it from the engine
+    /// ([`crate::ServerNode::tick_period`]).
     pub tick: SimDuration,
     /// ω ∈ (0, 1): the push period is ω·RTT and the response bound is
     /// (1+ω)·RTT (Section III-D).
@@ -103,7 +108,7 @@ impl Default for ProtocolConfig {
         Self {
             mode: ServerMode::InfoBound,
             rtt: SimDuration::from_ms(238),
-            tick: SimDuration::from_ms(50),
+            tick: TABLE_I_TICK,
             omega: 0.25,
             threshold: 45.0, // 1.5 × the Table I visibility of 30
             redundant_completions: false,

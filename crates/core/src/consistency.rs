@@ -73,8 +73,6 @@ pub enum Violation {
 #[derive(Debug, Default)]
 pub struct ConsistencyOracle {
     outcomes: HashMap<QueuePos, u64>,
-    inputs: HashMap<QueuePos, u64>,
-    input_mismatch_positions: Vec<QueuePos>,
     violations: Vec<Violation>,
     records: u64,
 }
@@ -93,15 +91,6 @@ impl ConsistencyOracle {
                 pos: rec.pos,
                 missing: rec.missing_reads,
             });
-        }
-        match self.inputs.get(&rec.pos) {
-            None => {
-                self.inputs.insert(rec.pos, rec.input_digest);
-            }
-            Some(&expected) if expected != rec.input_digest => {
-                self.input_mismatch_positions.push(rec.pos);
-            }
-            Some(_) => {}
         }
         match self.outcomes.get(&rec.pos) {
             None => {
@@ -138,12 +127,6 @@ impl ConsistencyOracle {
     /// All violations found so far.
     pub fn violations(&self) -> &[Violation] {
         &self.violations
-    }
-
-    /// Positions whose evaluation *inputs* diverged across replicas; the
-    /// minimum is the root cause of downstream outcome mismatches.
-    pub fn first_input_mismatch(&self) -> Option<QueuePos> {
-        self.input_mismatch_positions.iter().copied().min()
     }
 
     /// Is the system consistent so far?

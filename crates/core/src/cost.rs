@@ -20,8 +20,9 @@ use seve_world::GameWorld;
 /// `SimConfig` owns the model); the defaults are the calibration every
 /// figure was measured with.
 ///
-/// The baselines' own per-message, per-send and apply constants stay in
-/// their configs; from this model they take only the evaluation price.
+/// The baselines' own per-message, per-send and apply prices are constants
+/// of their modules, charged through [`Meter::fixed`]; from this model they
+/// take only the evaluation price.
 #[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct CostModel {
     /// Microseconds per queue entry a server touches during closure scans
@@ -94,5 +95,13 @@ impl Meter {
     #[inline]
     pub fn scanned(&self, entries: usize) -> u64 {
         self.model.map_or(0, |m| m.scan(entries))
+    }
+
+    /// A baseline's fixed price for one piece of work (a message relayed,
+    /// an update sent or applied): `price_us` when this meter prices, 0
+    /// when it does not.
+    #[inline]
+    pub fn fixed(&self, price_us: u64) -> u64 {
+        self.model.map_or(0, |_| price_us)
     }
 }

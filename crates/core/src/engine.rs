@@ -115,6 +115,13 @@ pub trait ServerNode<W: GameWorld>: Send {
     /// for servers without dropping).
     fn tick(&mut self, now: SimTime, out: &mut Vec<(ClientId, Self::Down)>) -> u64;
 
+    /// The tick τ: [`tick`] should be invoked at this interval. The
+    /// simulator and the in-process backend take τ from here; callers of
+    /// the TCP server pass it in, and SEVE's pass this value.
+    ///
+    /// [`tick`]: ServerNode::tick
+    fn tick_period(&self) -> SimDuration;
+
     /// The ω·RTT proactive push cycle (First/Information Bound servers).
     /// Returns the compute cost; a no-op for pull-based servers.
     fn push_tick(&mut self, now: SimTime, out: &mut Vec<(ClientId, Self::Down)>) -> u64;

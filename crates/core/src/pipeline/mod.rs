@@ -236,6 +236,10 @@ impl<W: GameWorld> ServerNode<W> for PipelineServer<W> {
         cost
     }
 
+    fn tick_period(&self) -> SimDuration {
+        self.state.cfg.tick
+    }
+
     fn push_period(&self) -> Option<SimDuration> {
         self.push.period(&self.state.cfg)
     }

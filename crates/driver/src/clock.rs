@@ -1,14 +1,12 @@
 //! Time sources for the node driver.
 //!
 //! Every backend expresses protocol time as [`SimTime`] microseconds; what
-//! differs is where those microseconds come from. The simulator advances a
-//! [`VirtualClock`] from its event queue; the TCP and in-process backends
-//! read a [`WallClock`] anchored at session start. The driver loops are
-//! written against the [`Clock`] trait, so the cadence logic — tick, push,
-//! move, drain — is identical on every substrate.
+//! differs is where those microseconds come from. The simulator takes them
+//! from the timestamp of each event it pops; the TCP and in-process
+//! backends read a [`WallClock`] anchored at session start. The driver
+//! loops are written against the [`Clock`] trait.
 
 use seve_net::time::SimTime;
-use std::cell::Cell;
 use std::time::{Duration, Instant};
 
 /// A monotone source of protocol time.
@@ -51,55 +49,10 @@ impl Clock for WallClock {
     }
 }
 
-/// Virtual time, advanced explicitly by a discrete-event loop. The sim
-/// backend sets it to each popped event's timestamp; engines driven under
-/// it observe exactly the event-queue timeline.
-#[derive(Debug, Default)]
-pub struct VirtualClock {
-    now: Cell<SimTime>,
-}
-
-impl VirtualClock {
-    /// A clock at time zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Advance to `now` (never backwards).
-    pub fn advance(&self, now: SimTime) {
-        debug_assert!(now >= self.now.get(), "virtual time went backwards");
-        self.now.set(now.max(self.now.get()));
-    }
-}
-
-impl Clock for VirtualClock {
-    fn now(&self) -> SimTime {
-        self.now.get()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use seve_net::time::SimDuration;
-
-    #[test]
-    fn virtual_clock_advances() {
-        let c = VirtualClock::new();
-        assert_eq!(c.now(), SimTime::ZERO);
-        c.advance(SimTime::from_ms(5));
-        assert_eq!(c.now(), SimTime::from_ms(5));
-        assert_eq!(
-            c.wait_until(SimTime::from_ms(7)),
-            Duration::from_millis(2),
-            "wait is the virtual gap"
-        );
-        assert_eq!(
-            c.wait_until(SimTime::ZERO),
-            Duration::ZERO,
-            "past saturates"
-        );
-    }
 
     #[test]
     fn wall_clock_moves_forward() {

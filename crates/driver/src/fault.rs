@@ -72,8 +72,9 @@ impl Default for FaultPolicy {
 }
 
 /// splitmix64: a well-mixed 64-bit permutation, good enough to turn
-/// (seed, lane, index) into independent verdicts.
-fn splitmix64(x: u64) -> u64 {
+/// (seed, lane, index) into independent verdicts, and the session layer's
+/// tokens and backoff jitter into deterministic draws.
+pub(crate) fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

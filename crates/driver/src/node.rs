@@ -189,15 +189,9 @@ impl NodeDriver {
                 tick_t.advance(clock.now());
             }
             if pushes && push_t.due(now) {
-                // ThinPush shedding: while the transport is past its
-                // egress high-water mark, skip whole push cycles — safe
-                // because routing's `sent` tracking only advances on
-                // messages actually handed to the transport.
-                if !transport.overloaded() {
-                    out.clear();
-                    engine.push_tick(now, &mut out);
-                    bytes_out += send_nonempty(transport, &out)?;
-                }
+                out.clear();
+                engine.push_tick(now, &mut out);
+                bytes_out += send_nonempty(transport, &out)?;
                 push_t.advance(clock.now());
             }
         }
@@ -417,6 +411,10 @@ mod tests {
         fn push_tick(&mut self, _now: SimTime, _out: &mut Vec<(ClientId, M)>) -> u64 {
             self.log.lock().unwrap().push(Seen::Push);
             0
+        }
+
+        fn tick_period(&self) -> SimDuration {
+            SimDuration::from_ms(2)
         }
 
         fn push_period(&self) -> Option<SimDuration> {

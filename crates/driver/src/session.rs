@@ -16,8 +16,9 @@
 //!   client acks it; answers a [`SessionUp::Resume`] by resending every
 //!   frame past the client's last ack (go-back-N); reaps lanes whose client
 //!   vanished (detached past `liveness`) or stopped answering (frames owed
-//!   and nothing heard for `liveness`); and sheds load when a ring crosses
-//!   its high-water mark ([`ShedPolicy`]).
+//!   and nothing heard for `liveness`); and evicts a client whose ring
+//!   crosses its high-water mark (`ring`), so one stuck peer cannot pin
+//!   server memory.
 //! * [`SupervisedClientTransport`] — delivers a frame only if it is the
 //!   next in sequence and drops anything else (after a resume the server
 //!   resends it in order), acknowledges cumulatively and late (one
@@ -42,6 +43,7 @@
 //! is why acks are cumulative *and delayed*: the cost is per ack frame, not
 //! per acknowledged frame.
 
+use crate::fault::splitmix64;
 use crate::transport::{ClientEvent, ClientTransport, EgressStats, ServerEvent, ServerTransport};
 use serde::{Deserialize, Serialize};
 use seve_core::engine::ShareKey;
@@ -50,32 +52,11 @@ use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::time::{Duration, Instant};
 
-/// splitmix64, the same mixer the fault verdicts use: deterministic,
-/// stream-independent draws from (seed, counter).
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// The session token a client presents when resuming: a pure function of
 /// (session seed, client id), so both sides derive it independently and a
 /// resume from the wrong peer (or the wrong session) is rejected.
 pub fn session_token(seed: u64, id: ClientId) -> u64 {
     splitmix64(seed ^ 0x5E55_1014_u64.wrapping_mul(id.0 as u64 + 1)).max(1)
-}
-
-/// What to do when a client's resend ring crosses its high-water mark.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ShedPolicy {
-    /// Evict the slow client: reap its lane now (synthetic goodbye,
-    /// buffers recycled) so one stuck peer cannot pin server memory.
-    Evict,
-    /// Thin the push cycle: [`ServerTransport::overloaded`] reports true
-    /// and the driver skips whole push ticks until the backlog drains
-    /// (safe because routing state only advances on actual sends).
-    ThinPush,
 }
 
 /// Exponential-backoff shape for the reconnect loop.
@@ -88,38 +69,6 @@ pub struct BackoffParams {
     /// Attempts before [`Backoff::next`] returns
     /// [`RetryBudgetExhausted`].
     pub budget: u32,
-}
-
-/// The vendored serde derive handles only plain field types, so the param
-/// structs serialize through mirror structs carrying durations as
-/// microsecond counts.
-#[derive(Serialize, Deserialize)]
-struct BackoffParamsWire {
-    base_us: u64,
-    cap_us: u64,
-    budget: u32,
-}
-
-impl Serialize for BackoffParams {
-    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        BackoffParamsWire {
-            base_us: self.base.as_micros() as u64,
-            cap_us: self.cap.as_micros() as u64,
-            budget: self.budget,
-        }
-        .serialize(s)
-    }
-}
-
-impl<'de> Deserialize<'de> for BackoffParams {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let w = BackoffParamsWire::deserialize(d)?;
-        Ok(Self {
-            base: Duration::from_micros(w.base_us),
-            cap: Duration::from_micros(w.cap_us),
-            budget: w.budget,
-        })
-    }
 }
 
 impl Default for BackoffParams {
@@ -209,54 +158,10 @@ pub struct SessionParams {
     /// detached client (lost connection, no resume) for this long, and an
     /// attached one that owes an ack and has sent nothing for this long.
     pub liveness: Duration,
-    /// Overload response when a resend ring crosses `ring`.
-    pub shed: ShedPolicy,
     /// Reconnect backoff shape.
     pub backoff: BackoffParams,
     /// Session seed: derives the per-client tokens and the backoff jitter.
     pub seed: u64,
-}
-
-/// Serde mirror of [`SessionParams`] (see [`BackoffParamsWire`]).
-#[derive(Serialize, Deserialize)]
-struct SessionParamsWire {
-    ring: usize,
-    ack_delay_us: u64,
-    heartbeat_us: u64,
-    liveness_us: u64,
-    shed: ShedPolicy,
-    backoff: BackoffParams,
-    seed: u64,
-}
-
-impl Serialize for SessionParams {
-    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        SessionParamsWire {
-            ring: self.ring,
-            ack_delay_us: self.ack_delay.as_micros() as u64,
-            heartbeat_us: self.heartbeat.as_micros() as u64,
-            liveness_us: self.liveness.as_micros() as u64,
-            shed: self.shed,
-            backoff: self.backoff,
-            seed: self.seed,
-        }
-        .serialize(s)
-    }
-}
-
-impl<'de> Deserialize<'de> for SessionParams {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let w = SessionParamsWire::deserialize(d)?;
-        Ok(Self {
-            ring: w.ring,
-            ack_delay: Duration::from_micros(w.ack_delay_us),
-            heartbeat: Duration::from_micros(w.heartbeat_us),
-            liveness: Duration::from_micros(w.liveness_us),
-            shed: w.shed,
-            backoff: w.backoff,
-            seed: w.seed,
-        })
-    }
 }
 
 impl Default for SessionParams {
@@ -266,7 +171,6 @@ impl Default for SessionParams {
             ack_delay: Duration::from_millis(50),
             heartbeat: Duration::from_secs(1),
             liveness: Duration::from_secs(3),
-            shed: ShedPolicy::Evict,
             backoff: BackoffParams::default(),
             seed: 0x005E_5510,
         }
@@ -276,7 +180,7 @@ impl Default for SessionParams {
 impl SessionParams {
     /// Unacked deliveries that force an ack before [`Self::ack_delay`] runs
     /// out: an eighth of the ring, so no burst can walk the lane of a
-    /// client that keeps reading into [`ShedPolicy`].
+    /// client that keeps reading past its ring into eviction.
     pub fn ack_every(&self) -> u64 {
         (self.ring as u64 / 8).max(1)
     }
@@ -315,7 +219,7 @@ pub struct SessionStats {
     pub reconnects: u64,
     /// Lanes reaped by the liveness supervisor.
     pub reaps: u64,
-    /// Overload responses: evicted lanes or thinned push cycles.
+    /// Lanes evicted because their resend ring crossed `ring`.
     pub sheds: u64,
     /// Down-lane frames the client dropped because they were not the next
     /// in sequence: a frame past the gap a lost connection left, or one
@@ -564,8 +468,8 @@ where
     /// A detached lane is reaped `liveness` after its connection was lost.
     /// An attached lane is reaped by the *silence rule*: it owes an ack and
     /// nothing has arrived from its client for `liveness` — a hung client
-    /// that keeps its socket open would otherwise pin its ring and wedge a
-    /// `ThinPush` server and the end of the session. The second half of
+    /// that keeps its socket open would otherwise pin its ring and wedge
+    /// the end of the session. The second half of
     /// that wait has to elapse *under watch*: a pass that finds the lane
     /// silent for `liveness / 2` only takes note, and a later pass,
     /// `liveness / 2` on, reaps it if it is silent still. Running normally
@@ -698,14 +602,12 @@ where
         sent.clear();
         self.scratch = sent;
         // Overload response: a ring past its high-water mark means the
-        // client is not draining what we send. (`ThinPush` answers in
-        // `overloaded`, from ring depth alone.)
-        if self.params.shed == ShedPolicy::Evict {
-            for c in 0..self.lanes.len() {
-                if self.over_ring(c) {
-                    self.stats.sheds += 1;
-                    self.reap(c)?;
-                }
+        // client is not draining what we send. Evict it: reap its lane now
+        // (synthetic goodbye, buffers recycled).
+        for c in 0..self.lanes.len() {
+            if self.over_ring(c) {
+                self.stats.sheds += 1;
+                self.reap(c)?;
             }
         }
         Ok(bytes)
@@ -739,17 +641,6 @@ where
 
     fn release(&mut self, c: ClientId) -> Result<(), T::Error> {
         self.inner.release(c)
-    }
-
-    fn overloaded(&mut self) -> bool {
-        // Recomputed from ring depth on every call, so the all-clear needs
-        // only acks to arrive, not another batch to be sent.
-        let over = self.params.shed == ShedPolicy::ThinPush
-            && (0..self.lanes.len()).any(|c| self.over_ring(c));
-        if over {
-            self.stats.sheds += 1;
-        }
-        over
     }
 
     fn egress_stats(&self) -> EgressStats {
@@ -1574,36 +1465,43 @@ mod tests {
     }
 
     #[test]
-    fn thin_push_all_clear_needs_only_acks() {
-        let p = SessionParams {
-            shed: ShedPolicy::ThinPush,
-            ..count_only(64)
-        };
+    fn a_lane_past_its_ring_is_evicted_once_and_the_others_carry_on() {
+        let p = count_only(64);
         let link = SharedLink::default();
-        let mut server: Server = SupervisedServerTransport::new(ScriptedServer(link.clone()), 1, p);
-        assert!(!server.overloaded());
-        let batch: Vec<_> = (0..=p.ring as u32).map(|i| (ClientId(0), i)).collect();
+        let mut server: Server = SupervisedServerTransport::new(ScriptedServer(link.clone()), 2, p);
+        // Client 0 reads nothing and falls one frame past its ring; client
+        // 1 gets one frame in the same batch.
+        let mut batch: Vec<_> = (0..=p.ring as u32).map(|i| (ClientId(0), i)).collect();
+        batch.push((ClientId(1), 7));
         server.send_batch(&batch).unwrap();
-        assert!(server.overloaded(), "ring crossed its high-water mark");
-        assert_eq!(server.stats().sheds, 1, "one thinned cycle, counted once");
-        // The client catches up; the server sends nothing in between.
-        link.borrow_mut()
-            .up
-            .push_back(SessionUp::Ack(p.ring as u64 + 1));
+        let evicted = SessionStats {
+            reaps: 1,
+            sheds: 1,
+            ..SessionStats::default()
+        };
+        assert_eq!(server.stats(), evicted);
         assert!(matches!(
             server.recv(Duration::ZERO),
-            Ok(ServerEvent::Timeout)
+            Ok(ServerEvent::Done(ClientId(0)))
         ));
-        assert_eq!(link.borrow().batches, 1);
-        assert!(!server.overloaded(), "all-clear from ring depth alone");
-        assert_eq!(server.stats().sheds, 1);
-        assert_eq!(server.stats().reaps, 0, "thinning never evicts");
+        idle(&mut server);
+        // The evicted lane is silent; the other keeps its sequence.
+        link.borrow_mut().down.clear();
+        server
+            .send_batch(&[(ClientId(0), 8), (ClientId(1), 9)])
+            .unwrap();
+        let down: Vec<_> = link.borrow_mut().down.drain(..).collect();
+        assert!(
+            matches!(down[..], [ClientEvent::Msg(SessionDown::Seq(2, 9))]),
+            "{down:?}"
+        );
+        idle(&mut server);
+        assert_eq!(server.stats(), evicted, "evicted once, one goodbye");
     }
 
     #[test]
     fn default_params_are_supervised() {
         let p = SessionParams::default();
-        assert_eq!(p.shed, ShedPolicy::Evict);
         assert!(SessionParams::fast().ack_delay < p.ack_delay);
     }
 }

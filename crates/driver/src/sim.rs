@@ -50,7 +50,11 @@ use std::sync::Arc;
 
 /// Testbed parameters. Defaults are Table I, and [`CostModel`]'s
 /// calibration for what the simulated machines' work costs.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+///
+/// The server's cycles come from its engine, as on every backend: the tick
+/// τ from [`ServerNode::tick_period`], the push from
+/// [`ServerNode::push_period`].
+#[derive(Clone, Debug, PartialEq)]
 pub struct SimConfig {
     /// One-way link latency. Table I reports 238 ms *average latency*
     /// between machines, which we read as the round trip (the protocol
@@ -62,8 +66,6 @@ pub struct SimConfig {
     pub moves_per_client: u32,
     /// Move generation period (Table I: every 300 ms).
     pub move_period: SimDuration,
-    /// The simulation tick τ driving Algorithm 7 analysis.
-    pub tick: SimDuration,
     /// Extra time after the last scheduled move during which the system
     /// drains (messages deliver, completions install). Server tick/push
     /// cycles stop at `last move + drain`, so in *saturated* runs actions
@@ -83,16 +85,6 @@ pub struct SimConfig {
     /// adversary of Section III-E ("if each of them tries to pick up the
     /// two forks at the same tick").
     pub stagger: bool,
-    /// Session supervision (acked resume protocol). The simulator reads
-    /// only `liveness`, the time a crashed client's lane waits for a resume
-    /// before it is reaped. It ignores `ring`, `ack_delay`, `shed`,
-    /// `heartbeat`, `backoff` and `seed`: acks are instantaneous (the window
-    /// trims the moment the client accepts a frame in order), so no ring
-    /// fills, no client goes silent and no heartbeat is needed, and a
-    /// partition heals on its schedule rather than by redialing. Frames are
-    /// resent only at a heal, so a fault-free run schedules not one session
-    /// event and stays bit-identical to the golden digests.
-    pub session: SessionParams,
 }
 
 impl Default for SimConfig {
@@ -102,12 +94,10 @@ impl Default for SimConfig {
             bandwidth_bps: Some(100_000),
             moves_per_client: 100,
             move_period: SimDuration::from_ms(300),
-            tick: SimDuration::from_ms(50),
             drain: SimDuration::from_secs(5),
             seed: 0x51_4E5E,
             cost: CostModel::default(),
             stagger: true,
-            session: SessionParams::default(),
         }
     }
 }
@@ -322,6 +312,14 @@ struct Run<'a, W: GameWorld, P: ProtocolSuite<W>> {
     tick: PeriodicTimer,
     push: Option<PeriodicTimer>,
     lanes: Vec<Lane<P::Client, P::Up, P::Down>>,
+    /// How long a crashed client's lane waits for a resume before it is
+    /// reaped: the session layer's default. Nothing else of
+    /// [`SessionParams`] applies here. Acks are instantaneous (the window
+    /// trims the moment the client accepts a frame in order), so no ring
+    /// fills, no client goes silent and no heartbeat is needed, and a
+    /// partition heals on its schedule rather than by redialing. Frames are
+    /// resent only at a heal, so a fault-free run schedules not one session
+    /// event and stays bit-identical to the golden digests.
     liveness: SimDuration,
     stats: SessionStats,
     events: u64,
@@ -398,8 +396,8 @@ impl<'a, W: GameWorld, P: ProtocolSuite<W>> Run<'a, W, P> {
             }
         }
         let cycle = |p: SimDuration| PeriodicTimer::nominal(SimTime::ZERO + p, p, hard_end);
-        let tick = cycle(cfg.tick);
-        queue.schedule(SimTime::ZERO + cfg.tick, Ev::Cycle(Cycle::Tick));
+        let tick = cycle(server.tick_period());
+        queue.schedule(SimTime::ZERO + tick.period(), Ev::Cycle(Cycle::Tick));
         let push = server.push_period().map(cycle);
         if let Some(p) = &push {
             queue.schedule(SimTime::ZERO + p.period(), Ev::Cycle(Cycle::Push));
@@ -415,7 +413,7 @@ impl<'a, W: GameWorld, P: ProtocolSuite<W>> Run<'a, W, P> {
             tick,
             push,
             lanes,
-            liveness: SimDuration::from_micros(cfg.session.liveness.as_micros() as u64),
+            liveness: SimDuration::from_micros(SessionParams::default().liveness.as_micros() as u64),
             stats: SessionStats::default(),
             events: 0,
             end_time: SimTime::ZERO,
@@ -789,18 +787,6 @@ impl AveragedResult {
         self.runs.iter().map(|r| r.response_ms.mean()).sum::<f64>() / n
     }
 
-    /// Mean of the per-run drop percentages.
-    pub fn mean_drop_percent(&self) -> f64 {
-        let n = self.runs.len().max(1) as f64;
-        self.runs.iter().map(RunResult::drop_percent).sum::<f64>() / n
-    }
-
-    /// Mean total transfer, kB.
-    pub fn mean_total_kb(&self) -> f64 {
-        let n = self.runs.len().max(1) as f64;
-        self.runs.iter().map(RunResult::total_kb).sum::<f64>() / n
-    }
-
     /// Total violations across every run (must be zero for SEVE).
     pub fn total_violations(&self) -> usize {
         self.runs.iter().map(|r| r.violations).sum()
@@ -831,6 +817,36 @@ mod tests {
         let suite = SeveSuite::new(ProtocolConfig::with_mode(mode));
         let mut wl = DiningWorkload::new(&world);
         Simulation::new(world, &suite, small_cfg(moves)).run(&mut wl)
+    }
+
+    #[test]
+    fn the_tick_comes_from_the_engine() {
+        // An Incomplete World server's tick does no work, so halving τ
+        // moves no message and only adds tick cycles, each lapping the
+        // route stage once. The last event of a clean run is its last tick.
+        let world = Arc::new(DiningWorld::new(DiningConfig {
+            philosophers: 6,
+            ..DiningConfig::default()
+        }));
+        let run = |tick| {
+            let suite = SeveSuite::new(ProtocolConfig {
+                tick,
+                ..ProtocolConfig::with_mode(ServerMode::Incomplete)
+            });
+            let mut wl = DiningWorkload::new(&world);
+            Simulation::new(Arc::clone(&world), &suite, small_cfg(8)).run(&mut wl)
+        };
+        let (tau, half) = (SimDuration::from_ms(50), SimDuration::from_ms(25));
+        let (slow, fast) = (run(tau), run(half));
+        assert_eq!(fast.committed_digest, slow.committed_digest);
+        assert_eq!(fast.total_bytes, slow.total_bytes);
+        let ticks = |r: &RunResult, t: SimDuration| r.duration.as_micros() / t.as_micros();
+        assert!(ticks(&slow, tau) > 50);
+        assert_eq!(
+            fast.server.stage.route.events - slow.server.stage.route.events,
+            ticks(&fast, half) - ticks(&slow, tau),
+            "one route lap per tick of the engine's τ"
+        );
     }
 
     #[test]

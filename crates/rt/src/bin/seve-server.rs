@@ -7,7 +7,8 @@
 //!
 //! Hosts one session: accepts exactly `--clients` connections, serializes
 //! and routes their actions until every client says goodbye, then prints
-//! the server-side report. World parameters must match the clients'.
+//! the server-side report. World parameters and mode must match the
+//! clients'.
 
 use seve_core::engine::ProtocolSuite;
 use seve_core::pipeline::PipelineServer;
@@ -15,7 +16,7 @@ use seve_core::server::SeveSuite;
 use seve_driver::report::render_stage_profile;
 use seve_driver::SessionParams;
 use seve_rt::cli::{build_protocol, build_world, exit_usage, parse_common, value};
-use seve_rt::run_server_with;
+use seve_rt::{hello_digest, run_server_with};
 use seve_world::worlds::manhattan::ManhattanWorld;
 use std::net::TcpListener;
 use std::time::Duration;
@@ -53,11 +54,8 @@ fn main() {
     );
 
     let mode_name = cfg.mode.name();
+    let digest = hello_digest(world.as_ref(), &cfg);
     let suite = SeveSuite::new(cfg);
-    let digest = {
-        use seve_world::GameWorld;
-        world.initial_state().digest()
-    };
     let (server, _clients): (PipelineServer<ManhattanWorld>, _) = suite.build(world);
     let session = SessionParams::default();
     match run_server_with(server, listener, opts.clients, tick, push, digest, session) {

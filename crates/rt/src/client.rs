@@ -17,7 +17,7 @@
 
 use crate::frame::{write_msg, FrameError};
 use crate::lane::{encode, wait, Lane, Stream};
-use crate::server::{RtDown, RtUp};
+use crate::server::{hello_digest, RtDown, RtUp};
 use crate::wire::{self, BufferPool};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
@@ -40,6 +40,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 pub use seve_driver::ClientReport;
+
+/// Longest the closing flush waits on a server that is connected but not
+/// reading: the bound `seat` gives a hello.
+const CLOSE_FLUSH_BOUND: Duration = Duration::from_secs(1);
 
 /// A client's side of a framed session over TCP or a pipe, driven from the
 /// calling thread.
@@ -143,13 +147,17 @@ impl<U: Serialize, D: DeserializeOwned, S: Stream> StreamClientTransport<U, D, S
 
 impl<U, D, S: Stream> StreamClientTransport<U, D, S> {
     /// Take the link down. What `send` and `finish` queued is written
-    /// first, blocking as a socket's `write_all` would: an up-lane frame
-    /// has no resend, so one left in the tail would be a lost submission.
+    /// first, since an up-lane frame has no resend and one left in the tail
+    /// would be a lost submission: the lane is flushed until it drains or
+    /// breaks, for at most [`CLOSE_FLUSH_BOUND`], so a server that stays
+    /// connected but stops reading cannot hang the client.
     fn close(&mut self) {
         if let Some(mut lane) = self.lane.take() {
-            if lane.stream().set_nonblocking(false).is_ok() {
-                lane.flush(&mut self.pool);
-            }
+            let pool = &mut self.pool;
+            wait(CLOSE_FLUSH_BOUND, || {
+                lane.flush(pool);
+                (lane.is_flushed() || lane.is_broken()).then_some(())
+            });
             lane.retire(&mut self.pool);
         }
     }
@@ -243,7 +251,7 @@ where
     W: GameWorld,
     W::Action: Serialize + DeserializeOwned,
 {
-    let digest = world.initial_state().digest();
+    let digest = hello_digest(world.as_ref(), cfg);
     let engine: SeveClient<W> = SeveClient::new(id, world, cfg);
     let driver = NodeDriver::client(moves, period);
     drive_client::<W, _, TcpStream>(engine, addr, digest, workload, driver, faults, session)
@@ -343,6 +351,38 @@ mod tests {
                 ClientEvent::Timeout => panic!("a pass over the lane reports no timeout"),
             }));
         }
+    }
+
+    /// A server that stays connected but never reads holds more than a
+    /// pipe's worth of tail: dropping the client still returns, once the
+    /// flush's bound has passed.
+    #[test]
+    fn the_closing_flush_is_bounded() {
+        use crate::pipe::{Pipe, PIPE_CAPACITY};
+        use std::sync::mpsc;
+        use std::time::Instant;
+        let (dialer, listener) = mpsc::channel::<Pipe>();
+        let mut client =
+            StreamClientTransport::<Vec<u8>, Vec<u8>, Pipe>::connect(dialer, ClientId(0), 1, 2)
+                .expect("dial");
+        let server_end = listener.recv().expect("the dial arrives");
+        for _ in 0..2 * PIPE_CAPACITY / 1024 {
+            client.send(vec![7; 1024]).expect("queue");
+        }
+        assert!(!client.lane.as_ref().expect("a live lane").is_flushed());
+        let (dropped, rx) = mpsc::channel();
+        let start = Instant::now();
+        std::thread::spawn(move || {
+            drop(client);
+            dropped.send(()).expect("the test waits");
+        });
+        let got = rx.recv_timeout(CLOSE_FLUSH_BOUND + Duration::from_secs(4));
+        assert_eq!(got, Ok(()), "the drop hung on a full pipe");
+        assert!(
+            start.elapsed() >= CLOSE_FLUSH_BOUND,
+            "it tried for the bound"
+        );
+        drop(server_end);
     }
 
     #[test]

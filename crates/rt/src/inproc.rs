@@ -9,6 +9,7 @@ use crate::server::serve;
 use serde::de::DeserializeOwned;
 use seve_core::engine::{ProtocolSuite, ServerNode, ShareKey};
 use seve_driver::{FaultPlan, NodeDriver, SessionParams, SessionReport};
+use seve_net::time::SimDuration;
 use seve_world::ids::ClientId;
 use seve_world::worlds::Workload;
 use seve_world::GameWorld;
@@ -16,11 +17,10 @@ use std::sync::{mpsc, Arc};
 use std::thread::{self, ScopedJoinHandle};
 use std::time::Duration;
 
-/// Cadence and fault parameters for one in-process session.
+/// Cadence and fault parameters for one in-process session. The server's
+/// tick τ and push period come from its engine.
 #[derive(Clone, Debug)]
 pub struct SessionConfig {
-    /// Server simulation tick τ.
-    pub tick: Duration,
     /// Client move-generation period.
     pub move_period: Duration,
     /// Actions submitted per client.
@@ -35,9 +35,8 @@ pub struct SessionConfig {
 
 impl SessionConfig {
     /// A config scaled for tests, with [`SessionParams::fast`] supervision.
-    pub fn fast(moves: u32, move_period: Duration, tick: Duration) -> Self {
+    pub fn fast(moves: u32, move_period: Duration) -> Self {
         Self {
-            tick,
             move_period,
             moves,
             drain_grace: NodeDriver::default().drain_grace,
@@ -66,9 +65,10 @@ where
     let digest = world.initial_state().digest();
     let (server, clients) = suite.build(Arc::clone(&world));
     assert_eq!(clients.len(), n);
-    // ω·RTT from the protocol config, read as wall microseconds, as on TCP.
-    let (tick, session, period) = (cfg.tick, cfg.session, server.push_period());
-    let push = period.map_or(tick, |p| Duration::from_micros(p.as_micros()));
+    // τ and ω·RTT from the engine, read as wall microseconds, as on TCP.
+    let wall = |p: SimDuration| Duration::from_micros(p.as_micros());
+    let (tick, session) = (wall(server.tick_period()), cfg.session);
+    let push = server.push_period().map_or(tick, wall);
     let workloads: Vec<_> = (0..n).map(|i| make_workload(ClientId(i as u16))).collect();
     let (dialer, listener) = mpsc::channel::<Pipe>();
     let host = move || serve::<W, _, Pipe>(server, listener, n, tick, push, digest, session);

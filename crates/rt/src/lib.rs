@@ -49,4 +49,4 @@ pub use seve_net::wire;
 pub use client::{run_client_with, ClientReport, StreamClientTransport};
 pub use inproc::{run_inproc_session, SessionConfig};
 pub use lane::Lane;
-pub use server::{fan_out, run_server_with, ServerReport, StreamServerTransport};
+pub use server::{fan_out, hello_digest, run_server_with, ServerReport, StreamServerTransport};

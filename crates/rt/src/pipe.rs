@@ -8,7 +8,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Bytes each direction holds before a write is short (DESIGN.md §12.2).
-const PIPE_CAPACITY: usize = 64 * 1024;
+pub(crate) const PIPE_CAPACITY: usize = 64 * 1024;
 
 /// Both directions of a pipe, by end: what end `i` wrote and the other
 /// has not read, whether end `i` is dropped, and its two settings.
@@ -208,8 +208,8 @@ mod tests {
 
     #[test]
     fn a_blocking_flush_ends_once_the_peer_drops() {
-        // The client's closing flush blocks on its lane's pipe: it must
-        // end, not hang, once the server's end is gone.
+        // A blocking write (a client's hello, on its fresh dial) must end,
+        // not hang, once the server's end is gone.
         let (a, b) = pipe();
         let mut lane = Lane::new(a).unwrap();
         lane.push(Arc::new(vec![0; 2 * PIPE_CAPACITY]));

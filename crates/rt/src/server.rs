@@ -20,6 +20,7 @@ use crate::lane::{encode, recycle, wait, Lane, Stream};
 use crate::wire::{self, BufferPool};
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
+use seve_core::config::ProtocolConfig;
 use seve_core::engine::{ServerNode, ShareId, ShareKey};
 use seve_driver::{
     session_token, EgressStats, NodeDriver, ServerEvent, ServerTransport, SessionParams,
@@ -40,6 +41,18 @@ use std::time::Duration;
 
 pub use seve_driver::ServerReport;
 
+/// The digest a SEVE hello carries: `world`'s initial-state digest with the
+/// protocol settings both engines depend on folded in — the server mode.
+/// Replicas built from different world parameters can never converge, and
+/// a client in another mode than its server's speaks another protocol (a
+/// `basic` client sends an `info-bound` server no completions, and ζ_S
+/// stalls), so the server refuses either at the door. `seve-server`,
+/// [`crate::run_client_with`] and whatever pairs them compute it here.
+pub fn hello_digest<W: GameWorld>(world: &W, cfg: &ProtocolConfig) -> u64 {
+    let mode = cfg.mode as u64 + 1;
+    world.initial_state().digest() ^ mode.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
 /// Client → server transport envelope.
 #[derive(Serialize, Deserialize, Debug)]
 pub enum RtUp<M> {
@@ -47,9 +60,10 @@ pub enum RtUp<M> {
     Hello {
         /// The client index.
         client: u16,
-        /// Digest of the client's initial world state. Replicas built from
-        /// different world parameters can never converge; the server
-        /// rejects mismatches at the door instead of diverging silently.
+        /// What the client's replica is built from: for SEVE's own ends
+        /// [`hello_digest`], the initial world state and the server mode.
+        /// The server rejects a mismatch at the door instead of diverging
+        /// or stalling silently.
         world_digest: u64,
         /// The session token (see [`session_token`]). Lets a reconnecting
         /// client reclaim its seat mid-run; a connection presenting the
@@ -247,7 +261,7 @@ where
     /// token, and return once every seat is taken.
     ///
     /// A background thread accepts and handshakes: a connection must open
-    /// with a hello whose world digest is `world_digest` and whose token is
+    /// with a hello whose digest is `world_digest` and whose token is
     /// its seat's (see [`session_token`]). It takes the seat even when the
     /// seat is occupied — a mid-run resume — and any other connection is
     /// refused. The thread runs until the transport is dropped.
@@ -446,11 +460,11 @@ fn handshake<S: Read + Write, U: DeserializeOwned>(
         return None;
     };
     if theirs != world_digest {
-        // Incompatible world build: replicas built from different world
-        // parameters can never converge, so refuse at the door.
+        // Incompatible replica: built from different world parameters or
+        // for another mode, it can never converge, so refuse at the door.
         eprintln!(
-            "seve-rt: rejecting client {client}: world digest {theirs:x} != \
-             ours {world_digest:x} (mismatched parameters?)"
+            "seve-rt: rejecting client {client}: hello digest {theirs:x} != \
+             ours {world_digest:x} (mismatched world parameters or mode?)"
         );
         return None;
     }
@@ -469,9 +483,9 @@ fn handshake<S: Read + Write, U: DeserializeOwned>(
 
 /// Accept `n` clients on `listener` and run `engine` until every client
 /// says goodbye. `tick` and `push` are the wall-clock cycle periods (push
-/// ignored when the engine does not push). `world_digest` is the digest of
-/// the initial world state; clients presenting a different digest are
-/// rejected (their replicas could never converge).
+/// ignored when the engine does not push). `world_digest` is what every
+/// hello must carry — [`hello_digest`] for SEVE's clients; clients
+/// presenting a different digest are rejected.
 ///
 /// The transport carries sequence-numbered session envelopes and is
 /// wrapped in a [`SupervisedServerTransport`] under `session`
@@ -640,6 +654,50 @@ mod tests {
             0,
             "the silent dial is closed"
         );
+        acceptor.join().expect("acceptor");
+    }
+
+    /// A client of another world or another mode is refused at the door,
+    /// and the client behind it, whose hello matches, is seated.
+    #[test]
+    fn a_client_of_another_world_or_mode_is_refused_at_the_door() {
+        use seve_core::config::ServerMode;
+        use seve_world::worlds::dining::{DiningConfig, DiningWorld};
+        let world = |philosophers| {
+            DiningWorld::new(DiningConfig {
+                philosophers,
+                ..DiningConfig::default()
+            })
+        };
+        let (ours, other) = (world(4), world(5));
+        let info = ProtocolConfig::with_mode(ServerMode::InfoBound);
+        let basic = ProtocolConfig::with_mode(ServerMode::Basic);
+        let dial = |dialer: &Sender<Pipe>, digest| {
+            let mut pipe = Pipe::dial(dialer).expect("dial");
+            let hello = RtUp::<Vec<u8>>::Hello {
+                client: 0,
+                world_digest: digest,
+                token: TOKEN,
+            };
+            pipe.write_all(&frame_of(&hello)).expect("hello");
+            pipe
+        };
+        let (dialer, listener) = mpsc::channel::<Pipe>();
+        let refused = [
+            dial(&dialer, hello_digest(&ours, &basic)),
+            dial(&dialer, hello_digest(&other, &info)),
+        ];
+        let _seated = dial(&dialer, hello_digest(&ours, &info));
+        let (seated, rx) = mpsc::channel();
+        let digest = hello_digest(&ours, &info);
+        let acceptor = std::thread::spawn(move || {
+            let t = StreamServerTransport::<u64, u64, Pipe>::accept(listener, digest, vec![TOKEN]);
+            seated.send(t.is_ok()).expect("the test waits");
+        });
+        assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok(true));
+        for mut pipe in refused {
+            assert_eq!(pipe.read(&mut [0; 1]).expect("read"), 0, "refused");
+        }
         acceptor.join().expect("acceptor");
     }
 

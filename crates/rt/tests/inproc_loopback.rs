@@ -41,7 +41,7 @@ fn run_session(mode: ServerMode) {
     const MOVES: u32 = 12;
     let w = world(N);
     let suite = SeveSuite::new(fast_cfg(mode));
-    let session = SessionConfig::fast(MOVES, Duration::from_millis(25), Duration::from_millis(5));
+    let session = SessionConfig::fast(MOVES, Duration::from_millis(25));
 
     let mut report = run_inproc_session(Arc::clone(&w), &suite, &session, |_| {
         Box::new(ManhattanWorkload::new(&w))
@@ -86,7 +86,7 @@ fn inproc_session_accounts_traffic_both_ways() {
     const N: usize = 3;
     let w = world(N);
     let suite = SeveSuite::new(fast_cfg(ServerMode::Incomplete));
-    let session = SessionConfig::fast(8, Duration::from_millis(20), Duration::from_millis(5));
+    let session = SessionConfig::fast(8, Duration::from_millis(20));
     let report = run_inproc_session(Arc::clone(&w), &suite, &session, |_| {
         Box::new(ManhattanWorkload::new(&w))
     });

@@ -7,7 +7,7 @@ use seve_core::config::{ProtocolConfig, ServerMode};
 use seve_core::consistency::ConsistencyOracle;
 use seve_core::pipeline::PipelineServer;
 use seve_driver::{FaultPlan, SessionParams};
-use seve_rt::{run_client_with, run_server_with};
+use seve_rt::{hello_digest, run_client_with, run_server_with};
 use seve_world::ids::ClientId;
 use seve_world::worlds::manhattan::{
     ManhattanConfig, ManhattanWorkload, ManhattanWorld, SpawnPattern,
@@ -47,10 +47,7 @@ fn run_session(mode: ServerMode) {
 
     let server_world = Arc::clone(&w);
     let server_cfg = cfg.clone();
-    let digest = {
-        use seve_world::GameWorld;
-        w.initial_state().digest()
-    };
+    let digest = hello_digest(w.as_ref(), &cfg);
     let server = std::thread::spawn(move || {
         run_server_with(
             PipelineServer::new(server_world, server_cfg),
@@ -118,6 +115,69 @@ fn incomplete_world_over_tcp_is_consistent() {
 #[test]
 fn info_bound_over_tcp_is_consistent() {
     run_session(ServerMode::InfoBound);
+}
+
+/// A client in another mode than its server's speaks another protocol (a
+/// Basic client sends an Information Bound server no completions, and ζ_S
+/// would stall), so its hello is refused at the door, as a client of
+/// another world's is: its connection is closed before a move is served,
+/// and the client ends with no response. Its seat stays free for a client
+/// of the server's mode.
+#[test]
+fn a_client_in_another_mode_is_refused_at_the_door() {
+    const MOVES: u32 = 6;
+    let w = world(1);
+    let cfg = fast_cfg(ServerMode::InfoBound);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().unwrap();
+    let server = {
+        let (w, cfg) = (Arc::clone(&w), cfg.clone());
+        let digest = hello_digest(w.as_ref(), &cfg);
+        std::thread::spawn(move || {
+            run_server_with(
+                PipelineServer::new(w, cfg),
+                listener,
+                1,
+                Duration::from_millis(5),
+                Duration::from_millis(5),
+                digest,
+                SessionParams::fast(),
+            )
+            .expect("server runs")
+        })
+    };
+    let client = |cfg: ProtocolConfig| {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let w = Arc::clone(&w);
+        std::thread::spawn(move || {
+            let mut wl = ManhattanWorkload::new(&w);
+            let report = run_client_with(
+                Arc::clone(&w),
+                &cfg,
+                addr,
+                ClientId(0),
+                &mut wl,
+                MOVES,
+                Duration::from_millis(25),
+                &FaultPlan::none(),
+                SessionParams::fast(),
+            );
+            let responses = report.map(|r| r.metrics.response_ms.count());
+            tx.send(responses.map_err(|e| e.to_string()))
+                .expect("the test waits");
+        });
+        rx.recv_timeout(Duration::from_secs(20))
+            .expect("the client returns")
+    };
+    assert_eq!(
+        client(fast_cfg(ServerMode::Basic)).unwrap_or(0),
+        0,
+        "a Basic client was served by an Information Bound server"
+    );
+    let responses = client(cfg).expect("a client of the server's mode is seated");
+    assert!(responses > 0);
+    let report = server.join().expect("server thread");
+    assert!(report.metrics.installed > 0, "completions installed");
 }
 
 #[test]

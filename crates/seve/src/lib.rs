@@ -64,7 +64,7 @@ pub mod prelude {
     pub use seve_core::server::SeveSuite;
     pub use seve_core::SeveClient;
     pub use seve_driver::{
-        FaultPlan, FaultPolicy, LinkPartition, NodeDriver, SessionParams, SessionStats, ShedPolicy,
+        FaultPlan, FaultPolicy, LinkPartition, NodeDriver, SessionParams, SessionStats,
     };
     pub use seve_net::stats::Summary;
     pub use seve_net::time::{SimDuration, SimTime};

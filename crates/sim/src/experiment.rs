@@ -107,7 +107,7 @@ pub fn run_central(world: &Arc<ManhattanWorld>, sim: &SimConfig) -> RunResult {
 
 /// Run the Broadcast baseline on a Manhattan world.
 pub fn run_broadcast(world: &Arc<ManhattanWorld>, sim: &SimConfig) -> RunResult {
-    let suite = BroadcastSuite::default();
+    let suite = BroadcastSuite;
     let mut wl = ManhattanWorkload::new(world);
     Simulation::new(Arc::clone(world), &suite, sim.clone()).run(&mut wl)
 }

@@ -77,7 +77,7 @@ fn accounting_invariants_hold_for_every_suite() {
         ))),
     );
     check_invariants("central", &run(&CentralSuite::with_interest_radius(30.0)));
-    check_invariants("broadcast", &run(&BroadcastSuite::default()));
+    check_invariants("broadcast", &run(&BroadcastSuite));
     check_invariants("ring", &run(&RingSuite::new(30.0)));
 }
 

@@ -66,14 +66,14 @@ fn main() {
     );
 
     let mut wl = DiningWorkload::new(&world);
-    let locking = LockingSuite::default();
+    let locking = LockingSuite;
     run(
         "Locking (Sec II-B)",
         Simulation::new(Arc::clone(&world), &locking, sim.clone()).run(&mut wl),
     );
 
     let mut wl = DiningWorkload::new(&world);
-    let ts = TimestampSuite::default();
+    let ts = TimestampSuite;
     run(
         "Timestamp (Sec II-B)",
         Simulation::new(Arc::clone(&world), &ts, sim).run(&mut wl),

@@ -64,7 +64,7 @@ fn main() {
         Simulation::new(Arc::clone(&world), &central, sim.clone()).run(&mut wl),
     );
 
-    let broadcast = BroadcastSuite::default();
+    let broadcast = BroadcastSuite;
     let mut wl = ManhattanWorkload::new(&world);
     run(
         "Broadcast",

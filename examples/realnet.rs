@@ -22,7 +22,7 @@ use seve::core::consistency::ConsistencyOracle;
 use seve::core::pipeline::PipelineServer;
 use seve::prelude::*;
 use seve::rt::cli::{exit_usage, value, ArgError};
-use seve::rt::{run_client_with, run_server_with};
+use seve::rt::{hello_digest, run_client_with, run_server_with};
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
@@ -77,7 +77,7 @@ fn run_tcp(world: Arc<ManhattanWorld>, cfg: ProtocolConfig, n: usize, moves: u32
 
     let server_world = Arc::clone(&world);
     let server_cfg = cfg.clone();
-    let digest = world.initial_state().digest();
+    let digest = hello_digest(world.as_ref(), &cfg);
     let server = std::thread::spawn(move || {
         run_server_with(
             PipelineServer::new(server_world, server_cfg),
@@ -139,7 +139,7 @@ fn run_tcp(world: Arc<ManhattanWorld>, cfg: ProtocolConfig, n: usize, moves: u32
 fn run_inproc(world: Arc<ManhattanWorld>, cfg: ProtocolConfig, n: usize, moves: u32) {
     println!("SEVE in-process session — {n} clients × {moves} moves over pipes\n");
     let suite = SeveSuite::new(cfg);
-    let session = SessionConfig::fast(moves, Duration::from_millis(30), Duration::from_millis(5));
+    let session = SessionConfig::fast(moves, Duration::from_millis(30));
     let mut report = run_inproc_session(Arc::clone(&world), &suite, &session, |_| {
         Box::new(ManhattanWorkload::new(&world))
     });

@@ -65,6 +65,11 @@ if awk 'FNR == 1 { live = 1 } /^mod tests/ { live = 0 }
   exit 1
 fi
 
+echo "== doc links resolve =="
+# A doc comment naming an item that is gone (a deleted type, field or
+# method) fails here rather than rendering as plain text.
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --offline --no-deps --workspace
+
 echo "== cargo fmt --check =="
 cargo fmt --check
 

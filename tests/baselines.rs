@@ -63,7 +63,7 @@ fn central_collapses_beyond_one_machine() {
 fn broadcast_traffic_is_quadratic() {
     let bytes_at = |n: usize| {
         let world = manhattan(n, 500);
-        let suite = BroadcastSuite::default();
+        let suite = BroadcastSuite;
         let mut wl = ManhattanWorkload::new(&world);
         Simulation::new(world, &suite, sim(15))
             .run(&mut wl)
@@ -95,7 +95,7 @@ fn seve_traffic_stays_near_central() {
     let seve = Simulation::new(Arc::clone(&world), &seve_suite, sim(15)).run(&mut wl);
     let mut wl = ManhattanWorkload::new(&world);
     let bcast =
-        Simulation::new(Arc::clone(&world), &BroadcastSuite::default(), sim(15)).run(&mut wl);
+        Simulation::new(Arc::clone(&world), &BroadcastSuite, sim(15)).run(&mut wl);
     assert!(
         (seve.total_bytes as f64) < 3.0 * central.total_bytes as f64,
         "SEVE must not incur significantly higher network costs (Figure 9): {} vs {}",
@@ -136,7 +136,7 @@ fn locking_serializes_conflicts_at_multiple_rtts() {
     }));
     let mut wl = DiningWorkload::new(&world);
     let locking =
-        Simulation::new(Arc::clone(&world), &LockingSuite::default(), sim(15)).run(&mut wl);
+        Simulation::new(Arc::clone(&world), &LockingSuite, sim(15)).run(&mut wl);
     assert_eq!(locking.violations, 0, "locking is strongly consistent");
     assert_eq!(locking.server.installed, locking.submitted);
     let mut wl = DiningWorkload::new(&world);
@@ -157,7 +157,7 @@ fn timestamp_aborts_under_contention_and_stays_consistent() {
         ..DiningConfig::default()
     }));
     let mut wl = DiningWorkload::new(&world);
-    let r = Simulation::new(world, &TimestampSuite::default(), sim(20)).run(&mut wl);
+    let r = Simulation::new(world, &TimestampSuite, sim(20)).run(&mut wl);
     assert_eq!(r.violations, 0);
     assert!(
         r.server.drops > 0,
@@ -176,7 +176,7 @@ fn a_saturated_client_costs_events_linear_in_messages() {
     // that backlog.
     let world = manhattan(12, 40_000);
     let mut wl = ManhattanWorkload::new(&world);
-    let r = Simulation::new(world, &BroadcastSuite::default(), sim(10)).run(&mut wl);
+    let r = Simulation::new(world, &BroadcastSuite, sim(10)).run(&mut wl);
     // Measured: 4 517 events for 1 560 messages. A wake filed per arrival
     // instead pops 52 093.
     assert!(

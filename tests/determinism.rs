@@ -71,10 +71,10 @@ fn every_suite_is_deterministic() {
         SeveSuite::new(ProtocolConfig::with_mode(ServerMode::Basic))
     );
     check!("central", CentralSuite::with_interest_radius(30.0));
-    check!("broadcast", BroadcastSuite::default());
+    check!("broadcast", BroadcastSuite);
     check!("ring", RingSuite::new(30.0));
-    check!("locking", LockingSuite::default());
-    check!("timestamp", TimestampSuite::default());
+    check!("locking", LockingSuite);
+    check!("timestamp", TimestampSuite);
 }
 
 #[test]

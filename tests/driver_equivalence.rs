@@ -18,6 +18,7 @@
 use seve::core::config::{ProtocolConfig, ServerMode};
 use seve::core::server::SeveSuite;
 use seve::driver::{SimConfig, Simulation};
+use seve::net::time::SimDuration;
 use seve::rt::{run_inproc_session, SessionConfig};
 use seve::world::worlds::manhattan::{
     ManhattanConfig, ManhattanWorkload, ManhattanWorld, SpawnPattern,
@@ -37,6 +38,15 @@ fn world(clients: usize) -> Arc<ManhattanWorld> {
     }))
 }
 
+/// `suite` with a 5 ms tick, for the threaded run: every backend takes τ
+/// from the engine, and the simulator's run keeps Table I's.
+fn threaded(suite: &SeveSuite) -> SeveSuite {
+    SeveSuite::new(ProtocolConfig {
+        tick: SimDuration::from_ms(5),
+        ..suite.cfg.clone()
+    })
+}
+
 #[test]
 fn single_client_session_is_bit_identical_across_backends() {
     const MOVES: u32 = 20;
@@ -54,8 +64,8 @@ fn single_client_session_is_bit_identical_across_backends() {
     )
     .run(&mut wl);
 
-    let session = SessionConfig::fast(MOVES, Duration::from_millis(10), Duration::from_millis(5));
-    let inproc = run_inproc_session(Arc::clone(&w), &suite, &session, |_| {
+    let session = SessionConfig::fast(MOVES, Duration::from_millis(10));
+    let inproc = run_inproc_session(Arc::clone(&w), &threaded(&suite), &session, |_| {
         Box::new(ManhattanWorkload::new(&w))
     });
 
@@ -96,8 +106,8 @@ fn multi_client_sessions_agree_on_protocol_outcome() {
     )
     .run(&mut wl);
 
-    let session = SessionConfig::fast(MOVES, Duration::from_millis(15), Duration::from_millis(5));
-    let mut inproc = run_inproc_session(Arc::clone(&w), &suite, &session, |_| {
+    let session = SessionConfig::fast(MOVES, Duration::from_millis(15));
+    let mut inproc = run_inproc_session(Arc::clone(&w), &threaded(&suite), &session, |_| {
         Box::new(ManhattanWorkload::new(&w))
     });
 

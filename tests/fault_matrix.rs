@@ -50,14 +50,14 @@ use seve::driver::{
     FaultPlan, FaultPolicy, LinkPartition, SessionParams, SessionStats, SimConfig, Simulation,
 };
 use seve::rt::{
-    run_client_with, run_inproc_session, run_server_with, ClientReport, ServerReport, SessionConfig,
+    hello_digest, run_client_with, run_inproc_session, run_server_with, ClientReport, ServerReport,
+    SessionConfig,
 };
 use seve::world::ids::ClientId;
 use seve::world::worlds::dining::{DiningConfig, DiningWorkload, DiningWorld};
 use seve::world::worlds::manhattan::{
     ManhattanConfig, ManhattanWorkload, ManhattanWorld, SpawnPattern,
 };
-use seve::world::GameWorld;
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
@@ -325,8 +325,17 @@ fn sim_chaos_soak_converges_across_seeds() {
 
 // ------------------------------------------------------- in-process runtime
 
+/// A SEVE suite in `mode` whose server ticks every 5 ms, as threaded runs
+/// here take τ from the engine.
+fn inproc_suite(mode: ServerMode) -> SeveSuite {
+    SeveSuite::new(ProtocolConfig {
+        tick: seve::net::time::SimDuration::from_ms(5),
+        ..ProtocolConfig::with_mode(mode)
+    })
+}
+
 fn inproc_cfg(moves: u32, faults: FaultPlan) -> SessionConfig {
-    let mut cfg = SessionConfig::fast(moves, Duration::from_millis(20), Duration::from_millis(5));
+    let mut cfg = SessionConfig::fast(moves, Duration::from_millis(20));
     // Held-back (reordered/delayed) submissions flush on goodbye, so a
     // drain that cannot complete should give up quickly.
     cfg.drain_grace = Duration::from_millis(500);
@@ -339,7 +348,7 @@ fn inproc_absorbed_faults_preserve_consistency() {
     const N: usize = 4;
     const MOVES: u32 = 10;
     let world = dining(N);
-    let suite = SeveSuite::new(ProtocolConfig::with_mode(ServerMode::Incomplete));
+    let suite = inproc_suite(ServerMode::Incomplete);
     let plan = FaultPlan {
         up: FaultPolicy {
             duplicate: 0.2,
@@ -369,7 +378,7 @@ fn inproc_midrun_crash_is_reaped_and_tolerated() {
     const N: usize = 4;
     const MOVES: u32 = 10;
     let world = dining(N);
-    let suite = SeveSuite::new(ProtocolConfig::with_mode(ServerMode::Basic));
+    let suite = inproc_suite(ServerMode::Basic);
     let plan = FaultPlan {
         crashes: vec![(ClientId(2), 3)],
         ..FaultPlan::default()
@@ -412,7 +421,7 @@ fn inproc_down_loss_is_recovered_by_supervision() {
     const N: usize = 4;
     const MOVES: u32 = 10;
     let world = dining(N);
-    let suite = SeveSuite::new(ProtocolConfig::with_mode(ServerMode::Basic));
+    let suite = inproc_suite(ServerMode::Basic);
     // Every client is cut once, each at a different point of its workload.
     let mut report = run_inproc_session(
         Arc::clone(&world),
@@ -443,7 +452,7 @@ fn inproc_partition_heals_and_resumes() {
     const N: usize = 4;
     const MOVES: u32 = 10;
     let world = dining(N);
-    let suite = SeveSuite::new(ProtocolConfig::with_mode(ServerMode::Basic));
+    let suite = inproc_suite(ServerMode::Basic);
     let plan = FaultPlan {
         partitions: vec![LinkPartition {
             client: ClientId(1),
@@ -489,7 +498,7 @@ fn tcp_session(
     cfg.tick = seve::net::time::SimDuration::from_ms(5);
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().unwrap();
-    let digest = w.initial_state().digest();
+    let digest = hello_digest(w.as_ref(), &cfg);
 
     let server = {
         let w = Arc::clone(&w);
@@ -685,7 +694,7 @@ fn clean_runs_have_zero_coping_counters() {
     assert_eq!(r.session.dups_dropped, 0);
 
     let world = dining(3);
-    let suite = SeveSuite::new(ProtocolConfig::with_mode(ServerMode::Basic));
+    let suite = inproc_suite(ServerMode::Basic);
     let report = run_inproc_session(
         Arc::clone(&world),
         &suite,

@@ -7,12 +7,13 @@
 //! Manhattan that question is a visible-wall query, as dear as the
 //! evaluation itself. The world below counts how often it is asked.
 
-use seve::baselines::CentralSuite;
+use seve::baselines::{BroadcastSuite, CentralSuite, LockingSuite, RingSuite, TimestampSuite};
 use seve::core::config::{ProtocolConfig, ServerMode};
-use seve::core::engine::ProtocolSuite;
+use seve::core::engine::{ClientNode, ProtocolSuite, ServerNode};
 use seve::core::msg::{Item, ToClient, ToServer};
 use seve::core::server::SeveSuite;
 use seve::driver::{ClientEvent, ClientTransport, NodeDriver, SimConfig, Simulation};
+use seve::net::time::{SimDuration, SimTime};
 use seve::rt::{run_inproc_session, SessionConfig};
 use seve::world::geometry::Vec2;
 use seve::world::ids::{ClientId, ObjectId};
@@ -151,8 +152,12 @@ fn the_simulator_prices_each_evaluation_once() {
 #[test]
 fn threaded_engines_never_price() {
     let world = Counting::new();
-    let session = SessionConfig::fast(MOVES, Duration::from_millis(10), Duration::from_millis(5));
-    let report = run_inproc_session(Arc::clone(&world), &suite(), &session, |_| moves(&world));
+    let session = SessionConfig::fast(MOVES, Duration::from_millis(10));
+    let fast = SeveSuite::new(ProtocolConfig {
+        tick: SimDuration::from_ms(5),
+        ..suite().cfg
+    });
+    let report = run_inproc_session(Arc::clone(&world), &fast, &session, |_| moves(&world));
     assert_eq!(report.submitted(), CLIENTS as u64 * u64::from(MOVES));
     assert!(report.clients.iter().all(|c| c.metrics.evaluations > 0));
     assert_eq!(world.priced(), 0, "the cost query ran");
@@ -160,6 +165,55 @@ fn threaded_engines_never_price() {
     for c in &report.clients {
         assert_eq!(c.metrics.compute_us, 0);
     }
+}
+
+/// Build `suite` unpriced over a counting world, and drive its server and
+/// clients by hand: five rounds of one submission per client, each round
+/// exchanging messages until none is left, around one tick and one push
+/// cycle. Every receipt, every `compute_us` and the count of cost queries
+/// must be 0.
+fn drive_unpriced<P: ProtocolSuite<Counting>>(suite: &P) {
+    let name = suite.name();
+    let world = Counting::new();
+    let (mut server, mut clients) = suite.build(Arc::clone(&world));
+    let mut wl = moves(&world);
+    let mut receipts = 0;
+    let (mut ups, mut downs, mut out) = (Vec::new(), Vec::new(), Vec::new());
+    for round in 0..5 {
+        let now = SimTime::from_ms(300 * round);
+        for c in &mut clients {
+            let id = c.id();
+            let action = wl.next_action(id, c.next_seq(), c.optimistic(), now.as_ms());
+            receipts += c.submit(now, action.expect("a move"), &mut out);
+            ups.extend(out.drain(..).map(|m| (id, m)));
+        }
+        receipts += server.tick(now, &mut downs) + server.push_tick(now, &mut downs);
+        while !ups.is_empty() || !downs.is_empty() {
+            for (from, m) in ups.drain(..) {
+                receipts += server.deliver(now, from, m, &mut downs);
+            }
+            for (to, m) in downs.drain(..) {
+                receipts += clients[to.index()].deliver(now, m, &mut out);
+                ups.extend(out.drain(..).map(|m| (to, m)));
+            }
+        }
+    }
+    assert!(server.metrics().submissions >= 5 * CLIENTS as u64, "{name}");
+    assert_eq!(receipts, 0, "{name}: an unpriced engine charged");
+    assert_eq!(server.metrics().compute_us, 0, "{name}");
+    for c in &clients {
+        assert_eq!(c.metrics().compute_us, 0, "{name}");
+    }
+    assert_eq!(world.priced(), 0, "{name}: the cost query ran");
+}
+
+#[test]
+fn unpriced_baselines_charge_nothing() {
+    drive_unpriced(&CentralSuite::default());
+    drive_unpriced(&BroadcastSuite);
+    drive_unpriced(&LockingSuite);
+    drive_unpriced(&TimestampSuite);
+    drive_unpriced(&RingSuite::new(30.0));
 }
 
 /// A one-client server in a script: it serializes each submission at the

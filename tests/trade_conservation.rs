@@ -56,7 +56,7 @@ fn broadcast_duplicates_items_under_contention() {
     // apply their own trades against stale local state and replicas
     // diverge — the oracle sees it, and conservation breaks somewhere.
     let world = market();
-    let suite = BroadcastSuite::default();
+    let suite = BroadcastSuite;
     let mut wl = TradeWorkload::new(Arc::clone(&world));
     let r = Simulation::new(Arc::clone(&world), &suite, sim(25)).run(&mut wl);
     assert!(
