@@ -372,7 +372,7 @@ mod tests {
         assert!(!client.lane.as_ref().expect("a live lane").is_flushed());
         let (dropped, rx) = mpsc::channel();
         let start = Instant::now();
-        std::thread::spawn(move || {
+        let handle = std::thread::spawn(move || {
             drop(client);
             dropped.send(()).expect("the test waits");
         });
@@ -382,6 +382,7 @@ mod tests {
             start.elapsed() >= CLOSE_FLUSH_BOUND,
             "it tried for the bound"
         );
+        handle.join().expect("the dropping thread");
         drop(server_end);
     }
 

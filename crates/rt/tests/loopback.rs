@@ -149,7 +149,7 @@ fn a_client_in_another_mode_is_refused_at_the_door() {
     let client = |cfg: ProtocolConfig| {
         let (tx, rx) = std::sync::mpsc::channel();
         let w = Arc::clone(&w);
-        std::thread::spawn(move || {
+        let handle = std::thread::spawn(move || {
             let mut wl = ManhattanWorkload::new(&w);
             let report = run_client_with(
                 Arc::clone(&w),
@@ -166,8 +166,11 @@ fn a_client_in_another_mode_is_refused_at_the_door() {
             tx.send(responses.map_err(|e| e.to_string()))
                 .expect("the test waits");
         });
-        rx.recv_timeout(Duration::from_secs(20))
-            .expect("the client returns")
+        let responses = rx
+            .recv_timeout(Duration::from_secs(20))
+            .expect("the client returns");
+        handle.join().expect("client thread");
+        responses
     };
     assert_eq!(
         client(fast_cfg(ServerMode::Basic)).unwrap_or(0),

@@ -94,8 +94,7 @@ fn seve_traffic_stays_near_central() {
     let seve_suite = SeveSuite::new(ProtocolConfig::with_mode(ServerMode::InfoBound));
     let seve = Simulation::new(Arc::clone(&world), &seve_suite, sim(15)).run(&mut wl);
     let mut wl = ManhattanWorkload::new(&world);
-    let bcast =
-        Simulation::new(Arc::clone(&world), &BroadcastSuite, sim(15)).run(&mut wl);
+    let bcast = Simulation::new(Arc::clone(&world), &BroadcastSuite, sim(15)).run(&mut wl);
     assert!(
         (seve.total_bytes as f64) < 3.0 * central.total_bytes as f64,
         "SEVE must not incur significantly higher network costs (Figure 9): {} vs {}",
@@ -135,8 +134,7 @@ fn locking_serializes_conflicts_at_multiple_rtts() {
         ..DiningConfig::default()
     }));
     let mut wl = DiningWorkload::new(&world);
-    let locking =
-        Simulation::new(Arc::clone(&world), &LockingSuite, sim(15)).run(&mut wl);
+    let locking = Simulation::new(Arc::clone(&world), &LockingSuite, sim(15)).run(&mut wl);
     assert_eq!(locking.violations, 0, "locking is strongly consistent");
     assert_eq!(locking.server.installed, locking.submitted);
     let mut wl = DiningWorkload::new(&world);
